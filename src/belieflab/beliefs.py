@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import PVector
+from .signals import PVector, _check_finite
 
 __all__ = [
     "PriorModel",
@@ -45,6 +45,7 @@ class PriorModel:
             raise ValueError(f"rho must be positive, got {self.rho!r}")
         if self.sigma_log < 0:
             raise ValueError("sigma_log must be nonnegative")
+        _check_finite(rho=self.rho, sigma_log=self.sigma_log)
 
     @classmethod
     def from_probability(cls, pi: float, sigma_log: float = 0.0) -> "PriorModel":

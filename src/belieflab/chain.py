@@ -32,6 +32,11 @@ def _check_k(K: int) -> None:
         raise ValueError(f"K must be a positive integer, got {K!r}")
 
 
+def _check_n(N: int) -> None:
+    if N < 0:
+        raise ValueError("N must be nonnegative")
+
+
 def stationary(r: float, K: int) -> np.ndarray:
     """Long-run state distribution of the chain with up/down odds r.
 
@@ -89,8 +94,7 @@ def finite_n_distribution(
     ones.
     """
     _check_k(K)
-    if N < 0:
-        raise ValueError("N must be nonnegative")
+    _check_n(N)
     up, down, stay = q.column(theta)
     if processed_only:
         total = up + down
@@ -126,13 +130,32 @@ def _ladder_index(i: int, k: int, K: int) -> int:
     return 1 + (i - 1) * K + (k - 1)
 
 
+def _ladder_move_table(K: int) -> np.ndarray:
+    """Next-state lookup [state, direction], direction 0 meaning censored.
+
+    Evidence for i climbs the i-ladder one rung (sticking at the top) and
+    pushes any other ladder down one rung, through the shared bottom state 0.
+    """
+    n = 3 * K + 1
+    table = np.empty((n, 4), dtype=np.int64)
+    table[:, 0] = np.arange(n)
+    for d in (1, 2, 3):
+        table[0, d] = _ladder_index(d, 1, K)
+        for j in (1, 2, 3):
+            rungs = [_ladder_index(j, k, K) for k in range(1, K + 1)]
+            if j == d:
+                table[rungs, d] = rungs[1:] + rungs[-1:]
+            else:
+                table[rungs, d] = [0] + rungs[:-1]
+    return table
+
+
 def ladder_transition(p3: np.ndarray, K: int, theta: int) -> np.ndarray:
     """Ladder-chain transition matrix under underlying state theta.
 
     ``p3[i - 1, theta - 1]`` is the probability that a processed signal
-    points to state i given theta (columns must sum to 1). Evidence for i
-    climbs the i-ladder one rung (sticking at the top) and pushes any other
-    ladder down one rung, through the shared bottom state 0.
+    points to state i given theta (columns must sum to 1); the moves are
+    those of ``_ladder_move_table``.
     """
     _check_k(K)
     p3 = np.asarray(p3, dtype=float)
@@ -142,20 +165,11 @@ def ladder_transition(p3: np.ndarray, K: int, theta: int) -> np.ndarray:
         raise ValueError("p3 columns must be probability vectors summing to 1")
     if theta not in (1, 2, 3):
         raise ValueError(f"theta must be 1, 2 or 3, got {theta}")
-    weights = p3[:, theta - 1]
-    n = 3 * K + 1
-    P = np.zeros((n, n))
-    for i in (1, 2, 3):
-        w = weights[i - 1]
-        P[0, _ladder_index(i, 1, K)] += w  # center climbs onto ladder i
-        for j in (1, 2, 3):
-            for k in range(1, K + 1):
-                src = _ladder_index(j, k, K)
-                if j == i:
-                    dst = src if k == K else _ladder_index(i, k + 1, K)
-                else:
-                    dst = 0 if k == 1 else _ladder_index(j, k - 1, K)
-                P[src, dst] += w
+    table = _ladder_move_table(K)
+    states = np.arange(3 * K + 1)
+    P = np.zeros((states.size, states.size))
+    for i in (1, 2, 3):  # one target per state and direction, added in order
+        P[states, table[:, i]] += p3[i - 1, theta - 1]
     return P
 
 

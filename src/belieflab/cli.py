@@ -27,8 +27,8 @@ from .signals import (
     censor_path,
     censored_transitions,
     conditional_dynamics,
+    load_model,
     model_from_config,
-    tilt_model,
 )
 from .welfare import (
     ProblemSpec,
@@ -79,29 +79,23 @@ def _load_config(path: str | None) -> dict:
         return json.load(fh)
 
 
+def _named_model(name: str, overrides: dict):
+    """The model ``scenarios.MODELS`` lists under name, defaults overridden."""
+    build, defaults = sc.MODELS[name]
+    return build(**{**defaults, **overrides})
+
+
 def _resolve_model(args, config: dict):
     """Model from --model <name-or-json-path> or the config's "model" key."""
-    spec = getattr(args, "model", None)
-    if spec:
-        if spec.endswith(".json"):
-            with open(spec, encoding="utf-8") as fh:
-                return model_from_config(json.load(fh))
-        if spec == "tilt":
-            return tilt_model(lam=args.lam)
-        if spec == "asymmetric_tilt":
-            from .signals import asymmetric_tilt_model
-
-            return asymmetric_tilt_model()
-        if spec == "lunar":
-            return sc.lunar_model()
-        if spec == "illusory":
-            return sc.illusory_model(alpha=2.0, r=0.1, q=0.05)
-        if spec == "coin":
-            return sc.coin_model(0.7, 0.8, 1)
-        raise SystemExit(f"unknown model {spec!r}")
-    if "model" in config:
-        return model_from_config(config["model"])
-    return None
+    name = getattr(args, "model", None)
+    if not name:
+        return model_from_config(config["model"]) if "model" in config else None
+    if name.endswith(".json"):
+        return load_model(name)
+    if name not in sc.MODELS:
+        raise SystemExit(f"unknown model {name!r}")
+    _, defaults = sc.MODELS[name]
+    return _named_model(name, {"lam": args.lam} if "lam" in defaults else {})
 
 
 def _grid(spec: str) -> np.ndarray:
@@ -262,22 +256,7 @@ def _cmd_sweep(args, config) -> int:
 
 def _cmd_scenario(args, config) -> int:
     params = json.loads(args.params) if args.params else {}
-    if args.name == "lunar":
-        model = sc.lunar_model(**params)
-    elif args.name == "illusory":
-        defaults = {"alpha": 2.0, "r": 0.1, "q": 0.05}
-        defaults.update(params)
-        model = sc.illusory_model(**defaults)
-    elif args.name == "coin":
-        defaults = {"alpha1": 0.7, "alpha2": 0.8, "J": 1}
-        defaults.update(params)
-        model = sc.coin_model(**defaults)
-    elif args.name == "autocorr":
-        defaults = {"draws": 6}
-        defaults.update(params)
-        model, _ = sc.autocorr_model(**defaults)
-    else:
-        raise SystemExit(f"unknown scenario {args.name!r}")
+    model = _named_model(args.name, params)
     rows = sc.evidence_table(model, beta=args.beta)
     prob_cols = [f"prob{t}" for t in range(1, model.theta_count + 1)]
     header = ["outcome", "direction", "strength", *prob_cols, "processed"]
@@ -323,7 +302,7 @@ def _cmd_oracle(args, config) -> int:
     elif args.kind == "ladder":
         model = _resolve_model(args, config)
         if model is None:
-            model, _ = sc.autocorr_model(draws=10)
+            model = _named_model("autocorr", {"draws": 10})
         est = mc.simulate_ladder(
             model, args.K, args.N, args.trials, args.seed, beta=args.beta
         )
@@ -500,7 +479,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scenario", help="evidence table of a worked problem")
     _add_common(p)
-    p.add_argument("name", choices=["lunar", "illusory", "coin", "autocorr"])
+    p.add_argument("name", choices=list(sc.SCENARIOS))
     p.add_argument("--params", default=None, help="JSON constructor overrides")
     p.set_defaults(fn=_cmd_scenario)
 

@@ -16,13 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _ladder_index
-from .signals import (
-    ContinuousSignalModel,
-    DiscreteSignalModel,
-    TransitionKernel,
-    classify,
-)
+from .chain import _check_n, _ladder_move_table
+from .signals import ContinuousSignalModel, DiscreteSignalModel, TransitionKernel
 from .welfare import ProblemSpec
 
 __all__ = [
@@ -79,6 +74,7 @@ def simulate_chain(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_n(N)
     rng = np.random.default_rng(seed)
     up, down, stay = q.column(theta)
     if processed_only:
@@ -107,23 +103,14 @@ def simulate_chain(
     return ChainEstimate(probs=probs, stderr=stderr, trials=trials, seed=seed)
 
 
-def _discrete_moves(model: DiscreteSignalModel, beta: float) -> np.ndarray:
-    """Per-outcome mental-state move in {-1, 0, +1} after censoring."""
-    moves = np.zeros(len(model.outcomes), dtype=np.int64)
-    for i, label in enumerate(model.outcomes):
-        ev = classify(model, label)
-        if ev.processed(beta):
-            moves[i] = 1 if ev.direction == 1 else -1
-    return moves
-
-
 def _final_states(
     model, theta: int, beta: float, K: int, N: int, n: int, rng
 ) -> np.ndarray:
     """Mental states of n independent agents after N raw signals."""
     s = np.zeros(n, dtype=np.int64)
     if isinstance(model, DiscreteSignalModel):
-        moves = _discrete_moves(model, beta)
+        directions = model.directions(beta)
+        moves = np.where(directions == 1, 1, np.where(directions == 0, 0, -1))
         cum = np.cumsum(model.probs[theta - 1])
         cum[-1] = 1.0
         for _ in range(N):
@@ -195,23 +182,6 @@ def simulate_welfare(
     )
 
 
-def _ladder_move_table(K: int) -> np.ndarray:
-    """Next-state lookup [state, direction], direction 0 meaning censored."""
-    n = 3 * K + 1
-    table = np.empty((n, 4), dtype=np.int64)
-    table[:, 0] = np.arange(n)
-    for d in (1, 2, 3):
-        table[0, d] = _ladder_index(d, 1, K)
-        for j in (1, 2, 3):
-            for k in range(1, K + 1):
-                src = _ladder_index(j, k, K)
-                if j == d:
-                    table[src, d] = src if k == K else _ladder_index(d, k + 1, K)
-                else:
-                    table[src, d] = 0 if k == 1 else _ladder_index(j, k - 1, K)
-    return table
-
-
 def simulate_ladder(
     model: DiscreteSignalModel,
     K: int,
@@ -226,11 +196,7 @@ def simulate_ladder(
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = np.random.default_rng(seed)
-    directions = np.zeros(len(model.outcomes), dtype=np.int64)
-    for i, label in enumerate(model.outcomes):
-        ev = classify(model, label)
-        if ev.processed(beta):
-            directions[i] = ev.direction
+    directions = model.directions(beta)
     table = _ladder_move_table(K)
     n_states = 3 * K + 1
     probs = np.empty((3, n_states))

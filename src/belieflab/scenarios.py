@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import DiscreteSignalModel, classify
+from .signals import DiscreteSignalModel, asymmetric_tilt_model, classify, tilt_model
 
 __all__ = [
+    "SCENARIOS",
+    "MODELS",
     "EvidenceRow",
     "evidence_table",
     "lunar_model",
@@ -283,3 +285,22 @@ def autocorr_model(
             )
         )
     return model, table
+
+
+# ---------------------------------------------------------------------------
+# named models: constructor and the default arguments the CLI builds with
+
+SCENARIOS = {
+    "lunar": (lunar_model, {}),
+    "illusory": (illusory_model, {"alpha": 2.0, "r": 0.1, "q": 0.05}),
+    "coin": (coin_model, {"alpha1": 0.7, "alpha2": 0.8, "J": 1}),
+    "autocorr": (lambda **kw: autocorr_model(**kw)[0], {"draws": 6}),
+}
+
+# every name ``--model`` accepts: the continuous families, then the worked
+# problems; the CLI's --lam replaces a "lam" default where one is listed
+MODELS = {
+    "tilt": (tilt_model, {"lam": 1.0}),
+    "asymmetric_tilt": (asymmetric_tilt_model, {}),
+    **SCENARIOS,
+}

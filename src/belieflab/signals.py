@@ -46,6 +46,27 @@ _BOUNDARY_TOL = 1e-12  # bisection width for censoring boundaries
 _QUAD_TOL = 1e-9       # absolute tolerance for numeric integration
 
 
+def _check_finite(**values) -> None:
+    """Raise ValueError naming the first argument that holds a NaN or inf.
+
+    Each value is a number, a tuple of numbers or a numpy array.
+    """
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            finite = bool(np.isfinite(value).all())
+        else:
+            items = value if isinstance(value, tuple) else (value,)
+            finite = all(map(math.isfinite, items))
+        if not finite:
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_beta(beta: float) -> None:
+    _check_finite(beta=beta)
+    if beta < 0:
+        raise ValueError("beta must be nonnegative")
+
+
 class FullyCensored(ValueError):
     """Raised when no evidence survives censoring under some state."""
 
@@ -82,6 +103,7 @@ class TransitionKernel:
     stay: tuple[float, float]
 
     def __post_init__(self):
+        _check_finite(up=self.up, down=self.down, stay=self.stay)
         for i in range(2):
             total = self.up[i] + self.down[i] + self.stay[i]
             if abs(total - 1.0) > 1e-12:
@@ -194,6 +216,12 @@ class DiscreteSignalModel:
     one column per outcome. ``batch_builder``, when set, maps a batch size J
     to an equivalent model on a sufficient statistic, which lets ``batch``
     sidestep the J-tuple blowup (tail counts for coin models, for example).
+
+    Every outcome is classified once, at construction: its direction is the
+    state with the highest probability (exact ties go to the lowest state),
+    its strength that probability over the runner-up (inf when the
+    runner-up is 0). Outcomes with zero probability under every state are
+    only flagged here; using them raises.
     """
 
     outcomes: tuple[str, ...]
@@ -212,14 +240,24 @@ class DiscreteSignalModel:
             )
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError("outcome labels must be unique")
+        _check_finite(probs=probs)
         if np.any(probs < -1e-15) or np.any(probs > 1 + 1e-15):
             raise ValueError("outcome probabilities outside [0, 1]")
         sums = probs.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-12):
             raise ValueError(f"per-state probabilities sum to {sums}, not 1")
+        if self.theta_count < 2:
+            raise ValueError("a signal model needs at least two states")
+        ranked = np.sort(probs, axis=0)
+        top, runner = ranked[-1], ranked[-2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            strength = np.where(runner == 0, math.inf, top / runner)
         object.__setattr__(
             self, "_index", {label: i for i, label in enumerate(self.outcomes)}
         )
+        object.__setattr__(self, "_direction", np.argmax(probs, axis=0) + 1)
+        object.__setattr__(self, "_strength", strength)
+        object.__setattr__(self, "_null", top <= 0)
 
     def outcome_index(self, label: str) -> int:
         try:
@@ -229,6 +267,18 @@ class DiscreteSignalModel:
 
     def prob(self, label: str, theta: int) -> float:
         return float(self.probs[theta - 1, self.outcome_index(label)])
+
+    def _require_signal(self, idx: int) -> None:
+        if self._null[idx]:
+            raise ValueError(
+                f"outcome {self.outcomes[idx]!r} has zero probability under every state"
+            )
+
+    def directions(self, beta: float) -> np.ndarray:
+        """Per-outcome direction after censoring at 1 + beta, 0 when censored."""
+        if self._null.any():
+            self._require_signal(int(np.argmax(self._null)))
+        return np.where(self._strength >= 1.0 + beta, self._direction, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +393,8 @@ def classify(
         return Evidence(2, f2 / f1)
 
     idx = model.outcome_index(x)
-    column = model.probs[:, idx]
-    best = int(np.argmax(column))  # argmax ties resolve to the lowest index
-    top = column[best]
-    if top <= 0:
-        raise ValueError(f"outcome {x!r} has zero probability under every state")
-    rest = np.delete(column, best)
-    runner = float(rest.max())
-    strength = math.inf if runner == 0 else float(top / runner)
-    return Evidence(best + 1, strength)
+    model._require_signal(idx)
+    return Evidence(int(model._direction[idx]), float(model._strength[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +442,18 @@ def _ratio_boundary(model: ContinuousSignalModel, target: float) -> float:
     return 0.5 * (a + b)
 
 
+def _direction_mass(model: DiscreteSignalModel, beta: float) -> np.ndarray:
+    """Entry [i - 1, theta - 1]: Pr(a signal is processed and points to i | theta).
+
+    Each entry adds its outcomes' probabilities one by one in outcome order
+    (a running sum, not numpy's pairwise one).
+    """
+    dirs = model.directions(beta)
+    picked = dirs == np.arange(1, model.theta_count + 1)[:, None]
+    terms = np.where(picked[:, None, :], model.probs, 0.0)
+    return np.cumsum(terms, axis=2)[:, :, -1]
+
+
 def censored_transitions(
     model: ContinuousSignalModel | DiscreteSignalModel, beta: float
 ) -> TransitionKernel:
@@ -410,8 +465,7 @@ def censored_transitions(
     absolute tolerance of 1e-9. A beta so large that everything is censored
     yields a legal degenerate kernel with stay probability 1.
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+    _check_beta(beta)
     if isinstance(model, ContinuousSignalModel):
         x_lo = _ratio_boundary(model, 1.0 / (1.0 + beta))
         x_hi = _ratio_boundary(model, 1.0 + beta)
@@ -428,14 +482,8 @@ def censored_transitions(
                 "censored_transitions needs a two-state model; use "
                 "censored_direction_matrix for more states"
             )
-        up, down = [0.0, 0.0], [0.0, 0.0]
-        for i, label in enumerate(model.outcomes):
-            ev = classify(model, label)
-            if not ev.processed(beta):
-                continue
-            side = up if ev.direction == 1 else down
-            for t in range(2):
-                side[t] += float(model.probs[t, i])
+        mass = _direction_mass(model, beta)
+        up, down = mass[0].tolist(), mass[1].tolist()
 
     stay = []
     for t in range(2):
@@ -461,17 +509,10 @@ def censored_direction_matrix(
     signal points to state i when the true state is theta; columns sum to 1.
     Raises FullyCensored when some state processes nothing at all.
     """
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
-    t_count = model.theta_count
-    mass = np.zeros((t_count, t_count))
-    for i, label in enumerate(model.outcomes):
-        ev = classify(model, label)
-        if not ev.processed(beta):
-            continue
-        mass[ev.direction - 1, :] += model.probs[:, i]
+    _check_beta(beta)
+    mass = _direction_mass(model, beta)
     totals = mass.sum(axis=0)
-    for theta in range(1, t_count + 1):
+    for theta in range(1, model.theta_count + 1):
         if totals[theta - 1] <= 0.0:
             raise FullyCensored(theta, beta)
     return mass / totals

@@ -26,8 +26,19 @@ from .beliefs import (
     bayes_params,
     prior_exceed_prob,
 )
-from .chain import finite_n_distribution, kernel_from_p, stationary, upper_tail
-from .signals import PVector, TransitionKernel
+from .chain import (
+    _check_k,
+    finite_n_distribution,
+    kernel_from_p,
+    stationary,
+    upper_tail,
+)
+from .signals import (
+    PVector,
+    TransitionKernel,
+    censored_transitions,
+    conditional_dynamics,
+)
 
 __all__ = [
     "ProblemSpec",
@@ -69,8 +80,7 @@ class ProblemSpec:
             raise ValueError(f"pi must lie in (0, 1), got {self.pi!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
-        if self.K < 1:
-            raise ValueError("K must be a positive integer")
+        _check_k(self.K)
 
     @classmethod
     def correct_priors(cls, pi: float, gamma: float, K: int) -> "ProblemSpec":
@@ -146,6 +156,16 @@ def _act_probabilities(spec: ProblemSpec, strategy) -> np.ndarray:
     return out
 
 
+def _combine(spec: ProblemSpec, phi1, phi2, act: np.ndarray) -> float:
+    """Welfare of acting 1 with probability act[s] in mental state s.
+
+    phi1 and phi2 are the mental-state laws under states 1 and 2.
+    """
+    return spec.pi * (1.0 - spec.gamma) * float(phi1 @ act) + (
+        1.0 - spec.pi
+    ) * spec.gamma * float(phi2 @ (1.0 - act))
+
+
 def expected_welfare(p: PVector, spec: ProblemSpec, strategy) -> WelfareReport:
     """Welfare of a posterior rule, averaging over prior noise and states.
 
@@ -160,10 +180,7 @@ def expected_welfare(p: PVector, spec: ProblemSpec, strategy) -> WelfareReport:
         raise ValueError("degenerate parameters have no posterior rule to evaluate")
     phi1 = stationary(p.r1, spec.K)
     phi2 = stationary(p.r2, spec.K)
-    act = _act_probabilities(spec, strategy)
-    value = spec.pi * (1.0 - spec.gamma) * float(phi1 @ act) + (
-        1.0 - spec.pi
-    ) * spec.gamma * float(phi2 @ (1.0 - act))
+    value = _combine(spec, phi1, phi2, _act_probabilities(spec, strategy))
     under, under0 = baseline_welfare(spec)
     return WelfareReport(
         value=value, baseline=under, baseline_correct=under0, delta=value - under
@@ -213,21 +230,14 @@ class DeltaFixed:
 def delta_fixed(p: PVector, spec: ProblemSpec, d: float) -> DeltaFixed:
     if not d > 1.0:
         raise ValueError("delta_fixed assumes d > 1")
-    strategy = BeliefStrategy(d=d, lam=1.0)
-    report = expected_welfare(p, spec, strategy)
     phi1 = stationary(p.r1, spec.K)
     phi2 = stationary(p.r2, spec.K)
+    act = _act_probabilities(spec, BeliefStrategy(d=d, lam=1.0))
+    under, _ = baseline_welfare(spec)
     psi = spec.pi * (1.0 - spec.gamma) * phi1 - (1.0 - spec.pi) * spec.gamma * phi2
-    base_act = prior_exceed_prob(spec.prior, spec.Gamma)
-    j = np.array(
-        [
-            prior_exceed_prob(spec.prior, spec.Gamma / d**s) - base_act
-            for s in range(-spec.K, spec.K + 1)
-        ]
-    )
-    return DeltaFixed(
-        direct=report.delta, decomposed=float(psi @ j), psi=psi, j=j
-    )
+    j = act - prior_exceed_prob(spec.prior, spec.Gamma)
+    direct = _combine(spec, phi1, phi2, act) - under
+    return DeltaFixed(direct=direct, decomposed=float(psi @ j), psi=psi, j=j)
 
 
 def in_B(p: PVector, spec: ProblemSpec) -> bool:
@@ -371,10 +381,7 @@ def finite_n_welfare(
     q = _as_kernel(p_or_q)
     phi1 = finite_n_distribution(q, 1, spec.K, N, processed_only)
     phi2 = finite_n_distribution(q, 2, spec.K, N, processed_only)
-    act = _act_probabilities(spec, strategy)
-    return spec.pi * (1.0 - spec.gamma) * float(phi1 @ act) + (
-        1.0 - spec.pi
-    ) * spec.gamma * float(phi2 @ (1.0 - act))
+    return _combine(spec, phi1, phi2, _act_probabilities(spec, strategy))
 
 
 @dataclass(frozen=True)
@@ -466,8 +473,6 @@ def _censored_welfare(model, beta: float, spec: ProblemSpec, strategy) -> float:
     parked at 0, so its distribution is the point mass there rather than a
     stationary law.
     """
-    from .signals import censored_transitions
-
     q = censored_transitions(model, beta)
     phis = []
     for theta in (1, 2):
@@ -479,10 +484,7 @@ def _censored_welfare(model, beta: float, spec: ProblemSpec, strategy) -> float:
             frozen = np.zeros(2 * spec.K + 1)
             frozen[spec.K] = 1.0
             phis.append(frozen)
-    act = _act_probabilities(spec, strategy)
-    return spec.pi * (1.0 - spec.gamma) * float(phis[0] @ act) + (
-        1.0 - spec.pi
-    ) * spec.gamma * float(phis[1] @ (1.0 - act))
+    return _combine(spec, *phis, _act_probabilities(spec, strategy))
 
 
 @dataclass(frozen=True)
@@ -667,8 +669,6 @@ def sweep(
 
 
 def _sweep_dynamics(ctx: dict, model) -> PVector:
-    from .signals import censored_transitions, conditional_dynamics
-
     if ctx["beta"] is not None:
         if model is None:
             raise ValueError("a beta axis needs a signal model")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -283,3 +284,119 @@ class TestPropsCheck:
         lines = [line for line in out.splitlines() if line]
         assert len(lines) == 5
         assert all(line.startswith("PASS") for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# golden stdout: the sha256 of stdout for fixed argv, seeds included. The
+# digests depend on the numpy build's floating-point results; a change that
+# moves an ulp on purpose updates the digest and says so.
+
+_GOLDEN_MODEL = {
+    "theta_count": 2,
+    "outcomes": ["lo", "mid", "hi"],
+    "probs": {"1": [0.2, 0.3, 0.5], "2": [0.5, 0.3, 0.2]},
+}
+_SCENARIO_PARAMS = {
+    "lunar": '{"effect": 1.5, "tension_ceiling": 5}',
+    "illusory": '{"alpha": 3.0, "q": 0.1}',
+    "coin": '{"alpha1": 0.6, "J": 3}',
+    "autocorr": '{"draws": 4}',
+}
+_SWEEPS = {
+    "delta_bayes": ["--x", "p22", "--y", "gamma", "--p11", "0.8", "--sigma-log", "0.5"],
+    "delta_fixed": ["--x", "p11", "--y", "d", "--p22", "0.7", "--y-grid", "1.5:6:3"],
+    "censor_gain": ["--x", "p11", "--y", "p22", "--gamma", "0.55"],
+    "finite_n_ratio": [
+        "--x", "p22", "--y", "K", "--p11", "0.8", "--y-grid", "1:3:3", "--N", "25"
+    ],
+    "lambda_bar": ["--x", "p11", "--y", "p22", "--K", "3"],
+    "in_B": ["--x", "p22", "--y", "gamma", "--p11", "0.8", "--sigma-log", "0.5"],
+    "regularity": ["--x", "p11", "--y", "p22"],
+}
+
+
+def _golden_cases() -> dict[str, list[str]]:
+    cases = {}
+    for name in ("tilt", "asymmetric_tilt", "lunar", "illusory", "coin"):
+        cases[f"transitions-{name}"] = ["transitions", "--model", name, "--beta", "0.3"]
+        cases[f"censor-path-{name}"] = [
+            "censor-path", "--model", name, "--grid", "0:1.5:7"
+        ]
+    cases["transitions-json"] = ["transitions", "--model", "{json}", "--beta", "0.1"]
+    for name, params in _SCENARIO_PARAMS.items():
+        cases[f"scenario-{name}"] = ["scenario", name, "--beta", "0.3"]
+        cases[f"scenario-{name}-params"] = ["scenario", name, "--params", params]
+    for metric, extra in _SWEEPS.items():
+        cases[f"sweep-{metric}"] = [
+            "sweep", "--metric", metric,
+            "--x-grid", "0.1:0.9:4", "--y-grid", "0.2:0.8:3", *extra,
+        ]
+    cases["sweep-beta-tilt"] = [
+        "sweep", "--metric", "delta_fixed", "--x", "beta", "--y", "d",
+        "--model", "tilt", "--x-grid", "0:1:4", "--y-grid", "1.5:6:3",
+        "--sigma-log", "0.5",
+    ]
+    cases["oracle-welfare-tilt"] = [
+        "oracle", "welfare", "--model", "tilt", "--beta", "0.2",
+        "--N", "50", "--trials", "3000", "--seed", "1",
+    ]
+    cases["oracle-welfare-lunar"] = [
+        "oracle", "welfare", "--model", "lunar", "--beta", "0.1",
+        "--N", "50", "--trials", "3000", "--seed", "2", "--sigma-log", "0.5",
+    ]
+    cases["oracle-ladder"] = [
+        "oracle", "ladder", "--K", "2", "--N", "60",
+        "--trials", "2000", "--seed", "4", "--beta", "0.1",
+    ]
+    cases["oracle-chain"] = [
+        "oracle", "chain", "--p11", "0.7", "--p22", "0.6", "--K", "3",
+        "--N", "80", "--trials", "5000", "--seed", "3",
+    ]
+    cases["props-check"] = ["props-check", "--K", "2"]
+    return cases
+
+
+_GOLDEN_DIGESTS = {
+    "transitions-tilt": "90e69dd9bee0a872c78338b7a54ac75f9d6dc9a8d947bd44274059e1fd26e231",
+    "censor-path-tilt": "a9941bdac6965807ff6ab44b331a97437e9666d183ad4688629e704d875164cb",
+    "transitions-asymmetric_tilt": "4cc6cb6b3989e62bcbe49a0c6a546c10765ff8298884ceb5f0806ea0a73fdd0a",
+    "censor-path-asymmetric_tilt": "38ffac032267d5704d1bd128cd46e6d6c468c67b83de6c048111a2ab985d9c76",
+    "transitions-lunar": "391b48c5010295bafbac17f696a4ffce1589fd71278034ccb44e57c565062a55",
+    "censor-path-lunar": "c269e143b994e6e9be8d0bfdc9a71a7e37a5ba8d07768c8e1f117d72bce7d683",
+    "transitions-illusory": "ed87aa8ec0e1f565917bfd9fab36c59d4b784e4378ad143d7806ffa51080484d",
+    "censor-path-illusory": "ee9fec319b5e3d4dbdf7370ca0778dd8361f906664e960b6f97a4c988c32c731",
+    "transitions-coin": "636a4001040754c8f1552df74bcf43723544450b2a98d0b9e2ae0495fa880e60",
+    "censor-path-coin": "b60f24519702e77e4ef71af0a6842848f0f4384181b9af33421944f1f3edbbd3",
+    "transitions-json": "c321310b8224d280ff4cb475e23dce50f6d6c747eddb9920f2225a6b24edc729",
+    "scenario-lunar": "75c244735b740ccd486a34938c085515ec48a13288c8011b74e52021d7e05b18",
+    "scenario-lunar-params": "ea904299cb7208964bf9ad35c6f33afbf49080afb0d5677b05a2d7f273dd6ef2",
+    "scenario-illusory": "7ede51272c95c8662579e4ffffcac52f2045a4b6b9aeadf26abc40a020812edd",
+    "scenario-illusory-params": "1e0b4218a02931db943289ea894af275d92caf822fd8a9dba91efaec52cbf3c6",
+    "scenario-coin": "291f12a3e97e241f96b39b1ef7b0ae8b887d3fff92019cac617b8b15a439861b",
+    "scenario-coin-params": "9e1406c9611205b9a162d54b386d1728c43c4b72700d56bd169c74937cad6d19",
+    "scenario-autocorr": "9f04c61bd9222ff51a65935ed0be3ca4fe851ca82e5245d925122c50b0283a29",
+    "scenario-autocorr-params": "8acf12207d6db79be082106981f1846a65651a899238d05a657d912700904744",
+    "sweep-delta_bayes": "512879b646db860bcc4e1bf965755e5ea269b99c8755fe01a71760ec3706b7c1",
+    "sweep-delta_fixed": "4e1a86053a1642b573f142f212737e9f114acf559b2aa61efdc1995e88feb41f",
+    "sweep-censor_gain": "9f56eeb84bedcd1612c74068298245454a5276c8c9a98fba2a06596d210b9c6d",
+    "sweep-finite_n_ratio": "f556d4f260977acc197340fdfb1d8bcd4fcb54fb245edcb8b9659718753d4fd6",
+    "sweep-lambda_bar": "32306a3dc861152ba861c4045852a2f9f5455f7b5c7657201be38591c06a166d",
+    "sweep-in_B": "9a6dc7815400c623eb2ba58057d6e3ebf811e9dab963c2f77e5b7dd80c59c6b2",
+    "sweep-regularity": "72f4b69fb6eabec5a049bc52f8eb68b6613e4ebf618e59ae4baa4791027e4fa3",
+    "sweep-beta-tilt": "6b698dc51caaba7514aab3e09e44354c31cffd2dd5bb08e6536cecfa1d09014a",
+    "oracle-welfare-tilt": "b50fc5d3c97df51ac6c027b08b551acb3a012d51fc1f35b0cd5cf5edf43b7dc8",
+    "oracle-welfare-lunar": "c81773503c2fee45976dfdc51e05bc5c86cd6f70f8ad15e29bf39b7d2326bdf5",
+    "oracle-ladder": "56c8360ee85308aa58932eb73606f9cc250a6a6a0414f0a0e9d9331043e61ea2",
+    "oracle-chain": "3175c471c8700d2d3d7c70174bd0be64c547f5f0b0633064e85b335c781361a9",
+    "props-check": "f5727de36403145007ff270814d1c24fd52d8b8a8eddf9b3dcfd25a7e9b67bbf",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_golden_cases()))
+def test_golden_stdout(case, capsys, tmp_path):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(_GOLDEN_MODEL))
+    argv = [str(model_path) if a == "{json}" else a for a in _golden_cases()[case]]
+    code, out = invoke(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _GOLDEN_DIGESTS[case]

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from belieflab import (
+    BeliefStrategy,
     DiscreteSignalModel,
+    Evidence,
     FullyCensored,
     PVector,
     TransitionKernel,
@@ -20,9 +22,11 @@ from belieflab import (
     conditional_dynamics,
     model_from_config,
     pool,
+    simulate_welfare,
     tilt_model,
 )
 from belieflab.scenarios import coin_model, lunar_model
+from belieflab.welfare import ProblemSpec
 
 
 @pytest.fixture(scope="module")
@@ -70,11 +74,23 @@ class TestClassify:
             classify(lunar, "99,9")
 
     def test_zero_probability_everywhere_rejected(self):
+        # construction only flags the outcome; every consumer raises on use
         model = DiscreteSignalModel(
             outcomes=("a", "b"), probs=np.array([[1.0, 0.0], [1.0, 0.0]])
         )
-        with pytest.raises(ValueError, match="zero probability"):
-            classify(model, "b")
+        assert classify(model, "a") == Evidence(1, 1.0)
+        spec = ProblemSpec.correct_priors(0.5, 0.5, 2)
+        consumers = (
+            lambda: classify(model, "b"),
+            lambda: censored_transitions(model, 0.0),
+            lambda: censored_direction_matrix(model, 0.0),
+            lambda: simulate_welfare(
+                model, spec, BeliefStrategy(d=2.0), 0.0, N=3, trials=10, seed=0
+            ),
+        )
+        for consume in consumers:
+            with pytest.raises(ValueError, match="'b' has zero probability"):
+                consume()
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -83,6 +99,91 @@ class TestClassify:
         model = random_discrete(rng)
         for label in model.outcomes:
             assert classify(model, label).strength >= 1.0
+
+    def test_exact_tie_goes_to_lowest_state(self):
+        model = DiscreteSignalModel(
+            outcomes=("a", "b", "c"),
+            probs=np.array([[0.2, 0.3, 0.5], [0.4, 0.3, 0.3], [0.4, 0.1, 0.5]]),
+            theta_count=3,
+        )
+        assert classify(model, "a") == Evidence(2, 1.0)
+        assert classify(model, "b") == Evidence(1, 1.0)
+        assert classify(model, "c") == Evidence(1, 1.0)
+        # strength 1 survives only beta = 0
+        np.testing.assert_array_equal(model.directions(0.0), [2, 1, 1])
+        np.testing.assert_array_equal(model.directions(1e-9), [0, 0, 0])
+
+    def test_zero_runner_up_gives_infinite_strength(self):
+        model = DiscreteSignalModel(
+            outcomes=("sure", "maybe"), probs=np.array([[0.4, 0.6], [0.0, 1.0]])
+        )
+        assert classify(model, "sure") == Evidence(1, math.inf)
+        q = censored_transitions(model, 1e6)
+        assert q.up == (0.4, 0.0)
+        assert q.down == (0.0, 0.0)
+
+    def test_three_state_direction_matrix(self):
+        probs = np.array(
+            [
+                [0.5, 0.2, 0.2, 0.1],
+                [0.1, 0.6, 0.2, 0.1],
+                [0.1, 0.1, 0.3, 0.5],
+            ]
+        )
+        model = DiscreteSignalModel(
+            outcomes=("w", "x", "y", "z"), probs=probs, theta_count=3
+        )
+        # strengths 5, 3, 1.5, 5: beta = 1 censors only "y"
+        kept = np.array([[0.5, 0.1, 0.1], [0.2, 0.6, 0.1], [0.1, 0.1, 0.5]])
+        np.testing.assert_allclose(
+            censored_direction_matrix(model, 1.0), kept / kept.sum(axis=0), rtol=1e-15
+        )
+        everything = np.array([[0.5, 0.1, 0.1], [0.2, 0.6, 0.1], [0.3, 0.3, 0.8]])
+        np.testing.assert_allclose(
+            censored_direction_matrix(model, 0.0), everything, rtol=1e-15
+        )
+
+    @given(seed=st.integers(0, 10**6), theta_count=st.integers(2, 3))
+    @settings(max_examples=30, deadline=None)
+    def test_cached_classification_matches_columns(self, seed, theta_count):
+        rng = np.random.default_rng(seed)
+        model = random_discrete(rng, n_outcomes=7, theta_count=theta_count)
+        beta = float(rng.uniform(0.0, 1.0))
+        mass = np.zeros((theta_count, theta_count))
+        for i, label in enumerate(model.outcomes):
+            column = model.probs[:, i]
+            best = int(np.argmax(column))
+            strength = column[best] / np.delete(column, best).max()
+            ev = classify(model, label)
+            assert ev.direction == best + 1
+            assert ev.strength == pytest.approx(strength, rel=1e-15)
+            if strength >= 1.0 + beta:
+                mass[best] += column
+        if theta_count == 2:
+            # kernel entries add up one outcome at a time, in outcome order
+            up, down = [0.0, 0.0], [0.0, 0.0]
+            for i, label in enumerate(model.outcomes):
+                ev = classify(model, label)
+                if ev.processed(beta):
+                    side = up if ev.direction == 1 else down
+                    for t in range(2):
+                        side[t] += float(model.probs[t, i])
+            q = censored_transitions(model, beta)
+            # a rounding excess over 1 is renormalized away, which moves an ulp
+            if all(1.0 - u - d >= 0.0 for u, d in zip(up, down)):
+                assert (q.up, q.down) == (tuple(up), tuple(down))
+        np.testing.assert_array_equal(
+            model.directions(beta),
+            [classify(model, o).direction if classify(model, o).processed(beta) else 0
+             for o in model.outcomes],
+        )
+        if np.all(mass.sum(axis=0) > 0):
+            np.testing.assert_array_equal(
+                censored_direction_matrix(model, beta), mass / mass.sum(axis=0)
+            )
+        else:
+            with pytest.raises(FullyCensored):
+                censored_direction_matrix(model, beta)
 
 
 class TestCensoredTransitions:
