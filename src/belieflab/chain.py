@@ -173,35 +173,15 @@ def ladder_transition(p3: np.ndarray, K: int, theta: int) -> np.ndarray:
     return P
 
 
-def _strongly_connected(support: np.ndarray) -> bool:
-    n = support.shape[0]
-
-    def reach(adj) -> set[int]:
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in np.nonzero(adj[u])[0]:
-                if v not in seen:
-                    seen.add(int(v))
-                    stack.append(int(v))
-        return seen
-
-    return len(reach(support)) == n and len(reach(support.T)) == n
-
-
 def general_stationary(
     matrix: np.ndarray | Sequence[Sequence[float]],
-    tol: float = 1e-12,
-    max_iter: int = 10**6,
 ) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix by power iteration.
+    """Stationary distribution of a row-stochastic matrix by a direct solve.
 
     The support graph must be strongly connected (reducible chains are
-    rejected since their stationary distribution is not unique). Iteration
-    runs on the lazy half-step matrix (P + I) / 2, which shares the same
-    stationary vector but cannot oscillate; the residual is measured against
-    the original matrix.
+    rejected since their stationary distribution is not unique). Then
+    pi (P - I) = 0 has rank n - 1, so one of its equations is replaced by
+    sum(pi) = 1 and the square system is solved directly.
     """
     P = np.asarray(matrix, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -210,19 +190,14 @@ def general_stationary(
         raise ValueError("matrix entries must be nonnegative")
     if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-12):
         raise ValueError("matrix rows must sum to 1 within 1e-12")
-    if not _strongly_connected(P > 0.0):
-        raise ValueError("reducible chain: no unique stationary distribution")
     n = P.shape[0]
-    v = np.full(n, 1.0 / n)
-    residual = math.inf
-    for _ in range(max_iter):
-        nxt = 0.5 * (v @ P + v)
-        nxt /= nxt.sum()
-        residual = np.abs(nxt @ P - nxt).max()
-        if residual <= tol:
-            return nxt
-        v = nxt
-    raise RuntimeError(
-        f"power iteration did not converge: residual {residual:.3e} "
-        f"after {max_iter} iterations"
-    )
+    reach = (P > 0.0) | np.eye(n, dtype=bool)
+    for _ in range(n.bit_length()):  # paths of up to 2**k steps after k squarings
+        reach = reach @ reach
+    if not reach.all():
+        raise ValueError("reducible chain: no unique stationary distribution")
+    A = P.T - np.eye(n)
+    A[-1] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    return np.linalg.solve(A, b)

@@ -16,8 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _check_n, _ladder_move_table
-from .signals import ContinuousSignalModel, DiscreteSignalModel, TransitionKernel
+from .chain import _check_k, _check_n, _ladder_move_table
+from .signals import (
+    ContinuousSignalModel,
+    DiscreteSignalModel,
+    FullyCensored,
+    TransitionKernel,
+    _check_beta,
+)
 from .welfare import ProblemSpec
 
 __all__ = [
@@ -56,6 +62,30 @@ class LadderEstimate:
     seed: int
 
 
+def _walk(table, dirs, pvals, start: int, trials: int, N: int, rng) -> np.ndarray:
+    """Occupancy counts of ``trials`` walkers from ``start`` after N steps.
+
+    Outcome k has probability ``pvals[k]`` and moves a walker in ``state``
+    to ``table[state, dirs[k]]``. Each step splits the walkers of every
+    state over the outcomes at once; an empty state draws nothing.
+    """
+    pvals = pvals / pvals.sum()
+    targets = table[:, dirs]
+    counts = np.zeros(table.shape[0], dtype=np.int64)
+    counts[start] = trials
+    for _ in range(N):
+        drawn = rng.multinomial(counts, pvals)
+        counts = np.zeros_like(counts)
+        np.add.at(counts, targets, drawn)
+    return counts
+
+
+def _birth_death_table(K: int) -> np.ndarray:
+    """Next state on -K..K (stored from 0) for directions (stay, up, down)."""
+    i = np.arange(2 * K + 1)
+    return np.stack([i, np.minimum(i + 1, 2 * K), np.maximum(i - 1, 0)], axis=1)
+
+
 def simulate_chain(
     q: TransitionKernel,
     theta: int,
@@ -68,36 +98,27 @@ def simulate_chain(
     """Empirical state distribution after N steps over independent walks.
 
     The walks are simulated jointly through their occupancy counts: each
-    step redistributes the walkers in every state with one multinomial draw.
-    That is distributionally identical to tracking the trials one by one and
-    keeps a million trials over a thousand steps in milliseconds.
+    step splits the walkers in every state over the outcomes (up, down,
+    stay) with one multinomial draw. That is distributionally identical to
+    tracking the trials one by one and keeps a million trials over a
+    thousand steps in milliseconds. ``processed_only`` is as in
+    ``finite_n_distribution``.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_k(K)
     _check_n(N)
     rng = np.random.default_rng(seed)
     up, down, stay = q.column(theta)
     if processed_only:
         total = up + down
         if total <= 0:
-            raise ValueError(f"nothing is processed under theta={theta}")
+            raise FullyCensored(theta)
         up, down, stay = up / total, down / total, 0.0
-    pvals = np.array([up, down, stay])
-    pvals = pvals / pvals.sum()
-    n = 2 * K + 1
-    counts = np.zeros(n, dtype=np.int64)
-    counts[K] = trials
-    for _ in range(N):
-        nxt = np.zeros_like(counts)
-        for i in range(n):
-            c = int(counts[i])
-            if c == 0:
-                continue
-            moved = rng.multinomial(c, pvals)
-            nxt[min(i + 1, n - 1)] += moved[0]
-            nxt[max(i - 1, 0)] += moved[1]
-            nxt[i] += moved[2]
-        counts = nxt
+    counts = _walk(
+        _birth_death_table(K), np.array([1, 2, 0]), np.array([up, down, stay]),
+        K, trials, N, rng,
+    )
     probs = counts / trials
     stderr = np.sqrt(probs * (1.0 - probs) / trials)
     return ChainEstimate(probs=probs, stderr=stderr, trials=trials, seed=seed)
@@ -106,21 +127,24 @@ def simulate_chain(
 def _final_states(
     model, theta: int, beta: float, K: int, N: int, n: int, rng
 ) -> np.ndarray:
-    """Mental states of n independent agents after N raw signals."""
-    s = np.zeros(n, dtype=np.int64)
+    """Mental states of n independent agents after N raw signals.
+
+    Discrete models walk the agents jointly through their occupancy counts
+    and return the states sorted; continuous models sample every signal.
+    """
     if isinstance(model, DiscreteSignalModel):
-        directions = model.directions(beta)
-        moves = np.where(directions == 1, 1, np.where(directions == 0, 0, -1))
-        cum = np.cumsum(model.probs[theta - 1])
-        cum[-1] = 1.0
-        for _ in range(N):
-            idx = np.searchsorted(cum, rng.random(n), side="right")
-            s = np.clip(s + moves[idx], -K, K)
-        return s
+        if model.theta_count != 2:
+            raise ValueError("simulate_welfare needs a two-state model")
+        counts = _walk(
+            _birth_death_table(K), model.directions(beta), model.probs[theta - 1],
+            K, n, N, rng,
+        )
+        return np.repeat(np.arange(-K, K + 1), counts)
     if not isinstance(model, ContinuousSignalModel):
         raise TypeError(f"unsupported model type {type(model)!r}")
     if model.sampler is None:
         raise ValueError("continuous model has no sampler attached")
+    s = np.zeros(n, dtype=np.int64)
     for _ in range(N):
         x = model.sampler(rng, theta, n)
         ratio = model.likelihood_ratio(x)
@@ -142,12 +166,16 @@ def simulate_welfare(
 ) -> WelfareEstimate:
     """Realized welfare of the full pipeline, with a 95% CI.
 
-    Per trial: draw the state, draw the prior, stream N raw signals through
-    censoring and the mental chain, then act 1 iff the posterior
-    rho_tilde * lam * d**s clears Gamma.
+    Per trial: draw the state, run N raw signals through censoring and the
+    mental chain (``_final_states``), draw the prior, then act 1 iff the
+    posterior rho_tilde * lam * d**s clears Gamma. The prior draws are
+    independent of the final states, so pairing them with sorted states is
+    as good as pairing them agent by agent.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_n(N)
+    _check_beta(beta)
     rng = np.random.default_rng(seed)
     n1 = int(rng.binomial(trials, spec.pi))
     payoffs = np.empty(trials)
@@ -195,18 +223,15 @@ def simulate_ladder(
         raise ValueError("simulate_ladder needs a three-state model")
     if trials < 1:
         raise ValueError("trials must be positive")
+    _check_k(K)
+    _check_n(N)
+    _check_beta(beta)
     rng = np.random.default_rng(seed)
-    directions = model.directions(beta)
-    table = _ladder_move_table(K)
-    n_states = 3 * K + 1
-    probs = np.empty((3, n_states))
-    for theta in (1, 2, 3):
-        cum = np.cumsum(model.probs[theta - 1])
-        cum[-1] = 1.0
-        s = np.zeros(trials, dtype=np.int64)
-        for _ in range(N):
-            idx = np.searchsorted(cum, rng.random(trials), side="right")
-            s = table[s, directions[idx]]
-        probs[theta - 1] = np.bincount(s, minlength=n_states) / trials
+    table, directions = _ladder_move_table(K), model.directions(beta)
+    counts = [
+        _walk(table, directions, model.probs[theta - 1], 0, trials, N, rng)
+        for theta in (1, 2, 3)
+    ]
+    probs = np.array(counts) / trials
     stderr = np.sqrt(probs * (1.0 - probs) / trials)
     return LadderEstimate(probs=probs, stderr=stderr, trials=trials, seed=seed)

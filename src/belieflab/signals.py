@@ -231,7 +231,6 @@ class DiscreteSignalModel:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "outcomes", tuple(str(o) for o in self.outcomes))
         if probs.shape != (self.theta_count, len(self.outcomes)):
             raise ValueError(
@@ -243,6 +242,9 @@ class DiscreteSignalModel:
         _check_finite(probs=probs)
         if np.any(probs < -1e-15) or np.any(probs > 1 + 1e-15):
             raise ValueError("outcome probabilities outside [0, 1]")
+        # a tolerated rounding negative is a zero, not a negative strength
+        probs = np.maximum(probs, 0.0)
+        object.__setattr__(self, "probs", probs)
         sums = probs.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > 1e-12):
             raise ValueError(f"per-state probabilities sum to {sums}, not 1")

@@ -214,3 +214,15 @@ class TestGeneralStationary:
         b = np.concatenate([np.zeros(6), [1.0]])
         ref, *_ = np.linalg.lstsq(A, b, rcond=None)
         np.testing.assert_allclose(got, ref, atol=1e-10)
+
+    def test_residual_at_rounding_level(self):
+        rng = np.random.default_rng(8)
+        p3 = rng.dirichlet(np.ones(3), size=3).T
+        mats = [ladder_transition(p3, K, t) for K in (1, 2, 5) for t in (1, 2, 3)]
+        for n in (2, 6, 20):
+            P = rng.uniform(0.01, 1.0, size=(n, n))
+            mats.append(P / P.sum(axis=1, keepdims=True))
+        for P in mats:
+            pi = general_stationary(P)
+            assert np.abs(pi @ P - pi).max() <= 1e-14
+            assert abs(pi.sum() - 1.0) <= 1e-14

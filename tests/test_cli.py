@@ -385,8 +385,8 @@ _GOLDEN_DIGESTS = {
     "sweep-regularity": "72f4b69fb6eabec5a049bc52f8eb68b6613e4ebf618e59ae4baa4791027e4fa3",
     "sweep-beta-tilt": "6b698dc51caaba7514aab3e09e44354c31cffd2dd5bb08e6536cecfa1d09014a",
     "oracle-welfare-tilt": "b50fc5d3c97df51ac6c027b08b551acb3a012d51fc1f35b0cd5cf5edf43b7dc8",
-    "oracle-welfare-lunar": "c81773503c2fee45976dfdc51e05bc5c86cd6f70f8ad15e29bf39b7d2326bdf5",
-    "oracle-ladder": "56c8360ee85308aa58932eb73606f9cc250a6a6a0414f0a0e9d9331043e61ea2",
+    "oracle-welfare-lunar": "9ba91df964da85969c87b8a2bfa47b9d35c7275983e33b83c437fadd3f0805bd",
+    "oracle-ladder": "be9da0fe587f55c6564dda3d8250d735dbdbc1074ddd160a43d7987ba615658b",
     "oracle-chain": "3175c471c8700d2d3d7c70174bd0be64c547f5f0b0633064e85b335c781361a9",
     "props-check": "f5727de36403145007ff270814d1c24fd52d8b8a8eddf9b3dcfd25a7e9b67bbf",
 }

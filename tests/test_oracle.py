@@ -150,7 +150,7 @@ class TestSimulateLadder:
         ladder3 = slice(1 + 2 * K, 1 + 3 * K)
         np.testing.assert_array_equal(est.probs[:, ladder3], 0.0)
 
-    def test_agreement_with_power_iteration(self):
+    def test_agreement_with_stationary_solve(self):
         model, _ = autocorr_model(draws=10)
         K = 2
         p3 = censored_direction_matrix(model, 0.0)
@@ -160,6 +160,23 @@ class TestSimulateLadder:
             assert np.all(
                 np.abs(est.probs[theta - 1] - exact) <= 3.0 * est.stderr[theta - 1] + 1e-9
             )
+
+    def test_censored_walk_matches_exact_finite_n_law(self):
+        # at beta > 0 some outcomes are censored and leave the state alone
+        model, _ = autocorr_model(draws=10)
+        K, N, beta, trials = 2, 20, 0.3, 100_000
+        dirs = model.directions(beta)
+        assert 0 < np.count_nonzero(dirs == 0) < dirs.size
+        moves = [np.eye(3 * K + 1)] + [
+            ladder_transition(np.outer(np.eye(3)[d - 1], np.ones(3)), K, 1)
+            for d in (1, 2, 3)
+        ]
+        est = simulate_ladder(model, K, N, trials=trials, seed=13, beta=beta)
+        for theta in (1, 2, 3):
+            step = sum(p * moves[d] for p, d in zip(model.probs[theta - 1], dirs))
+            exact = np.linalg.matrix_power(step, N)[0]
+            gap = np.abs(est.probs[theta - 1] - exact)
+            assert np.all(gap <= 3.0 * est.stderr[theta - 1] + 3.0 / trials)
 
     def test_two_state_model_rejected(self):
         with pytest.raises(ValueError, match="three-state"):

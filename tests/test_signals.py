@@ -122,6 +122,18 @@ class TestClassify:
         assert q.up == (0.4, 0.0)
         assert q.down == (0.0, 0.0)
 
+    def test_tolerated_negative_is_a_zero(self):
+        model = DiscreteSignalModel(
+            outcomes=("a", "b"), probs=np.array([[1 + 1e-15, -1e-15], [0.4, 0.6]])
+        )
+        assert classify(model, "b") == Evidence(2, math.inf)
+        assert censored_transitions(model, 0.0).down == (0.0, 0.6)
+        spec = ProblemSpec.correct_priors(0.5, 0.6, 2)
+        est = simulate_welfare(
+            model, spec, BeliefStrategy(d=2.0), 0.0, N=3, trials=10, seed=0
+        )
+        assert math.isfinite(est.estimate)
+
     def test_three_state_direction_matrix(self):
         probs = np.array(
             [
