@@ -138,35 +138,40 @@ def prior_exceed_prob(prior: PriorModel, t: float) -> float:
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
+def _act_probabilities(prior: PriorModel, strategy, Gamma: float, K: int) -> np.ndarray:
+    """Pr(posterior >= Gamma | mental state s) over prior noise, s = -K..K.
+
+    A shift lam * d**s that overflows or underflows acts 1 or 0 outright.
+    """
+    d, lam = strategy.d, strategy.lam
+    out = np.empty(2 * K + 1)
+    for i, s in enumerate(range(-K, K + 1)):
+        try:
+            shift = lam * d**s
+        except OverflowError:
+            shift = math.inf
+        t = Gamma / shift if shift not in (0.0, math.inf) else (
+            math.inf if shift == 0.0 else 0.0
+        )
+        out[i] = prior_exceed_prob(prior, t)
+    return out
+
+
 def threshold_mass(
     prior: PriorModel, strategy, Gamma: float, K: int
 ) -> np.ndarray:
     """Law of the decision threshold over prior noise.
 
     Entry j is Pr(threshold = j - K) for j = 0..2K, and the last entry is
-    the probability that no state acts (threshold K + 1). d = 1 collapses to
-    the two-point law on {-K, K + 1}.
+    the probability that no state acts (threshold K + 1): Pr(threshold <= s)
+    is the act probability at s, so the law is its difference.
     """
-    d, lam = strategy.d, strategy.lam
-    if not d >= 1.0:
+    if not strategy.d >= 1.0:
         raise ValueError("threshold_mass assumes d >= 1")
-    out = np.zeros(2 * K + 2)
-    if d == 1.0:
-        act = prior_exceed_prob(prior, Gamma / lam)
-        out[0] = act
-        out[-1] = 1.0 - act
-        return out
-    # Pr(threshold <= k) = Pr(rho_tilde >= Gamma / (lam * d**k))
-    cum = np.array(
-        [
-            prior_exceed_prob(prior, Gamma / (lam * d**k))
-            for k in range(-K, K + 1)
-        ]
+    cum = _act_probabilities(prior, strategy, Gamma, K)
+    return np.concatenate(
+        ([cum[0]], np.maximum(np.diff(cum), 0.0), [max(1.0 - cum[-1], 0.0)])
     )
-    out[0] = cum[0]
-    out[1 : 2 * K + 1] = np.maximum(np.diff(cum), 0.0)
-    out[-1] = max(1.0 - cum[-1], 0.0)
-    return out
 
 
 def bayes_params(p: PVector, K: int) -> BayesParams:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import FullyCensored, TransitionKernel
+from .signals import FullyCensored, PVector, TransitionKernel
 
 __all__ = [
     "stationary",
@@ -33,6 +33,8 @@ def _check_k(K: int) -> None:
 
 
 def _check_n(N: int) -> None:
+    if not isinstance(N, (int, np.integer)):
+        raise ValueError(f"N must be an integer, got {N!r}")
     if N < 0:
         raise ValueError("N must be nonnegative")
 
@@ -95,7 +97,10 @@ def finite_n_distribution(
     """
     _check_k(K)
     _check_n(N)
-    up, down, stay = q.column(theta)
+    return _evolve(*q.column(theta), theta, K, N, processed_only)
+
+
+def _evolve(up, down, stay, theta, K, N, processed_only) -> np.ndarray:
     if processed_only:
         total = up + down
         if total <= 0.0:
@@ -111,6 +116,33 @@ def finite_n_distribution(
         nxt[0] += down * v[0]  # blocked down move at -K
         v = nxt
     return v
+
+
+def _laws(q, K, N=None, processed_only=False) -> np.ndarray:
+    """Laws of the mental state under theta = 1, 2 for a kernel or a PVector.
+
+    Rows are long-run laws (N=None; a silenced state parks the chain at 0)
+    or laws after N signals. A PVector has odds r1, r2 and no stay mass.
+    """
+    if isinstance(q, PVector):
+        if N is None:
+            return np.array([stationary(q.r1, K), stationary(q.r2, K)])
+        columns = [(q.p11, 1.0 - q.p11, 0.0), (1.0 - q.p22, q.p22, 0.0)]
+    else:
+        columns = [q.column(1), q.column(2)]
+    _check_k(K)
+    if N is not None:
+        _check_n(N)
+        return np.array(
+            [_evolve(*c, t, K, N, processed_only) for t, c in enumerate(columns, 1)]
+        )
+    laws = []
+    for up, down, _ in columns:
+        if up + down > 0.0:
+            laws.append(stationary(up / down if down > 0.0 else math.inf, K))
+        else:
+            laws.append(np.eye(1, 2 * K + 1, K)[0])
+    return np.array(laws)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +216,8 @@ def general_stationary(
     sum(pi) = 1 and the square system is solved directly.
     """
     P = np.asarray(matrix, dtype=float)
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {P.shape}")
+    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
+        raise ValueError(f"matrix must be square and nonempty, got shape {P.shape}")
     if np.any(P < -1e-15):
         raise ValueError("matrix entries must be nonnegative")
     if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-12):

@@ -172,8 +172,8 @@ def simulate_welfare(
     independent of the final states, so pairing them with sorted states is
     as good as pairing them agent by agent.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if trials < 2:
+        raise ValueError("trials must be at least 2 for a standard error")
     _check_n(N)
     _check_beta(beta)
     rng = np.random.default_rng(seed)

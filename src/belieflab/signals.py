@@ -520,16 +520,22 @@ def censored_direction_matrix(
     return mass / totals
 
 
+def _processed_shares(q: TransitionKernel) -> tuple[float, float]:
+    """(p11, p22) among processed signals; NaN under a silenced state."""
+    (up1, down1, _), (up2, down2, _) = q.column(1), q.column(2)
+    return (
+        up1 / (up1 + down1) if up1 + down1 > 0.0 else math.nan,
+        down2 / (up2 + down2) if up2 + down2 > 0.0 else math.nan,
+    )
+
+
 def conditional_dynamics(q: TransitionKernel) -> PVector:
     """Collapse a kernel to the move probabilities conditional on processing."""
-    coords = []
-    for theta in (1, 2):
-        up, down, _ = q.column(theta)
-        total = up + down
-        if total <= 0.0:
+    p11, p22 = _processed_shares(q)
+    for theta, share in ((1, p11), (2, p22)):
+        if math.isnan(share):
             raise FullyCensored(theta)
-        coords.append((up / total, down / total))
-    return PVector(p11=coords[0][0], p22=coords[1][1])
+    return PVector(p11=p11, p22=p22)
 
 
 # ---------------------------------------------------------------------------
@@ -638,27 +644,8 @@ def censor_path(
         raise ValueError("beta grid must be sorted ascending")
     points = []
     for beta in betas:
-        q = censored_transitions(model, beta)
-        coords = []
-        flags = []
-        for theta in (1, 2):
-            upq, downq, _ = q.column(theta)
-            total = upq + downq
-            if total <= 0.0:
-                coords.append(math.nan)
-                flags.append(True)
-            else:
-                move = upq if theta == 1 else downq
-                coords.append(move / total)
-                flags.append(False)
-        points.append(
-            CensorPoint(
-                beta=beta,
-                p11=coords[0],
-                p22=coords[1],
-                fully_censored=(flags[0], flags[1]),
-            )
-        )
+        p11, p22 = _processed_shares(censored_transitions(model, beta))
+        points.append(CensorPoint(beta, p11, p22, (math.isnan(p11), math.isnan(p22))))
     return points
 
 

@@ -23,16 +23,11 @@ import numpy as np
 from .beliefs import (
     BeliefStrategy,
     PriorModel,
+    _act_probabilities,
     bayes_params,
     prior_exceed_prob,
 )
-from .chain import (
-    _check_k,
-    finite_n_distribution,
-    kernel_from_p,
-    stationary,
-    upper_tail,
-)
+from .chain import _check_k, _laws, upper_tail
 from .signals import (
     PVector,
     TransitionKernel,
@@ -143,27 +138,19 @@ def welfare_at_threshold(k: int, p: PVector, spec: ProblemSpec) -> float:
     )
 
 
-def _act_probabilities(spec: ProblemSpec, strategy) -> np.ndarray:
-    """Pr(posterior >= Gamma | mental state s) over prior noise, s = -K..K."""
-    d, lam = strategy.d, strategy.lam
-    out = np.empty(2 * spec.K + 1)
-    for i, s in enumerate(range(-spec.K, spec.K + 1)):
-        shift = lam * d**s
-        t = spec.Gamma / shift if shift not in (0.0, math.inf) else (
-            math.inf if shift == 0.0 else 0.0
-        )
-        out[i] = prior_exceed_prob(spec.prior, t)
-    return out
+def _act(spec: ProblemSpec, strategy) -> np.ndarray:
+    """The act step for the prior, stakes and chain size of ``spec``."""
+    return _act_probabilities(spec.prior, strategy, spec.Gamma, spec.K)
 
 
-def _combine(spec: ProblemSpec, phi1, phi2, act: np.ndarray) -> float:
+def _combine(spec: ProblemSpec, phis: np.ndarray, act: np.ndarray) -> float:
     """Welfare of acting 1 with probability act[s] in mental state s.
 
-    phi1 and phi2 are the mental-state laws under states 1 and 2.
+    phis holds the mental-state laws under states 1 and 2 (see ``_laws``).
     """
-    return spec.pi * (1.0 - spec.gamma) * float(phi1 @ act) + (
+    return spec.pi * (1.0 - spec.gamma) * float(phis[0] @ act) + (
         1.0 - spec.pi
-    ) * spec.gamma * float(phi2 @ (1.0 - act))
+    ) * spec.gamma * float(phis[1] @ (1.0 - act))
 
 
 def expected_welfare(p: PVector, spec: ProblemSpec, strategy) -> WelfareReport:
@@ -178,9 +165,7 @@ def expected_welfare(p: PVector, spec: ProblemSpec, strategy) -> WelfareReport:
     """
     if getattr(strategy, "degenerate", False):
         raise ValueError("degenerate parameters have no posterior rule to evaluate")
-    phi1 = stationary(p.r1, spec.K)
-    phi2 = stationary(p.r2, spec.K)
-    value = _combine(spec, phi1, phi2, _act_probabilities(spec, strategy))
+    value = _combine(spec, _laws(p, spec.K), _act(spec, strategy))
     under, under0 = baseline_welfare(spec)
     return WelfareReport(
         value=value, baseline=under, baseline_correct=under0, delta=value - under
@@ -197,10 +182,9 @@ def bayes_welfare(p: PVector, spec: ProblemSpec) -> float:
     over the baseline can go negative).
     """
     if spec.has_correct_priors:
-        phi1 = stationary(p.r1, spec.K)
-        phi2 = stationary(p.r2, spec.K)
-        branch1 = spec.pi * (1.0 - spec.gamma) * phi1
-        branch2 = (1.0 - spec.pi) * spec.gamma * phi2
+        phis = _laws(p, spec.K)
+        branch1 = spec.pi * (1.0 - spec.gamma) * phis[0]
+        branch2 = (1.0 - spec.pi) * spec.gamma * phis[1]
         return float(np.maximum(branch1, branch2).sum())
     params = bayes_params(p, spec.K)
     if params.degenerate:
@@ -230,13 +214,14 @@ class DeltaFixed:
 def delta_fixed(p: PVector, spec: ProblemSpec, d: float) -> DeltaFixed:
     if not d > 1.0:
         raise ValueError("delta_fixed assumes d > 1")
-    phi1 = stationary(p.r1, spec.K)
-    phi2 = stationary(p.r2, spec.K)
-    act = _act_probabilities(spec, BeliefStrategy(d=d, lam=1.0))
+    phis = _laws(p, spec.K)
+    act = _act(spec, BeliefStrategy(d=d, lam=1.0))
     under, _ = baseline_welfare(spec)
-    psi = spec.pi * (1.0 - spec.gamma) * phi1 - (1.0 - spec.pi) * spec.gamma * phi2
+    psi = (
+        spec.pi * (1.0 - spec.gamma) * phis[0] - (1.0 - spec.pi) * spec.gamma * phis[1]
+    )
     j = act - prior_exceed_prob(spec.prior, spec.Gamma)
-    direct = _combine(spec, phi1, phi2, act) - under
+    direct = _combine(spec, phis, act) - under
     return DeltaFixed(direct=direct, decomposed=float(psi @ j), psi=psi, j=j)
 
 
@@ -362,14 +347,6 @@ def regular_censoring_gain(
     )
 
 
-def _as_kernel(p_or_q: PVector | TransitionKernel) -> TransitionKernel:
-    if isinstance(p_or_q, TransitionKernel):
-        return p_or_q
-    if isinstance(p_or_q, PVector):
-        return kernel_from_p(p_or_q.p11, p_or_q.p22)
-    raise TypeError(f"expected PVector or TransitionKernel, got {type(p_or_q)!r}")
-
-
 def finite_n_welfare(
     p_or_q: PVector | TransitionKernel,
     spec: ProblemSpec,
@@ -378,10 +355,8 @@ def finite_n_welfare(
     processed_only: bool = False,
 ) -> float:
     """Welfare when the decision is taken after only N signals."""
-    q = _as_kernel(p_or_q)
-    phi1 = finite_n_distribution(q, 1, spec.K, N, processed_only)
-    phi2 = finite_n_distribution(q, 2, spec.K, N, processed_only)
-    return _combine(spec, phi1, phi2, _act_probabilities(spec, strategy))
+    phis = _laws(p_or_q, spec.K, N, processed_only)
+    return _combine(spec, phis, _act(spec, strategy))
 
 
 @dataclass(frozen=True)
@@ -466,27 +441,6 @@ def find_D_witness(
     )
 
 
-def _censored_welfare(model, beta: float, spec: ProblemSpec, strategy) -> float:
-    """Long-run welfare of (beta, strategy) on one signal model.
-
-    A state under which censoring silences everything leaves the chain
-    parked at 0, so its distribution is the point mass there rather than a
-    stationary law.
-    """
-    q = censored_transitions(model, beta)
-    phis = []
-    for theta in (1, 2):
-        up, down, _ = q.column(theta)
-        if up + down > 0.0:
-            r = up / down if down > 0.0 else math.inf
-            phis.append(stationary(r, spec.K))
-        else:
-            frozen = np.zeros(2 * spec.K + 1)
-            frozen[spec.K] = 1.0
-            phis.append(frozen)
-    return _combine(spec, *phis, _act_probabilities(spec, strategy))
-
-
 @dataclass(frozen=True)
 class GridArgmax:
     """Best (beta, d) over a grid of candidate processing parameters."""
@@ -515,23 +469,23 @@ def grid_argmax(
     total = sum(w for _, _, w in probs)
     if not probs or total <= 0.0:
         raise ValueError("problems must carry positive total weight")
-    best = None
+    # act depends on (problem, d) only, the laws on (problem, beta) only
+    acts = [
+        [_act(spec, BeliefStrategy(d=float(d), lam=lam)) for _, spec, _ in probs]
+        for d in d_grid
+    ]
     table = []
     for beta in beta_grid:
-        for d in d_grid:
-            strategy = BeliefStrategy(d=float(d), lam=lam)
-            value = (
-                sum(
-                    w * _censored_welfare(model, float(beta), spec, strategy)
-                    for model, spec, w in probs
-                )
-                / total
-            )
+        laws = [
+            _laws(censored_transitions(model, float(beta)), spec.K)
+            for model, spec, _ in probs
+        ]
+        for d, act in zip(d_grid, acts):
+            terms = zip(probs, laws, act)
+            value = sum(w * _combine(s, ph, a) for (_, s, w), ph, a in terms) / total
             table.append({"beta": float(beta), "d": float(d), "value": value})
-            if best is None or value > best[0]:
-                best = (value, float(beta), float(d))
-    value, beta, d = best
-    return GridArgmax(beta=beta, d=d, value=value, table=tuple(table))
+    best = max(table, key=lambda row: row["value"])  # first of any tie
+    return GridArgmax(**best, table=tuple(table))
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +505,15 @@ def _metric_delta_fixed(p, spec, ctx):
 
 def _metric_censor_gain(p, spec, ctx):
     step = ctx.get("censor_step") or default_censor_step(p)
-    strategy = BeliefStrategy(d=ctx["d"], lam=1.0)
-    return (
-        expected_welfare(censored_p(p, step), spec, strategy).value
-        - expected_welfare(p, spec, strategy).value
-    )
+    act = _act(spec, BeliefStrategy(d=ctx["d"], lam=1.0))
+    cut = _combine(spec, _laws(censored_p(p, step), spec.K), act)
+    return cut - _combine(spec, _laws(p, spec.K), act)
 
 
 def _metric_finite_n_ratio(p, spec, ctx):
-    strategy = BeliefStrategy(d=ctx["d"], lam=1.0)
-    full = expected_welfare(p, spec, strategy).value
-    partial = finite_n_welfare(p, spec, strategy, ctx["N"])
+    act = _act(spec, BeliefStrategy(d=ctx["d"], lam=1.0))
+    full = _combine(spec, _laws(p, spec.K), act)
+    partial = _combine(spec, _laws(p, spec.K, ctx["N"]), act)
     under, _ = baseline_welfare(spec)
     return (full - partial) / under
 
@@ -635,18 +587,20 @@ def sweep(
         "gamma": gamma,
         "sigma_log": sigma_log,
         "rho": rho,
-        "K": K,
+        "K": _axis_value("K", K),
         "d": d,
         "N": N,
         "beta": beta,
         "censor_step": censor_step,
     }
+    xs = [_axis_value(x, v) for v in x_values]
+    ys = [_axis_value(y, v) for v in y_values]
+    kernels = {}  # censored kernel per distinct beta, local to this call
     rows = []
-    for yv in y_values:
-        for xv in x_values:
+    for yv in ys:
+        for xv in xs:
             ctx = dict(base)
-            ctx[x] = float(xv) if x != "K" else int(xv)
-            ctx[y] = float(yv) if y != "K" else int(yv)
+            ctx[x], ctx[y] = xv, yv
             prior_rho = ctx["rho"]
             if prior_rho is None:
                 prior_rho = ctx["pi"] / (1.0 - ctx["pi"])
@@ -654,11 +608,11 @@ def sweep(
                 pi=ctx["pi"],
                 gamma=ctx["gamma"],
                 prior=PriorModel(rho=prior_rho, sigma_log=ctx["sigma_log"]),
-                K=int(ctx["K"]),
+                K=ctx["K"],
             )
             row = {x: ctx[x], y: ctx[y]}
             try:
-                p = _sweep_dynamics(ctx, model)
+                p = _sweep_dynamics(ctx, model, kernels)
                 row["value"] = float(fn(p, spec, ctx))
                 row["regular"] = 1.0 if regularity(p) == "regular" else 0.0
             except (ValueError, ZeroDivisionError):
@@ -668,11 +622,23 @@ def sweep(
     return rows
 
 
-def _sweep_dynamics(ctx: dict, model) -> PVector:
-    if ctx["beta"] is not None:
+def _axis_value(axis: str, v) -> float | int:
+    """A grid value as a float, or as an int on the K axis."""
+    if axis != "K":
+        return float(v)
+    if not float(v).is_integer():
+        raise ValueError(f"K must be a positive integer, got {v!r}")
+    return int(v)
+
+
+def _sweep_dynamics(ctx: dict, model, kernels: dict) -> PVector:
+    beta = ctx["beta"]
+    if beta is not None:
         if model is None:
             raise ValueError("a beta axis needs a signal model")
-        return conditional_dynamics(censored_transitions(model, ctx["beta"]))
+        if beta not in kernels:
+            kernels[beta] = censored_transitions(model, beta)
+        return conditional_dynamics(kernels[beta])
     if ctx["p11"] is None or ctx["p22"] is None:
         raise ValueError("sweep needs p11 and p22 (as axes or fixed values)")
     return PVector(p11=ctx["p11"], p22=ctx["p22"])

@@ -9,14 +9,21 @@ from belieflab import (
     BeliefStrategy,
     DiscreteSignalModel,
     PriorModel,
+    PVector,
     TransitionKernel,
     censored_direction_matrix,
     censored_transitions,
+    expected_welfare,
+    finite_n_distribution,
+    general_stationary,
     kernel_from_p,
     lunar_model,
+    prior_exceed_prob,
     simulate_chain,
     simulate_ladder,
     simulate_welfare,
+    sweep,
+    threshold_mass,
     tilt_model,
 )
 from belieflab.scenarios import autocorr_model
@@ -28,11 +35,16 @@ def _ladder(K=2, N=5, beta=0.0):
     return simulate_ladder(model, K, N, trials=10, seed=0, beta=beta)
 
 
-def _welfare(model, N=5, beta=0.0):
+def _welfare(model, N=5, beta=0.0, trials=10):
     spec = ProblemSpec.correct_priors(0.5, 0.6, 2)
     return simulate_welfare(
-        model, spec, BeliefStrategy(2.0), beta, N=N, trials=10, seed=0
+        model, spec, BeliefStrategy(2.0), beta, N=N, trials=trials, seed=0
     )
+
+
+def _sweep(**kwargs):
+    grid = dict(x="p11", x_values=[0.7], y="p22", y_values=[0.6])
+    return sweep("delta_bayes", **{**grid, **kwargs})
 
 
 # case -> (call, pattern the ValueError message must match)
@@ -110,6 +122,27 @@ _BAD_INPUTS = {
     "welfare-three-state-discrete": (
         lambda: _welfare(autocorr_model(draws=6)[0]), "two-state model"
     ),
+    "welfare-one-trial": (
+        lambda: _welfare(lunar_model(), trials=1), "trials must be at least 2"
+    ),
+    "finite-n-fractional-N": (
+        lambda: finite_n_distribution(kernel_from_p(0.7, 0.6), 1, 2, N=2.5),
+        "N must be an integer",
+    ),
+    "chain-fractional-N": (
+        lambda: simulate_chain(kernel_from_p(0.7, 0.6), 1, 2, N=2.5, trials=10, seed=0),
+        "N must be an integer",
+    ),
+    "ladder-fractional-N": (lambda: _ladder(N=2.5), "N must be an integer"),
+    "stationary-empty-matrix": (
+        lambda: general_stationary(np.zeros((0, 0))), "square and nonempty"
+    ),
+    "sweep-fractional-K-axis": (
+        lambda: _sweep(y="K", y_values=[2.0, 2.5]), "K must be a positive integer"
+    ),
+    "sweep-fractional-K-fixed": (
+        lambda: _sweep(K=2.5), "K must be a positive integer"
+    ),
 }
 
 
@@ -118,3 +151,38 @@ def test_bad_input_raises_value_error(case):
     call, pattern = _BAD_INPUTS[case]
     with pytest.raises(ValueError, match=pattern):
         call()
+
+
+def test_integral_values_of_integer_arguments_still_accepted():
+    q = kernel_from_p(0.7, 0.6)
+    np.testing.assert_array_equal(
+        finite_n_distribution(q, 1, 2, N=np.int64(3)),
+        finite_n_distribution(q, 1, 2, N=3),
+    )
+    rows = _sweep(y="K", y_values=[1.0, 2.0, 3.0])  # a CLI grid such as 1:3:3
+    assert [r["K"] for r in rows] == [1, 2, 3]
+    assert all(isinstance(r["K"], int) for r in rows)
+    assert _sweep(K=2.0) == _sweep(K=2)
+
+
+# An overflowing or underflowing shift lam * d**s acts 1 or 0 outright.
+_HUGE_D = 1e200
+_SPEC = ProblemSpec.noisy_priors(0.5, 0.6, K=2, sigma_log=0.5)
+
+
+def test_expected_welfare_is_total_for_huge_power():
+    report = expected_welfare(PVector(0.8, 0.7), _SPEC, BeliefStrategy(_HUGE_D))
+    assert math.isfinite(report.value) and 0.0 <= report.value <= 1.0
+
+
+def test_threshold_mass_is_total_for_huge_power():
+    mass = threshold_mass(_SPEC.prior, BeliefStrategy(_HUGE_D), _SPEC.Gamma, 2)
+    # states below 0 never act, states above 0 always do, state 0 keeps the prior
+    act_now = prior_exceed_prob(_SPEC.prior, _SPEC.Gamma)
+    np.testing.assert_array_equal(mass, [0.0, 0.0, act_now, 1.0 - act_now, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("metric", ["delta_fixed", "censor_gain", "finite_n_ratio"])
+def test_sweep_is_total_for_huge_power(metric):
+    rows = sweep(metric, "p11", [0.6, 0.8], "d", [2.0, _HUGE_D], p22=0.7, K=2)
+    assert all(math.isfinite(r["value"]) for r in rows)

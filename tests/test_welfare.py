@@ -526,3 +526,72 @@ class TestReportInvariants:
             cap = bayes_welfare(p, spec)
             assert report.value <= cap + 1e-12
             assert 0.0 <= report.value <= 1.0
+
+
+class TestLayers:
+    """Dynamics, act step and combine each have one home, run once per input."""
+
+    @staticmethod
+    def _count_kernels(monkeypatch):
+        import belieflab.welfare as welfare
+
+        calls = []
+        real = welfare.censored_transitions
+
+        def counted(model, beta):
+            calls.append(beta)
+            return real(model, beta)
+
+        monkeypatch.setattr(welfare, "censored_transitions", counted)
+        return calls
+
+    def test_grid_argmax_builds_one_kernel_per_problem_and_beta(self, monkeypatch):
+        from belieflab import grid_argmax, lunar_model, tilt_model
+
+        calls = self._count_kernels(monkeypatch)
+        problems = [
+            (tilt_model(1.0), spec_noisy(), 1.0),
+            (lunar_model(), spec_correct(0.5, 0.6), 2.0),
+        ]
+        betas, ds = [0.0, 0.2, 0.5], [1.5, 2.0, 3.0, 6.0]
+        result = grid_argmax(problems, betas, ds)
+        assert len(result.table) == len(betas) * len(ds)
+        assert len(calls) == len(betas) * len(problems)
+
+    def test_beta_sweep_builds_one_kernel_per_beta(self, monkeypatch):
+        from belieflab import tilt_model
+
+        calls = self._count_kernels(monkeypatch)
+        betas = [0.0, 0.25, 0.5]
+        rows = sweep(
+            "delta_fixed", "beta", betas, "d", [1.5, 3.0, 6.0], model=tilt_model(1.0)
+        )
+        assert len(rows) == 9
+        assert sorted(calls) == betas
+
+    def test_threshold_mass_is_the_difference_of_the_act_step(self):
+        from belieflab.beliefs import _act_probabilities
+
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            prior = PriorModel(
+                float(rng.uniform(0.2, 5.0)), float(rng.choice([0.0, 0.4, 1.5]))
+            )
+            d = float(rng.choice([1.0, rng.uniform(1.0, 10.0)]))
+            strat = BeliefStrategy(d, float(rng.uniform(0.3, 3.0)))
+            Gamma, K = float(rng.uniform(0.1, 9.0)), int(rng.integers(1, 5))
+            act = _act_probabilities(prior, strat, Gamma, K)
+            np.testing.assert_array_equal(
+                threshold_mass(prior, strat, Gamma, K),
+                np.diff(np.concatenate(([0.0], act, [1.0]))),
+            )
+
+    def test_a_silenced_state_parks_the_chain_at_zero(self):
+        from belieflab import TransitionKernel, stationary
+        from belieflab.chain import _laws
+
+        q = TransitionKernel(up=(0.6, 0.0), down=(0.3, 0.0), stay=(0.1, 1.0))
+        parked = [0.0, 0.0, 1.0, 0.0, 0.0]
+        np.testing.assert_array_equal(_laws(q, 2)[0], stationary(2.0, 2))
+        np.testing.assert_array_equal(_laws(q, 2)[1], parked)
+        np.testing.assert_array_equal(_laws(q, 2, N=7)[1], parked)
