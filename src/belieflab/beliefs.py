@@ -70,6 +70,7 @@ class BeliefStrategy:
             raise ValueError(f"d must be >= 1, got {self.d!r}")
         if not self.lam > 0.0:
             raise ValueError(f"lam must be positive, got {self.lam!r}")
+        _check_finite(d=self.d, lam=self.lam)
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,11 @@ class Stakes:
 
 
 def posterior(strategy, rho_tilde: float, s: int) -> float:
-    """Posterior odds of state 1 in mental state s."""
-    return rho_tilde * strategy.lam * strategy.d**s
+    """Posterior odds of state 1 in mental state s; inf when d**s overflows."""
+    try:
+        return rho_tilde * strategy.lam * strategy.d**s
+    except OverflowError:
+        return math.inf
 
 
 def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:

@@ -1,10 +1,17 @@
 """Command-line surface: tables, sweeps, censor paths, oracle runs, checks.
 
-Subcommands: stationary, transitions, sweep, censor-path, scenario, oracle,
-props-check. Every number prints with 17 significant digits, CSV is
-comma-separated with LF line endings and a header row, JSON is
-pretty-printed with sorted keys, and a fixed argv (seeds included) yields
-byte-identical output.
+Commands: stationary, transitions, censor-path, sweep, scenario,
+oracle chain|welfare|ladder, props-check. ``_FLAGS`` states every flag once,
+with its argparse spec and default; each handler's ``@_command`` lists the
+flags it reads, with any default it changes, and the command takes no other
+flag. ``--config file.json`` holds the same flags as keys (the name without
+"--"): a key fills any flag the command line left unset, explicit flags win,
+and a key that is not a flag of the command is rejected. Bad input (a
+library ValueError, an unreadable file) prints one line on stderr and exits 2.
+
+Every number prints with 17 significant digits, CSV is comma-separated with
+LF line endings and a header row, JSON is pretty-printed with sorted keys,
+and a fixed argv (seeds included) yields byte-identical output.
 """
 
 from __future__ import annotations
@@ -70,13 +77,17 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+    print(f"wrote {len(rows)} rows to {path}")
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+def _emit_csv(out: str | None, header: list[str], rows: list[list]) -> None:
+    """Print the CSV, or write it to out and say so."""
+    if out:
+        _write_csv(out, header, rows)
+        return
+    print(",".join(header))
+    for row in rows:
+        print(",".join(_fmt(v) for v in row))
 
 
 def _named_model(name: str, overrides: dict):
@@ -85,15 +96,18 @@ def _named_model(name: str, overrides: dict):
     return build(**{**defaults, **overrides})
 
 
-def _resolve_model(args, config: dict):
-    """Model from --model <name-or-json-path> or the config's "model" key."""
-    name = getattr(args, "model", None)
-    if not name:
-        return model_from_config(config["model"]) if "model" in config else None
+def _resolve_model(args):
+    """Model from --model: a name in ``scenarios.MODELS``, a .json model file,
+    or (from a config) a model document."""
+    name = args.model
+    if name is None:
+        raise ValueError("needs --model, on the command line or in --config")
+    if not isinstance(name, str):
+        return model_from_config(name)
     if name.endswith(".json"):
         return load_model(name)
     if name not in sc.MODELS:
-        raise SystemExit(f"unknown model {name!r}")
+        raise ValueError(f"unknown model {name!r}")
     _, defaults = sc.MODELS[name]
     return _named_model(name, {"lam": args.lam} if "lam" in defaults else {})
 
@@ -104,69 +118,63 @@ def _grid(spec: str) -> np.ndarray:
         lo, hi, n = spec.split(":")
         return np.linspace(float(lo), float(hi), int(n))
     except ValueError:
-        raise SystemExit(f"bad grid {spec!r}, expected lo:hi:n") from None
+        raise ValueError(f"bad grid {spec!r}, expected lo:hi:n") from None
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON file whose keys mirror the flags")
-    parser.add_argument("--K", type=int, default=None)
-    parser.add_argument("--d", type=float, default=None)
-    parser.add_argument("--lambda", dest="lam_strategy", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--pi", type=float, default=None)
-    parser.add_argument("--gamma", type=float, default=None)
-    parser.add_argument("--rho", type=float, default=None)
-    parser.add_argument("--sigma-log", dest="sigma_log", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--out", default=None)
-
-
-_DEFAULTS = {
-    "K": 2,
-    "d": 3.0,
-    "lam_strategy": 1.0,
-    "beta": 0.0,
-    "pi": 0.5,
-    "gamma": 0.6,
-    "rho": None,
-    "sigma_log": 0.0,
-    "seed": 0,
-    "trials": 100000,
-    "out": None,
+# Every flag once: its argparse spec, default included. A config key is the
+# flag's name without "--".
+_FLAGS = {
+    "--config": {"help": "JSON file whose keys are flags of this command"},
+    "name": {"choices": list(sc.SCENARIOS)},
+    "--r": {"type": float, "required": True},
+    "--model": {"help": "a name in scenarios.MODELS or a .json model file"},
+    "--lam": {"type": float, "default": 1.0, "help": "tilt parameter"},
+    "--beta": {"type": float, "default": 0.0},
+    "--grid": {"default": "0:1:11", "help": "beta grid lo:hi:n"},
+    "--metric": {"required": True, "choices": sorted(SWEEP_METRICS)},
+    "--x": {"required": True},
+    "--y": {"required": True},
+    "--x-grid": {"default": "0.005:0.995:101"},
+    "--y-grid": {"default": "0.005:0.995:101"},
+    "--p11": {"type": float},
+    "--p22": {"type": float},
+    "--pi": {"type": float, "default": 0.5},
+    "--gamma": {"type": float, "default": 0.6},
+    "--rho": {"type": float},
+    "--sigma-log": {"type": float, "default": 0.0},
+    "--K": {"type": int, "default": 2},
+    "--d": {"type": float, "default": 3.0},
+    "--lambda": {"dest": "lam_strategy", "type": float, "default": 1.0},
+    "--theta": {"type": int, "default": 1},
+    "--N": {"type": int, "default": 500},
+    "--trials": {"type": int, "default": 100000},
+    "--seed": {"type": int, "default": 0},
+    "--params": {"help": "JSON constructor overrides"},
+    "--out": {},
 }
 
-
-def _merge_config(args: argparse.Namespace, config: dict) -> argparse.Namespace:
-    """Config fills flags the command line left unset; flags win otherwise."""
-    alias = {"lambda": "lam_strategy", "sigma-log": "sigma_log"}
-    for key, value in config.items():
-        if key == "model":
-            continue
-        dest = alias.get(key, key)
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-    for dest, value in _DEFAULTS.items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
-    return args
+_COMMANDS = {}
 
 
-def _problem(args) -> ProblemSpec:
-    rho = args.rho if args.rho is not None else args.pi / (1.0 - args.pi)
-    return ProblemSpec(
-        pi=args.pi,
-        gamma=args.gamma,
-        prior=PriorModel(rho=rho, sigma_log=args.sigma_log),
-        K=args.K,
-    )
+def _command(name: str, flags: str, **defaults):
+    """Register a handler as command name: the flags it reads besides
+    --config, and the defaults in which it differs from _FLAGS (by flag name
+    without "--"). Its docstring is the command's help."""
+
+    def register(fn):
+        _COMMANDS[name] = (fn, flags.split(), defaults)
+        return fn
+
+    return register
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_stationary(args, config) -> int:
+@_command("stationary", "--r --K")
+def _cmd_stationary(args) -> int:
+    """Long-run chain distribution."""
     probs = stationary(args.r, args.K)
     payload = {
         "K": args.K,
@@ -179,11 +187,10 @@ def _cmd_stationary(args, config) -> int:
     return 0
 
 
-def _cmd_transitions(args, config) -> int:
-    model = _resolve_model(args, config)
-    if model is None:
-        raise SystemExit("transitions needs --model or a config with one")
-    q = censored_transitions(model, args.beta)
+@_command("transitions", "--model --lam --beta")
+def _cmd_transitions(args) -> int:
+    """Censored move probabilities."""
+    q = censored_transitions(_resolve_model(args), args.beta)
     payload = {
         "beta": args.beta,
         "up": list(q.up),
@@ -200,36 +207,33 @@ def _cmd_transitions(args, config) -> int:
     return 0
 
 
-def _cmd_censor_path(args, config) -> int:
-    model = _resolve_model(args, config)
-    if model is None:
-        raise SystemExit("censor-path needs --model or a config with one")
-    points = censor_path(model, list(_grid(args.grid)))
-    header = ["beta", "p11", "p22", "censored1", "censored2"]
+@_command("censor-path", "--model --lam --grid --out")
+def _cmd_censor_path(args) -> int:
+    """Dynamics along a beta grid."""
+    points = censor_path(_resolve_model(args), list(_grid(args.grid)))
     rows = [
         [pt.beta, pt.p11, pt.p22, int(pt.fully_censored[0]), int(pt.fully_censored[1])]
         for pt in points
     ]
-    if args.out:
-        _write_csv(args.out, header, rows)
-        print(f"wrote {len(rows)} rows to {args.out}")
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(_fmt(v) for v in row))
+    _emit_csv(args.out, ["beta", "p11", "p22", "censored1", "censored2"], rows)
     return 0
 
 
-def _cmd_sweep(args, config) -> int:
-    x_values = _grid(args.x_grid)
-    y_values = _grid(args.y_grid)
-    model = _resolve_model(args, config)
+@_command(
+    "sweep",
+    "--metric --x --y --x-grid --y-grid --p11 --p22 --pi --gamma --rho --sigma-log"
+    " --K --d --N --beta --model --lam --out",
+    N=10,
+    beta=None,  # no --beta: p-space dynamics
+)
+def _cmd_sweep(args) -> int:
+    """Metric over a 2-d parameter grid."""
     rows = sweep(
         args.metric,
         args.x,
-        [float(v) for v in x_values],
+        [float(v) for v in _grid(args.x_grid)],
         args.y,
-        [float(v) for v in y_values],
+        [float(v) for v in _grid(args.y_grid)],
         p11=args.p11,
         p22=args.p22,
         pi=args.pi,
@@ -239,23 +243,20 @@ def _cmd_sweep(args, config) -> int:
         K=args.K,
         d=args.d,
         N=args.N,
-        beta=None if args.x == "beta" or args.y == "beta" else args.beta_fixed,
-        model=model,
+        beta=args.beta,
+        model=None if args.model is None else _resolve_model(args),
     )
     header = [args.x, args.y, "value", "regular"]
-    table = [[r[args.x], r[args.y], r["value"], r["regular"]] for r in rows]
-    if args.out:
-        _write_csv(args.out, header, table)
-        print(f"wrote {len(table)} rows to {args.out}")
-    else:
-        print(",".join(header))
-        for row in table:
-            print(",".join(_fmt(v) for v in row))
+    _emit_csv(args.out, header, [[r[h] for h in header] for r in rows])
     return 0
 
 
-def _cmd_scenario(args, config) -> int:
-    params = json.loads(args.params) if args.params else {}
+@_command("scenario", "name --params --beta --out")
+def _cmd_scenario(args) -> int:
+    """Evidence table of a worked problem."""
+    params = args.params or "{}"
+    if isinstance(params, str):  # a config may hold the overrides as an object
+        params = json.loads(params)
     model = _named_model(args.name, params)
     rows = sc.evidence_table(model, beta=args.beta)
     prob_cols = [f"prob{t}" for t in range(1, model.theta_count + 1)]
@@ -273,48 +274,57 @@ def _cmd_scenario(args, config) -> int:
         print("  ".join(_fmt(v).ljust(w) for v, w in zip(row, widths)))
     if args.out:
         _write_csv(args.out, header, table)
-        print(f"wrote {len(table)} rows to {args.out}")
     return 0
 
 
-def _cmd_oracle(args, config) -> int:
-    spec = _problem(args)
-    if args.kind == "chain":
-        if args.p11 is None or args.p22 is None:
-            raise SystemExit("oracle chain needs --p11 and --p22")
-        q = kernel_from_p(args.p11, args.p22)
-        est = mc.simulate_chain(
-            q, args.theta, args.K, args.N, args.trials, args.seed
-        )
-        payload = {
-            "estimate": [float(v) for v in est.probs],
-            "stderr": [float(v) for v in est.stderr],
-        }
-    elif args.kind == "welfare":
-        model = _resolve_model(args, config)
-        if model is None:
-            raise SystemExit("oracle welfare needs --model or a config with one")
-        strategy = BeliefStrategy(d=args.d, lam=args.lam_strategy)
-        est = mc.simulate_welfare(
-            model, spec, strategy, args.beta, args.N, args.trials, args.seed
-        )
-        payload = {"estimate": est.estimate, "stderr": est.stderr}
-    elif args.kind == "ladder":
-        model = _resolve_model(args, config)
-        if model is None:
-            model = _named_model("autocorr", {"draws": 10})
-        est = mc.simulate_ladder(
-            model, args.K, args.N, args.trials, args.seed, beta=args.beta
-        )
-        payload = {
-            "estimate": [[float(v) for v in row] for row in est.probs],
-            "stderr": [[float(v) for v in row] for row in est.stderr],
-        }
+def _print_oracle(args, estimate, stderr) -> int:
+    payload = {"estimate": estimate, "stderr": stderr}
+    print(_dump_json({**payload, "trials": args.trials, "seed": args.seed}))
+    return 0
+
+
+@_command("oracle chain", "--p11 --p22 --theta --K --N --trials --seed")
+def _cmd_oracle_chain(args) -> int:
+    """Monte Carlo law of the chain."""
+    if args.p11 is None or args.p22 is None:
+        raise ValueError("needs --p11 and --p22")
+    q = kernel_from_p(args.p11, args.p22)
+    est = mc.simulate_chain(q, args.theta, args.K, args.N, args.trials, args.seed)
+    return _print_oracle(args, est.probs, est.stderr)
+
+
+@_command(
+    "oracle welfare",
+    "--model --lam --beta --d --lambda --pi --gamma --rho --sigma-log --K --N"
+    " --trials --seed",
+)
+def _cmd_oracle_welfare(args) -> int:
+    """Monte Carlo welfare of a posterior rule."""
+    rho = args.rho if args.rho is not None else args.pi / (1.0 - args.pi)
+    spec = ProblemSpec(
+        pi=args.pi,
+        gamma=args.gamma,
+        prior=PriorModel(rho=rho, sigma_log=args.sigma_log),
+        K=args.K,
+    )
+    strategy = BeliefStrategy(d=args.d, lam=args.lam_strategy)
+    est = mc.simulate_welfare(
+        _resolve_model(args), spec, strategy, args.beta, args.N, args.trials, args.seed
+    )
+    return _print_oracle(args, est.estimate, est.stderr)
+
+
+@_command("oracle ladder", "--model --lam --K --N --beta --trials --seed")
+def _cmd_oracle_ladder(args) -> int:
+    """Monte Carlo law of the three-theory ladder."""
+    if args.model is None:
+        model = _named_model("autocorr", {"draws": 10})
     else:
-        raise SystemExit(f"unknown oracle kind {args.kind!r}")
-    payload.update({"trials": args.trials, "seed": args.seed})
-    print(_dump_json(payload))
-    return 0
+        model = _resolve_model(args)
+    est = mc.simulate_ladder(
+        model, args.K, args.N, args.trials, args.seed, beta=args.beta
+    )
+    return _print_oracle(args, est.probs, est.stderr)
 
 
 def _props_battery(K: int) -> list[tuple[str, bool, str]]:
@@ -423,7 +433,9 @@ def _props_battery(K: int) -> list[tuple[str, bool, str]]:
     return results
 
 
-def _cmd_props_check(args, config) -> int:
+@_command("props-check", "--K")
+def _cmd_props_check(args) -> int:
+    """Run the verification battery."""
     results = _props_battery(args.K)
     failed = [r for r in results if not r[1]]
     for name, ok, detail in results:
@@ -443,70 +455,51 @@ def _build_parser() -> argparse.ArgumentParser:
         description="censored coarse-evidence belief dynamics laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stationary", help="long-run chain distribution")
-    _add_common(p)
-    p.add_argument("--r", type=float, required=True)
-    p.set_defaults(fn=_cmd_stationary)
-
-    p = sub.add_parser("transitions", help="censored move probabilities")
-    _add_common(p)
-    p.add_argument("--model", default=None)
-    p.add_argument("--lam", type=float, default=1.0, help="tilt parameter")
-    p.set_defaults(fn=_cmd_transitions)
-
-    p = sub.add_parser("censor-path", help="dynamics along a beta grid")
-    _add_common(p)
-    p.add_argument("--model", default=None)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--grid", default="0:1:11", help="beta grid lo:hi:n")
-    p.set_defaults(fn=_cmd_censor_path)
-
-    p = sub.add_parser("sweep", help="metric over a 2-d parameter grid")
-    _add_common(p)
-    p.add_argument("--metric", required=True, choices=sorted(SWEEP_METRICS))
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--x-grid", default="0.005:0.995:101")
-    p.add_argument("--y-grid", default="0.005:0.995:101")
-    p.add_argument("--p11", type=float, default=None)
-    p.add_argument("--p22", type=float, default=None)
-    p.add_argument("--N", type=int, default=10)
-    p.add_argument("--beta-fixed", type=float, default=None)
-    p.add_argument("--model", default=None)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.set_defaults(fn=_cmd_sweep)
-
-    p = sub.add_parser("scenario", help="evidence table of a worked problem")
-    _add_common(p)
-    p.add_argument("name", choices=list(sc.SCENARIOS))
-    p.add_argument("--params", default=None, help="JSON constructor overrides")
-    p.set_defaults(fn=_cmd_scenario)
-
-    p = sub.add_parser("oracle", help="Monte Carlo estimates")
-    _add_common(p)
-    p.add_argument("kind", choices=["chain", "welfare", "ladder"])
-    p.add_argument("--model", default=None)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--p11", type=float, default=None)
-    p.add_argument("--p22", type=float, default=None)
-    p.add_argument("--theta", type=int, default=1)
-    p.add_argument("--N", type=int, default=500)
-    p.set_defaults(fn=_cmd_oracle)
-
-    p = sub.add_parser("props-check", help="run the verification battery")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_props_check)
-
+    oracle = sub.add_parser("oracle", help="Monte Carlo estimates")
+    groups = {"": sub, "oracle": oracle.add_subparsers(dest="kind", required=True)}
+    for command, (fn, flags, defaults) in _COMMANDS.items():
+        group, _, name = command.rpartition(" ")
+        leaf = groups[group].add_parser(name, help=fn.__doc__)
+        leaf.add_argument("--config", **_FLAGS["--config"])
+        dests = {}
+        for flag in flags:
+            key = flag.lstrip("-")
+            spec = dict(_FLAGS[flag])
+            if key in defaults:
+                spec["default"] = defaults[key]
+            dests[key] = leaf.add_argument(flag, **spec).dest
+        leaf.set_defaults(fn=fn, leaf=leaf, dests=dests)
     return parser
+
+
+def _config_defaults(args) -> dict:
+    """The --config file's keys as defaults of the command's flags, by dest."""
+    with open(args.config, encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config {args.config!r} must hold a JSON object")
+    for key in config:
+        if key not in args.dests:
+            raise ValueError(f"unknown config key {key!r}")
+    # a value goes through the flag's type as if typed; a document stays a dict
+    return {
+        args.dests[key]: value if isinstance(value, dict) else str(value)
+        for key, value in config.items()
+    }
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    config = _load_config(args.config)
-    args = _merge_config(args, config)
-    return args.fn(args, config)
+    try:
+        if args.config:
+            # a flag given on the command line still wins over its new default
+            args.leaf.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
+        return args.fn(args)
+    except (ValueError, OSError) as err:  # bad input: a message, not a traceback
+        print(f"{args.leaf.prog}: error: {err}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

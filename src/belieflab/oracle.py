@@ -219,8 +219,8 @@ def simulate_ladder(
     beta: float = 0.0,
 ) -> LadderEstimate:
     """Empirical occupancy of the three-ladder system under each state."""
-    if model.theta_count != 3:
-        raise ValueError("simulate_ladder needs a three-state model")
+    if not isinstance(model, DiscreteSignalModel) or model.theta_count != 3:
+        raise ValueError("simulate_ladder needs a three-state discrete model")
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_k(K)

@@ -268,7 +268,13 @@ def _lambda_bar(p: PVector, K: int) -> float:
     params = bayes_params(p, K)
     if params.degenerate:
         raise ValueError("lambda_bar needs interior dynamics")
-    return params.lam * params.d**K
+    try:
+        value = params.lam * params.d**K
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"lambda_bar overflows at K={K}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -319,7 +325,7 @@ def censor_sensitivity(p: PVector, K: int, h: float = 1e-6) -> CensorSensitivity
         dlam=dlam,
         dlambar=dlambar,
         lam=params.lam,
-        lambda_bar=params.lam * params.d**K,
+        lambda_bar=_lambda_bar(p, K),
         d_p=params.d,
     )
 

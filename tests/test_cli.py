@@ -1,9 +1,12 @@
+import argparse
 import hashlib
 import json
+import math
 
 import pytest
 
-from belieflab.cli import run
+from belieflab import sweep, tilt_model
+from belieflab.cli import _build_parser, run
 
 
 def invoke(capsys, argv):
@@ -275,6 +278,159 @@ class TestConfig:
         assert code == 0
         payload = json.loads(out)
         assert payload["p11"] == pytest.approx(0.7)
+
+    @pytest.mark.parametrize(
+        "argv, config, flags",
+        [
+            (
+                ["censor-path", "--model", "tilt"],
+                {"grid": "0:1:3", "lam": 2.5},
+                ["--grid", "0:1:3", "--lam", "2.5"],
+            ),
+            (
+                ["sweep", "--metric", "finite_n_ratio", "--x", "p11", "--y", "p22",
+                 "--x-grid", "0.2:0.8:2", "--y-grid", "0.3:0.7:2"],
+                {"N": 25, "sigma-log": 0.5},
+                ["--N", "25", "--sigma-log", "0.5"],
+            ),
+            (
+                ["oracle", "welfare", "--trials", "200"],
+                {"model": "tilt", "lambda": 0.8, "seed": 5},
+                ["--model", "tilt", "--lambda", "0.8", "--seed", "5"],
+            ),
+            (
+                ["scenario", "coin"],
+                {"params": {"alpha1": 0.6, "J": 3}, "beta": 0.3},
+                ["--params", '{"alpha1": 0.6, "J": 3}', "--beta", "0.3"],
+            ),
+        ],
+        ids=["censor-path", "sweep", "oracle-welfare", "scenario"],
+    )
+    def test_config_keys_are_the_flags(self, argv, config, flags, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        _, from_config = invoke(capsys, [*argv, "--config", str(cfg)])
+        _, from_flags = invoke(capsys, [*argv, *flags])
+        assert from_config == from_flags
+        _, default = invoke(capsys, argv)
+        assert from_config != default
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["sweep", "--metric", "delta_bayes", "--x", "p11", "--y", "p22"],
+             {"gama": 0.5}),
+            (["props-check"], {"seed": 9}),
+            (["stationary", "--r", "2"], {"sigma_log": 0.5}),
+        ],
+    )
+    def test_unknown_config_key_exits_nonzero(self, argv, config, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run([*argv, "--config", str(cfg)]) != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(next(iter(config))) in captured.err
+
+    def test_config_value_goes_through_the_flag_type(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"K": 2.5}))
+        with pytest.raises(SystemExit) as exc:
+            run(["stationary", "--r", "2", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "invalid int value: '2.5'" in capsys.readouterr().err
+
+
+# The flags each command reads; it takes no other.
+_READS = {
+    "stationary": "r K config",
+    "transitions": "model lam beta config",
+    "censor-path": "model lam grid out config",
+    "sweep": "metric x y x-grid y-grid p11 p22 pi gamma rho sigma-log K d N beta"
+    " model lam out config",
+    "scenario": "name params beta out config",
+    "oracle chain": "p11 p22 theta K N trials seed config",
+    "oracle welfare": "model lam beta d lambda pi gamma rho sigma-log K N trials seed"
+    " config",
+    "oracle ladder": "model lam K N beta trials seed config",
+    "props-check": "K config",
+}
+
+
+def _leaf_flags(parser, command=""):
+    """Command -> the names of its arguments (help left out), leaves only."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            flags = {}
+            for name, sub in action.choices.items():
+                flags.update(_leaf_flags(sub, f"{command} {name}".strip()))
+            return flags
+    names = [
+        a.option_strings[-1].lstrip("-") if a.option_strings else a.dest
+        for a in parser._actions
+        if not isinstance(a, argparse._HelpAction)
+    ]
+    return {command: sorted(names)}
+
+
+class TestFlags:
+    def test_each_command_takes_exactly_the_flags_it_reads(self):
+        flags = _leaf_flags(_build_parser())
+        assert flags == {c: sorted(names.split()) for c, names in _READS.items()}
+        assert sum(map(len, flags.values())) == 68
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--metric", "delta_fixed", "--x", "p11", "--y", "d",
+             "--p22", "0.7", "--beta-fixed", "0.2"],
+            ["props-check", "--seed", "1"],
+            ["censor-path", "--model", "tilt", "--beta", "0.2"],
+            ["stationary", "--r", "2", "--gamma", "0.5"],
+            ["scenario", "lunar", "--K", "3"],
+            ["oracle", "chain", "--p11", "0.7", "--p22", "0.6", "--model", "lunar"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_beta_fixes_the_censoring_level(self, capsys):
+        code, out = invoke(
+            capsys,
+            ["sweep", "--metric", "delta_fixed", "--x", "gamma", "--y", "d",
+             "--x-grid", "0.2:0.8:3", "--y-grid", "1.5:6:2",
+             "--beta", "0.2", "--model", "tilt"],
+        )
+        assert code == 0
+        rows = sweep(
+            "delta_fixed", "gamma", [0.2, 0.5, 0.8], "d", [1.5, 6.0],
+            beta=0.2, model=tilt_model(1.0),
+        )
+        cells = [line.split(",") for line in out.splitlines()[1:]]
+        assert [float(c[2]) for c in cells] == [r["value"] for r in rows]
+        assert all(math.isfinite(r["value"]) for r in rows)
+
+
+class TestErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stationary", "--r", "-1"], "r must be positive"),
+            (["oracle", "welfare", "--model", "tilt", "--d", "0.5"], "d must be >= 1"),
+            (["transitions"], "needs --model"),
+            (["censor-path", "--model", "tilt", "--grid", "0:1"], "bad grid"),
+        ],
+    )
+    def test_bad_input_is_one_line_on_stderr(self, argv, message, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"belieflab {argv[0]}")
+        assert captured.err.count("\n") == 1 and message in captured.err
 
 
 class TestPropsCheck:

@@ -12,7 +12,9 @@ from belieflab import (
     PVector,
     TransitionKernel,
     censored_direction_matrix,
+    censor_sensitivity,
     censored_transitions,
+    decision_threshold,
     expected_welfare,
     finite_n_distribution,
     general_stationary,
@@ -143,6 +145,17 @@ _BAD_INPUTS = {
     "sweep-fractional-K-fixed": (
         lambda: _sweep(K=2.5), "K must be a positive integer"
     ),
+    "lambda-bar-overflow": (
+        lambda: censor_sensitivity(PVector(0.999, 0.999), 60), "lambda_bar overflows"
+    ),
+    "strategy-inf-lam": (
+        lambda: BeliefStrategy(1e200, lam=math.inf), "lam must be finite"
+    ),
+    "strategy-inf-d": (lambda: BeliefStrategy(math.inf), "d must be finite"),
+    "ladder-continuous-model": (
+        lambda: simulate_ladder(tilt_model(1.0), 2, 5, trials=10, seed=0),
+        "three-state discrete model",
+    ),
 }
 
 
@@ -186,3 +199,13 @@ def test_threshold_mass_is_total_for_huge_power():
 def test_sweep_is_total_for_huge_power(metric):
     rows = sweep(metric, "p11", [0.6, 0.8], "d", [2.0, _HUGE_D], p22=0.7, K=2)
     assert all(math.isfinite(r["value"]) for r in rows)
+
+
+def test_decision_threshold_is_total_for_huge_power():
+    # d**2 overflows: the posterior is inf, which clears even an infinite bar
+    assert decision_threshold(BeliefStrategy(_HUGE_D), 1.0, math.inf, 2) == 2
+
+
+def test_sweep_lambda_bar_overflow_is_a_nan_cell():
+    rows = sweep("lambda_bar", "p11", [0.999999], "p22", [0.999999], K=40)
+    assert math.isnan(rows[0]["value"])
