@@ -9,10 +9,12 @@ stakes ratio Gamma = gamma / (1 - gamma).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import _check_k
 from .signals import PVector, _check_finite
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class PriorModel:
     @classmethod
     def from_probability(cls, pi: float, sigma_log: float = 0.0) -> "PriorModel":
         if not 0.0 < pi < 1.0:
-            raise ValueError("pi must lie in (0, 1)")
+            raise ValueError(f"pi must lie in (0, 1), got {pi!r}")
         return cls(rho=pi / (1.0 - pi), sigma_log=sigma_log)
 
 
@@ -122,6 +125,8 @@ def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:
     """
     if not strategy.d >= 1.0:
         raise ValueError("decision_threshold assumes d >= 1")
+    if not rho_tilde > 0.0:
+        raise ValueError(f"rho_tilde must be positive, got {rho_tilde!r}")
     for s in range(-K, K + 1):
         if posterior(strategy, rho_tilde, s) >= Gamma:
             return s
@@ -132,7 +137,7 @@ def prior_exceed_prob(prior: PriorModel, t: float) -> float:
     """Pr(rho_tilde >= t) for the lognormal prior, exact via erfc."""
     if t == math.inf:
         return 0.0
-    if t <= 0.0:
+    if not t > 0.0:
         if t == 0.0:
             return 1.0
         raise ValueError(f"threshold t must be positive, got {t!r}")
@@ -186,9 +191,34 @@ def bayes_params(p: PVector, K: int) -> BayesParams:
     rho * lam * d**s equals the true posterior odds in state s. Boundary
     dynamics are flagged degenerate instead of producing parameters.
     """
+    _check_k(K)
     if not p.interior:
         return BayesParams(d=math.nan, lam=math.nan, degenerate=True)
     r1, r2 = p.r1, p.r2
     s = np.arange(-K, K + 1, dtype=float)
-    lam = float(np.sum(r2**s) / np.sum(r1**s))
+    # below this bound no power r**s and neither sum can overflow
+    if K * max(abs(math.log(r1)), abs(math.log(r2))) + math.log(2 * K + 1) < _LOG_MAX:
+        lam = float(np.sum(r2**s) / np.sum(r1**s))
+    else:
+        lam = _lam_near_overflow(p, K, s)
     return BayesParams(d=r1 / r2, lam=lam, degenerate=False)
+
+
+def _lam_near_overflow(p: PVector, K: int, s: np.ndarray) -> float:
+    """The Bayes lam where a power r**s may overflow.
+
+    The direct ratio stands where both sums stay finite. Otherwise each sum
+    is taken in logs over the larger of the odds and their inverse (the sum
+    is the same for both), anchored at its top power; a lam beyond the float
+    range is inf.
+    """
+    with np.errstate(over="ignore"):
+        num, den = np.sum(p.r2**s), np.sum(p.r1**s)
+    if math.isfinite(num) and math.isfinite(den):
+        return float(num / den)
+    logs = []
+    for q in (p.p22, p.p11):
+        odds = max(q, 1.0 - q) / min(q, 1.0 - q)
+        logs.append(K * math.log(odds) + math.log(float(np.sum(odds ** (s - K)))))
+    log_lam = logs[0] - logs[1]
+    return math.exp(log_lam) if log_lam < _LOG_MAX else math.inf

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import FullyCensored, PVector, TransitionKernel
+from .signals import FullyCensored, PVector, TransitionKernel, _check_int
 
 __all__ = [
     "stationary",
@@ -33,8 +33,7 @@ def _check_k(K: int) -> None:
 
 
 def _check_n(N: int) -> None:
-    if not isinstance(N, (int, np.integer)):
-        raise ValueError(f"N must be an integer, got {N!r}")
+    _check_int(N=N)
     if N < 0:
         raise ValueError("N must be nonnegative")
 
@@ -67,6 +66,7 @@ def stationary(r: float, K: int) -> np.ndarray:
 def upper_tail(k: int, r: float, K: int) -> float:
     """Probability that the chain settles at state k or above."""
     _check_k(K)
+    _check_int(k=k)
     if not -K <= k <= K + 1:
         raise ValueError(f"k={k} outside -K..K+1 for K={K}")
     if k == K + 1:

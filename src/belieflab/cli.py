@@ -27,7 +27,7 @@ import numpy as np
 
 from . import oracle as mc
 from . import scenarios as sc
-from .beliefs import BeliefStrategy, PriorModel, bayes_params
+from .beliefs import BeliefStrategy, bayes_params
 from .chain import kernel_from_p, stationary
 from .signals import (
     PVector,
@@ -93,7 +93,12 @@ def _emit_csv(out: str | None, header: list[str], rows: list[list]) -> None:
 def _named_model(name: str, overrides: dict):
     """The model ``scenarios.MODELS`` lists under name, defaults overridden."""
     build, defaults = sc.MODELS[name]
-    return build(**{**defaults, **overrides})
+    if not isinstance(overrides, dict):
+        raise ValueError(f"params must be a JSON object, got {overrides!r}")
+    try:
+        return build(**{**defaults, **overrides})
+    except TypeError as err:  # an unknown or mistyped constructor parameter
+        raise ValueError(f"bad params for model {name!r}: {err}") from None
 
 
 def _resolve_model(args):
@@ -300,12 +305,8 @@ def _cmd_oracle_chain(args) -> int:
 )
 def _cmd_oracle_welfare(args) -> int:
     """Monte Carlo welfare of a posterior rule."""
-    rho = args.rho if args.rho is not None else args.pi / (1.0 - args.pi)
-    spec = ProblemSpec(
-        pi=args.pi,
-        gamma=args.gamma,
-        prior=PriorModel(rho=rho, sigma_log=args.sigma_log),
-        K=args.K,
+    spec = ProblemSpec.noisy_priors(
+        args.pi, args.gamma, args.K, args.sigma_log, rho=args.rho
     )
     strategy = BeliefStrategy(d=args.d, lam=args.lam_strategy)
     est = mc.simulate_welfare(

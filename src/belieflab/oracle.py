@@ -23,6 +23,7 @@ from .signals import (
     FullyCensored,
     TransitionKernel,
     _check_beta,
+    _check_int,
 )
 from .welfare import ProblemSpec
 
@@ -104,6 +105,7 @@ def simulate_chain(
     thousand steps in milliseconds. ``processed_only`` is as in
     ``finite_n_distribution``.
     """
+    _check_int(trials=trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_k(K)
@@ -172,6 +174,7 @@ def simulate_welfare(
     independent of the final states, so pairing them with sorted states is
     as good as pairing them agent by agent.
     """
+    _check_int(trials=trials)
     if trials < 2:
         raise ValueError("trials must be at least 2 for a standard error")
     _check_n(N)
@@ -221,11 +224,11 @@ def simulate_ladder(
     """Empirical occupancy of the three-ladder system under each state."""
     if not isinstance(model, DiscreteSignalModel) or model.theta_count != 3:
         raise ValueError("simulate_ladder needs a three-state discrete model")
+    _check_int(trials=trials)
     if trials < 1:
         raise ValueError("trials must be positive")
     _check_k(K)
     _check_n(N)
-    _check_beta(beta)
     rng = np.random.default_rng(seed)
     table, directions = _ladder_move_table(K), model.directions(beta)
     counts = [

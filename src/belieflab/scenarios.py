@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import DiscreteSignalModel, asymmetric_tilt_model, classify, tilt_model
+from .signals import (
+    DiscreteSignalModel,
+    _check_int,
+    asymmetric_tilt_model,
+    classify,
+    tilt_model,
+)
 
 __all__ = [
     "SCENARIOS",
@@ -44,19 +50,17 @@ class EvidenceRow:
 
 def evidence_table(model: DiscreteSignalModel, beta: float = 0.0) -> list[EvidenceRow]:
     """Direction, strength, and processing status of every outcome."""
-    rows = []
-    for i, label in enumerate(model.outcomes):
-        ev = classify(model, label)
-        rows.append(
-            EvidenceRow(
-                outcome=label,
-                direction=ev.direction,
-                strength=ev.strength,
-                probs=tuple(float(v) for v in model.probs[:, i]),
-                processed=ev.processed(beta),
-            )
+    kept = model.directions(beta)
+    return [
+        EvidenceRow(
+            outcome=label,
+            direction=int(model._direction[i]),
+            strength=float(model._strength[i]),
+            probs=tuple(float(v) for v in model.probs[:, i]),
+            processed=bool(kept[i]),
         )
-    return rows
+        for i, label in enumerate(model.outcomes)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +103,9 @@ def lunar_model(
     Outcome labels are "X,Y", e.g. "0,1" for a calm full-moon day; the
     pooled bucket reads like "9+,0".
     """
+    _check_int(capacity=capacity, cutoff=cutoff)
+    if tension_ceiling is not None:
+        _check_int(tension_ceiling=tension_ceiling)
     if base_rate <= 0 or effect <= 1 or capacity < 1:
         raise ValueError("need base_rate > 0, effect > 1, capacity >= 1")
     if not 0.0 < full_moon_frac < 1.0:
@@ -216,6 +223,7 @@ def coin_model(alpha1: float, alpha2: float, J: int = 1) -> DiscreteSignalModel:
     for name, a in (("alpha1", alpha1), ("alpha2", alpha2)):
         if not 0.0 < a < 1.0:
             raise ValueError(f"{name} must lie in (0, 1)")
+    _check_int(J=J)
     if J < 1:
         raise ValueError("J must be a positive integer")
     labels = tuple(str(k) for k in range(J + 1))
@@ -257,6 +265,7 @@ def autocorr_model(
     "draws-1". Returns the model and a per-count table of direction,
     strength, and the count probability under the independence state.
     """
+    _check_int(draws=draws)
     if draws < 2:
         raise ValueError("draws must be at least 2")
     if len(rho_set) != 3 or not all(0.0 < r < 1.0 for r in rho_set):
@@ -270,20 +279,18 @@ def autocorr_model(
         ]
     )
     model = DiscreteSignalModel(outcomes=labels, probs=probs, theta_count=3)
-    table = []
-    for n in range(T + 1):
-        ev = classify(model, str(n))
-        # per-sequence likelihood ratios equal per-count ratios (the
-        # sequence multiplicity comb(T, n) cancels), so classify on counts
-        # reproduces the sequence-level direction and strength
-        table.append(
-            AutocorrRow(
-                reversals=n,
-                direction=ev.direction,
-                strength=ev.strength,
-                prob_independent=float(probs[2, n]),
-            )
+    # per-sequence likelihood ratios equal per-count ratios (the sequence
+    # multiplicity comb(T, n) cancels), so the evidence read off the counts
+    # is the sequence-level direction and strength
+    table = [
+        AutocorrRow(
+            reversals=n,
+            direction=row.direction,
+            strength=row.strength,
+            prob_independent=row.probs[2],
         )
+        for n, row in enumerate(evidence_table(model))
+    ]
     return model, table
 
 

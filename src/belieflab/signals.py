@@ -61,6 +61,13 @@ def _check_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_int(**values) -> None:
+    """Raise ValueError naming the first argument that is no (numpy) integer."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_beta(beta: float) -> None:
     _check_finite(beta=beta)
     if beta < 0:
@@ -278,6 +285,7 @@ class DiscreteSignalModel:
 
     def directions(self, beta: float) -> np.ndarray:
         """Per-outcome direction after censoring at 1 + beta, 0 when censored."""
+        _check_beta(beta)
         if self._null.any():
             self._require_signal(int(np.argmax(self._null)))
         return np.where(self._strength >= 1.0 + beta, self._direction, 0)
@@ -285,6 +293,14 @@ class DiscreteSignalModel:
 
 # ---------------------------------------------------------------------------
 # built-in continuous families
+
+
+def _tilt_norm(t: float) -> float:
+    """t / expm1(t): the constant that makes exp(t * x) a density on [0, 1]."""
+    try:
+        return t / math.expm1(t)
+    except OverflowError:
+        raise ValueError(f"tilt {t!r} overflows the density's normalizer") from None
 
 
 def tilt_model(lam: float) -> ContinuousSignalModel:
@@ -296,8 +312,7 @@ def tilt_model(lam: float) -> ContinuousSignalModel:
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    c_up = lam / math.expm1(lam)
-    c_down = lam / (-math.expm1(-lam))
+    c_up, c_down = _tilt_norm(lam), _tilt_norm(-lam)
 
     def density1(x):
         return c_up * np.exp(lam * np.asarray(x, dtype=float))
@@ -334,9 +349,7 @@ def asymmetric_tilt_model(
         raise ValueError("need 0 < lam < spike")
     if not 0.0 < weight < 1.0:
         raise ValueError("weight must lie in (0, 1)")
-    c_up = lam / math.expm1(lam)
-    c_down = lam / (-math.expm1(-lam))
-    c_spike = spike / math.expm1(spike)
+    c_up, c_down, c_spike = _tilt_norm(lam), _tilt_norm(-lam), _tilt_norm(spike)
 
     def density1(x):
         x = np.asarray(x, dtype=float)
@@ -511,7 +524,6 @@ def censored_direction_matrix(
     signal points to state i when the true state is theta; columns sum to 1.
     Raises FullyCensored when some state processes nothing at all.
     """
-    _check_beta(beta)
     mass = _direction_mass(model, beta)
     totals = mass.sum(axis=0)
     for theta in range(1, model.theta_count + 1):
@@ -578,15 +590,14 @@ def pool(
     )
 
 
-def batch(
-    model: DiscreteSignalModel, J: int, cap: int = 10**6
-) -> DiscreteSignalModel:
+def batch(model: DiscreteSignalModel, J: int) -> DiscreteSignalModel:
     """Process signals J at a time: outcomes become J-tuples.
 
     Models that declare a sufficient statistic (``batch_builder``) delegate
     to it. Otherwise outcomes are explicit J-tuples with product
-    probabilities, refused above ``cap`` tuples.
+    probabilities, refused above a million tuples.
     """
+    _check_int(J=J)
     if J < 1:
         raise ValueError("J must be a positive integer")
     if J == 1:
@@ -594,6 +605,7 @@ def batch(
     if model.batch_builder is not None:
         return model.batch_builder(J)
     n = len(model.outcomes)
+    cap = 10**6
     if n**J > cap:
         raise ValueError(
             f"{n}^{J} batched outcomes exceed the cap of {cap}; "

@@ -15,7 +15,7 @@ censoring (the exact, nonlocal version) lives in ``signals``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -23,14 +23,17 @@ import numpy as np
 from .beliefs import (
     BeliefStrategy,
     PriorModel,
+    Stakes,
     _act_probabilities,
     bayes_params,
     prior_exceed_prob,
 )
-from .chain import _check_k, _laws, upper_tail
+from .chain import _check_k, _check_n, _laws, upper_tail
 from .signals import (
     PVector,
     TransitionKernel,
+    _check_beta,
+    _check_finite,
     censored_transitions,
     conditional_dynamics,
 )
@@ -73,23 +76,24 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.pi < 1.0:
             raise ValueError(f"pi must lie in (0, 1), got {self.pi!r}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
+        object.__setattr__(self, "_stakes", Stakes(self.gamma))
         _check_k(self.K)
 
     @classmethod
     def correct_priors(cls, pi: float, gamma: float, K: int) -> "ProblemSpec":
         """Spec whose prior odds equal the objective odds, with no noise."""
-        return cls(pi=pi, gamma=gamma, prior=PriorModel.from_probability(pi), K=K)
+        return cls.noisy_priors(pi, gamma, K, sigma_log=0.0)
 
     @classmethod
     def noisy_priors(
-        cls, pi: float, gamma: float, K: int, sigma_log: float = 0.5
+        cls, pi: float, gamma: float, K: int, sigma_log: float = 0.5,
+        rho: float | None = None,
     ) -> "ProblemSpec":
-        """Spec with lognormal prior noise around the objective odds."""
-        return cls(
-            pi=pi, gamma=gamma, prior=PriorModel.from_probability(pi, sigma_log), K=K
-        )
+        """Spec with lognormal prior noise around the prior odds rho, by
+        default the objective odds pi / (1 - pi) (pi is checked first)."""
+        if rho is None:
+            return cls(pi, gamma, PriorModel.from_probability(pi, sigma_log), K)
+        return cls(pi, gamma, PriorModel(rho, sigma_log), K)
 
     @property
     def rho(self) -> float:
@@ -97,9 +101,12 @@ class ProblemSpec:
 
     @property
     def Gamma(self) -> float:
-        if self.gamma == 1.0:
-            return math.inf
-        return self.gamma / (1.0 - self.gamma)
+        return self._stakes.ratio
+
+    @property
+    def weights(self) -> tuple[float, float]:
+        """Payoff weights of acting right in states 1 and 2."""
+        return self.pi * (1.0 - self.gamma), (1.0 - self.pi) * self.gamma
 
     @property
     def has_correct_priors(self) -> bool:
@@ -119,23 +126,14 @@ class WelfareReport:
 def baseline_welfare(spec: ProblemSpec) -> tuple[float, float]:
     """Welfare of ignoring all signals: (noisy-prior value, correct-prior value)."""
     act = prior_exceed_prob(spec.prior, spec.Gamma)
-    under = (1.0 - spec.gamma) * spec.pi * act + spec.gamma * (1.0 - spec.pi) * (
-        1.0 - act
-    )
-    under0 = max(spec.pi * (1.0 - spec.gamma), (1.0 - spec.pi) * spec.gamma)
-    return under, under0
+    w1, w2 = spec.weights
+    return w1 * act + w2 * (1.0 - act), max(w1, w2)
 
 
 def welfare_at_threshold(k: int, p: PVector, spec: ProblemSpec) -> float:
     """Welfare of the rule 'act 1 iff the mental state is at least k'."""
-    K = spec.K
-    if not -K <= k <= K + 1:
-        raise ValueError(f"k={k} outside -K..K+1 for K={K}")
-    tail1 = upper_tail(k, p.r1, K)
-    tail2 = upper_tail(k, p.r2, K)
-    return spec.pi * (1.0 - spec.gamma) * tail1 + (1.0 - spec.pi) * spec.gamma * (
-        1.0 - tail2
-    )
+    w1, w2 = spec.weights
+    return w1 * upper_tail(k, p.r1, spec.K) + w2 * (1.0 - upper_tail(k, p.r2, spec.K))
 
 
 def _act(spec: ProblemSpec, strategy) -> np.ndarray:
@@ -148,9 +146,8 @@ def _combine(spec: ProblemSpec, phis: np.ndarray, act: np.ndarray) -> float:
 
     phis holds the mental-state laws under states 1 and 2 (see ``_laws``).
     """
-    return spec.pi * (1.0 - spec.gamma) * float(phis[0] @ act) + (
-        1.0 - spec.pi
-    ) * spec.gamma * float(phis[1] @ (1.0 - act))
+    w1, w2 = spec.weights
+    return w1 * float(phis[0] @ act) + w2 * float(phis[1] @ (1.0 - act))
 
 
 def expected_welfare(p: PVector, spec: ProblemSpec, strategy) -> WelfareReport:
@@ -183,9 +180,8 @@ def bayes_welfare(p: PVector, spec: ProblemSpec) -> float:
     """
     if spec.has_correct_priors:
         phis = _laws(p, spec.K)
-        branch1 = spec.pi * (1.0 - spec.gamma) * phis[0]
-        branch2 = (1.0 - spec.pi) * spec.gamma * phis[1]
-        return float(np.maximum(branch1, branch2).sum())
+        w1, w2 = spec.weights
+        return float(np.maximum(w1 * phis[0], w2 * phis[1]).sum())
     params = bayes_params(p, spec.K)
     if params.degenerate:
         raise ValueError(
@@ -217,9 +213,8 @@ def delta_fixed(p: PVector, spec: ProblemSpec, d: float) -> DeltaFixed:
     phis = _laws(p, spec.K)
     act = _act(spec, BeliefStrategy(d=d, lam=1.0))
     under, _ = baseline_welfare(spec)
-    psi = (
-        spec.pi * (1.0 - spec.gamma) * phis[0] - (1.0 - spec.pi) * spec.gamma * phis[1]
-    )
+    w1, w2 = spec.weights
+    psi = w1 * phis[0] - w2 * phis[1]
     j = act - prior_exceed_prob(spec.prior, spec.Gamma)
     direct = _combine(spec, phis, act) - under
     return DeltaFixed(direct=direct, decomposed=float(psi @ j), psi=psi, j=j)
@@ -277,6 +272,12 @@ def _lambda_bar(p: PVector, K: int) -> float:
     return value
 
 
+def _dlambar(p: PVector, K: int, h: float) -> float:
+    """Central difference of lambda_bar along the censoring map, step h."""
+    hi, lo = _lambda_bar(censored_p(p, h), K), _lambda_bar(censored_p(p, -h), K)
+    return (hi - lo) / (2.0 * h)
+
+
 @dataclass(frozen=True)
 class CensorSensitivity:
     """First-order response of the dynamics to marginal censoring at beta=0.
@@ -315,7 +316,6 @@ def censor_sensitivity(p: PVector, K: int, h: float = 1e-6) -> CensorSensitivity
     hi, lo = censored_p(p, h), censored_p(p, -h)
     hi_params, lo_params = bayes_params(hi, K), bayes_params(lo, K)
     dlam = (hi_params.lam - lo_params.lam) / (2.0 * h)
-    dlambar = (_lambda_bar(hi, K) - _lambda_bar(lo, K)) / (2.0 * h)
     return CensorSensitivity(
         dp11=dp11,
         dp22=dp22,
@@ -323,7 +323,7 @@ def censor_sensitivity(p: PVector, K: int, h: float = 1e-6) -> CensorSensitivity
         dd2=dd2,
         ddp=ddp,
         dlam=dlam,
-        dlambar=dlambar,
+        dlambar=_dlambar(p, K, h),
         lam=params.lam,
         lambda_bar=_lambda_bar(p, K),
         d_p=params.d,
@@ -372,8 +372,8 @@ class DWitness:
     The stakes are tuned so that only the top mental state clears the bar
     before censoring (gamma puts Gamma/rho inside ``window``, just below the
     maximum posterior shift). After one censoring step of size
-    ``censor_step`` the maximum shift falls below the bar, every posterior
-    loses to the prior, and welfare drops to the baseline.
+    ``censor_step`` (1e-3) the maximum shift falls below the bar, every
+    posterior loses to the prior, and welfare drops to the baseline.
     """
 
     p: PVector
@@ -387,34 +387,25 @@ class DWitness:
     baseline: float
 
 
-def find_D_witness(
-    K: int,
-    grid_size: int = 100,
-    bounds: tuple[float, float] = (0.01, 0.99),
-    censor_step: float = 1e-3,
-) -> DWitness | None:
+def find_D_witness(K: int) -> DWitness | None:
     """Search a p-grid for dynamics whose top posterior shift censoring erodes.
 
-    Returns the witness with the most negative finite-difference response of
-    lambda_bar (restricted to d_p > 1 so the top state is the informative
-    one), with a verified stakes window, or None when the grid shows no
-    negative response.
+    Scans 100 x 100 dynamics on [0.01, 0.99]^2 and returns the witness with
+    the most negative finite-difference response of lambda_bar (restricted
+    to d_p > 1 so the top state is the informative one), with a verified
+    stakes window, or None when the grid shows no negative response.
     """
     if K < 2:
         raise ValueError("the censoring-hurts region needs K >= 2")
-    lo, hi = bounds
-    grid = np.linspace(lo, hi, grid_size)
-    h = 1e-6
+    grid = np.linspace(0.01, 0.99, 100)
+    censor_step = 1e-3
     best: tuple[float, PVector] | None = None
     for p11 in grid:
         for p22 in grid:
             p = PVector(p11=float(p11), p22=float(p22))
-            params = bayes_params(p, K)
-            if not params.d > 1.0:
+            if not bayes_params(p, K).d > 1.0:
                 continue
-            d = (_lambda_bar(censored_p(p, h), K) - _lambda_bar(censored_p(p, -h), K)) / (
-                2.0 * h
-            )
+            d = _dlambar(p, K, 1e-6)
             if d < 0.0 and (best is None or d < best[0]):
                 best = (d, p)
     if best is None:
@@ -472,9 +463,11 @@ def grid_argmax(
     row-major (beta outer, d inner) order.
     """
     probs = [(m, s, float(w)) for m, s, w in problems]
-    total = sum(w for _, _, w in probs)
-    if not probs or total <= 0.0:
-        raise ValueError("problems must carry positive total weight")
+    weights = tuple(w for _, _, w in probs)
+    _check_finite(weights=weights)
+    total = sum(weights)
+    if not probs or min(weights) < 0.0 or total <= 0.0:
+        raise ValueError("problems must carry nonnegative weights, positive in total")
     # act depends on (problem, d) only, the laws on (problem, beta) only
     acts = [
         [_act(spec, BeliefStrategy(d=float(d), lam=lam)) for _, spec, _ in probs]
@@ -510,9 +503,8 @@ def _metric_delta_fixed(p, spec, ctx):
 
 
 def _metric_censor_gain(p, spec, ctx):
-    step = ctx.get("censor_step") or default_censor_step(p)
     act = _act(spec, BeliefStrategy(d=ctx["d"], lam=1.0))
-    cut = _combine(spec, _laws(censored_p(p, step), spec.K), act)
+    cut = _combine(spec, _laws(censored_p(p, default_censor_step(p)), spec.K), act)
     return cut - _combine(spec, _laws(p, spec.K), act)
 
 
@@ -565,7 +557,6 @@ def sweep(
     N: int = 10,
     beta: float | None = None,
     model=None,
-    censor_step: float | None = None,
 ) -> list[dict]:
     """Evaluate a metric over a 2-d grid; one dict per cell, row-major.
 
@@ -573,8 +564,10 @@ def sweep(
     beta) derives the dynamics from ``model`` through signal-space
     censoring, otherwise the dynamics are (p11, p22) directly. The outer
     loop runs over y, the inner over x, so rows come out row-major with x
-    varying fastest. Cells whose evaluation is undefined (fully censored,
-    degenerate) carry value NaN.
+    varying fastest. Inputs that hold for every cell (the problem, a fixed
+    beta, a beta without a model, N for finite_n_ratio) are checked once and
+    raise ValueError; cells whose evaluation is undefined (no dynamics,
+    fully censored, degenerate) carry value NaN.
     """
     if metric not in SWEEP_METRICS:
         raise ValueError(
@@ -585,20 +578,22 @@ def sweep(
             raise ValueError(f"unknown axis {axis!r}; choose from {_AXES}")
     if x == y:
         raise ValueError("x and y axes must differ")
+    if model is None and (beta is not None or "beta" in (x, y)):
+        raise ValueError("a beta axis or a fixed beta needs a signal model")
+    if metric == "finite_n_ratio":
+        _check_n(N)
     fn = SWEEP_METRICS[metric]
     base = {
         "p11": p11,
         "p22": p22,
-        "pi": pi,
         "gamma": gamma,
-        "sigma_log": sigma_log,
-        "rho": rho,
         "K": _axis_value("K", K),
         "d": d,
         "N": N,
-        "beta": beta,
-        "censor_step": censor_step,
+        "beta": None if beta is None else _axis_value("beta", beta),
     }
+    spec = ProblemSpec.noisy_priors(pi, gamma, base["K"], sigma_log, rho)
+    spec_axes = {x, y} & {"gamma", "K"}
     xs = [_axis_value(x, v) for v in x_values]
     ys = [_axis_value(y, v) for v in y_values]
     kernels = {}  # censored kernel per distinct beta, local to this call
@@ -607,15 +602,8 @@ def sweep(
         for xv in xs:
             ctx = dict(base)
             ctx[x], ctx[y] = xv, yv
-            prior_rho = ctx["rho"]
-            if prior_rho is None:
-                prior_rho = ctx["pi"] / (1.0 - ctx["pi"])
-            spec = ProblemSpec(
-                pi=ctx["pi"],
-                gamma=ctx["gamma"],
-                prior=PriorModel(rho=prior_rho, sigma_log=ctx["sigma_log"]),
-                K=ctx["K"],
-            )
+            if spec_axes:
+                spec = replace(spec, gamma=ctx["gamma"], K=ctx["K"])
             row = {x: ctx[x], y: ctx[y]}
             try:
                 p = _sweep_dynamics(ctx, model, kernels)
@@ -629,19 +617,19 @@ def sweep(
 
 
 def _axis_value(axis: str, v) -> float | int:
-    """A grid value as a float, or as an int on the K axis."""
-    if axis != "K":
-        return float(v)
-    if not float(v).is_integer():
-        raise ValueError(f"K must be a positive integer, got {v!r}")
-    return int(v)
+    """A grid value as a float, or as an int on the K axis; a beta is checked."""
+    if axis == "K":
+        if not float(v).is_integer():
+            raise ValueError(f"K must be a positive integer, got {v!r}")
+        return int(v)
+    if axis == "beta":
+        _check_beta(float(v))
+    return float(v)
 
 
 def _sweep_dynamics(ctx: dict, model, kernels: dict) -> PVector:
     beta = ctx["beta"]
     if beta is not None:
-        if model is None:
-            raise ValueError("a beta axis needs a signal model")
         if beta not in kernels:
             kernels[beta] = censored_transitions(model, beta)
         return conditional_dynamics(kernels[beta])

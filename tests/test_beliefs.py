@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -183,6 +184,30 @@ class TestBayesParams:
     def test_boundary_flags_degenerate(self):
         assert bayes_params(PVector(1.0, 0.5), 2).degenerate
         assert bayes_params(PVector(0.5, 0.0), 3).degenerate
+
+    @pytest.mark.parametrize(
+        "p11, p22", [(0.9, 0.97), (0.89, 0.9), (0.99, 0.97), (0.99, 0.9), (0.6, 0.9)]
+    )
+    def test_lam_where_the_powers_overflow(self, p11, p22):
+        # r**s overflows at K=400; the reference sums the powers in logs
+        p, K = PVector(p11, p22), 400
+        s = np.arange(-K, K + 1)
+        log_lam = np.logaddexp.reduce(s * math.log(p.r2)) - np.logaddexp.reduce(
+            s * math.log(p.r1)
+        )
+        lam = bayes_params(p, K).lam
+        if log_lam > math.log(sys.float_info.max):
+            assert lam == math.inf
+        else:
+            assert lam == pytest.approx(math.exp(log_lam), rel=1e-9, abs=1e-300)
+
+    def test_symmetric_lam_is_one_where_the_powers_overflow(self):
+        assert bayes_params(PVector(0.9, 0.9), 400).lam == 1.0
+
+    def test_sums_in_range_keep_the_direct_ratio(self):
+        p = PVector(0.9, 0.97)
+        s = np.arange(-150, 151, dtype=float)
+        assert bayes_params(p, 150).lam == float(np.sum(p.r2**s) / np.sum(p.r1**s))
 
     @given(
         p11=st.floats(0.02, 0.98),

@@ -423,6 +423,20 @@ class TestErrors:
             (["oracle", "welfare", "--model", "tilt", "--d", "0.5"], "d must be >= 1"),
             (["transitions"], "needs --model"),
             (["censor-path", "--model", "tilt", "--grid", "0:1"], "bad grid"),
+            (["sweep", "--metric", "finite_n_ratio", "--x", "p11", "--y", "p22",
+              "--N", "-1"], "N must be nonnegative"),
+            (["sweep", "--metric", "delta_fixed", "--x", "p11", "--y", "p22",
+              "--beta", "0.5"], "needs a signal model"),
+            (["sweep", "--metric", "delta_bayes", "--x", "p11", "--y", "p22",
+              "--pi", "1"], "pi must lie in (0, 1)"),
+            (["oracle", "welfare", "--model", "lunar", "--pi", "1"],
+             "pi must lie in (0, 1)"),
+            (["scenario", "coin", "--params", '{"bogus": 1}'],
+             "unexpected keyword argument 'bogus'"),
+            (["scenario", "coin", "--params", "[1]"], "must be a JSON object"),
+            (["scenario", "coin", "--params", '{"J": 2.5}'],
+             "J must be an integer"),
+            (["transitions", "--model", "tilt", "--lam", "1000"], "overflows"),
         ],
     )
     def test_bad_input_is_one_line_on_stderr(self, argv, message, capsys):

@@ -11,22 +11,32 @@ from belieflab import (
     PriorModel,
     PVector,
     TransitionKernel,
+    asymmetric_tilt_model,
+    batch,
+    bayes_params,
     censored_direction_matrix,
     censor_sensitivity,
     censored_transitions,
+    coin_model,
     decision_threshold,
+    evidence_table,
     expected_welfare,
     finite_n_distribution,
     general_stationary,
+    grid_argmax,
+    illusory_model,
     kernel_from_p,
     lunar_model,
     prior_exceed_prob,
+    regular_censoring_gain,
     simulate_chain,
     simulate_ladder,
     simulate_welfare,
     sweep,
     threshold_mass,
     tilt_model,
+    upper_tail,
+    welfare_at_threshold,
 )
 from belieflab.scenarios import autocorr_model
 from belieflab.welfare import ProblemSpec
@@ -44,9 +54,15 @@ def _welfare(model, N=5, beta=0.0, trials=10):
     )
 
 
-def _sweep(**kwargs):
+def _sweep(metric="delta_bayes", **kwargs):
     grid = dict(x="p11", x_values=[0.7], y="p22", y_values=[0.6])
-    return sweep("delta_bayes", **{**grid, **kwargs})
+    return sweep(metric, **{**grid, **kwargs})
+
+
+def _argmax(weight):
+    spec = ProblemSpec.correct_priors(0.5, 0.6, 2)
+    problems = [(tilt_model(1.0), spec, 1.0), (lunar_model(), spec, weight)]
+    return grid_argmax(problems, [0.0], [2.0])
 
 
 # case -> (call, pattern the ValueError message must match)
@@ -155,6 +171,91 @@ _BAD_INPUTS = {
     "ladder-continuous-model": (
         lambda: simulate_ladder(tilt_model(1.0), 2, 5, trials=10, seed=0),
         "three-state discrete model",
+    ),
+    "upper-tail-fractional-k": (
+        lambda: upper_tail(0.5, 2.0, 2), "k must be an integer"
+    ),
+    "threshold-welfare-fractional-k": (
+        lambda: welfare_at_threshold(0.5, PVector(0.7, 0.6), _SPEC),
+        "k must be an integer",
+    ),
+    "censoring-gain-fractional-k": (
+        lambda: regular_censoring_gain(PVector(0.7, 0.6), _SPEC, 0.5),
+        "k must be an integer",
+    ),
+    "argmax-nan-weight": (lambda: _argmax(math.nan), "weights must be finite"),
+    "argmax-inf-weight": (lambda: _argmax(math.inf), "weights must be finite"),
+    "argmax-negative-weight": (lambda: _argmax(-0.5), "nonnegative weights"),
+    "prior-exceed-nan-threshold": (
+        lambda: prior_exceed_prob(PriorModel(1.0, 0.5), math.nan),
+        "threshold t must be positive",
+    ),
+    "decision-threshold-nan-prior": (
+        lambda: decision_threshold(BeliefStrategy(2.0), math.nan, 1.5, 2),
+        "rho_tilde must be positive",
+    ),
+    "evidence-table-nan-beta": (
+        lambda: evidence_table(lunar_model(), beta=math.nan), "beta must be finite"
+    ),
+    "chain-fractional-trials": (
+        lambda: simulate_chain(kernel_from_p(0.7, 0.6), 1, 2, N=5, trials=2.5, seed=0),
+        "trials must be an integer",
+    ),
+    "ladder-fractional-trials": (
+        lambda: simulate_ladder(
+            autocorr_model(draws=6)[0], 2, 5, trials=2.5, seed=0
+        ),
+        "trials must be an integer",
+    ),
+    "bayes-params-zero-K": (
+        lambda: bayes_params(PVector(0.7, 0.6), 0), "K must be a positive integer"
+    ),
+    "bayes-params-fractional-K": (
+        lambda: bayes_params(PVector(0.7, 0.6), 2.5), "K must be a positive integer"
+    ),
+    "spec-pi-one-with-rho": (
+        lambda: ProblemSpec.noisy_priors(1.0, 0.6, 2, rho=1.0), "pi must lie in"
+    ),
+    "sweep-pi-one": (lambda: _sweep(pi=1.0), "pi must lie in"),
+    "sweep-nan-sigma": (lambda: _sweep(sigma_log=math.nan), "sigma_log must be finite"),
+    "sweep-negative-rho": (lambda: _sweep(rho=-1.0), "rho must be positive"),
+    "sweep-negative-N": (
+        lambda: _sweep("finite_n_ratio", N=-1), "N must be nonnegative"
+    ),
+    "sweep-fractional-N": (
+        lambda: _sweep("finite_n_ratio", N=2.5), "N must be an integer"
+    ),
+    "sweep-fixed-beta-without-model": (
+        lambda: _sweep("delta_fixed", beta=0.5), "needs a signal model"
+    ),
+    "sweep-beta-axis-without-model": (
+        lambda: _sweep(y="beta", y_values=[0.0, 0.5]), "needs a signal model"
+    ),
+    "sweep-negative-fixed-beta": (
+        lambda: _sweep(beta=-0.5, model=tilt_model(1.0)), "beta must be nonnegative"
+    ),
+    "sweep-nan-fixed-beta": (
+        lambda: _sweep(beta=math.nan, model=tilt_model(1.0)), "beta must be finite"
+    ),
+    "coin-fractional-J": (lambda: coin_model(0.7, 0.8, 2.5), "J must be an integer"),
+    "batch-fractional-J": (
+        lambda: batch(illusory_model(2.0, 0.1, 0.05), 2.5), "J must be an integer"
+    ),
+    "autocorr-fractional-draws": (
+        lambda: autocorr_model(draws=6.5), "draws must be an integer"
+    ),
+    "lunar-fractional-capacity": (
+        lambda: lunar_model(capacity=12.5), "capacity must be an integer"
+    ),
+    "lunar-fractional-cutoff": (
+        lambda: lunar_model(cutoff=40.5), "cutoff must be an integer"
+    ),
+    "lunar-fractional-ceiling": (
+        lambda: lunar_model(tension_ceiling=8.5), "tension_ceiling must be an integer"
+    ),
+    "tilt-overflowing-lam": (lambda: tilt_model(1000.0), "overflows"),
+    "asymmetric-tilt-overflowing-spike": (
+        lambda: asymmetric_tilt_model(spike=1000.0), "overflows"
     ),
 }
 

@@ -228,6 +228,19 @@ class TestEvidenceTable:
         flags = {row.outcome: row.processed for row in rows}
         assert flags == {"PC": True, "P~C": False, "~PC": False, "~P~C": False}
 
+    def test_rows_read_the_same_evidence_as_classify(self):
+        models = (
+            lunar_model(),
+            illusory_model(2.0, 0.1, 0.05),
+            coin_model(0.7, 0.8, 4),
+            autocorr_model(draws=6)[0],
+        )
+        for model in models:
+            for row in evidence_table(model, beta=0.2):
+                ev = classify(model, row.outcome)
+                assert (row.direction, row.strength) == (ev.direction, ev.strength)
+                assert row.processed == ev.processed(0.2)
+
     def test_full_censoring_detected_downstream(self):
         model, _ = autocorr_model(draws=6)
         with pytest.raises(FullyCensored):

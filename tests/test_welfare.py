@@ -455,6 +455,10 @@ class TestSweep:
         assert len(rows) == 2
         assert all(math.isfinite(r["value"]) for r in rows)
 
+    def test_delta_bayes_is_finite_where_the_powers_overflow(self):
+        rows = sweep("delta_bayes", "p11", [0.9], "p22", [0.9], K=400, sigma_log=0.5)
+        assert math.isfinite(rows[0]["value"])
+
     def test_missing_dynamics_turn_into_nan(self):
         rows = sweep("delta_bayes", "gamma", [0.5], "d", [2.0])
         assert math.isnan(rows[0]["value"])
