@@ -52,9 +52,14 @@ class PriorModel:
 
     @classmethod
     def from_probability(cls, pi: float, sigma_log: float = 0.0) -> "PriorModel":
-        if not 0.0 < pi < 1.0:
-            raise ValueError(f"pi must lie in (0, 1), got {pi!r}")
-        return cls(rho=pi / (1.0 - pi), sigma_log=sigma_log)
+        return cls(rho=_objective_odds(pi), sigma_log=sigma_log)
+
+
+def _objective_odds(pi: float) -> float:
+    """Odds pi / (1 - pi) of state 1 for a state frequency pi in (0, 1)."""
+    if not 0.0 < pi < 1.0:
+        raise ValueError(f"pi must lie in (0, 1), got {pi!r}")
+    return pi / (1.0 - pi)
 
 
 @dataclass(frozen=True)
@@ -121,12 +126,15 @@ def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:
 
     Returns -K when even the lowest state acts 1 and K + 1 when no state
     does. Indifference counts as acting 1 (the ">= Gamma" convention is used
-    everywhere). Requires d >= 1 so that posteriors rise with the state.
+    everywhere). Requires d >= 1 so that posteriors rise with the state,
+    and Gamma >= 0 (inf included: then no finite posterior acts).
     """
     if not strategy.d >= 1.0:
         raise ValueError("decision_threshold assumes d >= 1")
     if not rho_tilde > 0.0:
         raise ValueError(f"rho_tilde must be positive, got {rho_tilde!r}")
+    if not Gamma >= 0.0:
+        raise ValueError(f"Gamma must be nonnegative, got {Gamma!r}")
     for s in range(-K, K + 1):
         if posterior(strategy, rho_tilde, s) >= Gamma:
             return s

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import FullyCensored, PVector, TransitionKernel, _check_int
+from .signals import PVector, TransitionKernel, _check_int, _is_int
 
 __all__ = [
     "stationary",
@@ -28,7 +28,7 @@ __all__ = [
 
 
 def _check_k(K: int) -> None:
-    if not isinstance(K, (int, np.integer)) or K < 1:
+    if not _is_int(K) or K < 1:
         raise ValueError(f"K must be a positive integer, got {K!r}")
 
 
@@ -41,25 +41,17 @@ def _check_n(N: int) -> None:
 def stationary(r: float, K: int) -> np.ndarray:
     """Long-run state distribution of the chain with up/down odds r.
 
-    probs(s) is proportional to r**s for s in -K..K. The sentinels r = inf
-    and r = 0 give point masses at +K and -K (one-sided dynamics are legal
-    and flow through the welfare analysis unchanged).
+    probs(s) is proportional to r**s for s in -K..K. The power is anchored
+    at its largest term r**0, so extreme r cannot overflow and the sentinels
+    r = inf and r = 0 (either sign) give exact point masses at +K and -K
+    (one-sided dynamics are legal and flow through the welfare analysis
+    unchanged).
     """
     _check_k(K)
-    n = 2 * K + 1
-    if r == math.inf:
-        out = np.zeros(n)
-        out[-1] = 1.0
-        return out
-    if r == 0.0:
-        out = np.zeros(n)
-        out[0] = 1.0
-        return out
-    if not r > 0.0:
+    if not r >= 0.0:
         raise ValueError(f"r must be positive (or the 0/inf sentinel), got {r!r}")
     s = np.arange(-K, K + 1, dtype=float)
-    # anchor the largest power at r**0 so extreme r cannot overflow
-    w = r ** (s - K) if r >= 1.0 else r ** (s + K)
+    w = r ** (s - K) if r >= 1.0 else abs(r) ** (s + K)
     return w / w.sum()
 
 
@@ -76,68 +68,54 @@ def upper_tail(k: int, r: float, K: int) -> float:
 
 def kernel_from_p(p11: float, p22: float) -> TransitionKernel:
     """Kernel with no stay probability, moving by (p11, p22) per signal."""
-    return TransitionKernel(
-        up=(p11, 1.0 - p22), down=(1.0 - p11, p22), stay=(0.0, 0.0)
-    )
+    p = PVector(p11, p22)
+    return TransitionKernel(*zip(p.column(1), p.column(2)))
 
 
 def finite_n_distribution(
-    q: TransitionKernel,
-    theta: int,
-    K: int,
-    N: int,
-    processed_only: bool = False,
+    q: TransitionKernel | PVector, theta: int, K: int, N: int
 ) -> np.ndarray:
     """Exact state distribution after N signals, starting from state 0.
 
-    Evolves the probability vector directly (no sampling). With
-    ``processed_only`` the stay probability is dropped and the move
-    probabilities rescaled, so N counts processed signals rather than raw
-    ones.
+    The law is row K of the N-th power of the chain's transition matrix (no
+    sampling). Under a kernel N counts raw signals, a censored one leaving
+    the state alone; under its processed-signal chain
+    ``conditional_dynamics(q)`` N counts processed signals only.
     """
     _check_k(K)
-    _check_n(N)
-    return _evolve(*q.column(theta), theta, K, N, processed_only)
+    _check_n(N)  # before the power: a negative N would invert the matrix
+    up, down, stay = q.column(theta)
+    P = _move_matrix(_birth_death_table(K), (stay, up, down))
+    return np.linalg.matrix_power(P, N)[K]
 
 
-def _evolve(up, down, stay, theta, K, N, processed_only) -> np.ndarray:
-    if processed_only:
-        total = up + down
-        if total <= 0.0:
-            raise FullyCensored(theta)
-        up, down, stay = up / total, down / total, 0.0
-    v = np.zeros(2 * K + 1)
-    v[K] = 1.0
-    for _ in range(N):
-        nxt = stay * v
-        nxt[1:] += up * v[:-1]
-        nxt[:-1] += down * v[1:]
-        nxt[-1] += up * v[-1]  # blocked up move at +K
-        nxt[0] += down * v[0]  # blocked down move at -K
-        v = nxt
-    return v
+def _birth_death_table(K: int) -> np.ndarray:
+    """Next state on -K..K (stored from 0) for directions (stay, up, down)."""
+    i = np.arange(2 * K + 1)
+    return np.stack([i, np.minimum(i + 1, 2 * K), np.maximum(i - 1, 0)], axis=1)
 
 
-def _laws(q, K, N=None, processed_only=False) -> np.ndarray:
+def _move_matrix(table: np.ndarray, pvals) -> np.ndarray:
+    """Transition matrix taking column j of a move table with probability pvals[j]."""
+    states = np.arange(table.shape[0])
+    P = np.zeros((states.size, states.size))
+    for targets, prob in zip(table.T, pvals):  # one target per state, in order
+        P[states, targets] += prob
+    return P
+
+
+def _laws(q, K, N=None) -> np.ndarray:
     """Laws of the mental state under theta = 1, 2 for a kernel or a PVector.
 
-    Rows are long-run laws (N=None; a silenced state parks the chain at 0)
-    or laws after N signals. A PVector has odds r1, r2 and no stay mass.
+    Both are read through their (up, down, stay) columns. Rows are long-run
+    laws (N=None; a silenced state parks the chain at 0) or laws after N
+    signals.
     """
-    if isinstance(q, PVector):
-        if N is None:
-            return np.array([stationary(q.r1, K), stationary(q.r2, K)])
-        columns = [(q.p11, 1.0 - q.p11, 0.0), (1.0 - q.p22, q.p22, 0.0)]
-    else:
-        columns = [q.column(1), q.column(2)]
-    _check_k(K)
     if N is not None:
-        _check_n(N)
-        return np.array(
-            [_evolve(*c, t, K, N, processed_only) for t, c in enumerate(columns, 1)]
-        )
+        return np.array([finite_n_distribution(q, t, K, N) for t in (1, 2)])
+    _check_k(K)
     laws = []
-    for up, down, _ in columns:
+    for up, down, _ in (q.column(1), q.column(2)):
         if up + down > 0.0:
             laws.append(stationary(up / down if down > 0.0 else math.inf, K))
         else:
@@ -197,12 +175,7 @@ def ladder_transition(p3: np.ndarray, K: int, theta: int) -> np.ndarray:
         raise ValueError("p3 columns must be probability vectors summing to 1")
     if theta not in (1, 2, 3):
         raise ValueError(f"theta must be 1, 2 or 3, got {theta}")
-    table = _ladder_move_table(K)
-    states = np.arange(3 * K + 1)
-    P = np.zeros((states.size, states.size))
-    for i in (1, 2, 3):  # one target per state and direction, added in order
-        P[states, table[:, i]] += p3[i - 1, theta - 1]
-    return P
+    return _move_matrix(_ladder_move_table(K)[:, 1:], p3[:, theta - 1])
 
 
 def general_stationary(

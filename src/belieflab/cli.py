@@ -31,6 +31,7 @@ from .beliefs import BeliefStrategy, bayes_params
 from .chain import kernel_from_p, stationary
 from .signals import (
     PVector,
+    _build_model,
     censor_path,
     censored_transitions,
     conditional_dynamics,
@@ -93,12 +94,7 @@ def _emit_csv(out: str | None, header: list[str], rows: list[list]) -> None:
 def _named_model(name: str, overrides: dict):
     """The model ``scenarios.MODELS`` lists under name, defaults overridden."""
     build, defaults = sc.MODELS[name]
-    if not isinstance(overrides, dict):
-        raise ValueError(f"params must be a JSON object, got {overrides!r}")
-    try:
-        return build(**{**defaults, **overrides})
-    except TypeError as err:  # an unknown or mistyped constructor parameter
-        raise ValueError(f"bad params for model {name!r}: {err}") from None
+    return _build_model(name, build, overrides, defaults)
 
 
 def _resolve_model(args):

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _check_k, _check_n, _ladder_move_table
+from .chain import _birth_death_table, _check_k, _check_n, _ladder_move_table
 from .signals import (
     ContinuousSignalModel,
     DiscreteSignalModel,
-    FullyCensored,
+    PVector,
     TransitionKernel,
     _check_beta,
     _check_int,
@@ -81,20 +81,13 @@ def _walk(table, dirs, pvals, start: int, trials: int, N: int, rng) -> np.ndarra
     return counts
 
 
-def _birth_death_table(K: int) -> np.ndarray:
-    """Next state on -K..K (stored from 0) for directions (stay, up, down)."""
-    i = np.arange(2 * K + 1)
-    return np.stack([i, np.minimum(i + 1, 2 * K), np.maximum(i - 1, 0)], axis=1)
-
-
 def simulate_chain(
-    q: TransitionKernel,
+    q: TransitionKernel | PVector,
     theta: int,
     K: int,
     N: int,
     trials: int,
     seed: int,
-    processed_only: bool = False,
 ) -> ChainEstimate:
     """Empirical state distribution after N steps over independent walks.
 
@@ -102,8 +95,9 @@ def simulate_chain(
     step splits the walkers in every state over the outcomes (up, down,
     stay) with one multinomial draw. That is distributionally identical to
     tracking the trials one by one and keeps a million trials over a
-    thousand steps in milliseconds. ``processed_only`` is as in
-    ``finite_n_distribution``.
+    thousand steps in milliseconds. As in ``finite_n_distribution``, N
+    counts raw signals under a kernel and processed signals under its
+    processed-signal chain ``conditional_dynamics(q)``.
     """
     _check_int(trials=trials)
     if trials < 1:
@@ -112,11 +106,6 @@ def simulate_chain(
     _check_n(N)
     rng = np.random.default_rng(seed)
     up, down, stay = q.column(theta)
-    if processed_only:
-        total = up + down
-        if total <= 0:
-            raise FullyCensored(theta)
-        up, down, stay = up / total, down / total, 0.0
     counts = _walk(
         _birth_death_table(K), np.array([1, 2, 0]), np.array([up, down, stay]),
         K, trials, N, rng,

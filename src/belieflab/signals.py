@@ -61,10 +61,14 @@ def _check_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer))
+
+
 def _check_int(**values) -> None:
     """Raise ValueError naming the first argument that is no (numpy) integer."""
     for name, value in values.items():
-        if not isinstance(value, (int, np.integer)):
+        if not _is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
@@ -146,6 +150,14 @@ class PVector:
         for name, v in (("p11", self.p11), ("p22", self.p22)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v!r} outside [0, 1]")
+
+    def column(self, theta: int) -> tuple[float, float, float]:
+        """(up, down, stay) probabilities for underlying state ``theta``."""
+        if theta not in (1, 2):
+            raise ValueError(f"theta must be 1 or 2, got {theta}")
+        if theta == 1:
+            return self.p11, 1.0 - self.p11, 0.0
+        return 1.0 - self.p22, self.p22, 0.0
 
     @property
     def r1(self) -> float:
@@ -670,28 +682,50 @@ _FAMILIES = {
 }
 
 
+def _build_model(name: str, build: Callable, params, defaults: Mapping):
+    """``build(**defaults, **params)``, with bad ``params`` as a ValueError.
+
+    ``params`` must be a mapping; a key the constructor does not take, or a
+    value of the wrong type, makes it raise TypeError, reported here as a
+    ValueError that names the model.
+    """
+    if not isinstance(params, Mapping):
+        raise ValueError(f"params must be a JSON object, got {params!r}")
+    try:
+        return build(**{**defaults, **params})
+    except TypeError as err:
+        raise ValueError(f"bad params for model {name!r}: {err}") from None
+
+
 def model_from_config(doc: Mapping) -> ContinuousSignalModel | DiscreteSignalModel:
     """Build a model from a JSON-style mapping.
 
     Continuous: ``{"family": "tilt", "params": {"lam": 1.0}}``.
     Discrete: ``{"theta_count": 2, "outcomes": [...],
-    "probs": {"1": [...], "2": [...]}}``.
+    "probs": {"1": [...], "2": [...]}}``. A document without the keys its
+    kind needs, or with bad params, raises ValueError.
     """
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"a model document must be a JSON object, got {doc!r}")
     if "family" in doc:
         name = doc["family"]
         if name not in _FAMILIES:
             raise ValueError(
                 f"unknown family {name!r}; known: {sorted(_FAMILIES)}"
             )
-        return _FAMILIES[name](**doc.get("params", {}))
+        return _build_model(name, _FAMILIES[name], doc.get("params", {}), {})
     theta_count = int(doc.get("theta_count", 2))
-    outcomes = [str(o) for o in doc["outcomes"]]
-    probs = np.array(
-        [doc["probs"][str(theta)] for theta in range(1, theta_count + 1)],
-        dtype=float,
-    )
+    probs = doc.get("probs")
+    if "outcomes" not in doc or not isinstance(probs, Mapping):
+        raise ValueError("a discrete model document needs 'outcomes' and 'probs'")
+    states = [str(theta) for theta in range(1, theta_count + 1)]
+    for theta in states:
+        if theta not in probs:
+            raise ValueError(f"'probs' has no row for state {theta}")
     return DiscreteSignalModel(
-        outcomes=tuple(outcomes), probs=probs, theta_count=theta_count
+        outcomes=tuple(str(o) for o in doc["outcomes"]),
+        probs=np.array([probs[theta] for theta in states], dtype=float),
+        theta_count=theta_count,
     )
 
 

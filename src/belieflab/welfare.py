@@ -25,6 +25,7 @@ from .beliefs import (
     PriorModel,
     Stakes,
     _act_probabilities,
+    _objective_odds,
     bayes_params,
     prior_exceed_prob,
 )
@@ -74,8 +75,7 @@ class ProblemSpec:
     K: int
 
     def __post_init__(self):
-        if not 0.0 < self.pi < 1.0:
-            raise ValueError(f"pi must lie in (0, 1), got {self.pi!r}")
+        object.__setattr__(self, "_rho", _objective_odds(self.pi))
         object.__setattr__(self, "_stakes", Stakes(self.gamma))
         _check_k(self.K)
 
@@ -97,7 +97,7 @@ class ProblemSpec:
 
     @property
     def rho(self) -> float:
-        return self.pi / (1.0 - self.pi)
+        return self._rho
 
     @property
     def Gamma(self) -> float:
@@ -208,16 +208,26 @@ class DeltaFixed:
 
 
 def delta_fixed(p: PVector, spec: ProblemSpec, d: float) -> DeltaFixed:
-    if not d > 1.0:
-        raise ValueError("delta_fixed assumes d > 1")
+    strategy = _power_rule(d, "delta_fixed")
     phis = _laws(p, spec.K)
-    act = _act(spec, BeliefStrategy(d=d, lam=1.0))
+    act = _act(spec, strategy)
     under, _ = baseline_welfare(spec)
     w1, w2 = spec.weights
     psi = w1 * phis[0] - w2 * phis[1]
     j = act - prior_exceed_prob(spec.prior, spec.Gamma)
     direct = _combine(spec, phis, act) - under
     return DeltaFixed(direct=direct, decomposed=float(psi @ j), psi=psi, j=j)
+
+
+def _power_rule(d: float, metric: str) -> BeliefStrategy:
+    """The rule of power d and lam 1 that ``metric`` evaluates.
+
+    Raises ValueError for a d outside the metric's domain: d > 1 for
+    delta_fixed, a finite d >= 1 for the other metrics that read d.
+    """
+    if metric == "delta_fixed" and not d > 1.0:
+        raise ValueError("delta_fixed assumes d > 1")
+    return BeliefStrategy(d=d, lam=1.0)
 
 
 def in_B(p: PVector, spec: ProblemSpec) -> bool:
@@ -358,10 +368,9 @@ def finite_n_welfare(
     spec: ProblemSpec,
     strategy,
     N: int,
-    processed_only: bool = False,
 ) -> float:
     """Welfare when the decision is taken after only N signals."""
-    phis = _laws(p_or_q, spec.K, N, processed_only)
+    phis = _laws(p_or_q, spec.K, N)
     return _combine(spec, phis, _act(spec, strategy))
 
 
@@ -565,9 +574,10 @@ def sweep(
     censoring, otherwise the dynamics are (p11, p22) directly. The outer
     loop runs over y, the inner over x, so rows come out row-major with x
     varying fastest. Inputs that hold for every cell (the problem, a fixed
-    beta, a beta without a model, N for finite_n_ratio) are checked once and
-    raise ValueError; cells whose evaluation is undefined (no dynamics,
-    fully censored, degenerate) carry value NaN.
+    beta, a beta without a model, N for finite_n_ratio, a fixed d for the
+    metrics that read it) are checked once and raise ValueError; cells
+    whose evaluation is undefined (no dynamics, fully censored, degenerate,
+    a d axis value outside the metric's domain) carry value NaN.
     """
     if metric not in SWEEP_METRICS:
         raise ValueError(
@@ -582,6 +592,8 @@ def sweep(
         raise ValueError("a beta axis or a fixed beta needs a signal model")
     if metric == "finite_n_ratio":
         _check_n(N)
+    if metric in ("delta_fixed", "censor_gain", "finite_n_ratio") and "d" not in (x, y):
+        _power_rule(d, metric)
     fn = SWEEP_METRICS[metric]
     base = {
         "p11": p11,

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belieflab import (
-    FullyCensored,
     TransitionKernel,
+    conditional_dynamics,
     finite_n_distribution,
     general_stationary,
     kernel_from_p,
@@ -16,6 +16,7 @@ from belieflab import (
     stationary,
     upper_tail,
 )
+from belieflab.chain import _ladder_move_table, _laws
 
 
 class TestStationary:
@@ -36,6 +37,15 @@ class TestStationary:
     def test_sentinels(self):
         np.testing.assert_array_equal(stationary(math.inf, 3), [0, 0, 0, 0, 0, 0, 1])
         np.testing.assert_array_equal(stationary(0.0, 3), [1, 0, 0, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_sentinels_are_exact_point_masses(self, K):
+        # the anchored power alone gives them: inf**0 = 0**0 = 1, all else 0
+        top, bottom = np.zeros(2 * K + 1), np.zeros(2 * K + 1)
+        top[-1] = bottom[0] = 1.0
+        np.testing.assert_array_equal(stationary(math.inf, K), top)
+        np.testing.assert_array_equal(stationary(0.0, K), bottom)
+        assert not np.signbit(stationary(-0.0, K)).any()  # no "-0" in output
 
     def test_extreme_odds_stay_normalized(self):
         probs = stationary(1e12, 5)
@@ -107,16 +117,71 @@ class TestFiniteN:
             probs = finite_n_distribution(q, theta, 3, 2000)
             assert np.abs(probs - stationary(r, 3)).sum() < 1e-9
 
-    def test_processed_only_rescales(self):
+    def test_processed_signal_chain_is_conditional_dynamics(self):
         q = TransitionKernel(up=(0.4, 0.2), down=(0.1, 0.3), stay=(0.5, 0.5))
-        got = finite_n_distribution(q, 1, 2, 7, processed_only=True)
+        got = finite_n_distribution(conditional_dynamics(q), 1, 2, 7)
         ref = finite_n_distribution(kernel_from_p(0.8, 0.6), 1, 2, 7)
         np.testing.assert_allclose(got, ref, atol=1e-15)
 
-    def test_processed_only_needs_processing(self):
-        q = TransitionKernel(up=(0.0, 0.2), down=(0.0, 0.3), stay=(1.0, 0.5))
-        with pytest.raises(FullyCensored):
-            finite_n_distribution(q, 1, 2, 5, processed_only=True)
+
+def _step_loop_law(up, down, stay, K, N):
+    """Reference: evolve the probability vector one signal at a time."""
+    v = np.zeros(2 * K + 1)
+    v[K] = 1.0
+    for _ in range(N):
+        nxt = stay * v
+        nxt[1:] += up * v[:-1]
+        nxt[:-1] += down * v[1:]
+        nxt[-1] += up * v[-1]  # blocked up move at +K
+        nxt[0] += down * v[0]  # blocked down move at -K
+        v = nxt
+    return v
+
+
+# (up, down, stay) columns: stay mass, one-sided, near-one-sided, silenced
+_COLUMNS = [
+    (0.45, 0.25, 0.3),
+    (0.2, 0.5, 0.3),
+    (1.0, 0.0, 0.0),
+    (0.999, 0.001, 0.0),
+    (0.0, 0.0, 1.0),
+    (0.3, 0.7, 0.0),
+]
+
+
+@pytest.mark.parametrize("K", range(1, 9))
+def test_matrix_power_laws_match_the_step_loop(K):
+    for (u1, d1, s1), (u2, d2, s2) in zip(_COLUMNS, _COLUMNS[::-1]):
+        q = TransitionKernel(up=(u1, u2), down=(d1, d2), stay=(s1, s2))
+        for N in (0, 1, 2, 7, 20, 200, 1000, 2000):
+            laws = _laws(q, K, N)
+            for theta, column in ((1, (u1, d1, s1)), (2, (u2, d2, s2))):
+                got = finite_n_distribution(q, theta, K, N)
+                ref = _step_loop_law(*column, K, N)
+                assert np.abs(got - ref).max() <= 1e-12, (column, N)
+                np.testing.assert_array_equal(laws[theta - 1], got)
+
+
+def _scatter(p3, K, theta):
+    """Reference: add each direction's probability to its target, in order."""
+    table = _ladder_move_table(K)
+    states = np.arange(3 * K + 1)
+    P = np.zeros((states.size, states.size))
+    for i in (1, 2, 3):
+        P[states, table[:, i]] += p3[i - 1, theta - 1]
+    return P
+
+
+@pytest.mark.parametrize("K", range(1, 5))
+def test_ladder_transition_is_the_scatter_bit_for_bit(K):
+    rng = np.random.default_rng(K)
+    p3s = [np.eye(3), np.full((3, 3), 1.0 / 3.0)]
+    p3s += [rng.dirichlet(np.ones(3), size=3).T for _ in range(5)]
+    for p3 in p3s:
+        for theta in (1, 2, 3):
+            np.testing.assert_array_equal(
+                ladder_transition(p3, K, theta), _scatter(p3, K, theta)
+            )
 
 
 class TestLadder:

@@ -437,6 +437,10 @@ class TestErrors:
             (["scenario", "coin", "--params", '{"J": 2.5}'],
              "J must be an integer"),
             (["transitions", "--model", "tilt", "--lam", "1000"], "overflows"),
+            (["sweep", "--metric", "delta_fixed", "--x", "p11", "--y", "p22",
+              "--d", "0.5"], "delta_fixed assumes d > 1"),
+            (["sweep", "--metric", "finite_n_ratio", "--x", "p11", "--y", "p22",
+              "--d", "0.5"], "d must be >= 1"),
         ],
     )
     def test_bad_input_is_one_line_on_stderr(self, argv, message, capsys):
@@ -444,6 +448,27 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"belieflab {argv[0]}")
+        assert captured.err.count("\n") == 1 and message in captured.err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"family": "tilt", "params": {"bogus": 1}},
+             "unexpected keyword argument 'bogus'"),
+            ({"family": "tilt", "params": [1]}, "must be a JSON object"),
+            ([1], "must be a JSON object"),
+            ({"probs": {"1": [1.0], "2": [1.0]}}, "needs 'outcomes'"),
+            ({"outcomes": ["a", "b"], "probs": {"1": [0.6, 0.4]}},
+             "no row for state 2"),
+        ],
+    )
+    def test_bad_model_file_is_one_line_on_stderr(self, doc, message, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["transitions", "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("belieflab transitions")
         assert captured.err.count("\n") == 1 and message in captured.err
 
 
@@ -549,7 +574,7 @@ _GOLDEN_DIGESTS = {
     "sweep-delta_bayes": "512879b646db860bcc4e1bf965755e5ea269b99c8755fe01a71760ec3706b7c1",
     "sweep-delta_fixed": "4e1a86053a1642b573f142f212737e9f114acf559b2aa61efdc1995e88feb41f",
     "sweep-censor_gain": "9f56eeb84bedcd1612c74068298245454a5276c8c9a98fba2a06596d210b9c6d",
-    "sweep-finite_n_ratio": "f556d4f260977acc197340fdfb1d8bcd4fcb54fb245edcb8b9659718753d4fd6",
+    "sweep-finite_n_ratio": "1fa9d7f4e94d8889815319672ff6d6e6752ed5d6dd76ce32d6430eeb5c783aa9",
     "sweep-lambda_bar": "32306a3dc861152ba861c4045852a2f9f5455f7b5c7657201be38591c06a166d",
     "sweep-in_B": "9a6dc7815400c623eb2ba58057d6e3ebf811e9dab963c2f77e5b7dd80c59c6b2",
     "sweep-regularity": "72f4b69fb6eabec5a049bc52f8eb68b6613e4ebf618e59ae4baa4791027e4fa3",

@@ -27,6 +27,7 @@ from belieflab import (
     illusory_model,
     kernel_from_p,
     lunar_model,
+    model_from_config,
     prior_exceed_prob,
     regular_censoring_gain,
     simulate_chain,
@@ -108,13 +109,6 @@ _BAD_INPUTS = {
         lambda: simulate_chain(kernel_from_p(0.7, 0.6), 1, 0, N=5, trials=10, seed=0),
         "K must be a positive integer",
     ),
-    "chain-processed-only-fully-censored": (
-        lambda: simulate_chain(
-            TransitionKernel(up=(0.5, 0.0), down=(0.5, 0.0), stay=(0.0, 1.0)),
-            2, 2, N=5, trials=10, seed=0, processed_only=True,
-        ),
-        "fully censored under state theta=2",
-    ),
     "ladder-negative-N": (lambda: _ladder(N=-1), "N must be nonnegative"),
     "ladder-nan-beta": (lambda: _ladder(beta=math.nan), "beta must be finite"),
     "ladder-negative-beta": (lambda: _ladder(beta=-1.0), "beta must be nonnegative"),
@@ -194,6 +188,35 @@ _BAD_INPUTS = {
         lambda: decision_threshold(BeliefStrategy(2.0), math.nan, 1.5, 2),
         "rho_tilde must be positive",
     ),
+    "decision-threshold-nan-gamma": (
+        lambda: decision_threshold(BeliefStrategy(2.0), 1.0, math.nan, 2),
+        "Gamma must be nonnegative",
+    ),
+    "decision-threshold-negative-gamma": (
+        lambda: decision_threshold(BeliefStrategy(2.0), 1.0, -1.0, 2),
+        "Gamma must be nonnegative",
+    ),
+    "model-doc-unknown-param": (
+        lambda: model_from_config({"family": "tilt", "params": {"bogus": 1}}),
+        "bad params for model 'tilt'.*unexpected keyword argument 'bogus'",
+    ),
+    "model-doc-params-not-object": (
+        lambda: model_from_config({"family": "tilt", "params": [1]}),
+        "params must be a JSON object",
+    ),
+    "model-doc-not-object": (
+        lambda: model_from_config([1]), "model document must be a JSON object"
+    ),
+    "model-doc-no-outcomes": (
+        lambda: model_from_config({"probs": {"1": [1.0], "2": [1.0]}}),
+        "needs 'outcomes' and 'probs'",
+    ),
+    "model-doc-missing-probs-row": (
+        lambda: model_from_config(
+            {"outcomes": ["a", "b"], "probs": {"1": [0.6, 0.4]}}
+        ),
+        "'probs' has no row for state 2",
+    ),
     "evidence-table-nan-beta": (
         lambda: evidence_table(lunar_model(), beta=math.nan), "beta must be finite"
     ),
@@ -236,6 +259,15 @@ _BAD_INPUTS = {
     ),
     "sweep-nan-fixed-beta": (
         lambda: _sweep(beta=math.nan, model=tilt_model(1.0)), "beta must be finite"
+    ),
+    "sweep-delta-fixed-fixed-d-one": (
+        lambda: _sweep("delta_fixed", d=1.0), "delta_fixed assumes d > 1"
+    ),
+    "sweep-censor-gain-fixed-d-below-one": (
+        lambda: _sweep("censor_gain", d=0.5), "d must be >= 1"
+    ),
+    "sweep-finite-n-ratio-nan-d": (
+        lambda: _sweep("finite_n_ratio", d=math.nan), "d must be >= 1"
     ),
     "coin-fractional-J": (lambda: coin_model(0.7, 0.8, 2.5), "J must be an integer"),
     "batch-fractional-J": (
@@ -305,6 +337,15 @@ def test_sweep_is_total_for_huge_power(metric):
 def test_decision_threshold_is_total_for_huge_power():
     # d**2 overflows: the posterior is inf, which clears even an infinite bar
     assert decision_threshold(BeliefStrategy(_HUGE_D), 1.0, math.inf, 2) == 2
+
+
+def test_a_d_axis_keeps_per_cell_nan():
+    rows = sweep("delta_fixed", "p11", [0.7], "d", [1.0, 2.0], p22=0.6)
+    assert math.isnan(rows[0]["value"]) and math.isfinite(rows[1]["value"])
+
+
+def test_a_metric_that_ignores_d_does_not_check_it():
+    assert _sweep("delta_bayes", d=0.5) == _sweep("delta_bayes")
 
 
 def test_sweep_lambda_bar_overflow_is_a_nan_cell():

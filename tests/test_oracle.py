@@ -5,6 +5,7 @@ from belieflab import (
     BeliefStrategy,
     DiscreteSignalModel,
     PVector,
+    TransitionKernel,
     autocorr_model,
     censored_direction_matrix,
     censored_transitions,
@@ -30,6 +31,14 @@ class TestSimulateChain:
         q = kernel_from_p(1.0, 1.0)
         est = simulate_chain(q, 1, 2, N=5, trials=1000, seed=0)
         np.testing.assert_array_equal(est.probs, [0, 0, 0, 0, 1.0])
+
+    def test_processed_signal_chain_walks_like_its_kernel(self):
+        q = TransitionKernel(up=(0.4, 0.2), down=(0.1, 0.3), stay=(0.5, 0.5))
+        p = conditional_dynamics(q)
+        q2 = kernel_from_p(p.p11, p.p22)
+        a = simulate_chain(p, 2, 2, N=30, trials=20_000, seed=11)
+        b = simulate_chain(q2, 2, 2, N=30, trials=20_000, seed=11)
+        np.testing.assert_array_equal(a.probs, b.probs)
 
     def test_total_variation_to_stationary(self):
         q = kernel_from_p(0.8, 0.8)
