@@ -158,15 +158,12 @@ def prior_exceed_prob(prior: PriorModel, t: float) -> float:
 def _act_probabilities(prior: PriorModel, strategy, Gamma: float, K: int) -> np.ndarray:
     """Pr(posterior >= Gamma | mental state s) over prior noise, s = -K..K.
 
-    A shift lam * d**s that overflows or underflows acts 1 or 0 outright.
+    The shift lam * d**s is the posterior at prior odds 1; one that
+    overflows or underflows acts 1 or 0 outright.
     """
-    d, lam = strategy.d, strategy.lam
     out = np.empty(2 * K + 1)
     for i, s in enumerate(range(-K, K + 1)):
-        try:
-            shift = lam * d**s
-        except OverflowError:
-            shift = math.inf
+        shift = posterior(strategy, 1.0, s)
         t = Gamma / shift if shift not in (0.0, math.inf) else (
             math.inf if shift == 0.0 else 0.0
         )

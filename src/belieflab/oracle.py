@@ -120,8 +120,10 @@ def _final_states(
 ) -> np.ndarray:
     """Mental states of n independent agents after N raw signals.
 
-    Discrete models walk the agents jointly through their occupancy counts
-    and return the states sorted; continuous models sample every signal.
+    Both read the birth-death move table: discrete models walk the agents
+    jointly through their occupancy counts and return the states sorted;
+    continuous models sample every signal and move each agent by its
+    direction code (0 stay or censored, 1 up, 2 down).
     """
     if isinstance(model, DiscreteSignalModel):
         if model.theta_count != 2:
@@ -135,15 +137,16 @@ def _final_states(
         raise TypeError(f"unsupported model type {type(model)!r}")
     if model.sampler is None:
         raise ValueError("continuous model has no sampler attached")
-    s = np.zeros(n, dtype=np.int64)
+    # flat, as one take beats [s, code]: state s moves by code c to entry 3s + c
+    table, s = _birth_death_table(K).ravel(), np.full(n, K)
     for _ in range(N):
         x = model.sampler(rng, theta, n)
         ratio = model.likelihood_ratio(x)
         for1 = ratio >= 1.0
         strength = np.where(for1, ratio, 1.0 / ratio)
-        step = np.where(strength >= 1.0 + beta, np.where(for1, 1, -1), 0)
-        s = np.clip(s + step, -K, K)
-    return s
+        code = np.where(strength >= 1.0 + beta, np.where(for1, 1, 2), 0)
+        s = table.take(3 * s + code)
+    return s - K
 
 
 def simulate_welfare(

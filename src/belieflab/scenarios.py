@@ -125,28 +125,19 @@ def lunar_model(
     labels = []
     columns = []
     for moon in (0, 1):
-        for tension in range(0, tension_ceiling + 1):
-            labels.append(f"{tension},{moon}")
-            col = []
-            for theta in (1, 2):
-                rate = rates[(theta, moon)]
-                if tension == 0:
-                    mass = _poisson_cdf(rate, capacity)
-                else:
-                    mass = _poisson_pmf(rate, capacity + tension)
-                col.append(moon_prob[moon] * mass)
-            columns.append(col)
+        labels += [f"{tension},{moon}" for tension in range(tension_ceiling + 1)]
         if tension_ceiling < max_tension:
             labels.append(f"{tension_ceiling + 1}+,{moon}")
-            col = []
-            for theta in (1, 2):
-                rate = rates[(theta, moon)]
-                mass = math.fsum(
-                    _poisson_pmf(rate, capacity + t)
-                    for t in range(tension_ceiling + 1, max_tension + 1)
-                )
-                col.append(moon_prob[moon] * mass)
-            columns.append(col)
+        masses = []
+        for theta in (1, 2):
+            rate = rates[(theta, moon)]
+            tail = [_poisson_pmf(rate, capacity + t) for t in range(1, max_tension + 1)]
+            # tension 0, tensions 1..ceiling, then the pooled bucket if any
+            col = [_poisson_cdf(rate, capacity), *tail[:tension_ceiling]]
+            if tension_ceiling < max_tension:
+                col.append(math.fsum(tail[tension_ceiling:]))
+            masses.append([moon_prob[moon] * mass for mass in col])
+        columns += zip(*masses)
     probs = np.array(columns, dtype=float).T
     probs /= probs.sum(axis=1, keepdims=True)  # drop the truncated tail
     return DiscreteSignalModel(outcomes=tuple(labels), probs=probs, theta_count=2)
@@ -213,6 +204,14 @@ def illusory_model(alpha: float, r: float, q: float) -> DiscreteSignalModel:
 # coin framing
 
 
+def _binomial_rows(n: int, pairs) -> np.ndarray:
+    """One row per (a, b): comb(n, k) * a**k * b**(n - k) for k = 0..n."""
+    return np.array(
+        [[math.comb(n, k) * a**k * b ** (n - k) for k in range(n + 1)]
+         for a, b in pairs]
+    )
+
+
 def coin_model(alpha1: float, alpha2: float, J: int = 1) -> DiscreteSignalModel:
     """Tail-count of J coin flips under two candidate tail biases.
 
@@ -227,12 +226,7 @@ def coin_model(alpha1: float, alpha2: float, J: int = 1) -> DiscreteSignalModel:
     if J < 1:
         raise ValueError("J must be a positive integer")
     labels = tuple(str(k) for k in range(J + 1))
-    probs = np.array(
-        [
-            [math.comb(J, k) * a**k * (1.0 - a) ** (J - k) for k in range(J + 1)]
-            for a in (alpha1, alpha2)
-        ]
-    )
+    probs = _binomial_rows(J, [(a, 1.0 - a) for a in (alpha1, alpha2)])
     return DiscreteSignalModel(
         outcomes=labels,
         probs=probs,
@@ -272,12 +266,7 @@ def autocorr_model(
         raise ValueError("rho_set must be three probabilities in (0, 1)")
     T = draws - 1
     labels = tuple(str(n) for n in range(T + 1))
-    probs = np.array(
-        [
-            [math.comb(T, n) * (1.0 - rho) ** n * rho ** (T - n) for n in range(T + 1)]
-            for rho in rho_set
-        ]
-    )
+    probs = _binomial_rows(T, [(1.0 - rho, rho) for rho in rho_set])
     model = DiscreteSignalModel(outcomes=labels, probs=probs, theta_count=3)
     # per-sequence likelihood ratios equal per-count ratios (the sequence
     # multiplicity comb(T, n) cancels), so the evidence read off the counts

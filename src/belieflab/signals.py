@@ -72,6 +72,15 @@ def _check_int(**values) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _pick(theta: int, first, second):
+    """``first`` under state 1, ``second`` under state 2."""
+    if theta == 1:
+        return first
+    if theta == 2:
+        return second
+    raise ValueError(f"theta must be 1 or 2, got {theta}")
+
+
 def _check_beta(beta: float) -> None:
     _check_finite(beta=beta)
     if beta < 0:
@@ -127,10 +136,7 @@ class TransitionKernel:
 
     def column(self, theta: int) -> tuple[float, float, float]:
         """(up, down, stay) probabilities for underlying state ``theta``."""
-        if theta not in (1, 2):
-            raise ValueError(f"theta must be 1 or 2, got {theta}")
-        i = theta - 1
-        return self.up[i], self.down[i], self.stay[i]
+        return _pick(theta, *zip(self.up, self.down, self.stay))
 
 
 @dataclass(frozen=True)
@@ -153,11 +159,9 @@ class PVector:
 
     def column(self, theta: int) -> tuple[float, float, float]:
         """(up, down, stay) probabilities for underlying state ``theta``."""
-        if theta not in (1, 2):
-            raise ValueError(f"theta must be 1 or 2, got {theta}")
-        if theta == 1:
-            return self.p11, 1.0 - self.p11, 0.0
-        return 1.0 - self.p22, self.p22, 0.0
+        return _pick(
+            theta, (self.p11, 1.0 - self.p11, 0.0), (1.0 - self.p22, self.p22, 0.0)
+        )
 
     @property
     def r1(self) -> float:
@@ -220,11 +224,7 @@ class ContinuousSignalModel:
         )
 
     def density(self, theta: int) -> Callable:
-        if theta == 1:
-            return self.density1
-        if theta == 2:
-            return self.density2
-        raise ValueError(f"theta must be 1 or 2, got {theta}")
+        return _pick(theta, self.density1, self.density2)
 
 
 @dataclass(frozen=True)
@@ -307,12 +307,20 @@ class DiscreteSignalModel:
 # built-in continuous families
 
 
-def _tilt_norm(t: float) -> float:
-    """t / expm1(t): the constant that makes exp(t * x) a density on [0, 1]."""
+def _tilt(t: float, mass: float = 1.0) -> tuple[Callable, Callable]:
+    """``mass`` times the density t * exp(t * x) / expm1(t) on [0, 1].
+
+    Also returns the unit density's inverse CDF, log1p(u * expm1(t)) / t.
+    """
     try:
-        return t / math.expm1(t)
+        rise = math.expm1(t)
     except OverflowError:
         raise ValueError(f"tilt {t!r} overflows the density's normalizer") from None
+    scale = mass * (t / rise)
+    return (
+        lambda x: scale * np.exp(t * np.asarray(x, dtype=float)),
+        lambda u: np.log1p(u * rise) / t,
+    )
 
 
 def tilt_model(lam: float) -> ContinuousSignalModel:
@@ -324,21 +332,10 @@ def tilt_model(lam: float) -> ContinuousSignalModel:
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    c_up, c_down = _tilt_norm(lam), _tilt_norm(-lam)
-
-    def density1(x):
-        return c_up * np.exp(lam * np.asarray(x, dtype=float))
-
-    def density2(x):
-        return c_down * np.exp(-lam * np.asarray(x, dtype=float))
+    (density1, draw1), (density2, draw2) = _tilt(lam), _tilt(-lam)
 
     def sampler(rng, theta, size):
-        u = rng.random(size)
-        if theta == 1:
-            return np.log1p(u * math.expm1(lam)) / lam
-        if theta == 2:
-            return -np.log1p(u * math.expm1(-lam)) / lam
-        raise ValueError(f"theta must be 1 or 2, got {theta}")
+        return _pick(theta, draw1, draw2)(rng.random(size))
 
     return ContinuousSignalModel(
         density1, density2, name="tilt", params={"lam": lam}, sampler=sampler
@@ -361,27 +358,17 @@ def asymmetric_tilt_model(
         raise ValueError("need 0 < lam < spike")
     if not 0.0 < weight < 1.0:
         raise ValueError("weight must lie in (0, 1)")
-    c_up, c_down, c_spike = _tilt_norm(lam), _tilt_norm(-lam), _tilt_norm(spike)
+    (base, draw_base), (density2, draw2) = _tilt(lam, 1.0 - weight), _tilt(-lam)
+    spiked, draw_spiked = _tilt(spike, weight)
 
     def density1(x):
-        x = np.asarray(x, dtype=float)
-        return (1.0 - weight) * c_up * np.exp(lam * x) + weight * c_spike * np.exp(
-            spike * x
-        )
-
-    def density2(x):
-        return c_down * np.exp(-lam * np.asarray(x, dtype=float))
+        return base(x) + spiked(x)
 
     def sampler(rng, theta, size):
         u = rng.random(size)
-        if theta == 2:
-            return -np.log1p(u * math.expm1(-lam)) / lam
-        if theta != 1:
-            raise ValueError(f"theta must be 1 or 2, got {theta}")
-        pick_spike = rng.random(size) < weight
-        base = np.log1p(u * math.expm1(lam)) / lam
-        spiked = np.log1p(u * math.expm1(spike)) / spike
-        return np.where(pick_spike, spiked, base)
+        if _pick(theta, False, True):  # state 2: the plain downward tilt
+            return draw2(u)
+        return np.where(rng.random(size) < weight, draw_spiked(u), draw_base(u))
 
     return ContinuousSignalModel(
         density1,
@@ -702,8 +689,9 @@ def model_from_config(doc: Mapping) -> ContinuousSignalModel | DiscreteSignalMod
 
     Continuous: ``{"family": "tilt", "params": {"lam": 1.0}}``.
     Discrete: ``{"theta_count": 2, "outcomes": [...],
-    "probs": {"1": [...], "2": [...]}}``. A document without the keys its
-    kind needs, or with bad params, raises ValueError.
+    "probs": {"1": [...], "2": [...]}}``, where ``theta_count`` must be an
+    integer and ``outcomes`` an array. A document without the keys its kind
+    needs, or with bad params, raises ValueError.
     """
     if not isinstance(doc, Mapping):
         raise ValueError(f"a model document must be a JSON object, got {doc!r}")
@@ -714,17 +702,22 @@ def model_from_config(doc: Mapping) -> ContinuousSignalModel | DiscreteSignalMod
                 f"unknown family {name!r}; known: {sorted(_FAMILIES)}"
             )
         return _build_model(name, _FAMILIES[name], doc.get("params", {}), {})
-    theta_count = int(doc.get("theta_count", 2))
-    probs = doc.get("probs")
-    if "outcomes" not in doc or not isinstance(probs, Mapping):
-        raise ValueError("a discrete model document needs 'outcomes' and 'probs'")
-    states = [str(theta) for theta in range(1, theta_count + 1)]
-    for theta in states:
+    theta_count = doc.get("theta_count", 2)
+    _check_int(theta_count=theta_count)
+    outcomes, probs = doc.get("outcomes"), doc.get("probs")
+    if not isinstance(outcomes, (list, tuple)) or not isinstance(probs, Mapping):
+        raise ValueError(
+            "a discrete model document needs 'outcomes' and 'probs' "
+            "(a JSON array and a JSON object)"
+        )
+    rows = []
+    for theta in map(str, range(1, theta_count + 1)):
         if theta not in probs:
             raise ValueError(f"'probs' has no row for state {theta}")
+        rows.append(probs[theta])
     return DiscreteSignalModel(
-        outcomes=tuple(str(o) for o in doc["outcomes"]),
-        probs=np.array([probs[theta] for theta in states], dtype=float),
+        outcomes=tuple(str(o) for o in outcomes),
+        probs=np.array(rows, dtype=float),
         theta_count=theta_count,
     )
 

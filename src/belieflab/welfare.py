@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .beliefs import (
+    BayesParams,
     BeliefStrategy,
     PriorModel,
     Stakes,
@@ -235,13 +236,16 @@ def in_B(p: PVector, spec: ProblemSpec) -> bool:
 
     Inside this set the per-step posterior shift d_p dominates both the
     stakes-to-prior imbalance and the chain's own drift, so any monotone
-    rule with any power gains from the mental system.
+    rule with any power gains from the mental system. The bar is
+    Gamma / (rho * lam); at Gamma = 0 or a lam that underflows or overflows
+    it is 0 or inf, and no d clears it.
     """
     if not p.interior:
         raise ValueError("in_B needs interior dynamics")
     params = bayes_params(p, spec.K)
-    bar = spec.Gamma / (spec.rho * params.lam)
-    return params.d > max(bar, 1.0 / bar)
+    scale = spec.rho * params.lam
+    bar = spec.Gamma / scale if scale > 0.0 else math.inf
+    return 0.0 < bar < math.inf and params.d > max(bar, 1.0 / bar)
 
 
 def regularity(p: PVector) -> str:
@@ -268,9 +272,8 @@ def default_censor_step(p: PVector) -> float:
     return 0.5 * room
 
 
-def _lambda_bar(p: PVector, K: int) -> float:
+def _lambda_bar(params: BayesParams, K: int) -> float:
     """Largest Bayesian posterior shift the chain can deliver (at state K)."""
-    params = bayes_params(p, K)
     if params.degenerate:
         raise ValueError("lambda_bar needs interior dynamics")
     try:
@@ -282,10 +285,14 @@ def _lambda_bar(p: PVector, K: int) -> float:
     return value
 
 
-def _dlambar(p: PVector, K: int, h: float) -> float:
-    """Central difference of lambda_bar along the censoring map, step h."""
-    hi, lo = _lambda_bar(censored_p(p, h), K), _lambda_bar(censored_p(p, -h), K)
-    return (hi - lo) / (2.0 * h)
+def _censor_pair(p: PVector, K: int, h: float) -> tuple[BayesParams, BayesParams]:
+    """Bayes parameters of p after the censoring steps h and -h."""
+    return bayes_params(censored_p(p, h), K), bayes_params(censored_p(p, -h), K)
+
+
+def _dlambar(hi: BayesParams, lo: BayesParams, K: int, h: float) -> float:
+    """Central difference of lambda_bar between the censoring steps h and -h."""
+    return (_lambda_bar(hi, K) - _lambda_bar(lo, K)) / (2.0 * h)
 
 
 @dataclass(frozen=True)
@@ -323,9 +330,8 @@ def censor_sensitivity(p: PVector, K: int, h: float = 1e-6) -> CensorSensitivity
     dd2 = (2.0 * p.p22 - 1.0) / (1.0 - p.p22) ** 2
     ddp = dd1 * d2 + d1 * dd2
     params = bayes_params(p, K)
-    hi, lo = censored_p(p, h), censored_p(p, -h)
-    hi_params, lo_params = bayes_params(hi, K), bayes_params(lo, K)
-    dlam = (hi_params.lam - lo_params.lam) / (2.0 * h)
+    hi, lo = _censor_pair(p, K, h)
+    dlam = (hi.lam - lo.lam) / (2.0 * h)
     return CensorSensitivity(
         dp11=dp11,
         dp22=dp22,
@@ -333,9 +339,9 @@ def censor_sensitivity(p: PVector, K: int, h: float = 1e-6) -> CensorSensitivity
         dd2=dd2,
         ddp=ddp,
         dlam=dlam,
-        dlambar=_dlambar(p, K, h),
+        dlambar=_dlambar(hi, lo, K, h),
         lam=params.lam,
-        lambda_bar=_lambda_bar(p, K),
+        lambda_bar=_lambda_bar(params, K),
         d_p=params.d,
     )
 
@@ -414,14 +420,14 @@ def find_D_witness(K: int) -> DWitness | None:
             p = PVector(p11=float(p11), p22=float(p22))
             if not bayes_params(p, K).d > 1.0:
                 continue
-            d = _dlambar(p, K, 1e-6)
+            d = _dlambar(*_censor_pair(p, K, 1e-6), K, 1e-6)
             if d < 0.0 and (best is None or d < best[0]):
                 best = (d, p)
     if best is None:
         return None
     dlambar, p = best
-    before = _lambda_bar(p, K)
-    after = _lambda_bar(censored_p(p, censor_step), K)
+    before = _lambda_bar(bayes_params(p, K), K)
+    after = _lambda_bar(bayes_params(censored_p(p, censor_step), K), K)
     target = 0.5 * (before + after)  # Gamma / rho inside (after, before)
     pi = 0.5
     gamma = target / (1.0 + target)  # rho = 1, so Gamma = target
@@ -522,11 +528,13 @@ def _metric_finite_n_ratio(p, spec, ctx):
     full = _combine(spec, _laws(p, spec.K), act)
     partial = _combine(spec, _laws(p, spec.K, ctx["N"]), act)
     under, _ = baseline_welfare(spec)
+    if under == 0.0:  # the weight of the act the prior always takes underflowed
+        raise ValueError("finite_n_ratio needs a positive baseline welfare")
     return (full - partial) / under
 
 
 def _metric_lambda_bar(p, spec, ctx):
-    return _lambda_bar(p, spec.K)
+    return _lambda_bar(bayes_params(p, spec.K), spec.K)
 
 
 def _metric_in_B(p, spec, ctx):
@@ -621,7 +629,7 @@ def sweep(
                 p = _sweep_dynamics(ctx, model, kernels)
                 row["value"] = float(fn(p, spec, ctx))
                 row["regular"] = 1.0 if regularity(p) == "regular" else 0.0
-            except (ValueError, ZeroDivisionError):
+            except ValueError:
                 row["value"] = math.nan
                 row["regular"] = math.nan
             rows.append(row)

@@ -460,6 +460,14 @@ class TestErrors:
             ({"probs": {"1": [1.0], "2": [1.0]}}, "needs 'outcomes'"),
             ({"outcomes": ["a", "b"], "probs": {"1": [0.6, 0.4]}},
              "no row for state 2"),
+            ({"theta_count": 2.5, "outcomes": ["a", "b"],
+              "probs": {"1": [0.6, 0.4], "2": [0.3, 0.7]}},
+             "theta_count must be an integer"),
+            ({"theta_count": None, "outcomes": ["a", "b"],
+              "probs": {"1": [0.6, 0.4], "2": [0.3, 0.7]}},
+             "theta_count must be an integer"),
+            ({"outcomes": 5, "probs": {"1": [0.6, 0.4], "2": [0.3, 0.7]}},
+             "needs 'outcomes'"),
         ],
     )
     def test_bad_model_file_is_one_line_on_stderr(self, doc, message, capsys, tmp_path):

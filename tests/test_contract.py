@@ -25,6 +25,7 @@ from belieflab import (
     general_stationary,
     grid_argmax,
     illusory_model,
+    in_B,
     kernel_from_p,
     lunar_model,
     model_from_config,
@@ -217,6 +218,26 @@ _BAD_INPUTS = {
         ),
         "'probs' has no row for state 2",
     ),
+    "model-doc-fractional-theta-count": (
+        lambda: model_from_config(
+            {"theta_count": 2.5, "outcomes": ["a", "b"],
+             "probs": {"1": [0.6, 0.4], "2": [0.3, 0.7]}}
+        ),
+        "theta_count must be an integer",
+    ),
+    "model-doc-null-theta-count": (
+        lambda: model_from_config(
+            {"theta_count": None, "outcomes": ["a", "b"],
+             "probs": {"1": [0.6, 0.4], "2": [0.3, 0.7]}}
+        ),
+        "theta_count must be an integer",
+    ),
+    "model-doc-outcomes-not-array": (
+        lambda: model_from_config(
+            {"outcomes": 5, "probs": {"1": [0.6, 0.4], "2": [0.3, 0.7]}}
+        ),
+        "needs 'outcomes' and 'probs'",
+    ),
     "evidence-table-nan-beta": (
         lambda: evidence_table(lunar_model(), beta=math.nan), "beta must be finite"
     ),
@@ -351,3 +372,33 @@ def test_a_metric_that_ignores_d_does_not_check_it():
 def test_sweep_lambda_bar_overflow_is_a_nan_cell():
     rows = sweep("lambda_bar", "p11", [0.999999], "p22", [0.999999], K=40)
     assert math.isnan(rows[0]["value"])
+
+
+# in_B compares d_p with the bar Gamma / (rho * lam) and its inverse; a bar of
+# 0 or inf (Gamma = 0, or lam underflowing to 0 or overflowing to inf) is the
+# limit where no d clears both, so these dynamics are outside the set.
+@pytest.mark.parametrize(
+    "p, K, gamma",
+    [
+        (PVector(0.8, 0.7), 2, 0.0),     # Gamma = 0
+        (PVector(0.999, 0.6), 200, 0.6),  # lam = 0
+        (PVector(0.6, 0.999), 200, 0.6),  # lam = inf
+    ],
+    ids=["gamma-zero", "lam-zero", "lam-inf"],
+)
+def test_in_B_is_false_at_a_zero_or_infinite_bar(p, K, gamma):
+    lam = bayes_params(p, K).lam
+    assert lam in (0.0, math.inf) or gamma == 0.0
+    assert in_B(p, ProblemSpec.correct_priors(0.5, gamma, K)) is False
+
+
+def test_sweep_in_B_at_zero_stakes_is_a_value():
+    rows = sweep("in_B", "p11", [0.8], "gamma", [0.0], p22=0.7)
+    assert (rows[0]["value"], rows[0]["regular"]) == (0.0, 1.0)
+
+
+def test_finite_n_ratio_without_baseline_welfare_is_a_nan_cell():
+    # pi * (1 - gamma) underflows to 0 and the prior always acts 1
+    rows = sweep("finite_n_ratio", "p11", [0.7], "p22", [0.6],
+                 pi=5e-324, rho=1e300, gamma=0.5)
+    assert math.isnan(rows[0]["value"]) and math.isnan(rows[0]["regular"])

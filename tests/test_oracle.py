@@ -6,6 +6,7 @@ from belieflab import (
     DiscreteSignalModel,
     PVector,
     TransitionKernel,
+    asymmetric_tilt_model,
     autocorr_model,
     censored_direction_matrix,
     censored_transitions,
@@ -23,6 +24,7 @@ from belieflab import (
     tilt_model,
 )
 from belieflab.chain import _ladder_index
+from belieflab.oracle import _final_states
 from belieflab.welfare import ProblemSpec
 
 
@@ -128,6 +130,33 @@ class TestSimulateWelfare:
             model, spec, BeliefStrategy(2.0), beta=0.1, N=50, trials=20_000, seed=9
         )
         assert a.estimate == b.estimate and a.stderr == b.stderr
+
+    @pytest.mark.parametrize("name", ["tilt1", "tilt2.5", "asymmetric"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.2])
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_continuous_walk_on_the_move_table_is_the_clip_walk(self, name, beta, K):
+        model = {
+            "tilt1": tilt_model(1.0),
+            "tilt2.5": tilt_model(2.5),
+            "asymmetric": asymmetric_tilt_model(),
+        }[name]
+
+        def clip_walk(theta, N, n, rng):  # the walk before the move table
+            s = np.zeros(n, dtype=np.int64)
+            for _ in range(N):
+                ratio = model.likelihood_ratio(model.sampler(rng, theta, n))
+                for1 = ratio >= 1.0
+                strength = np.where(for1, ratio, 1.0 / ratio)
+                step = np.where(strength >= 1.0 + beta, np.where(for1, 1, -1), 0)
+                s = np.clip(s + step, -K, K)
+            return s
+
+        for theta in (1, 2):
+            rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+            walked = _final_states(model, theta, beta, K, 40, 500, rng_a)
+            reference = clip_walk(theta, 40, 500, rng_b)
+            assert walked.dtype == reference.dtype
+            assert np.array_equal(walked, reference)
 
     def test_missing_sampler_rejected(self):
         from belieflab import ContinuousSignalModel, tilt_model

@@ -1,10 +1,13 @@
 """The benchmark's reference gate, replayed inside the test suite.
 
 Every finite-horizon job the benchmark can draw (the whole ``horizon``
-catalog and the ``landscape`` ``sweep:finite_n_ratio`` pool) runs through
+catalog and the ``landscape`` ``sweep:finite_n_ratio`` pool), and every
+``censoring`` job on a named model through the CLI (the ``censor-path``,
+``transitions``, ``sweep:beta`` and ``scenario`` pools), runs through
 ``belieflab.cli.run``, and its stdout must match the output recorded in
 ``perfbench/reference.json`` within ``checks.REL_TOL`` (1e-12), as the
-benchmark itself checks it. Only ``perfbench/checks.py`` and
+benchmark itself checks it. The ``censoring`` pool of fresh tilt
+parameters (1,024 jobs) is left to the benchmark. Only ``perfbench/checks.py`` and
 ``perfbench/workloads.py`` are imported; both use the standard library only.
 """
 
@@ -35,10 +38,9 @@ checks = _load("checks")
 workloads = _load("workloads")
 
 
-@pytest.mark.parametrize("workload", ["horizon", "landscape"])
-def test_finite_n_jobs_match_the_recorded_reference(workload):
+def _replay(workload: str, pool: str) -> None:
     reference = checks.load_reference(workload)
-    jobs = workloads.catalog(workload)["sweep:finite_n_ratio"]
+    jobs = workloads.catalog(workload)[pool]
     failures = []
     for job in jobs:
         out = io.StringIO()
@@ -52,3 +54,13 @@ def test_finite_n_jobs_match_the_recorded_reference(workload):
         if reason is not None:
             failures.append(f"{job.key}: {reason}")
     assert jobs and not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("workload", ["horizon", "landscape"])
+def test_finite_n_jobs_match_the_recorded_reference(workload):
+    _replay(workload, "sweep:finite_n_ratio")
+
+
+@pytest.mark.parametrize("pool", ["censor-path", "transitions", "sweep:beta", "scenario"])
+def test_named_model_censoring_jobs_match_the_recorded_reference(pool):
+    _replay("censoring", pool)

@@ -246,3 +246,85 @@ class TestEvidenceTable:
         with pytest.raises(FullyCensored):
             conditional_dynamics(censored_transitions(coin_model(0.5001, 0.5, 1), 0.2))
         assert model.theta_count == 3
+
+
+# The tables as built before the shared binomial row and the one-pass tension
+# columns, kept as the bit-for-bit reference.
+def _reference_lunar(
+    base_rate=10.0, effect=1.2, capacity=12, full_moon_frac=3.0 / 30.0, cutoff=40,
+    tension_ceiling=8,
+):
+    def pmf(rate, n):
+        return math.exp(-rate + n * math.log(rate) - math.lgamma(n + 1))
+
+    max_tension = cutoff - capacity
+    if tension_ceiling is None or tension_ceiling >= max_tension:
+        tension_ceiling = max_tension
+    rate_calm = base_rate / (1.0 + full_moon_frac * (effect - 1.0))
+    rates = {(1, 0): rate_calm, (1, 1): effect * rate_calm, (2, 0): base_rate,
+             (2, 1): base_rate}
+    moon_prob = {0: 1.0 - full_moon_frac, 1: full_moon_frac}
+    labels, columns = [], []
+    for moon in (0, 1):
+        for tension in range(0, tension_ceiling + 1):
+            labels.append(f"{tension},{moon}")
+            col = []
+            for theta in (1, 2):
+                rate = rates[(theta, moon)]
+                if tension == 0:
+                    mass = math.fsum(pmf(rate, k) for k in range(capacity + 1))
+                else:
+                    mass = pmf(rate, capacity + tension)
+                col.append(moon_prob[moon] * mass)
+            columns.append(col)
+        if tension_ceiling < max_tension:
+            labels.append(f"{tension_ceiling + 1}+,{moon}")
+            col = []
+            for theta in (1, 2):
+                rate = rates[(theta, moon)]
+                mass = math.fsum(
+                    pmf(rate, capacity + t)
+                    for t in range(tension_ceiling + 1, max_tension + 1)
+                )
+                col.append(moon_prob[moon] * mass)
+            columns.append(col)
+    probs = np.array(columns, dtype=float).T
+    probs /= probs.sum(axis=1, keepdims=True)
+    return tuple(labels), probs
+
+
+class TestTablesMatchTheirReference:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"tension_ceiling": None},
+            {"tension_ceiling": 3},
+            {"tension_ceiling": 5},
+            {"tension_ceiling": 21},
+            {"tension_ceiling": 28},
+            {"base_rate": 7.5, "effect": 1.6, "capacity": 9, "cutoff": 30},
+        ],
+    )
+    def test_lunar_bit_for_bit(self, kwargs):
+        labels, probs = _reference_lunar(**kwargs)
+        model = lunar_model(**kwargs)
+        assert model.outcomes == labels
+        assert np.array_equal(model.probs, probs)
+
+    @pytest.mark.parametrize("a1, a2, J", [(0.7, 0.8, 1), (0.3, 0.8, 20), (0.45, 0.55, 50)])
+    def test_coin_bit_for_bit(self, a1, a2, J):
+        probs = np.array(
+            [[math.comb(J, k) * a**k * (1.0 - a) ** (J - k) for k in range(J + 1)]
+             for a in (a1, a2)]
+        )
+        assert np.array_equal(coin_model(a1, a2, J).probs, probs)
+
+    @pytest.mark.parametrize("draws", [2, 6, 10, 25])
+    def test_autocorr_bit_for_bit(self, draws):
+        T, rho_set = draws - 1, (2.0 / 3.0, 1.0 / 3.0, 0.5)
+        probs = np.array(
+            [[math.comb(T, n) * (1.0 - rho) ** n * rho ** (T - n) for n in range(T + 1)]
+             for rho in rho_set]
+        )
+        assert np.array_equal(autocorr_model(draws, rho_set)[0].probs, probs)

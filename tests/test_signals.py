@@ -571,3 +571,93 @@ class TestDirectionMatrix:
         model, _ = autocorr_model(draws=6)
         with pytest.raises(FullyCensored):
             censored_direction_matrix(model, 100.0)
+
+
+# The tilt families as written before they shared one exponential tilt: the
+# hand-written densities and inverse CDFs, kept as the bit-for-bit reference.
+def _reference_tilt(lam):
+    c_up, c_down = lam / math.expm1(lam), -lam / math.expm1(-lam)
+
+    def sampler(rng, theta, size):
+        u = rng.random(size)
+        if theta == 1:
+            return np.log1p(u * math.expm1(lam)) / lam
+        return -np.log1p(u * math.expm1(-lam)) / lam
+
+    return (
+        lambda x: c_up * np.exp(lam * np.asarray(x, dtype=float)),
+        lambda x: c_down * np.exp(-lam * np.asarray(x, dtype=float)),
+        sampler,
+    )
+
+
+def _reference_asymmetric(lam, spike, weight):
+    c_up, c_spike = lam / math.expm1(lam), spike / math.expm1(spike)
+    _, density2, _ = _reference_tilt(lam)
+
+    def density1(x):
+        x = np.asarray(x, dtype=float)
+        return (1.0 - weight) * c_up * np.exp(lam * x) + weight * c_spike * np.exp(
+            spike * x
+        )
+
+    def sampler(rng, theta, size):
+        u = rng.random(size)
+        if theta == 2:
+            return -np.log1p(u * math.expm1(-lam)) / lam
+        pick_spike = rng.random(size) < weight
+        base = np.log1p(u * math.expm1(lam)) / lam
+        spiked = np.log1p(u * math.expm1(spike)) / spike
+        return np.where(pick_spike, spiked, base)
+
+    return density1, density2, sampler
+
+
+_GRID = np.linspace(0.0, 1.0, 10001)
+
+
+def _assert_same_family(model, reference):
+    density1, density2, sampler = reference
+    for mine, theirs in ((model.density1, density1), (model.density2, density2)):
+        assert np.array_equal(mine(_GRID), theirs(_GRID))
+        assert mine(0.3) == theirs(0.3)
+    for theta in (1, 2):
+        for seed in (0, 7):
+            rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for size in (1000, 3):  # the second draw checks the stream position
+                assert np.array_equal(
+                    model.sampler(rng_a, theta, size), sampler(rng_b, theta, size)
+                )
+
+
+class TestOneExponentialTilt:
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 1.0, 2.5, 7.0, 20.0, 50.0])
+    def test_tilt_model_is_the_hand_written_pair_bit_for_bit(self, lam):
+        _assert_same_family(tilt_model(lam), _reference_tilt(lam))
+
+    @pytest.mark.parametrize(
+        "lam, spike, weight", [(0.1, 14.0, 0.44), (0.5, 9.0, 0.2), (1.5, 30.0, 0.7)]
+    )
+    def test_asymmetric_mixture_is_the_hand_written_pair_bit_for_bit(
+        self, lam, spike, weight
+    ):
+        _assert_same_family(
+            asymmetric_tilt_model(lam, spike, weight),
+            _reference_asymmetric(lam, spike, weight),
+        )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TransitionKernel((0.5, 0.5), (0.5, 0.5), (0.0, 0.0)).column(3),
+        lambda: PVector(0.7, 0.6).column(0),
+        lambda: tilt_model(1.0).density(3),
+        lambda: tilt_model(1.0).sampler(np.random.default_rng(0), 3, 2),
+        lambda: asymmetric_tilt_model().sampler(np.random.default_rng(0), 0, 2),
+    ],
+    ids=["kernel", "pvector", "density", "tilt-sampler", "asymmetric-sampler"],
+)
+def test_every_two_state_pick_names_the_bad_theta(call):
+    with pytest.raises(ValueError, match=r"^theta must be 1 or 2, got \d$"):
+        call()

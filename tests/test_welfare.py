@@ -391,7 +391,7 @@ class TestDWitness:
         lo, hi = witness.window
         target = witness.gamma / (1.0 - witness.gamma)
         assert lo < target < hi
-        assert hi == pytest.approx(_lambda_bar(witness.p, 2), rel=1e-12)
+        assert hi == pytest.approx(_lambda_bar(bayes_params(witness.p, 2), 2), rel=1e-12)
 
     def test_regular_symmetric_diagonal_is_safe(self):
         # on the informative diagonal the top posterior shift only grows
