@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _check_k
-from .signals import PVector, _check_finite
+from .signals import PVector, _check_finite, _check_int
 
 __all__ = [
     "PriorModel",
@@ -131,6 +130,7 @@ def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:
     """
     if not strategy.d >= 1.0:
         raise ValueError("decision_threshold assumes d >= 1")
+    K = _check_int(K, "K", 1)
     if not rho_tilde > 0.0:
         raise ValueError(f"rho_tilde must be positive, got {rho_tilde!r}")
     if not Gamma >= 0.0:
@@ -182,6 +182,7 @@ def threshold_mass(
     """
     if not strategy.d >= 1.0:
         raise ValueError("threshold_mass assumes d >= 1")
+    K = _check_int(K, "K", 1)
     cum = _act_probabilities(prior, strategy, Gamma, K)
     return np.concatenate(
         ([cum[0]], np.maximum(np.diff(cum), 0.0), [max(1.0 - cum[-1], 0.0)])
@@ -196,7 +197,7 @@ def bayes_params(p: PVector, K: int) -> BayesParams:
     rho * lam * d**s equals the true posterior odds in state s. Boundary
     dynamics are flagged degenerate instead of producing parameters.
     """
-    _check_k(K)
+    K = _check_int(K, "K", 1)
     if not p.interior:
         return BayesParams(d=math.nan, lam=math.nan, degenerate=True)
     r1, r2 = p.r1, p.r2

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import PVector, TransitionKernel, _check_int, _is_int
+from .signals import PVector, TransitionKernel, _check_int, _check_law
 
 __all__ = [
     "stationary",
@@ -27,17 +27,6 @@ __all__ = [
 ]
 
 
-def _check_k(K: int) -> None:
-    if not _is_int(K) or K < 1:
-        raise ValueError(f"K must be a positive integer, got {K!r}")
-
-
-def _check_n(N: int) -> None:
-    _check_int(N=N)
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-
-
 def stationary(r: float, K: int) -> np.ndarray:
     """Long-run state distribution of the chain with up/down odds r.
 
@@ -47,7 +36,7 @@ def stationary(r: float, K: int) -> np.ndarray:
     (one-sided dynamics are legal and flow through the welfare analysis
     unchanged).
     """
-    _check_k(K)
+    K = _check_int(K, "K", 1)
     if not r >= 0.0:
         raise ValueError(f"r must be positive (or the 0/inf sentinel), got {r!r}")
     s = np.arange(-K, K + 1, dtype=float)
@@ -57,9 +46,9 @@ def stationary(r: float, K: int) -> np.ndarray:
 
 def upper_tail(k: int, r: float, K: int) -> float:
     """Probability that the chain settles at state k or above."""
-    _check_k(K)
-    _check_int(k=k)
-    if not -K <= k <= K + 1:
+    K = _check_int(K, "K", 1)
+    k = _check_int(k, "k", -K)
+    if k > K + 1:
         raise ValueError(f"k={k} outside -K..K+1 for K={K}")
     if k == K + 1:
         return 0.0
@@ -82,8 +71,8 @@ def finite_n_distribution(
     the state alone; under its processed-signal chain
     ``conditional_dynamics(q)`` N counts processed signals only.
     """
-    _check_k(K)
-    _check_n(N)  # before the power: a negative N would invert the matrix
+    K = _check_int(K, "K", 1)
+    N = _check_int(N, "N", 0)  # before the power: a negative N would invert the matrix
     up, down, stay = q.column(theta)
     P = _move_matrix(_birth_death_table(K), (stay, up, down))
     return np.linalg.matrix_power(P, N)[K]
@@ -113,7 +102,7 @@ def _laws(q, K, N=None) -> np.ndarray:
     """
     if N is not None:
         return np.array([finite_n_distribution(q, t, K, N) for t in (1, 2)])
-    _check_k(K)
+    K = _check_int(K, "K", 1)
     laws = []
     for up, down, _ in (q.column(1), q.column(2)):
         if up + down > 0.0:
@@ -129,7 +118,7 @@ def _laws(q, K, N=None) -> np.ndarray:
 
 def ladder_state_labels(K: int) -> list[str]:
     """State labels in storage order: 0, then ladders 1..3 bottom-up."""
-    _check_k(K)
+    K = _check_int(K, "K", 1)
     labels = ["0"]
     for i in (1, 2, 3):
         labels.extend(f"({i},{k})" for k in range(1, K + 1))
@@ -167,12 +156,11 @@ def ladder_transition(p3: np.ndarray, K: int, theta: int) -> np.ndarray:
     points to state i given theta (columns must sum to 1); the moves are
     those of ``_ladder_move_table``.
     """
-    _check_k(K)
+    K = _check_int(K, "K", 1)
     p3 = np.asarray(p3, dtype=float)
     if p3.shape != (3, 3):
         raise ValueError(f"p3 must be 3x3, got shape {p3.shape}")
-    if np.any(p3 < -1e-15) or np.any(np.abs(p3.sum(axis=0) - 1.0) > 1e-12):
-        raise ValueError("p3 columns must be probability vectors summing to 1")
+    _check_law(p3, 0, "p3 columns")
     if theta not in (1, 2, 3):
         raise ValueError(f"theta must be 1, 2 or 3, got {theta}")
     return _move_matrix(_ladder_move_table(K)[:, 1:], p3[:, theta - 1])
@@ -191,10 +179,7 @@ def general_stationary(
     P = np.asarray(matrix, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.size == 0:
         raise ValueError(f"matrix must be square and nonempty, got shape {P.shape}")
-    if np.any(P < -1e-15):
-        raise ValueError("matrix entries must be nonnegative")
-    if np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-12):
-        raise ValueError("matrix rows must sum to 1 within 1e-12")
+    _check_law(P, 1, "matrix rows")
     n = P.shape[0]
     reach = (P > 0.0) | np.eye(n, dtype=bool)
     for _ in range(n.bit_length()):  # paths of up to 2**k steps after k squarings

@@ -65,7 +65,7 @@ def _dump_json(obj) -> str:
     def default(o):
         if isinstance(o, np.ndarray):
             return o.tolist()
-        if isinstance(o, (np.floating, np.integer)):
+        if isinstance(o, np.generic):
             return o.item()
         raise TypeError(f"not JSON serializable: {type(o)!r}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _birth_death_table, _check_k, _check_n, _ladder_move_table
+from .chain import _birth_death_table, _ladder_move_table
 from .signals import (
     ContinuousSignalModel,
     DiscreteSignalModel,
@@ -99,11 +99,10 @@ def simulate_chain(
     counts raw signals under a kernel and processed signals under its
     processed-signal chain ``conditional_dynamics(q)``.
     """
-    _check_int(trials=trials)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    _check_k(K)
-    _check_n(N)
+    trials = _check_int(trials, "trials", 1)
+    K = _check_int(K, "K", 1)
+    N = _check_int(N, "N", 0)
+    seed = _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     up, down, stay = q.column(theta)
     counts = _walk(
@@ -166,11 +165,10 @@ def simulate_welfare(
     independent of the final states, so pairing them with sorted states is
     as good as pairing them agent by agent.
     """
-    _check_int(trials=trials)
-    if trials < 2:
-        raise ValueError("trials must be at least 2 for a standard error")
-    _check_n(N)
+    trials = _check_int(trials, "trials", 2)  # two for a standard error
+    N = _check_int(N, "N", 0)
     _check_beta(beta)
+    seed = _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     n1 = int(rng.binomial(trials, spec.pi))
     payoffs = np.empty(trials)
@@ -216,11 +214,10 @@ def simulate_ladder(
     """Empirical occupancy of the three-ladder system under each state."""
     if not isinstance(model, DiscreteSignalModel) or model.theta_count != 3:
         raise ValueError("simulate_ladder needs a three-state discrete model")
-    _check_int(trials=trials)
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    _check_k(K)
-    _check_n(N)
+    trials = _check_int(trials, "trials", 1)
+    K = _check_int(K, "K", 1)
+    N = _check_int(N, "N", 0)
+    seed = _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     table, directions = _ladder_move_table(K), model.directions(beta)
     counts = [

@@ -103,20 +103,17 @@ def lunar_model(
     Outcome labels are "X,Y", e.g. "0,1" for a calm full-moon day; the
     pooled bucket reads like "9+,0".
     """
-    _check_int(capacity=capacity, cutoff=cutoff)
+    capacity = _check_int(capacity, "capacity", 1)
+    cutoff = _check_int(cutoff, "cutoff", capacity + 1)
     if tension_ceiling is not None:
-        _check_int(tension_ceiling=tension_ceiling)
-    if base_rate <= 0 or effect <= 1 or capacity < 1:
-        raise ValueError("need base_rate > 0, effect > 1, capacity >= 1")
+        tension_ceiling = _check_int(tension_ceiling, "tension_ceiling", 1)
+    if base_rate <= 0 or effect <= 1:
+        raise ValueError("need base_rate > 0, effect > 1")
     if not 0.0 < full_moon_frac < 1.0:
         raise ValueError("full_moon_frac must lie in (0, 1)")
-    if cutoff <= capacity:
-        raise ValueError("cutoff must exceed capacity")
     max_tension = cutoff - capacity
     if tension_ceiling is None or tension_ceiling >= max_tension:
         tension_ceiling = max_tension
-    if tension_ceiling < 1:
-        raise ValueError("tension_ceiling must be at least 1")
     rate_calm = base_rate / (1.0 + full_moon_frac * (effect - 1.0))
     rate_moon = effect * rate_calm
     # rate by (state, moon indicator)
@@ -151,6 +148,7 @@ def lunar_strength_rows(
     The state-2 row runs ("0,1", then tension 8..1 on calm days); the
     state-1 row runs ("0,0", then tension 1..8 on full-moon days).
     """
+    max_tension = _check_int(max_tension, "max_tension", 0)
     if model is None:
         model = lunar_model()
     for_two = ["0,1"] + [f"{x},0" for x in range(max_tension, 0, -1)]
@@ -222,9 +220,7 @@ def coin_model(alpha1: float, alpha2: float, J: int = 1) -> DiscreteSignalModel:
     for name, a in (("alpha1", alpha1), ("alpha2", alpha2)):
         if not 0.0 < a < 1.0:
             raise ValueError(f"{name} must lie in (0, 1)")
-    _check_int(J=J)
-    if J < 1:
-        raise ValueError("J must be a positive integer")
+    J = _check_int(J, "J", 1)
     labels = tuple(str(k) for k in range(J + 1))
     probs = _binomial_rows(J, [(a, 1.0 - a) for a in (alpha1, alpha2)])
     return DiscreteSignalModel(
@@ -259,9 +255,7 @@ def autocorr_model(
     "draws-1". Returns the model and a per-count table of direction,
     strength, and the count probability under the independence state.
     """
-    _check_int(draws=draws)
-    if draws < 2:
-        raise ValueError("draws must be at least 2")
+    draws = _check_int(draws, "draws", 2)
     if len(rho_set) != 3 or not all(0.0 < r < 1.0 for r in rho_set):
         raise ValueError("rho_set must be three probabilities in (0, 1)")
     T = draws - 1

@@ -44,6 +44,8 @@ __all__ = [
 
 _BOUNDARY_TOL = 1e-12  # bisection width for censoring boundaries
 _QUAD_TOL = 1e-9       # absolute tolerance for numeric integration
+_NEG_TOL = 1e-15       # a probability may dip this far below 0 by rounding
+_SUM_TOL = 1e-12       # a law may miss a total of 1 by this much
 
 
 def _check_finite(**values) -> None:
@@ -61,15 +63,37 @@ def _check_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer))
+_INT_TYPES = (int, np.integer)
 
 
-def _check_int(**values) -> None:
-    """Raise ValueError naming the first argument that is no (numpy) integer."""
-    for name, value in values.items():
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_int(value, name: str, low: int) -> int:
+    """``value`` as an int; ValueError unless it is an int or numpy integer >= ``low``.
+
+    A bool is refused, although Python counts it as an int: a JSON ``true``
+    is no count. A numpy integer comes back as the same Python int, so it
+    computes what that int does (numpy's fixed width wraps around, and its
+    power can land an ulp away). It runs on hot paths, so a plain int in
+    range returns first and the arguments are positional.
+    """
+    if value.__class__ is int and value >= low:
+        return value
+    if not isinstance(value, _INT_TYPES) or value.__class__ is bool or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _check_law(array: np.ndarray, axis: int, what: str) -> None:
+    """Raise ValueError unless the slices of ``array`` along ``axis`` are laws.
+
+    A law's entries are finite and at least -_NEG_TOL (a rounding dip below
+    0), and they sum to 1 within _SUM_TOL. NaN fails both comparisons and an
+    infinite entry the sum, so finiteness needs no test of its own.
+    """
+    sums = array.sum(axis=axis)
+    if not (np.all(array >= -_NEG_TOL) and np.all(np.abs(sums - 1.0) <= _SUM_TOL)):
+        raise ValueError(
+            f"{what} must be finite, nonnegative and sum to 1 within {_SUM_TOL:g}"
+        )
 
 
 def _pick(theta: int, first, second):
@@ -126,12 +150,12 @@ class TransitionKernel:
         _check_finite(up=self.up, down=self.down, stay=self.stay)
         for i in range(2):
             total = self.up[i] + self.down[i] + self.stay[i]
-            if abs(total - 1.0) > 1e-12:
+            if abs(total - 1.0) > _SUM_TOL:
                 raise ValueError(
                     f"kernel column theta={i + 1} sums to {total!r}, not 1"
                 )
             for q in (self.up[i], self.down[i], self.stay[i]):
-                if q < -1e-15 or q > 1 + 1e-15:
+                if q < -_NEG_TOL or q > 1 + _NEG_TOL:
                     raise ValueError(f"kernel entry {q!r} outside [0, 1]")
 
     def column(self, theta: int) -> tuple[float, float, float]:
@@ -249,6 +273,9 @@ class DiscreteSignalModel:
     batch_builder: Callable[[int], "DiscreteSignalModel"] | None = None
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "theta_count", _check_int(self.theta_count, "theta_count", 2)
+        )
         probs = np.asarray(self.probs, dtype=float)
         object.__setattr__(self, "outcomes", tuple(str(o) for o in self.outcomes))
         if probs.shape != (self.theta_count, len(self.outcomes)):
@@ -258,17 +285,10 @@ class DiscreteSignalModel:
             )
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError("outcome labels must be unique")
-        _check_finite(probs=probs)
-        if np.any(probs < -1e-15) or np.any(probs > 1 + 1e-15):
-            raise ValueError("outcome probabilities outside [0, 1]")
+        _check_law(probs, 1, "probs rows")
         # a tolerated rounding negative is a zero, not a negative strength
         probs = np.maximum(probs, 0.0)
         object.__setattr__(self, "probs", probs)
-        sums = probs.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-12):
-            raise ValueError(f"per-state probabilities sum to {sums}, not 1")
-        if self.theta_count < 2:
-            raise ValueError("a signal model needs at least two states")
         ranked = np.sort(probs, axis=0)
         top, runner = ranked[-1], ranked[-2]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -596,9 +616,7 @@ def batch(model: DiscreteSignalModel, J: int) -> DiscreteSignalModel:
     to it. Otherwise outcomes are explicit J-tuples with product
     probabilities, refused above a million tuples.
     """
-    _check_int(J=J)
-    if J < 1:
-        raise ValueError("J must be a positive integer")
+    J = _check_int(J, "J", 1)
     if J == 1:
         return model
     if model.batch_builder is not None:
@@ -703,7 +721,7 @@ def model_from_config(doc: Mapping) -> ContinuousSignalModel | DiscreteSignalMod
             )
         return _build_model(name, _FAMILIES[name], doc.get("params", {}), {})
     theta_count = doc.get("theta_count", 2)
-    _check_int(theta_count=theta_count)
+    theta_count = _check_int(theta_count, "theta_count", 2)
     outcomes, probs = doc.get("outcomes"), doc.get("probs")
     if not isinstance(outcomes, (list, tuple)) or not isinstance(probs, Mapping):
         raise ValueError(

@@ -30,12 +30,13 @@ from .beliefs import (
     bayes_params,
     prior_exceed_prob,
 )
-from .chain import _check_k, _check_n, _laws, upper_tail
+from .chain import _laws, upper_tail
 from .signals import (
     PVector,
     TransitionKernel,
     _check_beta,
     _check_finite,
+    _check_int,
     censored_transitions,
     conditional_dynamics,
 )
@@ -78,7 +79,7 @@ class ProblemSpec:
     def __post_init__(self):
         object.__setattr__(self, "_rho", _objective_odds(self.pi))
         object.__setattr__(self, "_stakes", Stakes(self.gamma))
-        _check_k(self.K)
+        object.__setattr__(self, "K", _check_int(self.K, "K", 1))
 
     @classmethod
     def correct_priors(cls, pi: float, gamma: float, K: int) -> "ProblemSpec":
@@ -410,8 +411,7 @@ def find_D_witness(K: int) -> DWitness | None:
     to d_p > 1 so the top state is the informative one), with a verified
     stakes window, or None when the grid shows no negative response.
     """
-    if K < 2:
-        raise ValueError("the censoring-hurts region needs K >= 2")
+    K = _check_int(K, "K", 2)  # the censoring-hurts region needs K >= 2
     grid = np.linspace(0.01, 0.99, 100)
     censor_step = 1e-3
     best: tuple[float, PVector] | None = None
@@ -599,7 +599,7 @@ def sweep(
     if model is None and (beta is not None or "beta" in (x, y)):
         raise ValueError("a beta axis or a fixed beta needs a signal model")
     if metric == "finite_n_ratio":
-        _check_n(N)
+        N = _check_int(N, "N", 0)
     if metric in ("delta_fixed", "censor_gain", "finite_n_ratio") and "d" not in (x, y):
         _power_rule(d, metric)
     fn = SWEEP_METRICS[metric]
@@ -639,9 +639,9 @@ def sweep(
 def _axis_value(axis: str, v) -> float | int:
     """A grid value as a float, or as an int on the K axis; a beta is checked."""
     if axis == "K":
-        if not float(v).is_integer():
-            raise ValueError(f"K must be a positive integer, got {v!r}")
-        return int(v)
+        if isinstance(v, float) and v.is_integer():  # a CLI grid value such as 2.0
+            v = int(v)
+        return _check_int(v, "K", 1)
     if axis == "beta":
         _check_beta(float(v))
     return float(v)

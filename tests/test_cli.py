@@ -424,7 +424,7 @@ class TestErrors:
             (["transitions"], "needs --model"),
             (["censor-path", "--model", "tilt", "--grid", "0:1"], "bad grid"),
             (["sweep", "--metric", "finite_n_ratio", "--x", "p11", "--y", "p22",
-              "--N", "-1"], "N must be nonnegative"),
+              "--N", "-1"], "N must be an integer >= 0"),
             (["sweep", "--metric", "delta_fixed", "--x", "p11", "--y", "p22",
               "--beta", "0.5"], "needs a signal model"),
             (["sweep", "--metric", "delta_bayes", "--x", "p11", "--y", "p22",
@@ -441,6 +441,8 @@ class TestErrors:
               "--d", "0.5"], "delta_fixed assumes d > 1"),
             (["sweep", "--metric", "finite_n_ratio", "--x", "p11", "--y", "p22",
               "--d", "0.5"], "d must be >= 1"),
+            (["scenario", "coin", "--params", '{"J": true}'],
+             "J must be an integer >= 1, got True"),
         ],
     )
     def test_bad_input_is_one_line_on_stderr(self, argv, message, capsys):

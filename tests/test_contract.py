@@ -27,6 +27,7 @@ from belieflab import (
     illusory_model,
     in_B,
     kernel_from_p,
+    ladder_transition,
     lunar_model,
     model_from_config,
     prior_exceed_prob,
@@ -80,7 +81,7 @@ _BAD_INPUTS = {
     "prior-inf-rho": (lambda: PriorModel(rho=math.inf), "rho must be finite"),
     "spec-fractional-K": (
         lambda: ProblemSpec(pi=0.5, gamma=0.6, prior=PriorModel(1.0), K=2.5),
-        "K must be a positive integer",
+        "K must be an integer >= 1",
     ),
     "transitions-nan-beta": (
         lambda: censored_transitions(tilt_model(1.0), math.nan),
@@ -94,28 +95,28 @@ _BAD_INPUTS = {
         lambda: DiscreteSignalModel(
             outcomes=("a", "b"), probs=np.array([[math.nan, 0.5], [0.5, 0.5]])
         ),
-        "probs must be finite",
+        "probs rows must be finite",
     ),
     "discrete-one-state": (
         lambda: DiscreteSignalModel(
             outcomes=("a", "b"), probs=np.array([[0.5, 0.5]]), theta_count=1
         ),
-        "at least two states",
+        "theta_count must be an integer >= 2",
     ),
     "chain-negative-N": (
         lambda: simulate_chain(kernel_from_p(0.7, 0.6), 1, 2, N=-1, trials=10, seed=0),
-        "N must be nonnegative",
+        "N must be an integer >= 0",
     ),
     "chain-zero-K": (
         lambda: simulate_chain(kernel_from_p(0.7, 0.6), 1, 0, N=5, trials=10, seed=0),
-        "K must be a positive integer",
+        "K must be an integer >= 1",
     ),
-    "ladder-negative-N": (lambda: _ladder(N=-1), "N must be nonnegative"),
+    "ladder-negative-N": (lambda: _ladder(N=-1), "N must be an integer >= 0"),
     "ladder-nan-beta": (lambda: _ladder(beta=math.nan), "beta must be finite"),
     "ladder-negative-beta": (lambda: _ladder(beta=-1.0), "beta must be nonnegative"),
-    "ladder-zero-K": (lambda: _ladder(K=0), "K must be a positive integer"),
+    "ladder-zero-K": (lambda: _ladder(K=0), "K must be an integer >= 1"),
     "welfare-lunar-negative-N": (
-        lambda: _welfare(lunar_model(), N=-1), "N must be nonnegative"
+        lambda: _welfare(lunar_model(), N=-1), "N must be an integer >= 0"
     ),
     "welfare-lunar-nan-beta": (
         lambda: _welfare(lunar_model(), beta=math.nan), "beta must be finite"
@@ -124,7 +125,7 @@ _BAD_INPUTS = {
         lambda: _welfare(lunar_model(), beta=-0.5), "beta must be nonnegative"
     ),
     "welfare-tilt-negative-N": (
-        lambda: _welfare(tilt_model(1.0), N=-1), "N must be nonnegative"
+        lambda: _welfare(tilt_model(1.0), N=-1), "N must be an integer >= 0"
     ),
     "welfare-tilt-nan-beta": (
         lambda: _welfare(tilt_model(1.0), beta=math.nan), "beta must be finite"
@@ -136,7 +137,7 @@ _BAD_INPUTS = {
         lambda: _welfare(autocorr_model(draws=6)[0]), "two-state model"
     ),
     "welfare-one-trial": (
-        lambda: _welfare(lunar_model(), trials=1), "trials must be at least 2"
+        lambda: _welfare(lunar_model(), trials=1), "trials must be an integer >= 2"
     ),
     "finite-n-fractional-N": (
         lambda: finite_n_distribution(kernel_from_p(0.7, 0.6), 1, 2, N=2.5),
@@ -151,10 +152,10 @@ _BAD_INPUTS = {
         lambda: general_stationary(np.zeros((0, 0))), "square and nonempty"
     ),
     "sweep-fractional-K-axis": (
-        lambda: _sweep(y="K", y_values=[2.0, 2.5]), "K must be a positive integer"
+        lambda: _sweep(y="K", y_values=[2.0, 2.5]), "K must be an integer >= 1"
     ),
     "sweep-fractional-K-fixed": (
-        lambda: _sweep(K=2.5), "K must be a positive integer"
+        lambda: _sweep(K=2.5), "K must be an integer >= 1"
     ),
     "lambda-bar-overflow": (
         lambda: censor_sensitivity(PVector(0.999, 0.999), 60), "lambda_bar overflows"
@@ -252,10 +253,10 @@ _BAD_INPUTS = {
         "trials must be an integer",
     ),
     "bayes-params-zero-K": (
-        lambda: bayes_params(PVector(0.7, 0.6), 0), "K must be a positive integer"
+        lambda: bayes_params(PVector(0.7, 0.6), 0), "K must be an integer >= 1"
     ),
     "bayes-params-fractional-K": (
-        lambda: bayes_params(PVector(0.7, 0.6), 2.5), "K must be a positive integer"
+        lambda: bayes_params(PVector(0.7, 0.6), 2.5), "K must be an integer >= 1"
     ),
     "spec-pi-one-with-rho": (
         lambda: ProblemSpec.noisy_priors(1.0, 0.6, 2, rho=1.0), "pi must lie in"
@@ -264,7 +265,7 @@ _BAD_INPUTS = {
     "sweep-nan-sigma": (lambda: _sweep(sigma_log=math.nan), "sigma_log must be finite"),
     "sweep-negative-rho": (lambda: _sweep(rho=-1.0), "rho must be positive"),
     "sweep-negative-N": (
-        lambda: _sweep("finite_n_ratio", N=-1), "N must be nonnegative"
+        lambda: _sweep("finite_n_ratio", N=-1), "N must be an integer >= 0"
     ),
     "sweep-fractional-N": (
         lambda: _sweep("finite_n_ratio", N=2.5), "N must be an integer"
@@ -305,6 +306,37 @@ _BAD_INPUTS = {
     ),
     "lunar-fractional-ceiling": (
         lambda: lunar_model(tension_ceiling=8.5), "tension_ceiling must be an integer"
+    ),
+    "chain-bool-arguments": (
+        lambda: simulate_chain(kernel_from_p(0.7, 0.6), 1, True, True, True, 0),
+        "trials must be an integer >= 1, got True",
+    ),
+    "discrete-float-theta-count": (
+        lambda: DiscreteSignalModel(
+            outcomes=("a", "b"), probs=np.array([[0.6, 0.4], [0.3, 0.7]]),
+            theta_count=2.0,
+        ),
+        "theta_count must be an integer >= 2, got 2.0",
+    ),
+    "ladder-nan-law": (
+        lambda: ladder_transition(
+            np.array([[math.nan, 0.2, 0.2], [0.5, 0.6, 0.2], [0.5, 0.2, 0.6]]), 2, 1
+        ),
+        "p3 columns must be finite",
+    ),
+    "stationary-nan-row": (
+        lambda: general_stationary([[0.5, 0.5], [0.5, math.nan]]),
+        "matrix rows must be finite",
+    ),
+    "stationary-negative-entry": (
+        lambda: general_stationary([[1.5, -0.5], [0.5, 0.5]]),
+        "matrix rows must be finite, nonnegative",
+    ),
+    "discrete-negative-prob": (
+        lambda: DiscreteSignalModel(
+            outcomes=("a", "b"), probs=np.array([[1.2, -0.2], [0.5, 0.5]])
+        ),
+        "probs rows must be finite, nonnegative",
     ),
     "tilt-overflowing-lam": (lambda: tilt_model(1000.0), "overflows"),
     "asymmetric-tilt-overflowing-spike": (
