@@ -25,7 +25,6 @@ from .chain import (
     ladder_state_labels,
     ladder_transition,
     stationary,
-    upper_tail,
 )
 from .oracle import (
     ChainEstimate,

@@ -14,11 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import PVector, TransitionKernel, _check_int, _check_law
+from .signals import PVector, TransitionKernel, _check_int, _check_law, _check_theta
 
 __all__ = [
     "stationary",
-    "upper_tail",
     "finite_n_distribution",
     "kernel_from_p",
     "ladder_state_labels",
@@ -42,17 +41,6 @@ def stationary(r: float, K: int) -> np.ndarray:
     s = np.arange(-K, K + 1, dtype=float)
     w = r ** (s - K) if r >= 1.0 else abs(r) ** (s + K)
     return w / w.sum()
-
-
-def upper_tail(k: int, r: float, K: int) -> float:
-    """Probability that the chain settles at state k or above."""
-    K = _check_int(K, "K", 1)
-    k = _check_int(k, "k", -K)
-    if k > K + 1:
-        raise ValueError(f"k={k} outside -K..K+1 for K={K}")
-    if k == K + 1:
-        return 0.0
-    return float(stationary(r, K)[k + K :].sum())
 
 
 def kernel_from_p(p11: float, p22: float) -> TransitionKernel:
@@ -161,8 +149,7 @@ def ladder_transition(p3: np.ndarray, K: int, theta: int) -> np.ndarray:
     if p3.shape != (3, 3):
         raise ValueError(f"p3 must be 3x3, got shape {p3.shape}")
     _check_law(p3, 0, "p3 columns")
-    if theta not in (1, 2, 3):
-        raise ValueError(f"theta must be 1, 2 or 3, got {theta}")
+    theta = _check_theta(theta, 3)
     return _move_matrix(_ladder_move_table(K)[:, 1:], p3[:, theta - 1])
 
 

@@ -96,13 +96,26 @@ def _check_law(array: np.ndarray, axis: int, what: str) -> None:
         )
 
 
+def _check_theta(theta, n: int) -> int:
+    """``theta`` as an int; ValueError unless it is an int or numpy integer in 1..n.
+
+    As in ``_check_int``, a bool or a float is refused: neither True nor 1.0
+    is state 1.
+    """
+    if isinstance(theta, _INT_TYPES) and theta.__class__ is not bool and 0 < theta <= n:
+        return int(theta)
+    states = ", ".join(map(str, range(1, n))) + f" or {n}"
+    raise ValueError(f"theta must be {states}, got {theta}")
+
+
 def _pick(theta: int, first, second):
     """``first`` under state 1, ``second`` under state 2."""
-    if theta == 1:
-        return first
-    if theta == 2:
-        return second
-    raise ValueError(f"theta must be 1 or 2, got {theta}")
+    if theta.__class__ is int:  # the fast path: the state loops pass a plain 1 or 2
+        if theta == 1:
+            return first
+        if theta == 2:
+            return second
+    return (first, second)[_check_theta(theta, 2) - 1]
 
 
 def _check_beta(beta: float) -> None:
@@ -288,6 +301,8 @@ class DiscreteSignalModel:
         _check_law(probs, 1, "probs rows")
         # a tolerated rounding negative is a zero, not a negative strength
         probs = np.maximum(probs, 0.0)
+        # read-only, so the checked law and the cached reading below stay true
+        probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         ranked = np.sort(probs, axis=0)
         top, runner = ranked[-1], ranked[-2]
@@ -307,6 +322,7 @@ class DiscreteSignalModel:
             raise ValueError(f"unknown outcome {label!r}") from None
 
     def prob(self, label: str, theta: int) -> float:
+        theta = _check_theta(theta, self.theta_count)
         return float(self.probs[theta - 1, self.outcome_index(label)])
 
     def _require_signal(self, idx: int) -> None:

@@ -30,7 +30,7 @@ from .beliefs import (
     bayes_params,
     prior_exceed_prob,
 )
-from .chain import _laws, upper_tail
+from .chain import _laws
 from .signals import (
     PVector,
     TransitionKernel,
@@ -133,9 +133,12 @@ def baseline_welfare(spec: ProblemSpec) -> tuple[float, float]:
 
 
 def welfare_at_threshold(k: int, p: PVector, spec: ProblemSpec) -> float:
-    """Welfare of the rule 'act 1 iff the mental state is at least k'."""
-    w1, w2 = spec.weights
-    return w1 * upper_tail(k, p.r1, spec.K) + w2 * (1.0 - upper_tail(k, p.r2, spec.K))
+    """Welfare of the rule 'act 1 iff the mental state is at least k' (k <= K + 1)."""
+    k = _check_int(k, "k", -spec.K)
+    if k > spec.K + 1:
+        raise ValueError(f"k={k} outside -K..K+1 for K={spec.K}")
+    act = (np.arange(-spec.K, spec.K + 1) >= k).astype(float)
+    return _combine(spec, _laws(p, spec.K), act)
 
 
 def _act(spec: ProblemSpec, strategy) -> np.ndarray:
@@ -286,23 +289,40 @@ def _lambda_bar(params: BayesParams, K: int) -> float:
     return value
 
 
-def _censor_pair(p: PVector, K: int, h: float) -> tuple[BayesParams, BayesParams]:
-    """Bayes parameters of p after the censoring steps h and -h."""
-    return bayes_params(censored_p(p, h), K), bayes_params(censored_p(p, -h), K)
+def _censor_response(p11, p22, K: int):
+    """(d_p, dlam, dlambar) under marginal censoring, elementwise over interior p.
 
-
-def _dlambar(hi: BayesParams, lo: BayesParams, K: int, h: float) -> float:
-    """Central difference of lambda_bar between the censoring steps h and -h."""
-    return (_lambda_bar(hi, K) - _lambda_bar(lo, K)) / (2.0 * h)
+    Censoring moves p by 2p - 1, so dlog r1 = (2 p11 - 1) / (p11 (1 - p11))
+    and dlog r2 = (1 - 2 p22) / (p22 (1 - p22)). The log derivative of a
+    normalizer sum_s r**s is the long-run mean m(r) of s, so
+    dlog lam = m(r2) dlog r2 - m(r1) dlog r1, and lambda_bar = lam d_p**K adds
+    K dlog d_p. The weights r**s are taken relative to the largest, as in
+    ``stationary``; where lam or d_p**K overflows, the response is not
+    finite.
+    """
+    r1, r2 = p11 / (1.0 - p11), (1.0 - p22) / p22
+    dlog_r1 = (2.0 * p11 - 1.0) / (p11 * (1.0 - p11))
+    dlog_r2 = (1.0 - 2.0 * p22) / (p22 * (1.0 - p22))
+    s = np.arange(-K, K + 1)
+    log_z, mean = [], []
+    for log_r in (np.log(r1)[..., None], np.log(r2)[..., None]):
+        top = np.where(log_r >= 0.0, K, -K)  # the state of the largest weight
+        w = np.exp(log_r * (s - top))
+        log_z.append((top * log_r)[..., 0] + np.log(w.sum(axis=-1)))
+        mean.append((w @ s) / w.sum(axis=-1))
+    dlog_lam = mean[1] * dlog_r2 - mean[0] * dlog_r1
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.exp(log_z[1] - log_z[0])
+        dlambar = lam * np.power(r1 / r2, K) * (dlog_lam + K * (dlog_r1 - dlog_r2))
+        return r1 / r2, lam * dlog_lam, dlambar
 
 
 @dataclass(frozen=True)
 class CensorSensitivity:
     """First-order response of the dynamics to marginal censoring at beta=0.
 
-    dp11/dp22 and dd1/dd2/ddp are analytic; the balance responses dlam and
-    dlambar come from central finite differences on the composed p-space
-    map (step h), since no closed form is exposed for them.
+    All in closed form: dp11/dp22 and dd1/dd2/ddp by the chain rule, and
+    the balance responses dlam and dlambar as in ``_censor_response``.
     """
 
     dp11: float
@@ -317,12 +337,10 @@ class CensorSensitivity:
     d_p: float
 
 
-def censor_sensitivity(p: PVector, K: int, h: float = 1e-6) -> CensorSensitivity:
+def censor_sensitivity(p: PVector, K: int) -> CensorSensitivity:
     if not p.interior:
         raise ValueError("censor_sensitivity needs interior dynamics")
-    room = min(p.p11, 1.0 - p.p11, p.p22, 1.0 - p.p22)
-    if not 0.0 < h < 0.5 * room:
-        raise ValueError(f"finite-difference step h={h!r} too large for p")
+    K = _check_int(K, "K", 1)
     dp11 = 2.0 * p.p11 - 1.0
     dp22 = 2.0 * p.p22 - 1.0
     d1 = p.p11 / (1.0 - p.p11)
@@ -331,16 +349,15 @@ def censor_sensitivity(p: PVector, K: int, h: float = 1e-6) -> CensorSensitivity
     dd2 = (2.0 * p.p22 - 1.0) / (1.0 - p.p22) ** 2
     ddp = dd1 * d2 + d1 * dd2
     params = bayes_params(p, K)
-    hi, lo = _censor_pair(p, K, h)
-    dlam = (hi.lam - lo.lam) / (2.0 * h)
+    _, dlam, dlambar = _censor_response(p.p11, p.p22, K)
     return CensorSensitivity(
         dp11=dp11,
         dp22=dp22,
         dd1=dd1,
         dd2=dd2,
         ddp=ddp,
-        dlam=dlam,
-        dlambar=_dlambar(hi, lo, K, h),
+        dlam=float(dlam),
+        dlambar=float(dlambar),
         lam=params.lam,
         lambda_bar=_lambda_bar(params, K),
         d_p=params.d,
@@ -406,26 +423,21 @@ class DWitness:
 def find_D_witness(K: int) -> DWitness | None:
     """Search a p-grid for dynamics whose top posterior shift censoring erodes.
 
-    Scans 100 x 100 dynamics on [0.01, 0.99]^2 and returns the witness with
-    the most negative finite-difference response of lambda_bar (restricted
-    to d_p > 1 so the top state is the informative one), with a verified
-    stakes window, or None when the grid shows no negative response.
+    Scores 100 x 100 dynamics on [0.01, 0.99]^2 by the closed-form response
+    of lambda_bar, skipping cells with d_p <= 1 (the top state must be the
+    informative one) or a response that overflows. Returns the first most
+    negative cell in row-major order (p11 outer) with a verified stakes
+    window, or None when the grid shows no negative response.
     """
     K = _check_int(K, "K", 2)  # the censoring-hurts region needs K >= 2
     grid = np.linspace(0.01, 0.99, 100)
     censor_step = 1e-3
-    best: tuple[float, PVector] | None = None
-    for p11 in grid:
-        for p22 in grid:
-            p = PVector(p11=float(p11), p22=float(p22))
-            if not bayes_params(p, K).d > 1.0:
-                continue
-            d = _dlambar(*_censor_pair(p, K, 1e-6), K, 1e-6)
-            if d < 0.0 and (best is None or d < best[0]):
-                best = (d, p)
-    if best is None:
+    d_p, _, dlambar = _censor_response(grid[:, None], grid, K)  # p11 down, p22 across
+    score = np.where((d_p > 1.0) & np.isfinite(dlambar), dlambar, math.inf)
+    i, j = divmod(int(np.argmin(score)), grid.size)  # argmin takes the first minimum
+    if not score[i, j] < 0.0:
         return None
-    dlambar, p = best
+    dlambar, p = float(score[i, j]), PVector(p11=float(grid[i]), p22=float(grid[j]))
     before = _lambda_bar(bayes_params(p, K), K)
     after = _lambda_bar(bayes_params(censored_p(p, censor_step), K), K)
     target = 0.5 * (before + after)  # Gamma / rho inside (after, before)

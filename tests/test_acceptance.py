@@ -244,7 +244,7 @@ def test_criterion_07_censoring_derivatives():
     for i in range(1000):
         K = 1 + i % 4
         p = PVector(*rng.uniform(0.02, 0.98, size=2))
-        sens = censor_sensitivity(p, K, h=h)
+        sens = censor_sensitivity(p, K)
         hi, lo = censored_p(p, h), censored_p(p, -h)
         fd = {
             "p11": (hi.p11 - lo.p11) / (2 * h),

@@ -43,7 +43,6 @@ from belieflab import (
     stationary,
     sweep,
     threshold_mass,
-    upper_tail,
     welfare_at_threshold,
 )
 from belieflab.welfare import ProblemSpec
@@ -68,8 +67,6 @@ def _doc(theta_count):
 # argument -> (call taking the argument, its lower bound, largest value tried)
 _INTEGER_ARGUMENTS = {
     "stationary-K": (lambda v: stationary(2.0, v), 1, 4),
-    "upper_tail-k": (lambda v: upper_tail(v, 2.0, 2), -2, 3),
-    "upper_tail-K": (lambda v: upper_tail(0, 2.0, v), 1, 4),
     "finite_n_distribution-K": (lambda v: finite_n_distribution(_Q, 1, v, 3), 1, 4),
     "finite_n_distribution-N": (lambda v: finite_n_distribution(_Q, 1, 2, v), 0, 6),
     "ladder_state_labels-K": (ladder_state_labels, 1, 4),

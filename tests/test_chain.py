@@ -14,7 +14,6 @@ from belieflab import (
     ladder_state_labels,
     ladder_transition,
     stationary,
-    upper_tail,
 )
 from belieflab.chain import _ladder_move_table, _laws
 
@@ -65,34 +64,6 @@ class TestStationary:
     def test_negative_r_rejected(self):
         with pytest.raises(ValueError):
             stationary(-1.0, 2)
-
-
-class TestUpperTail:
-    def test_full_support(self):
-        assert upper_tail(-3, 2.0, 3) == pytest.approx(1.0)
-
-    def test_r_two_k_two(self):
-        assert upper_tail(1, 2.0, 2) == pytest.approx(6.0 / 7.75, rel=1e-14)
-
-    def test_uniform(self):
-        assert upper_tail(1, 1.0, 2) == pytest.approx(0.4)
-
-    def test_above_top_state(self):
-        assert upper_tail(3, 2.0, 2) == 0.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            upper_tail(4, 2.0, 2)
-
-    @pytest.mark.parametrize("K", [1, 2, 3, 5])
-    def test_strictly_increasing_in_r(self, K):
-        # holds on both sides of r = 1: a larger drift always fattens the
-        # upper tail for interior thresholds
-        grid = np.concatenate([np.linspace(0.05, 0.95, 10), np.linspace(1.1, 10, 10)])
-        grid.sort()
-        for k in range(-K + 1, K + 1):
-            tails = [upper_tail(k, float(r), K) for r in grid]
-            assert all(b > a for a, b in zip(tails, tails[1:]))
 
 
 class TestFiniteN:

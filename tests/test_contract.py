@@ -38,7 +38,6 @@ from belieflab import (
     sweep,
     threshold_mass,
     tilt_model,
-    upper_tail,
     welfare_at_threshold,
 )
 from belieflab.scenarios import autocorr_model
@@ -66,6 +65,10 @@ def _argmax(weight):
     spec = ProblemSpec.correct_priors(0.5, 0.6, 2)
     problems = [(tilt_model(1.0), spec, 1.0), (lunar_model(), spec, weight)]
     return grid_argmax(problems, [0.0], [2.0])
+
+
+_P3 = np.array([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
+_PAIR = DiscreteSignalModel(outcomes=("a", "b"), probs=np.array([[0.6, 0.4], [0.3, 0.7]]))
 
 
 # case -> (call, pattern the ValueError message must match)
@@ -167,9 +170,6 @@ _BAD_INPUTS = {
     "ladder-continuous-model": (
         lambda: simulate_ladder(tilt_model(1.0), 2, 5, trials=10, seed=0),
         "three-state discrete model",
-    ),
-    "upper-tail-fractional-k": (
-        lambda: upper_tail(0.5, 2.0, 2), "k must be an integer"
     ),
     "threshold-welfare-fractional-k": (
         lambda: welfare_at_threshold(0.5, PVector(0.7, 0.6), _SPEC),
@@ -337,6 +337,25 @@ _BAD_INPUTS = {
             outcomes=("a", "b"), probs=np.array([[1.2, -0.2], [0.5, 0.5]])
         ),
         "probs rows must be finite, nonnegative",
+    ),
+    "kernel-bool-theta": (
+        lambda: kernel_from_p(0.7, 0.6).column(True), "theta must be 1 or 2, got True"
+    ),
+    "finite-n-bool-theta": (
+        lambda: finite_n_distribution(kernel_from_p(0.7, 0.6), True, 1, 2),
+        "theta must be 1 or 2, got True",
+    ),
+    "ladder-bool-theta": (
+        lambda: ladder_transition(_P3, 1, True), "theta must be 1, 2 or 3, got True"
+    ),
+    "ladder-float-theta": (
+        lambda: ladder_transition(_P3, 1, 1.0), "theta must be 1, 2 or 3, got 1.0"
+    ),
+    "discrete-prob-zero-theta": (
+        lambda: _PAIR.prob("a", 0), "theta must be 1 or 2, got 0"
+    ),
+    "discrete-prob-high-theta": (
+        lambda: _PAIR.prob("a", 3), "theta must be 1 or 2, got 3"
     ),
     "tilt-overflowing-lam": (lambda: tilt_model(1000.0), "overflows"),
     "asymmetric-tilt-overflowing-spike": (

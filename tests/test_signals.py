@@ -504,6 +504,14 @@ class TestModelValidation:
                 outcomes=("a", "b"), probs=np.array([[0.6, 0.3], [0.5, 0.5]])
             )
 
+    def test_discrete_probs_are_read_only(self):
+        # the law checked at construction and the cached directions stay true
+        model = DiscreteSignalModel(
+            outcomes=("a", "b"), probs=np.array([[0.6, 0.4], [0.3, 0.7]])
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            model.probs[0, 0] = 5.0
+
     def test_decreasing_ratio_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             tilt = tilt_model(1.0)

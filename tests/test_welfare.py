@@ -1,5 +1,7 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -22,6 +24,7 @@ from belieflab import (
     kernel_from_p,
     regular_censoring_gain,
     regularity,
+    stationary,
     sweep,
     threshold_mass,
     welfare_at_threshold,
@@ -88,9 +91,59 @@ class TestWelfareAtThreshold:
         assert got == pytest.approx(ref, rel=1e-14)
         assert got == pytest.approx(0.480938, abs=5e-7)
 
-    def test_out_of_range_threshold(self):
+    @pytest.mark.parametrize("k", [-3, 4])
+    def test_out_of_range_threshold(self, k):
         with pytest.raises(ValueError):
-            welfare_at_threshold(4, PVector(0.8, 0.8), spec_correct())
+            welfare_at_threshold(k, PVector(0.8, 0.8), spec_correct())
+
+    # At gamma = 0 only acting 1 in state 1 pays, so the welfare is pi times
+    # the upper tail of the long-run law under state 1, whose odds r set p11.
+    @staticmethod
+    def _tail(k, r, K):
+        spec = spec_correct(0.5, 0.0, K)
+        return welfare_at_threshold(k, PVector(r / (1.0 + r), 0.5), spec) / 0.5
+
+    def test_upper_tail_full_support(self):
+        assert self._tail(-3, 2.0, 3) == pytest.approx(1.0)
+
+    def test_upper_tail_r_two_k_two(self):
+        assert self._tail(1, 2.0, 2) == pytest.approx(6.0 / 7.75, rel=1e-14)
+
+    def test_upper_tail_uniform(self):
+        assert self._tail(1, 1.0, 2) == pytest.approx(0.4)
+
+    def test_upper_tail_above_top_state(self):
+        assert self._tail(3, 2.0, 2) == 0.0
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5])
+    def test_upper_tail_strictly_increasing_in_r(self, K):
+        # holds on both sides of r = 1: a larger drift always fattens the
+        # upper tail for interior thresholds
+        grid = np.concatenate([np.linspace(0.05, 0.95, 10), np.linspace(1.1, 10, 10)])
+        grid.sort()
+        for k in range(-K + 1, K + 1):
+            tails = [self._tail(k, float(r), K) for r in grid]
+            assert all(b > a for a, b in zip(tails, tails[1:]))
+
+    def test_matches_the_upper_tail_formula(self):
+        # the reference: w1 * tail(r1) + w2 * (1 - tail(r2)), with tail(r)
+        # the mass of the long-run law at k and above
+        grid = np.linspace(0.02, 0.98, 11)
+        for K in (1, 2, 4):
+            for gamma in (0.3, 0.6, 0.9):
+                spec = spec_correct(0.5, gamma, K)
+                w1, w2 = spec.weights
+                for p11 in grid:
+                    for p22 in grid:
+                        p = PVector(float(p11), float(p22))
+                        for k in range(-K, K + 2):
+                            tail1, tail2 = (
+                                float(stationary(r, K)[k + K :].sum())
+                                for r in (p.r1, p.r2)
+                            )
+                            ref = w1 * tail1 + w2 * (1.0 - tail2)
+                            got = welfare_at_threshold(k, p, spec)
+                            assert abs(got - ref) <= 2.2e-16
 
 
 class TestExpectedWelfare:
@@ -258,6 +311,14 @@ class TestRegularity:
         assert regularity(PVector(*p)) == expected
 
 
+def _exact_balances(p11, p22, K, x):
+    """lam and lambda_bar after the censoring step x, in mpmath arithmetic."""
+    q11, q22 = ((p - x) / (1 - 2 * x) for p in (p11, p22))
+    r1, r2 = q11 / (1 - q11), (1 - q22) / q22
+    lam = sum(r2**s for s in range(-K, K + 1)) / sum(r1**s for s in range(-K, K + 1))
+    return lam, lam * (r1 / r2) ** K
+
+
 class TestCensorSensitivity:
     def test_balanced_coordinate_is_a_fixed_point(self):
         sens = censor_sensitivity(PVector(0.5, 0.7), 2)
@@ -278,6 +339,24 @@ class TestCensorSensitivity:
             assert sens.dp22 == pytest.approx((hi.p22 - lo.p22) / (2 * h), rel=1e-4)
             fd_d = (bayes_params(hi, K).d - bayes_params(lo, K).d) / (2 * h)
             assert sens.ddp == pytest.approx(fd_d, rel=1e-4)
+
+    def test_balance_responses_match_an_exact_derivative(self):
+        # mpmath differentiates lam and lambda_bar along the composed
+        # censoring map at 50 digits
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for _ in range(1500):
+                K = int(rng.choice([1, 2, 3, 5, 10]))
+                p11, p22 = (float(v) for v in rng.uniform(0.01, 0.99, size=2))
+                sens = censor_sensitivity(PVector(p11, p22), K)
+                balances = functools.cache(
+                    lambda x: _exact_balances(p11, p22, K, x)
+                )
+                for j, got in enumerate((sens.dlam, sens.dlambar)):
+                    exact = mpmath.diff(lambda x: balances(x)[j], 0)
+                    worst = max(worst, float(abs(got - exact) / abs(exact)))
+        assert worst <= 1e-9
 
     def test_balance_drifts_away_from_one(self):
         sens = censor_sensitivity(PVector(0.8, 0.6), 2)
@@ -377,14 +456,24 @@ class TestFiniteNWelfare:
 
 
 class TestDWitness:
-    def test_witness_found_and_verified(self):
-        witness = find_D_witness(K=2)
+    # at K = 80 one cell of the grid overflows lambda_bar and is skipped
+    @pytest.mark.parametrize("K", [2, 80])
+    def test_witness_found_and_verified(self, K):
+        witness = find_D_witness(K=K)
         assert witness is not None
         assert witness.dlambar < 0
         assert witness.welfare_before > witness.baseline
         assert witness.welfare_after < witness.welfare_before
-        params = bayes_params(witness.p, 2)
+        params = bayes_params(witness.p, K)
         assert params.d > 1
+
+    def test_witness_cells(self):
+        # grid indices (p11, p22) on linspace(0.01, 0.99, 100) of the first
+        # most negative response, as the cell-by-cell scan picked them
+        grid = np.linspace(0.01, 0.99, 100)
+        picked = {2: 31, 3: 37, 4: 40, 5: 42, 6: 43, 7: 44, 8: 45}
+        for K, j in picked.items():
+            assert find_D_witness(K).p == PVector(grid[99], grid[j])
 
     def test_window_brackets_the_stakes(self):
         witness = find_D_witness(K=2)
