@@ -100,8 +100,11 @@ def _check_theta(theta, n: int) -> int:
     """``theta`` as an int; ValueError unless it is an int or numpy integer in 1..n.
 
     As in ``_check_int``, a bool or a float is refused: neither True nor 1.0
-    is state 1.
+    is state 1. The state loops call it through ``_pick`` on every sweep
+    cell, so a plain int in range returns first.
     """
+    if theta.__class__ is int and 0 < theta <= n:
+        return theta
     if isinstance(theta, _INT_TYPES) and theta.__class__ is not bool and 0 < theta <= n:
         return int(theta)
     states = ", ".join(map(str, range(1, n))) + f" or {n}"
@@ -110,11 +113,6 @@ def _check_theta(theta, n: int) -> int:
 
 def _pick(theta: int, first, second):
     """``first`` under state 1, ``second`` under state 2."""
-    if theta.__class__ is int:  # the fast path: the state loops pass a plain 1 or 2
-        if theta == 1:
-            return first
-        if theta == 2:
-            return second
     return (first, second)[_check_theta(theta, 2) - 1]
 
 

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .beliefs import (
+    _LOG_MAX,
     BayesParams,
     BeliefStrategy,
     PriorModel,
@@ -282,8 +283,9 @@ def _lambda_bar(params: BayesParams, K: int) -> float:
         raise ValueError("lambda_bar needs interior dynamics")
     try:
         value = params.lam * params.d**K
-    except OverflowError:
-        value = math.inf
+    except OverflowError:  # d**K alone overflows; a lam near underflow can bring it back
+        log_value = math.log(params.lam) + K * math.log(params.d) if params.lam > 0 else math.inf
+        value = math.exp(log_value) if log_value < _LOG_MAX else math.inf
     if not math.isfinite(value):
         raise ValueError(f"lambda_bar overflows at K={K}")
     return value

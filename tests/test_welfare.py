@@ -456,8 +456,10 @@ class TestFiniteNWelfare:
 
 
 class TestDWitness:
-    # at K = 80 one cell of the grid overflows lambda_bar and is skipped
-    @pytest.mark.parametrize("K", [2, 80])
+    # at K = 80 one cell of the grid overflows lambda_bar and is skipped; at
+    # K = 152 the censored neighbour's d**K overflows while its lam is near
+    # underflow, and lambda_bar itself is near 50
+    @pytest.mark.parametrize("K", [2, 80, 152])
     def test_witness_found_and_verified(self, K):
         witness = find_D_witness(K=K)
         assert witness is not None
@@ -481,6 +483,16 @@ class TestDWitness:
         target = witness.gamma / (1.0 - witness.gamma)
         assert lo < target < hi
         assert hi == pytest.approx(_lambda_bar(bayes_params(witness.p, 2), 2), rel=1e-12)
+
+    @pytest.mark.parametrize("K", [152, 204, 291])
+    def test_window_matches_exact_lambda_bar_where_d_to_the_K_overflows(self, K):
+        witness = find_D_witness(K=K)
+        p11, p22 = (mpmath.mpf(v) for v in (witness.p.p11, witness.p.p22))
+        steps = (mpmath.mpf(witness.censor_step), 0)
+        with mpmath.workdps(50):
+            for got, x in zip(witness.window, steps):
+                exact = _exact_balances(p11, p22, K, x)[1]
+                assert float(abs(got - exact) / exact) <= 1e-9
 
     def test_regular_symmetric_diagonal_is_safe(self):
         # on the informative diagonal the top posterior shift only grows
