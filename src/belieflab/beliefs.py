@@ -159,8 +159,11 @@ def _act_probabilities(prior: PriorModel, strategy, Gamma: float, K: int) -> np.
     """Pr(posterior >= Gamma | mental state s) over prior noise, s = -K..K.
 
     The shift lam * d**s is the posterior at prior odds 1; one that
-    overflows or underflows acts 1 or 0 outright.
+    overflows or underflows acts 1 or 0 outright. A lam of 0 or inf (only
+    ``BayesParams`` can carry one) has no posterior rule and raises.
     """
+    if not 0.0 < strategy.lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {strategy.lam!r}")
     out = np.empty(2 * K + 1)
     for i, s in enumerate(range(-K, K + 1)):
         shift = posterior(strategy, 1.0, s)
@@ -201,30 +204,30 @@ def bayes_params(p: PVector, K: int) -> BayesParams:
     if not p.interior:
         return BayesParams(d=math.nan, lam=math.nan, degenerate=True)
     r1, r2 = p.r1, p.r2
-    s = np.arange(-K, K + 1, dtype=float)
     # below this bound no power r**s and neither sum can overflow
     if K * max(abs(math.log(r1)), abs(math.log(r2))) + math.log(2 * K + 1) < _LOG_MAX:
+        s = np.arange(-K, K + 1, dtype=float)
         lam = float(np.sum(r2**s) / np.sum(r1**s))
     else:
-        lam = _lam_near_overflow(p, K, s)
+        log_z = _log_normalizer(np.log([r2, r1]), K)
+        log_lam = float(log_z[0] - log_z[1])
+        lam = math.exp(log_lam) if log_lam < _LOG_MAX else math.inf
     return BayesParams(d=r1 / r2, lam=lam, degenerate=False)
 
 
-def _lam_near_overflow(p: PVector, K: int, s: np.ndarray) -> float:
-    """The Bayes lam where a power r**s may overflow.
+def _log_normalizer(log_r, K: int, with_mean: bool = False):
+    """log sum_s r**s over s = -K..K, elementwise over an array of log r.
 
-    The direct ratio stands where both sums stay finite. Otherwise each sum
-    is taken in logs over the larger of the odds and their inverse (the sum
-    is the same for both), anchored at its top power; a lam beyond the float
-    range is inf.
+    Each weight is taken relative to the largest, so none overflows;
+    ``with_mean`` adds the mean of s under the weights, the sum's log
+    derivative. ``chain.stationary`` keeps its own scalar power form: its
+    bits feed props-check's printed minimum gap, and this broadcast form
+    doubles its cost.
     """
-    with np.errstate(over="ignore"):
-        num, den = np.sum(p.r2**s), np.sum(p.r1**s)
-    if math.isfinite(num) and math.isfinite(den):
-        return float(num / den)
-    logs = []
-    for q in (p.p22, p.p11):
-        odds = max(q, 1.0 - q) / min(q, 1.0 - q)
-        logs.append(K * math.log(odds) + math.log(float(np.sum(odds ** (s - K)))))
-    log_lam = logs[0] - logs[1]
-    return math.exp(log_lam) if log_lam < _LOG_MAX else math.inf
+    log_r = np.asarray(log_r, dtype=float)[..., None]
+    s = np.arange(-K, K + 1)
+    top = np.copysign(K, log_r)  # the state of the largest weight
+    w = np.exp(log_r * (s - top))
+    z = w.sum(axis=-1)
+    log_z = (top * log_r)[..., 0] + np.log(z)
+    return (log_z, (w @ s) / z) if with_mean else log_z

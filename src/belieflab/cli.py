@@ -379,9 +379,14 @@ def _props_battery(K: int) -> list[tuple[str, bool, str]]:
     # Censoring-response: analytic derivatives match finite differences.
     ok = True
     witness = "1000 draws"
+    skipped = 0
     for _ in range(1000):
         p = PVector(*rng.uniform(0.05, 0.95, size=2))
-        sens = censor_sensitivity(p, K)
+        try:
+            sens = censor_sensitivity(p, K)
+        except ValueError:  # lambda_bar past the float range, as find_D_witness skips
+            skipped += 1
+            continue
         h = 1e-6
         hi, lo = censored_p(p, h), censored_p(p, -h)
         fd11 = (hi.p11 - lo.p11) / (2 * h)
@@ -400,6 +405,8 @@ def _props_battery(K: int) -> list[tuple[str, bool, str]]:
             ok = False
             witness = f"balance sign at p=({p.p11:.4f},{p.p22:.4f})"
             break
+    if skipped:
+        witness += f" ({skipped} skipped: lambda_bar overflows)"
     results.append(("censoring-derivatives", ok, witness))
 
     # Somewhere, censoring strictly hurts a Bayesian agent.

@@ -191,6 +191,8 @@ class PVector:
         for name, v in (("p11", self.p11), ("p22", self.p22)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v!r} outside [0, 1]")
+            # a Python float overflows d**s quietly to inf, as ``posterior`` expects
+            object.__setattr__(self, name, float(v))
 
     def column(self, theta: int) -> tuple[float, float, float]:
         """(up, down, stay) probabilities for underlying state ``theta``."""

@@ -22,11 +22,11 @@ import numpy as np
 
 from .beliefs import (
     _LOG_MAX,
-    BayesParams,
     BeliefStrategy,
     PriorModel,
     Stakes,
     _act_probabilities,
+    _log_normalizer,
     _objective_odds,
     bayes_params,
     prior_exceed_prob,
@@ -277,46 +277,43 @@ def default_censor_step(p: PVector) -> float:
     return 0.5 * room
 
 
-def _lambda_bar(params: BayesParams, K: int) -> float:
-    """Largest Bayesian posterior shift the chain can deliver (at state K)."""
-    if params.degenerate:
+def _lambda_bar(p: PVector, K: int) -> float:
+    """Largest Bayesian posterior shift lam * d_p**K, taken in logs.
+
+    exp(log Z(r2) - log Z(r1) + K log d_p) over the normalizers Z(r) of
+    ``beliefs._log_normalizer``; raises where it is past the float range.
+    """
+    if not p.interior:
         raise ValueError("lambda_bar needs interior dynamics")
-    try:
-        value = params.lam * params.d**K
-    except OverflowError:  # d**K alone overflows; a lam near underflow can bring it back
-        log_value = math.log(params.lam) + K * math.log(params.d) if params.lam > 0 else math.inf
-        value = math.exp(log_value) if log_value < _LOG_MAX else math.inf
-    if not math.isfinite(value):
+    log_r = np.log([p.r1, p.r2])
+    log_z = _log_normalizer(log_r, K)
+    log_value = float(log_z[1] - log_z[0] + K * (log_r[0] - log_r[1]))
+    if not log_value < _LOG_MAX:
         raise ValueError(f"lambda_bar overflows at K={K}")
-    return value
+    return float(np.exp(log_value))
 
 
 def _censor_response(p11, p22, K: int):
-    """(d_p, dlam, dlambar) under marginal censoring, elementwise over interior p.
+    """(d_p, lam, lambda_bar, dlam, dlambar), elementwise over interior p.
 
-    Censoring moves p by 2p - 1, so dlog r1 = (2 p11 - 1) / (p11 (1 - p11))
-    and dlog r2 = (1 - 2 p22) / (p22 (1 - p22)). The log derivative of a
-    normalizer sum_s r**s is the long-run mean m(r) of s, so
-    dlog lam = m(r2) dlog r2 - m(r1) dlog r1, and lambda_bar = lam d_p**K adds
-    K dlog d_p. The weights r**s are taken relative to the largest, as in
-    ``stationary``; where lam or d_p**K overflows, the response is not
-    finite.
+    lam and lambda_bar are taken in logs as in ``_lambda_bar``. Censoring
+    moves p by 2p - 1, so dlog r1 = (2 p11 - 1) / (p11 (1 - p11)) and
+    dlog r2 = (1 - 2 p22) / (p22 (1 - p22)). The log derivative of Z(r) is
+    the long-run mean m(r) of s, so dlog lam = m(r2) dlog r2 - m(r1) dlog r1,
+    and lambda_bar adds K dlog d_p. Past the float range these are not finite.
     """
     r1, r2 = p11 / (1.0 - p11), (1.0 - p22) / p22
     dlog_r1 = (2.0 * p11 - 1.0) / (p11 * (1.0 - p11))
     dlog_r2 = (1.0 - 2.0 * p22) / (p22 * (1.0 - p22))
-    s = np.arange(-K, K + 1)
-    log_z, mean = [], []
-    for log_r in (np.log(r1)[..., None], np.log(r2)[..., None]):
-        top = np.where(log_r >= 0.0, K, -K)  # the state of the largest weight
-        w = np.exp(log_r * (s - top))
-        log_z.append((top * log_r)[..., 0] + np.log(w.sum(axis=-1)))
-        mean.append((w @ s) / w.sum(axis=-1))
-    dlog_lam = mean[1] * dlog_r2 - mean[0] * dlog_r1
+    log_r1, log_r2 = np.log(r1), np.log(r2)
+    log_z1, m1 = _log_normalizer(log_r1, K, with_mean=True)
+    log_z2, m2 = _log_normalizer(log_r2, K, with_mean=True)
+    dlog_lam = m2 * dlog_r2 - m1 * dlog_r1
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = np.exp(log_z[1] - log_z[0])
-        dlambar = lam * np.power(r1 / r2, K) * (dlog_lam + K * (dlog_r1 - dlog_r2))
-        return r1 / r2, lam * dlog_lam, dlambar
+        lam = np.exp(log_z2 - log_z1)
+        lambda_bar = np.exp(log_z2 - log_z1 + K * (log_r1 - log_r2))
+        dlambar = lambda_bar * (dlog_lam + K * (dlog_r1 - dlog_r2))
+        return r1 / r2, lam, lambda_bar, lam * dlog_lam, dlambar
 
 
 @dataclass(frozen=True)
@@ -324,7 +321,7 @@ class CensorSensitivity:
     """First-order response of the dynamics to marginal censoring at beta=0.
 
     All in closed form: dp11/dp22 and dd1/dd2/ddp by the chain rule, and
-    the balance responses dlam and dlambar as in ``_censor_response``.
+    lam, lambda_bar, dlam and dlambar in logs from one ``_censor_response``.
     """
 
     dp11: float
@@ -350,8 +347,9 @@ def censor_sensitivity(p: PVector, K: int) -> CensorSensitivity:
     dd1 = (2.0 * p.p11 - 1.0) / (1.0 - p.p11) ** 2
     dd2 = (2.0 * p.p22 - 1.0) / (1.0 - p.p22) ** 2
     ddp = dd1 * d2 + d1 * dd2
-    params = bayes_params(p, K)
-    _, dlam, dlambar = _censor_response(p.p11, p.p22, K)
+    d_p, lam, lambda_bar, dlam, dlambar = _censor_response(p.p11, p.p22, K)
+    if not math.isfinite(lambda_bar):
+        raise ValueError(f"lambda_bar overflows at K={K}")
     return CensorSensitivity(
         dp11=dp11,
         dp22=dp22,
@@ -360,9 +358,9 @@ def censor_sensitivity(p: PVector, K: int) -> CensorSensitivity:
         ddp=ddp,
         dlam=float(dlam),
         dlambar=float(dlambar),
-        lam=params.lam,
-        lambda_bar=_lambda_bar(params, K),
-        d_p=params.d,
+        lam=float(lam),
+        lambda_bar=float(lambda_bar),
+        d_p=d_p,
     )
 
 
@@ -434,14 +432,14 @@ def find_D_witness(K: int) -> DWitness | None:
     K = _check_int(K, "K", 2)  # the censoring-hurts region needs K >= 2
     grid = np.linspace(0.01, 0.99, 100)
     censor_step = 1e-3
-    d_p, _, dlambar = _censor_response(grid[:, None], grid, K)  # p11 down, p22 across
+    d_p, _, _, _, dlambar = _censor_response(grid[:, None], grid, K)  # p11 down, p22 across
     score = np.where((d_p > 1.0) & np.isfinite(dlambar), dlambar, math.inf)
     i, j = divmod(int(np.argmin(score)), grid.size)  # argmin takes the first minimum
     if not score[i, j] < 0.0:
         return None
     dlambar, p = float(score[i, j]), PVector(p11=float(grid[i]), p22=float(grid[j]))
-    before = _lambda_bar(bayes_params(p, K), K)
-    after = _lambda_bar(bayes_params(censored_p(p, censor_step), K), K)
+    before = _lambda_bar(p, K)
+    after = _lambda_bar(censored_p(p, censor_step), K)
     target = 0.5 * (before + after)  # Gamma / rho inside (after, before)
     pi = 0.5
     gamma = target / (1.0 + target)  # rho = 1, so Gamma = target
@@ -548,7 +546,7 @@ def _metric_finite_n_ratio(p, spec, ctx):
 
 
 def _metric_lambda_bar(p, spec, ctx):
-    return _lambda_bar(bayes_params(p, spec.K), spec.K)
+    return _lambda_bar(p, spec.K)
 
 
 def _metric_in_B(p, spec, ctx):

@@ -490,6 +490,11 @@ class TestPropsCheck:
         assert len(lines) == 5
         assert all(line.startswith("PASS") for line in lines)
 
+    def test_battery_skips_draws_whose_lambda_bar_overflows(self, capsys):
+        code, out = invoke(capsys, ["props-check", "--K", "123"])
+        assert code == 0, out
+        assert "censoring-derivatives: 1000 draws (2 skipped: lambda_bar overflows)" in out
+
 
 # ---------------------------------------------------------------------------
 # golden stdout: the sha256 of stdout for fixed argv, seeds included. The
@@ -585,7 +590,7 @@ _GOLDEN_DIGESTS = {
     "sweep-delta_fixed": "4e1a86053a1642b573f142f212737e9f114acf559b2aa61efdc1995e88feb41f",
     "sweep-censor_gain": "9f56eeb84bedcd1612c74068298245454a5276c8c9a98fba2a06596d210b9c6d",
     "sweep-finite_n_ratio": "1fa9d7f4e94d8889815319672ff6d6e6752ed5d6dd76ce32d6430eeb5c783aa9",
-    "sweep-lambda_bar": "32306a3dc861152ba861c4045852a2f9f5455f7b5c7657201be38591c06a166d",
+    "sweep-lambda_bar": "57bed01436cc6005a82f55212a48bbce428f278e5ea66b90898b04bdf8e864cd",
     "sweep-in_B": "9a6dc7815400c623eb2ba58057d6e3ebf811e9dab963c2f77e5b7dd80c59c6b2",
     "sweep-regularity": "72f4b69fb6eabec5a049bc52f8eb68b6613e4ebf618e59ae4baa4791027e4fa3",
     "sweep-beta-tilt": "6b698dc51caaba7514aab3e09e44354c31cffd2dd5bb08e6536cecfa1d09014a",

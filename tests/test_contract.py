@@ -14,6 +14,7 @@ from belieflab import (
     asymmetric_tilt_model,
     batch,
     bayes_params,
+    bayes_welfare,
     censored_direction_matrix,
     censor_sensitivity,
     censored_transitions,
@@ -59,6 +60,11 @@ def _welfare(model, N=5, beta=0.0, trials=10):
 def _sweep(metric="delta_bayes", **kwargs):
     grid = dict(x="p11", x_values=[0.7], y="p22", y_values=[0.6])
     return sweep(metric, **{**grid, **kwargs})
+
+
+def _bayes_rule_welfare(p, K):
+    spec = ProblemSpec.correct_priors(0.5, 0.5, K)
+    return expected_welfare(p, spec, bayes_params(p, K))
 
 
 def _argmax(weight):
@@ -162,6 +168,21 @@ _BAD_INPUTS = {
     ),
     "lambda-bar-overflow": (
         lambda: censor_sensitivity(PVector(0.999, 0.999), 60), "lambda_bar overflows"
+    ),
+    # a Bayes lam past the float range has no posterior rule to evaluate
+    "bayes-welfare-inf-lam": (
+        lambda: _bayes_rule_welfare(PVector(0.45, 0.98), 200),
+        "lam must be positive and finite, got inf",
+    ),
+    "bayes-welfare-zero-lam": (
+        lambda: _bayes_rule_welfare(PVector(0.02, 0.6), 300),
+        "lam must be positive and finite, got 0.0",
+    ),
+    "noisy-bayes-welfare-inf-lam": (
+        lambda: bayes_welfare(
+            PVector(0.6, 0.99), ProblemSpec.noisy_priors(0.5, 0.5, 300, 0.5)
+        ),
+        "lam must be positive and finite, got inf",
     ),
     "strategy-inf-lam": (
         lambda: BeliefStrategy(1e200, lam=math.inf), "lam must be finite"
@@ -423,6 +444,12 @@ def test_a_metric_that_ignores_d_does_not_check_it():
 def test_sweep_lambda_bar_overflow_is_a_nan_cell():
     rows = sweep("lambda_bar", "p11", [0.999999], "p22", [0.999999], K=40)
     assert math.isnan(rows[0]["value"])
+
+
+def test_sweep_lambda_bar_is_finite_where_d_to_the_K_overflows():
+    # d**K overflows and lam underflows; lambda_bar itself is about 94.7
+    rows = sweep("lambda_bar", "p11", [0.95], "p22", [0.4975], K=260)
+    assert rows[0]["value"] == pytest.approx(94.69, rel=1e-3)
 
 
 # in_B compares d_p with the bar Gamma / (rho * lam) and its inverse; a bar of

@@ -1,9 +1,11 @@
 """The benchmark's reference gate, replayed inside the test suite.
 
 Every finite-horizon job the benchmark can draw (the whole ``horizon``
-catalog and the ``landscape`` ``sweep:finite_n_ratio`` pool), and every
-``censoring`` job on a named model through the CLI (the ``censor-path``,
-``transitions``, ``sweep:beta`` and ``scenario`` pools), runs through
+catalog and the ``landscape`` ``sweep:finite_n_ratio`` pool), every
+``landscape`` job that reads the Bayes balance lam or lambda_bar (the
+``sweep:lambda_bar`` and ``props-check`` pools), and every ``censoring`` job
+on a named model through the CLI (the ``censor-path``, ``transitions``,
+``sweep:beta`` and ``scenario`` pools), runs through
 ``belieflab.cli.run``, and its stdout must match the output recorded in
 ``perfbench/reference.json`` within ``checks.REL_TOL`` (1e-12), as the
 benchmark itself checks it. The ``censoring`` pool of fresh tilt
@@ -59,6 +61,11 @@ def _replay(workload: str, pool: str) -> None:
 @pytest.mark.parametrize("workload", ["horizon", "landscape"])
 def test_finite_n_jobs_match_the_recorded_reference(workload):
     _replay(workload, "sweep:finite_n_ratio")
+
+
+@pytest.mark.parametrize("pool", ["sweep:lambda_bar", "props-check"])
+def test_balance_jobs_match_the_recorded_reference(pool):
+    _replay("landscape", pool)
 
 
 @pytest.mark.parametrize("pool", ["censor-path", "transitions", "sweep:beta", "scenario"])

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -245,6 +246,16 @@ class TestBayesWelfare:
         value = bayes_welfare(p, spec)
         assert value < under
 
+    def test_rule_from_numpy_dynamics_overflows_quietly(self):
+        # d = 99**2, so d**s is past the float range from s = 78 on; a
+        # PVector keeps Python floats, whose power overflows to inf without
+        # the RuntimeWarning a numpy float gives
+        p = PVector(*np.array([0.99, 0.99]))
+        assert type(p.p11) is float and type(p.p22) is float
+        spec = spec_correct(K=122)
+        value = expected_welfare(p, spec, bayes_params(p, 122)).value
+        assert value == pytest.approx(bayes_welfare(p, spec), abs=1e-12)
+
     def test_boundary_dynamics_need_correct_priors(self):
         with pytest.raises(ValueError):
             bayes_welfare(PVector(1.0, 0.0), spec_noisy())
@@ -357,6 +368,25 @@ class TestCensorSensitivity:
                     exact = mpmath.diff(lambda x: balances(x)[j], 0)
                     worst = max(worst, float(abs(got - exact) / abs(exact)))
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("K", [2, 5, 20, 60, 150, 250])
+    def test_lambda_bar_matches_the_exact_value(self, K):
+        # a lam near underflow beside a d_p**K near overflow is where the
+        # product of the two lost every digit; a value below the float
+        # range is 0
+        rng = np.random.default_rng(K)
+        with mpmath.workdps(50):
+            for _ in range(50):
+                p11, p22 = (float(v) for v in rng.uniform(0.01, 0.99, size=2))
+                exact = _exact_balances(mpmath.mpf(p11), mpmath.mpf(p22), K, 0)[1]
+                p = PVector(p11, p22)
+                if exact > sys.float_info.max:
+                    with pytest.raises(ValueError, match="lambda_bar overflows"):
+                        _lambda_bar(p, K)
+                elif exact < sys.float_info.min:
+                    assert _lambda_bar(p, K) < sys.float_info.min
+                else:
+                    assert float(abs(_lambda_bar(p, K) - exact) / exact) <= 1e-12
 
     def test_balance_drifts_away_from_one(self):
         sens = censor_sensitivity(PVector(0.8, 0.6), 2)
@@ -482,7 +512,7 @@ class TestDWitness:
         lo, hi = witness.window
         target = witness.gamma / (1.0 - witness.gamma)
         assert lo < target < hi
-        assert hi == pytest.approx(_lambda_bar(bayes_params(witness.p, 2), 2), rel=1e-12)
+        assert hi == pytest.approx(_lambda_bar(witness.p, 2), rel=1e-12)
 
     @pytest.mark.parametrize("K", [152, 204, 291])
     def test_window_matches_exact_lambda_bar_where_d_to_the_K_overflows(self, K):
