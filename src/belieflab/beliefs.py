@@ -209,8 +209,8 @@ def bayes_params(p: PVector, K: int) -> BayesParams:
         s = np.arange(-K, K + 1, dtype=float)
         lam = float(np.sum(r2**s) / np.sum(r1**s))
     else:
-        log_z = _log_normalizer(np.log([r2, r1]), K)
-        log_lam = float(log_z[0] - log_z[1])
+        log_z = _log_normalizer(np.log([r1, r2]), K)
+        log_lam = float(log_z[1] - log_z[0])
         lam = math.exp(log_lam) if log_lam < _LOG_MAX else math.inf
     return BayesParams(d=r1 / r2, lam=lam, degenerate=False)
 
