@@ -220,9 +220,7 @@ def _log_normalizer(log_r, K: int, with_mean: bool = False):
 
     Each weight is taken relative to the largest, so none overflows;
     ``with_mean`` adds the mean of s under the weights, the sum's log
-    derivative. ``chain.stationary`` keeps its own scalar power form: its
-    bits feed props-check's printed minimum gap, and this broadcast form
-    doubles its cost.
+    derivative.
     """
     log_r = np.asarray(log_r, dtype=float)[..., None]
     s = np.arange(-K, K + 1)

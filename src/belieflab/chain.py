@@ -9,7 +9,6 @@ uses its own ordering, see ``ladder_state_labels``).
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -29,18 +28,16 @@ __all__ = [
 def stationary(r: float, K: int) -> np.ndarray:
     """Long-run state distribution of the chain with up/down odds r.
 
-    probs(s) is proportional to r**s for s in -K..K. The power is anchored
-    at its largest term r**0, so extreme r cannot overflow and the sentinels
-    r = inf and r = 0 (either sign) give exact point masses at +K and -K
-    (one-sided dynamics are legal and flow through the welfare analysis
-    unchanged).
+    probs(s) is proportional to r**s for s in -K..K, the long-run law of
+    ``_laws`` for the column (r, 1, 0). The power is anchored at its largest
+    term, so extreme r cannot overflow and the sentinels r = inf and r = 0
+    (either sign) give exact point masses at +K and -K (one-sided dynamics
+    are legal and flow through the welfare analysis unchanged).
     """
     K = _check_int(K, "K", 1)
     if not r >= 0.0:
         raise ValueError(f"r must be positive (or the 0/inf sentinel), got {r!r}")
-    s = np.arange(-K, K + 1, dtype=float)
-    w = r ** (s - K) if r >= 1.0 else abs(r) ** (s + K)
-    return w / w.sum()
+    return _laws(np.array([r, 1.0, 0.0]), K)
 
 
 def kernel_from_p(p11: float, p22: float) -> TransitionKernel:
@@ -59,11 +56,7 @@ def finite_n_distribution(
     the state alone; under its processed-signal chain
     ``conditional_dynamics(q)`` N counts processed signals only.
     """
-    K = _check_int(K, "K", 1)
-    N = _check_int(N, "N", 0)  # before the power: a negative N would invert the matrix
-    up, down, stay = q.column(theta)
-    P = _move_matrix(_birth_death_table(K), (stay, up, down))
-    return np.linalg.matrix_power(P, N)[K]
+    return _laws(np.array(q.column(theta)), K, N)
 
 
 def _birth_death_table(K: int) -> np.ndarray:
@@ -73,31 +66,46 @@ def _birth_death_table(K: int) -> np.ndarray:
 
 
 def _move_matrix(table: np.ndarray, pvals) -> np.ndarray:
-    """Transition matrix taking column j of a move table with probability pvals[j]."""
+    """Transition matrices (..., n, n) taking column j of a move table with
+    probability pvals[..., j]."""
+    pvals = np.asarray(pvals, dtype=float)
     states = np.arange(table.shape[0])
-    P = np.zeros((states.size, states.size))
-    for targets, prob in zip(table.T, pvals):  # one target per state, in order
-        P[states, targets] += prob
+    P = np.zeros(pvals.shape[:-1] + (states.size, states.size))
+    for targets, prob in zip(table.T, np.moveaxis(pvals, -1, 0)):
+        P[..., states, targets] += prob[..., None]  # one target per state
     return P
 
 
-def _laws(q, K, N=None) -> np.ndarray:
-    """Laws of the mental state under theta = 1, 2 for a kernel or a PVector.
+# matrices per stacked matrix power (64 cells of two states): bounds the memory
+_POWER_BLOCK = 128
 
-    Both are read through their (up, down, stay) columns. Rows are long-run
-    laws (N=None; a silenced state parks the chain at 0) or laws after N
-    signals.
+
+def _laws(q, K, N=None) -> np.ndarray:
+    """Laws of the mental state, (..., 2K+1), for (up, down, stay) columns (..., 3).
+
+    A kernel or a PVector gives its columns under theta = 1, 2 as (2, 3).
+    Long-run rows (N=None) are r**s normalized, r = up/down, anchored at the
+    largest power: r**(s-K) for r >= 1, |r|**(s+K) otherwise, and a silenced
+    column parks at 0. Rows after N signals are row K of the N-th power of
+    the move matrix, stacked _POWER_BLOCK matrices at a time.
     """
-    if N is not None:
-        return np.array([finite_n_distribution(q, t, K, N) for t in (1, 2)])
+    if hasattr(q, "column"):
+        q = [q.column(1), q.column(2)]
+    cols = np.asarray(q, dtype=float)
     K = _check_int(K, "K", 1)
-    laws = []
-    for up, down, _ in (q.column(1), q.column(2)):
-        if up + down > 0.0:
-            laws.append(stationary(up / down if down > 0.0 else math.inf, K))
-        else:
-            laws.append(np.eye(1, 2 * K + 1, K)[0])
-    return np.array(laws)
+    if N is None:
+        up, down = cols[..., 0, None], cols[..., 1, None]
+        r = np.divide(up, down, out=np.full(up.shape, np.inf), where=down > 0.0)
+        s = np.arange(-K, K + 1, dtype=float)
+        w = np.abs(r) ** np.where(r >= 1.0, s - K, s + K)
+        return np.where(up + down > 0.0, w / w.sum(axis=-1, keepdims=True), s == 0)
+    N = _check_int(N, "N", 0)  # before the power: a negative N would invert the matrix
+    table, flat = _birth_death_table(K)[:, [1, 2, 0]], cols.reshape(-1, 3)
+    rows = [
+        np.linalg.matrix_power(_move_matrix(table, flat[i : i + _POWER_BLOCK]), N)[:, K]
+        for i in range(0, len(flat), _POWER_BLOCK)
+    ]
+    return np.concatenate(rows).reshape(cols.shape[:-1] + (2 * K + 1,))
 
 
 # ---------------------------------------------------------------------------

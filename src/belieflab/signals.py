@@ -196,9 +196,7 @@ class PVector:
 
     def column(self, theta: int) -> tuple[float, float, float]:
         """(up, down, stay) probabilities for underlying state ``theta``."""
-        return _pick(
-            theta, (self.p11, 1.0 - self.p11, 0.0), (1.0 - self.p22, self.p22, 0.0)
-        )
+        return _pick(theta, *_p_columns(self.p11, self.p22))
 
     @property
     def r1(self) -> float:
@@ -217,6 +215,11 @@ class PVector:
     @property
     def interior(self) -> bool:
         return 0.0 < self.p11 < 1.0 and 0.0 < self.p22 < 1.0
+
+
+def _p_columns(p11, p22):
+    """(up, down, stay) under theta = 1 and 2 of dynamics p, also over arrays."""
+    return (p11, 1.0 - p11, 0.0), (1.0 - p22, p22, 0.0)
 
 
 def _as_float_fn(f: Callable) -> Callable[[float], float]:

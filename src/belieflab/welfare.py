@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +39,7 @@ from .signals import (
     _check_beta,
     _check_finite,
     _check_int,
+    _p_columns,
     censored_transitions,
     conditional_dynamics,
 )
@@ -139,7 +141,7 @@ def welfare_at_threshold(k: int, p: PVector, spec: ProblemSpec) -> float:
     if k > spec.K + 1:
         raise ValueError(f"k={k} outside -K..K+1 for K={spec.K}")
     act = (np.arange(-spec.K, spec.K + 1) >= k).astype(float)
-    return _combine(spec, _laws(p, spec.K), act)
+    return float(_combine(spec.weights, _laws(p, spec.K), act))
 
 
 def _act(spec: ProblemSpec, strategy) -> np.ndarray:
@@ -147,13 +149,28 @@ def _act(spec: ProblemSpec, strategy) -> np.ndarray:
     return _act_probabilities(spec.prior, strategy, spec.Gamma, spec.K)
 
 
-def _combine(spec: ProblemSpec, phis: np.ndarray, act: np.ndarray) -> float:
-    """Welfare of acting 1 with probability act[s] in mental state s.
+def _combine(weights, phis: np.ndarray, act: np.ndarray) -> np.ndarray:
+    """Welfare of acting 1 with probability act[..., s] in mental state s.
 
-    phis holds the mental-state laws under states 1 and 2 (see ``_laws``).
+    phis holds the laws under states 1 and 2, (..., 2, 2K+1) (see ``_laws``),
+    weights are ``ProblemSpec.weights``; leading axes of all three broadcast.
     """
-    w1, w2 = spec.weights
-    return w1 * float(phis[0] @ act) + w2 * float(phis[1] @ (1.0 - act))
+    w1, w2 = weights
+    return w1 * np.vecdot(phis[..., 0, :], act) + w2 * np.vecdot(
+        phis[..., 1, :], 1.0 - act
+    )
+
+
+def _envelope(weights, phis: np.ndarray) -> np.ndarray:
+    """Welfare of the better payoff branch in every mental state, over stacks."""
+    w1, w2 = (np.asarray(w)[..., None] for w in weights)
+    return np.maximum(w1 * phis[..., 0, :], w2 * phis[..., 1, :]).sum(axis=-1)
+
+
+def _p_laws(p11, p22, K: int, N=None) -> np.ndarray:
+    """``_laws`` of dynamics (p11, p22), elementwise over arrays of p."""
+    cols = np.broadcast_arrays(*(v for col in _p_columns(p11, p22) for v in col))
+    return _laws(np.stack(cols, axis=-1).reshape(cols[0].shape + (2, 3)), K, N)
 
 
 def expected_welfare(p: PVector, spec: ProblemSpec, strategy) -> WelfareReport:
@@ -168,11 +185,17 @@ def expected_welfare(p: PVector, spec: ProblemSpec, strategy) -> WelfareReport:
     """
     if getattr(strategy, "degenerate", False):
         raise ValueError("degenerate parameters have no posterior rule to evaluate")
-    value = _combine(spec, _laws(p, spec.K), _act(spec, strategy))
+    value = float(_combine(spec.weights, _laws(p, spec.K), _act(spec, strategy)))
     under, under0 = baseline_welfare(spec)
     return WelfareReport(
         value=value, baseline=under, baseline_correct=under0, delta=value - under
     )
+
+
+def _rule_welfares(p: PVector, spec: ProblemSpec, strategies) -> np.ndarray:
+    """Welfare of each posterior rule in strategies, against one law stack."""
+    acts = np.array([_act(spec, strategy) for strategy in strategies])
+    return _combine(spec.weights, _laws(p, spec.K), acts)
 
 
 def bayes_welfare(p: PVector, spec: ProblemSpec) -> float:
@@ -185,9 +208,7 @@ def bayes_welfare(p: PVector, spec: ProblemSpec) -> float:
     over the baseline can go negative).
     """
     if spec.has_correct_priors:
-        phis = _laws(p, spec.K)
-        w1, w2 = spec.weights
-        return float(np.maximum(w1 * phis[0], w2 * phis[1]).sum())
+        return float(_envelope(spec.weights, _laws(p, spec.K)))
     params = bayes_params(p, spec.K)
     if params.degenerate:
         raise ValueError(
@@ -221,7 +242,7 @@ def delta_fixed(p: PVector, spec: ProblemSpec, d: float) -> DeltaFixed:
     w1, w2 = spec.weights
     psi = w1 * phis[0] - w2 * phis[1]
     j = act - prior_exceed_prob(spec.prior, spec.Gamma)
-    direct = _combine(spec, phis, act) - under
+    direct = float(_combine(spec.weights, phis, act)) - under
     return DeltaFixed(direct=direct, decomposed=float(psi @ j), psi=psi, j=j)
 
 
@@ -255,42 +276,62 @@ def in_B(p: PVector, spec: ProblemSpec) -> bool:
 
 def regularity(p: PVector) -> str:
     """'regular' when the chain leans toward the truth under both states."""
-    return "regular" if (p.p11 > 0.5 and p.p22 > 0.5) else "irregular"
+    return "regular" if _regular(p.p11, p.p22) else "irregular"
+
+
+def _regular(p11, p22):
+    """Whether dynamics are regular, elementwise over arrays of p."""
+    return (p11 > 0.5) & (p22 > 0.5)
 
 
 def censored_p(p: PVector, x: float) -> PVector:
     """First-order censoring map in p-space: both coordinates lose mass x."""
-    if not -0.5 < x < 0.5:
+    return PVector(*_censor_map(p.p11, p.p22, x))
+
+
+def _censor_map(p11, p22, x):
+    """``censored_p`` elementwise over arrays of p and x, with its checks."""
+    if not np.all((-0.5 < x) & (x < 0.5)):
         raise ValueError("censor step x must lie in (-0.5, 0.5)")
-    new11 = (p.p11 - x) / (1.0 - 2.0 * x)
-    new22 = (p.p22 - x) / (1.0 - 2.0 * x)
-    if not (0.0 <= new11 <= 1.0 and 0.0 <= new22 <= 1.0):
-        raise ValueError(
-            f"censor step x={x!r} pushes p=({p.p11}, {p.p22}) out of [0, 1]"
-        )
-    return PVector(p11=new11, p22=new22)
+    new11 = (p11 - x) / (1.0 - 2.0 * x)
+    new22 = (p22 - x) / (1.0 - 2.0 * x)
+    if not np.all((0.0 <= new11) & (new11 <= 1.0) & (0.0 <= new22) & (new22 <= 1.0)):
+        raise ValueError(f"censor step x={x!r} pushes p=({p11}, {p22}) out of [0, 1]")
+    return new11, new22
 
 
 def default_censor_step(p: PVector) -> float:
     """A censor step small enough to keep p strictly interior."""
-    room = min(p.p11, 1.0 - p.p11, p.p22, 1.0 - p.p22, 0.02)
-    return 0.5 * room
+    return float(_default_step(p.p11, p.p22))
+
+
+def _default_step(p11, p22):
+    """``default_censor_step`` elementwise over arrays of p."""
+    room = np.minimum(np.minimum(p11, 1.0 - p11), np.minimum(p22, 1.0 - p22))
+    return 0.5 * np.minimum(room, 0.02)
 
 
 def _lambda_bar(p: PVector, K: int) -> float:
-    """Largest Bayesian posterior shift lam * d_p**K, taken in logs.
-
-    exp(log Z(r2) - log Z(r1) + K log d_p) over the normalizers Z(r) of
-    ``beliefs._log_normalizer``; raises where it is past the float range.
-    """
+    """Largest Bayesian posterior shift lam * d_p**K; raises where
+    ``_lambda_bars`` leaves it undefined."""
     if not p.interior:
         raise ValueError("lambda_bar needs interior dynamics")
-    log_r = np.log([p.r1, p.r2])
-    log_z = _log_normalizer(log_r, K)
-    log_value = float(log_z[1] - log_z[0] + K * (log_r[0] - log_r[1]))
-    if not log_value < _LOG_MAX:
+    value = float(_lambda_bars([p], K)[0])
+    if math.isnan(value):
         raise ValueError(f"lambda_bar overflows at K={K}")
-    return float(np.exp(log_value))
+    return value
+
+
+def _lambda_bars(ps, K: int) -> np.ndarray:
+    """lambda_bar of each PVector in ps: exp(log Z(r2) - log Z(r1) + K log d_p)
+    over the normalizers of ``beliefs._log_normalizer``; NaN where p is not
+    interior or the value is past the float range."""
+    inner = np.array([p.interior for p in ps])
+    log_r = np.log([(p.r1, p.r2) if p.interior else (1.0, 1.0) for p in ps])
+    log_z = _log_normalizer(log_r, K)
+    log_value = log_z[:, 1] - log_z[:, 0] + K * (log_r[:, 0] - log_r[:, 1])
+    ok = inner & (log_value < _LOG_MAX)
+    return np.where(ok, np.exp(np.where(ok, log_value, 0.0)), math.nan)
 
 
 def _censor_response(p11, p22, K: int):
@@ -374,17 +415,25 @@ def regular_censoring_gain(
     side, raising the action-1 tail under state 1 and lowering it under
     state 2.
     """
-    if regularity(p) != "regular":
-        raise ValueError(f"dynamics p=({p.p11}, {p.p22}) are not regular")
+    gains = _censoring_gains(p.p11, p.p22, spec, x)
     if not -spec.K < k <= spec.K:
         raise ValueError(f"threshold k={k} outside (-K, K] for K={spec.K}")
+    return float(gains[_check_int(k, "k", -spec.K) + spec.K - 1])
+
+
+def _censoring_gains(p11, p22, spec: ProblemSpec, x=None) -> np.ndarray:
+    """``regular_censoring_gain`` at k = 1-K..K, (..., 2K), over arrays of p."""
+    if not np.all(_regular(p11, p22)):
+        raise ValueError(f"dynamics p=({p11}, {p22}) are not regular")
     if x is None:
-        x = default_censor_step(p)
-    if not x > 0.0:
+        x = _default_step(p11, p22)
+    if not np.all(x > 0.0):
         raise ValueError("censor step x must be positive")
-    return welfare_at_threshold(k, censored_p(p, x), spec) - welfare_at_threshold(
-        k, p, spec
-    )
+    s, K = np.arange(-spec.K, spec.K + 1), spec.K
+    acts = (s >= s[1:, None]).astype(float)  # one threshold rule per row
+    laws = np.stack([_p_laws(*_censor_map(p11, p22, x), K), _p_laws(p11, p22, K)])
+    cut, kept = _combine(spec.weights, laws[..., None, :, :], acts)
+    return cut - kept
 
 
 def finite_n_welfare(
@@ -395,7 +444,7 @@ def finite_n_welfare(
 ) -> float:
     """Welfare when the decision is taken after only N signals."""
     phis = _laws(p_or_q, spec.K, N)
-    return _combine(spec, phis, _act(spec, strategy))
+    return float(_combine(spec.weights, phis, _act(spec, strategy)))
 
 
 @dataclass(frozen=True)
@@ -508,7 +557,9 @@ def grid_argmax(
         ]
         for d, act in zip(d_grid, acts):
             terms = zip(probs, laws, act)
-            value = sum(w * _combine(s, ph, a) for (_, s, w), ph, a in terms) / total
+            value = sum(
+                w * float(_combine(s.weights, ph, a)) for (_, s, w), ph, a in terms
+            ) / total
             table.append({"beta": float(beta), "d": float(d), "value": value})
     best = max(table, key=lambda row: row["value"])  # first of any tie
     return GridArgmax(**best, table=tuple(table))
@@ -520,51 +571,65 @@ def grid_argmax(
 _AXES = ("p11", "p22", "gamma", "K", "d", "beta")
 
 
-def _metric_delta_bayes(p, spec, ctx):
-    under, _ = baseline_welfare(spec)
-    return bayes_welfare(p, spec) - under
+def _by_key(keys, make, shape=()) -> np.ndarray:
+    """make(*key), a row of ``shape``, once per distinct key, stacked one row
+    per key in keys; a key whose make raises ValueError gets a NaN row."""
+    index, rows, at = {}, [], []
+    for key in keys:
+        at.append(index.setdefault(key, len(rows)))
+        if at[-1] == len(rows):
+            try:
+                rows.append(make(*key))
+            except ValueError:
+                rows.append(np.full(shape, math.nan))
+    return np.array(rows, dtype=float)[at]
 
 
-def _metric_delta_fixed(p, spec, ctx):
-    return delta_fixed(p, spec, ctx["d"]).direct
+# The sweep cells of one K that have dynamics: per cell the PVector, p11, p22,
+# spec, d, weights (w1, w2), noisy-prior baseline welfare and long-run laws.
+_Cells = namedtuple("_Cells", "ps p11 p22 specs ds K N w under laws")
 
 
-def _metric_censor_gain(p, spec, ctx):
-    act = _act(spec, BeliefStrategy(d=ctx["d"], lam=1.0))
-    cut = _combine(spec, _laws(censored_p(p, default_censor_step(p)), spec.K), act)
-    return cut - _combine(spec, _laws(p, spec.K), act)
+def _power_acts(c: _Cells, metric: str) -> np.ndarray:
+    act = lambda s, d: _act(s, _power_rule(d, metric))
+    return _by_key(zip(c.specs, c.ds), act, (2 * c.K + 1,))
 
 
-def _metric_finite_n_ratio(p, spec, ctx):
-    act = _act(spec, BeliefStrategy(d=ctx["d"], lam=1.0))
-    full = _combine(spec, _laws(p, spec.K), act)
-    partial = _combine(spec, _laws(p, spec.K, ctx["N"]), act)
-    under, _ = baseline_welfare(spec)
-    if under == 0.0:  # the weight of the act the prior always takes underflowed
-        raise ValueError("finite_n_ratio needs a positive baseline welfare")
-    return (full - partial) / under
+# Each metric returns one value per cell, NaN where the cell is undefined.
 
 
-def _metric_lambda_bar(p, spec, ctx):
-    return _lambda_bar(p, spec.K)
+def _metric_delta_bayes(c: _Cells) -> np.ndarray:
+    """As ``bayes_welfare``: the envelope under correct priors, else the rule."""
+    if c.specs[0].has_correct_priors:  # the prior is the same in every cell
+        return _envelope(c.w, c.laws) - c.under
+    act = lambda p, s: _act(s, bayes_params(p, c.K))
+    acts = _by_key(zip(c.ps, c.specs), act, (2 * c.K + 1,))
+    return _combine(c.w, c.laws, acts) - c.under
 
 
-def _metric_in_B(p, spec, ctx):
-    return 1.0 if in_B(p, spec) else 0.0
+def _metric_censor_gain(c: _Cells) -> np.ndarray:
+    acts = _power_acts(c, "censor_gain")
+    cut = _p_laws(*_censor_map(c.p11, c.p22, _default_step(c.p11, c.p22)), c.K)
+    return _combine(c.w, cut, acts) - _combine(c.w, c.laws, acts)
 
 
-def _metric_regularity(p, spec, ctx):
-    return 1.0 if regularity(p) == "regular" else 0.0
+def _metric_finite_n_ratio(c: _Cells) -> np.ndarray:
+    acts = _power_acts(c, "finite_n_ratio")
+    full = _combine(c.w, c.laws, acts)
+    partial = _combine(c.w, _p_laws(c.p11, c.p22, c.K, c.N), acts)
+    # undefined where the weight of the act the prior always takes underflowed
+    return (full - partial) / np.where(c.under == 0.0, math.nan, c.under)
 
 
 SWEEP_METRICS = {
     "delta_bayes": _metric_delta_bayes,
-    "delta_fixed": _metric_delta_fixed,
+    "delta_fixed": lambda c: _combine(c.w, c.laws, _power_acts(c, "delta_fixed"))
+    - c.under,
     "censor_gain": _metric_censor_gain,
     "finite_n_ratio": _metric_finite_n_ratio,
-    "lambda_bar": _metric_lambda_bar,
-    "in_B": _metric_in_B,
-    "regularity": _metric_regularity,
+    "lambda_bar": lambda c: _lambda_bars(c.ps, c.K),
+    "in_B": lambda c: _by_key(zip(c.ps, c.specs), lambda p, s: float(in_B(p, s))),
+    "regularity": lambda c: _regular(c.p11, c.p22).astype(float),
 }
 
 
@@ -614,37 +679,44 @@ def sweep(
         N = _check_int(N, "N", 0)
     if metric in ("delta_fixed", "censor_gain", "finite_n_ratio") and "d" not in (x, y):
         _power_rule(d, metric)
-    fn = SWEEP_METRICS[metric]
     base = {
         "p11": p11,
         "p22": p22,
         "gamma": gamma,
         "K": _axis_value("K", K),
         "d": d,
-        "N": N,
         "beta": None if beta is None else _axis_value("beta", beta),
     }
     spec = ProblemSpec.noisy_priors(pi, gamma, base["K"], sigma_log, rho)
-    spec_axes = {x, y} & {"gamma", "K"}
+    specs = {}  # one spec per (gamma, K)
     xs = [_axis_value(x, v) for v in x_values]
     ys = [_axis_value(y, v) for v in y_values]
     kernels = {}  # censored kernel per distinct beta, local to this call
-    rows = []
+    rows, groups = [], {}  # groups: the cells with dynamics, by K
     for yv in ys:
         for xv in xs:
             ctx = dict(base)
             ctx[x], ctx[y] = xv, yv
-            if spec_axes:
-                spec = replace(spec, gamma=ctx["gamma"], K=ctx["K"])
-            row = {x: ctx[x], y: ctx[y]}
+            key = (ctx["gamma"], ctx["K"])
+            if key not in specs:
+                specs[key] = replace(spec, gamma=key[0], K=key[1])
+            rows.append({x: xv, y: yv, "value": math.nan, "regular": math.nan})
             try:
                 p = _sweep_dynamics(ctx, model, kernels)
-                row["value"] = float(fn(p, spec, ctx))
-                row["regular"] = 1.0 if regularity(p) == "regular" else 0.0
             except ValueError:
-                row["value"] = math.nan
-                row["regular"] = math.nan
-            rows.append(row)
+                continue
+            groups.setdefault(key[1], []).append((rows[-1], p, specs[key], ctx["d"]))
+    for cells in groups.values():
+        cell_rows, ps, cell_specs, ds = zip(*cells)
+        K, (p11, p22) = cell_specs[0].K, np.array([(p.p11, p.p22) for p in ps]).T
+        terms = lambda s: (*s.weights, baseline_welfare(s)[0])
+        w1, w2, under = _by_key(zip(cell_specs), terms, (3,)).T
+        laws = _p_laws(p11, p22, K)
+        c = _Cells(ps, p11, p22, cell_specs, ds, K, N, (w1, w2), under, laws)
+        values = SWEEP_METRICS[metric](c).tolist()
+        for row, value, reg in zip(cell_rows, values, _regular(p11, p22).tolist()):
+            if not math.isnan(value):
+                row["value"], row["regular"] = value, float(reg)
     return rows
 
 

@@ -495,6 +495,14 @@ class TestPropsCheck:
         assert code == 0, out
         assert "censoring-derivatives: 1000 draws (2 skipped: lambda_bar overflows)" in out
 
+    def test_battery_skips_bayes_rules_whose_lam_overflows(self, capsys):
+        # at K = 217 one of the 30 draws has a Bayes lam of inf
+        code, out = invoke(capsys, ["props-check", "--K", "217"])
+        assert code == 0, out
+        dominance = out.splitlines()[0]
+        assert dominance.startswith("PASS  bayes-rule-dominance: min gap")
+        assert dominance.endswith("(1 skipped: Bayes lam past the float range)")
+
 
 # ---------------------------------------------------------------------------
 # golden stdout: the sha256 of stdout for fixed argv, seeds included. The

@@ -3,7 +3,9 @@
 Every finite-horizon job the benchmark can draw (the whole ``horizon``
 catalog and the ``landscape`` ``sweep:finite_n_ratio`` pool), every
 ``landscape`` job that reads the Bayes balance lam or lambda_bar (the
-``sweep:lambda_bar`` and ``props-check`` pools), and every ``censoring`` job
+``sweep:lambda_bar`` and ``props-check`` pools), every other ``landscape``
+sweep pool (``delta_bayes``, ``delta_fixed``, ``censor_gain``, ``in_B``),
+each of which runs on the batched laws core, and every ``censoring`` job
 on a named model through the CLI (the ``censor-path``, ``transitions``,
 ``sweep:beta`` and ``scenario`` pools), runs through
 ``belieflab.cli.run``, and its stdout must match the output recorded in
@@ -65,6 +67,13 @@ def test_finite_n_jobs_match_the_recorded_reference(workload):
 
 @pytest.mark.parametrize("pool", ["sweep:lambda_bar", "props-check"])
 def test_balance_jobs_match_the_recorded_reference(pool):
+    _replay("landscape", pool)
+
+
+@pytest.mark.parametrize(
+    "pool", ["sweep:delta_bayes", "sweep:delta_fixed", "sweep:censor_gain", "sweep:in_B"]
+)
+def test_landscape_sweep_jobs_match_the_recorded_reference(pool):
     _replay("landscape", pool)
 
 
