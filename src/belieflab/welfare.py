@@ -623,8 +623,9 @@ def _metric_finite_n_ratio(c: _Cells) -> np.ndarray:
 
 SWEEP_METRICS = {
     "delta_bayes": _metric_delta_bayes,
-    "delta_fixed": lambda c: _combine(c.w, c.laws, _power_acts(c, "delta_fixed"))
-    - c.under,
+    "delta_fixed": lambda c: (
+        _combine(c.w, c.laws, _power_acts(c, "delta_fixed")) - c.under
+    ),
     "censor_gain": _metric_censor_gain,
     "finite_n_ratio": _metric_finite_n_ratio,
     "lambda_bar": lambda c: _lambda_bars(c.ps, c.K),

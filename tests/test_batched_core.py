@@ -72,8 +72,8 @@ def _ref_laws(q, K, N=None):
     return np.array(laws)
 
 
-def _ref_combine(spec, phis, act):
-    w1, w2 = spec.weights
+def _ref_combine(weights, phis, act):
+    w1, w2 = weights
     return w1 * float(phis[0] @ act) + w2 * float(phis[1] @ (1.0 - act))
 
 
@@ -94,25 +94,26 @@ def _ref_delta_bayes(p, spec, ctx):
     params = bayes_params(p, spec.K)
     if params.degenerate:
         raise ValueError("degenerate")
-    return _ref_combine(spec, _ref_laws(p, spec.K), _act(spec, params)) - under
+    return _ref_combine(spec.weights, _ref_laws(p, spec.K), _act(spec, params)) - under
 
 
 def _ref_delta_fixed(p, spec, ctx):
     act = _act(spec, _power_rule(ctx["d"], "delta_fixed"))
-    return _ref_combine(spec, _ref_laws(p, spec.K), act) - baseline_welfare(spec)[0]
+    under, _ = baseline_welfare(spec)
+    return _ref_combine(spec.weights, _ref_laws(p, spec.K), act) - under
 
 
 def _ref_censor_gain(p, spec, ctx):
     act = _act(spec, BeliefStrategy(d=ctx["d"], lam=1.0))
     cut_p = _ref_censored_p(p, _ref_default_step(p))
-    cut = _ref_combine(spec, _ref_laws(cut_p, spec.K), act)
-    return cut - _ref_combine(spec, _ref_laws(p, spec.K), act)
+    cut = _ref_combine(spec.weights, _ref_laws(cut_p, spec.K), act)
+    return cut - _ref_combine(spec.weights, _ref_laws(p, spec.K), act)
 
 
 def _ref_finite_n_ratio(p, spec, ctx):
     act = _act(spec, BeliefStrategy(d=ctx["d"], lam=1.0))
-    full = _ref_combine(spec, _ref_laws(p, spec.K), act)
-    partial = _ref_combine(spec, _ref_laws(p, spec.K, ctx["N"]), act)
+    full = _ref_combine(spec.weights, _ref_laws(p, spec.K), act)
+    partial = _ref_combine(spec.weights, _ref_laws(p, spec.K, ctx["N"]), act)
     under, _ = baseline_welfare(spec)
     if under == 0.0:
         raise ValueError("zero baseline")
@@ -244,8 +245,7 @@ def test_broadcast_combine_matches_the_per_row_dot():
         weights = rng.uniform(size=(2, 300))
         got = _combine(weights, phis, acts)
         for i in range(300):
-            spec_like = type("S", (), {"weights": tuple(weights[:, i])})
-            assert got[i] == _ref_combine(spec_like, phis[i], acts[i])
+            assert got[i] == _ref_combine(weights[:, i], phis[i], acts[i])
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +338,8 @@ def test_battery_gains_match_regular_censoring_gain_cell_by_cell(K):
                 gain = gains[i, j, k + K - 1]
                 assert gain == regular_censoring_gain(p, spec, k)
                 act = (np.arange(-K, K + 1) >= k).astype(float)
-                ref = _ref_combine(spec, cut_laws, act) - _ref_combine(spec, laws, act)
+                ref = _ref_combine(spec.weights, cut_laws, act)
+                ref -= _ref_combine(spec.weights, laws, act)
                 assert gain == ref
 
 
