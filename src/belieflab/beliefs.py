@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import PVector, _check_finite, _check_int
+from .signals import PVector, _check_finite, _check_int, _interior
 
 __all__ = [
     "PriorModel",
@@ -120,6 +120,31 @@ def posterior(strategy, rho_tilde: float, s: int) -> float:
         return math.inf
 
 
+def _power(d: float, s: int) -> float:
+    """d**s as ``posterior`` takes it, inf where it overflows."""
+    try:
+        return d**s
+    except OverflowError:
+        return math.inf
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """The math function fn elementwise over the float array x.
+
+    numpy's own log, exp and power can round differently from the C library
+    that Python's math and ** call, so the stacks that must reproduce the
+    scalar path bit for bit take those steps here, one Python float at a time.
+    """
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _powers(d: np.ndarray, K: int) -> np.ndarray:
+    """Rows d**s over s = -K..K, (..., 2K+1), through ``_power`` as ``_libm`` does."""
+    states = range(-K, K + 1)
+    flat = [_power(v, s) for v in d.ravel().tolist() for s in states]
+    return np.array(flat, dtype=float).reshape(d.shape + (len(states),))
+
+
 def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:
     """Smallest mental state whose posterior clears Gamma.
 
@@ -143,35 +168,40 @@ def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:
 
 def prior_exceed_prob(prior: PriorModel, t: float) -> float:
     """Pr(rho_tilde >= t) for the lognormal prior, exact via erfc."""
-    if t == math.inf:
-        return 0.0
-    if not t > 0.0:
-        if t == 0.0:
-            return 1.0
-        raise ValueError(f"threshold t must be positive, got {t!r}")
+    return float(_exceed_probs(prior, t))
+
+
+def _exceed_probs(prior: PriorModel, t) -> np.ndarray:
+    """``prior_exceed_prob`` elementwise over an array of thresholds t."""
+    t = np.asarray(t, dtype=float)
+    if not (t >= 0.0).all():  # NaN fails too
+        raise ValueError(f"threshold t must be positive, got {float(t[~(t >= 0.0)][0])!r}")
     if prior.sigma_log == 0.0:
-        return 1.0 if prior.rho >= t else 0.0
-    z = (math.log(prior.rho) - math.log(t)) / prior.sigma_log
-    return 0.5 * math.erfc(-z / _SQRT2)
+        return (prior.rho >= t).astype(float)
+    out = np.where(t == 0.0, 1.0, 0.0)  # t = 0 acts, t = inf does not
+    inner = (0.0 < t) & (t < math.inf)
+    z = (math.log(prior.rho) - _libm(math.log, t[inner])) / prior.sigma_log
+    out[inner] = 0.5 * _libm(math.erfc, -z / _SQRT2)
+    return out
 
 
-def _act_probabilities(prior: PriorModel, strategy, Gamma: float, K: int) -> np.ndarray:
+def _act_probabilities(prior: PriorModel, d, lam, Gamma, K: int) -> np.ndarray:
     """Pr(posterior >= Gamma | mental state s) over prior noise, s = -K..K.
 
-    The shift lam * d**s is the posterior at prior odds 1; one that
-    overflows or underflows acts 1 or 0 outright. A lam of 0 or inf (only
-    ``BayesParams`` can carry one) has no posterior rule and raises.
+    One row (..., 2K+1) per entry of the broadcast d, lam and Gamma; scalars
+    give one row. The shift lam * d**s is the posterior at prior odds 1 (see
+    ``posterior``); one that overflows or underflows acts 1 or 0 outright. A
+    lam of 0 or inf (only ``BayesParams`` can carry one) has no posterior
+    rule and raises.
     """
-    if not 0.0 < strategy.lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {strategy.lam!r}")
-    out = np.empty(2 * K + 1)
-    for i, s in enumerate(range(-K, K + 1)):
-        shift = posterior(strategy, 1.0, s)
-        t = Gamma / shift if shift not in (0.0, math.inf) else (
-            math.inf if shift == 0.0 else 0.0
-        )
-        out[i] = prior_exceed_prob(prior, t)
-    return out
+    lam, Gamma = (np.asarray(v, dtype=float)[..., None] for v in (lam, Gamma))
+    bad = ~((0.0 < lam) & (lam < math.inf))
+    if bad.any():
+        raise ValueError(f"lam must be positive and finite, got {float(lam[bad][0])!r}")
+    with np.errstate(all="ignore"):  # a float overflows to inf quietly, as in Python
+        shift = lam * _powers(np.asarray(d, dtype=float), K)
+        t = np.where(shift == math.inf, 0.0, Gamma / shift)
+    return _exceed_probs(prior, np.where(shift == 0.0, math.inf, t))
 
 
 def threshold_mass(
@@ -186,7 +216,7 @@ def threshold_mass(
     if not strategy.d >= 1.0:
         raise ValueError("threshold_mass assumes d >= 1")
     K = _check_int(K, "K", 1)
-    cum = _act_probabilities(prior, strategy, Gamma, K)
+    cum = _act_probabilities(prior, strategy.d, strategy.lam, Gamma, K)
     return np.concatenate(
         ([cum[0]], np.maximum(np.diff(cum), 0.0), [max(1.0 - cum[-1], 0.0)])
     )
@@ -203,16 +233,37 @@ def bayes_params(p: PVector, K: int) -> BayesParams:
     K = _check_int(K, "K", 1)
     if not p.interior:
         return BayesParams(d=math.nan, lam=math.nan, degenerate=True)
-    r1, r2 = p.r1, p.r2
+    d, lam = _bayes_params(p.p11, p.p22, K)
+    return BayesParams(d=float(d), lam=float(lam), degenerate=False)
+
+
+def _bayes_params(p11, p22, K: int):
+    """(d, lam) of ``bayes_params`` elementwise over arrays of p; NaN where p
+    is not interior."""
+    inner, r = _drift_odds(p11, p22)
+    lam = np.empty(inner.shape)
     # below this bound no power r**s and neither sum can overflow
-    if K * max(abs(math.log(r1)), abs(math.log(r2))) + math.log(2 * K + 1) < _LOG_MAX:
-        s = np.arange(-K, K + 1, dtype=float)
-        lam = float(np.sum(r2**s) / np.sum(r1**s))
-    else:
-        log_z = _log_normalizer(np.log([r1, r2]), K)
-        log_lam = float(log_z[1] - log_z[0])
-        lam = math.exp(log_lam) if log_lam < _LOG_MAX else math.inf
-    return BayesParams(d=r1 / r2, lam=lam, degenerate=False)
+    bound = K * np.abs(_libm(math.log, r)).max(axis=-1) + math.log(2 * K + 1)
+    small = bound < _LOG_MAX
+    s = np.arange(-K, K + 1, dtype=float)
+    z = (r[small][..., None] ** s).sum(axis=-1)
+    lam[small] = z[..., 1] / z[..., 0]
+    log_z = _log_normalizer(np.log(r[~small]), K)
+    log_lam = log_z[..., 1] - log_z[..., 0]
+    big = log_lam < _LOG_MAX
+    lam[~small] = np.where(big, _libm(math.exp, np.where(big, log_lam, 0.0)), math.inf)
+    return (
+        np.where(inner, r[..., 0] / r[..., 1], math.nan),
+        np.where(inner, lam, math.nan),
+    )
+
+
+def _drift_odds(p11, p22):
+    """Whether p is interior, and its odds (r1, r2) on a last axis (1 where p
+    is not interior), elementwise over arrays of p."""
+    inner = np.asarray(_interior(p11, p22))
+    p11, p22 = np.where(inner, p11, 0.5), np.where(inner, p22, 0.5)
+    return inner, np.stack([p11 / (1.0 - p11), (1.0 - p22) / p22], axis=-1)
 
 
 def _log_normalizer(log_r, K: int, with_mean: bool = False):

@@ -214,7 +214,12 @@ class PVector:
 
     @property
     def interior(self) -> bool:
-        return 0.0 < self.p11 < 1.0 and 0.0 < self.p22 < 1.0
+        return _interior(self.p11, self.p22)
+
+
+def _interior(p11, p22):
+    """Whether neither coordinate of p sits at 0 or 1, also over arrays."""
+    return (0.0 < p11) & (p11 < 1.0) & (0.0 < p22) & (p22 < 1.0)
 
 
 def _p_columns(p11, p22):

@@ -27,6 +27,9 @@ from .beliefs import (
     PriorModel,
     Stakes,
     _act_probabilities,
+    _bayes_params,
+    _drift_odds,
+    _exceed_probs,
     _log_normalizer,
     _objective_odds,
     bayes_params,
@@ -39,6 +42,7 @@ from .signals import (
     _check_beta,
     _check_finite,
     _check_int,
+    _interior,
     _p_columns,
     censored_transitions,
     conditional_dynamics,
@@ -130,9 +134,14 @@ class WelfareReport:
 
 def baseline_welfare(spec: ProblemSpec) -> tuple[float, float]:
     """Welfare of ignoring all signals: (noisy-prior value, correct-prior value)."""
-    act = prior_exceed_prob(spec.prior, spec.Gamma)
     w1, w2 = spec.weights
-    return w1 * act + w2 * (1.0 - act), max(w1, w2)
+    return float(_baselines(spec.prior, spec.Gamma, w1, w2)), max(w1, w2)
+
+
+def _baselines(prior: PriorModel, Gamma, w1, w2) -> np.ndarray:
+    """Noisy-prior baseline welfare elementwise over arrays of stakes and weights."""
+    act = _exceed_probs(prior, Gamma)
+    return w1 * act + w2 * (1.0 - act)
 
 
 def welfare_at_threshold(k: int, p: PVector, spec: ProblemSpec) -> float:
@@ -145,8 +154,14 @@ def welfare_at_threshold(k: int, p: PVector, spec: ProblemSpec) -> float:
 
 
 def _act(spec: ProblemSpec, strategy) -> np.ndarray:
-    """The act step for the prior, stakes and chain size of ``spec``."""
-    return _act_probabilities(spec.prior, strategy, spec.Gamma, spec.K)
+    """The act step of one rule for the prior, stakes and chain size of ``spec``."""
+    return _act_probabilities(spec.prior, strategy.d, strategy.lam, spec.Gamma, spec.K)
+
+
+def _acts_where(ok, prior: PriorModel, d, lam, Gamma, K: int) -> np.ndarray:
+    """Act rows of the rules (d, lam) where ok, NaN rows where a rule is undefined."""
+    acts = _act_probabilities(prior, np.where(ok, d, 1.0), np.where(ok, lam, 1.0), Gamma, K)
+    return np.where(np.asarray(ok)[..., None], acts, math.nan)
 
 
 def _combine(weights, phis: np.ndarray, act: np.ndarray) -> np.ndarray:
@@ -192,9 +207,9 @@ def expected_welfare(p: PVector, spec: ProblemSpec, strategy) -> WelfareReport:
     )
 
 
-def _rule_welfares(p: PVector, spec: ProblemSpec, strategies) -> np.ndarray:
-    """Welfare of each posterior rule in strategies, against one law stack."""
-    acts = np.array([_act(spec, strategy) for strategy in strategies])
+def _rule_welfares(p: PVector, spec: ProblemSpec, d, lam) -> np.ndarray:
+    """Welfare of the posterior rules (d, lam), one act stack against one law stack."""
+    acts = _act_probabilities(spec.prior, d, lam, spec.Gamma, spec.K)
     return _combine(spec.weights, _laws(p, spec.K), acts)
 
 
@@ -239,11 +254,33 @@ def delta_fixed(p: PVector, spec: ProblemSpec, d: float) -> DeltaFixed:
     phis = _laws(p, spec.K)
     act = _act(spec, strategy)
     under, _ = baseline_welfare(spec)
-    w1, w2 = spec.weights
-    psi = w1 * phis[0] - w2 * phis[1]
-    j = act - prior_exceed_prob(spec.prior, spec.Gamma)
+    base = prior_exceed_prob(spec.prior, spec.Gamma)
+    psi, j, decomposed = _decomposed_gains(spec.weights, phis, act, base)
     direct = float(_combine(spec.weights, phis, act)) - under
-    return DeltaFixed(direct=direct, decomposed=float(psi @ j), psi=psi, j=j)
+    return DeltaFixed(direct=direct, decomposed=float(decomposed), psi=psi, j=j)
+
+
+def _decomposed_gains(weights, phis: np.ndarray, act: np.ndarray, base):
+    """(psi, j, sum over s of psi * j) of ``DeltaFixed``, over stacks.
+
+    base is the prior's act probability; leading axes broadcast as in
+    ``_combine``.
+    """
+    w1, w2 = (np.asarray(w)[..., None] for w in weights)
+    psi = w1 * phis[..., 0, :] - w2 * phis[..., 1, :]
+    j = act - np.asarray(base)[..., None]
+    return psi, j, np.vecdot(psi, j)
+
+
+def _fixed_power_gains(p11, p22, specs, ds) -> np.ndarray:
+    """``delta_fixed(p, spec, d).decomposed`` over an array of p (leading
+    axes), then the specs, then the powers ds; the specs share prior and K."""
+    Gamma, w1, w2 = np.array([(s.Gamma, *s.weights) for s in specs]).T
+    prior, K = specs[0].prior, specs[0].K
+    acts = _act_probabilities(prior, ds, 1.0, Gamma[:, None], K)  # spec, d
+    laws = _p_laws(p11, p22, K)[..., None, None, :, :]
+    base = _exceed_probs(prior, Gamma)[:, None]
+    return _decomposed_gains((w1[:, None], w2[:, None]), laws, acts, base)[2]
 
 
 def _power_rule(d: float, metric: str) -> BeliefStrategy:
@@ -268,10 +305,17 @@ def in_B(p: PVector, spec: ProblemSpec) -> bool:
     """
     if not p.interior:
         raise ValueError("in_B needs interior dynamics")
-    params = bayes_params(p, spec.K)
-    scale = spec.rho * params.lam
-    bar = spec.Gamma / scale if scale > 0.0 else math.inf
-    return 0.0 < bar < math.inf and params.d > max(bar, 1.0 / bar)
+    return bool(_in_B(p.p11, p.p22, spec.rho, spec.Gamma, spec.K))
+
+
+def _in_B(p11, p22, rho, Gamma, K: int) -> np.ndarray:
+    """``in_B`` elementwise over arrays of p and Gamma; False where p is not
+    interior."""
+    d, lam = _bayes_params(p11, p22, K)
+    scale = rho * lam
+    with np.errstate(all="ignore"):
+        bar = np.where(scale > 0.0, Gamma / scale, math.inf)
+        return (0.0 < bar) & (bar < math.inf) & (d > np.maximum(bar, 1.0 / bar))
 
 
 def regularity(p: PVector) -> str:
@@ -316,20 +360,20 @@ def _lambda_bar(p: PVector, K: int) -> float:
     ``_lambda_bars`` leaves it undefined."""
     if not p.interior:
         raise ValueError("lambda_bar needs interior dynamics")
-    value = float(_lambda_bars([p], K)[0])
+    value = float(_lambda_bars(p.p11, p.p22, K))
     if math.isnan(value):
         raise ValueError(f"lambda_bar overflows at K={K}")
     return value
 
 
-def _lambda_bars(ps, K: int) -> np.ndarray:
-    """lambda_bar of each PVector in ps: exp(log Z(r2) - log Z(r1) + K log d_p)
-    over the normalizers of ``beliefs._log_normalizer``; NaN where p is not
-    interior or the value is past the float range."""
-    inner = np.array([p.interior for p in ps])
-    log_r = np.log([(p.r1, p.r2) if p.interior else (1.0, 1.0) for p in ps])
+def _lambda_bars(p11, p22, K: int) -> np.ndarray:
+    """lambda_bar elementwise over arrays of p: exp(log Z(r2) - log Z(r1) +
+    K log d_p) over the normalizers of ``beliefs._log_normalizer``; NaN where
+    p is not interior or the value is past the float range."""
+    inner, r = _drift_odds(p11, p22)
+    log_r = np.log(r)
     log_z = _log_normalizer(log_r, K)
-    log_value = log_z[:, 1] - log_z[:, 0] + K * (log_r[:, 0] - log_r[:, 1])
+    log_value = log_z[..., 1] - log_z[..., 0] + K * (log_r[..., 0] - log_r[..., 1])
     ok = inner & (log_value < _LOG_MAX)
     return np.where(ok, np.exp(np.where(ok, log_value, 0.0)), math.nan)
 
@@ -357,6 +401,17 @@ def _censor_response(p11, p22, K: int):
         return r1 / r2, lam, lambda_bar, lam * dlog_lam, dlambar
 
 
+def _censor_steps(p11, p22):
+    """(dp11, dp22, dd1, dd2, ddp) of ``CensorSensitivity``, elementwise.
+
+    Censoring moves p by 2p - 1, and d_p = d1 d2 with d = p / (1 - p) in
+    each coordinate, so dd = (2p - 1) / (1 - p)**2 and ddp = dd1 d2 + d1 dd2.
+    """
+    dp11, dp22 = 2.0 * p11 - 1.0, 2.0 * p22 - 1.0
+    dd1, dd2 = dp11 / (1.0 - p11) ** 2, dp22 / (1.0 - p22) ** 2
+    return dp11, dp22, dd1, dd2, dd1 * (p22 / (1.0 - p22)) + (p11 / (1.0 - p11)) * dd2
+
+
 @dataclass(frozen=True)
 class CensorSensitivity:
     """First-order response of the dynamics to marginal censoring at beta=0.
@@ -381,13 +436,7 @@ def censor_sensitivity(p: PVector, K: int) -> CensorSensitivity:
     if not p.interior:
         raise ValueError("censor_sensitivity needs interior dynamics")
     K = _check_int(K, "K", 1)
-    dp11 = 2.0 * p.p11 - 1.0
-    dp22 = 2.0 * p.p22 - 1.0
-    d1 = p.p11 / (1.0 - p.p11)
-    d2 = p.p22 / (1.0 - p.p22)
-    dd1 = (2.0 * p.p11 - 1.0) / (1.0 - p.p11) ** 2
-    dd2 = (2.0 * p.p22 - 1.0) / (1.0 - p.p22) ** 2
-    ddp = dd1 * d2 + d1 * dd2
+    dp11, dp22, dd1, dd2, ddp = _censor_steps(p.p11, p.p22)
     d_p, lam, lambda_bar, dlam, dlambar = _censor_response(p.p11, p.p22, K)
     if not math.isfinite(lambda_bar):
         raise ValueError(f"lambda_bar overflows at K={K}")
@@ -544,6 +593,9 @@ def grid_argmax(
     total = sum(weights)
     if not probs or min(weights) < 0.0 or total <= 0.0:
         raise ValueError("problems must carry nonnegative weights, positive in total")
+    for name, grid in (("beta_grid", beta_grid), ("d_grid", d_grid)):
+        if len(grid) == 0:
+            raise ValueError(f"{name} is empty: no (beta, d) to choose from")
     # act depends on (problem, d) only, the laws on (problem, beta) only
     acts = [
         [_act(spec, BeliefStrategy(d=float(d), lam=lam)) for _, spec, _ in probs]
@@ -571,28 +623,44 @@ def grid_argmax(
 _AXES = ("p11", "p22", "gamma", "K", "d", "beta")
 
 
-def _by_key(keys, make, shape=()) -> np.ndarray:
-    """make(*key), a row of ``shape``, once per distinct key, stacked one row
-    per key in keys; a key whose make raises ValueError gets a NaN row."""
-    index, rows, at = {}, [], []
-    for key in keys:
-        at.append(index.setdefault(key, len(rows)))
-        if at[-1] == len(rows):
-            try:
-                rows.append(make(*key))
-            except ValueError:
-                rows.append(np.full(shape, math.nan))
-    return np.array(rows, dtype=float)[at]
+def _distinct(*cols):
+    """The distinct values of each column, by value, and each cell's index
+    into them.
+
+    The columns the act step reads vary along different sweep axes, so a
+    table over the product of their distinct values is no larger than the
+    cells, and holds each distinct combination once.
+    """
+    values, at = [], []
+    for col in cols:
+        index = {}
+        at.append(np.array([index.setdefault(v, len(index)) for v in col.tolist()]))
+        values.append(np.array(list(index)))
+    return values, tuple(at)
 
 
-# The sweep cells of one K that have dynamics: per cell the PVector, p11, p22,
-# spec, d, weights (w1, w2), noisy-prior baseline welfare and long-run laws.
-_Cells = namedtuple("_Cells", "ps p11 p22 specs ds K N w under laws")
+def _refuses(fn, *args) -> bool:
+    """Whether fn(*args) raises ValueError."""
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
+# The sweep cells of one K that have dynamics, as arrays over the cells: p11,
+# p22, the stakes odds Gamma, the power d, the weights (w1, w2), the
+# noisy-prior baseline welfare and the long-run laws; spec holds the prior and
+# rho the cells share (its gamma and K are not theirs).
+_Cells = namedtuple("_Cells", "p11 p22 Gamma d K N w under laws spec")
 
 
 def _power_acts(c: _Cells, metric: str) -> np.ndarray:
-    act = lambda s, d: _act(s, _power_rule(d, metric))
-    return _by_key(zip(c.specs, c.ds), act, (2 * c.K + 1,))
+    """Act rows of the power-d rule ``metric`` reads, one act step over the
+    distinct (Gamma, d); NaN rows where ``_power_rule`` refuses d."""
+    (Gamma, d), at = _distinct(c.Gamma, c.d)
+    ok = ~np.array([_refuses(_power_rule, v, metric) for v in d.tolist()], dtype=bool)
+    return _acts_where(ok, c.spec.prior, d, 1.0, Gamma[:, None], c.K)[at]
 
 
 # Each metric returns one value per cell, NaN where the cell is undefined.
@@ -600,10 +668,12 @@ def _power_acts(c: _Cells, metric: str) -> np.ndarray:
 
 def _metric_delta_bayes(c: _Cells) -> np.ndarray:
     """As ``bayes_welfare``: the envelope under correct priors, else the rule."""
-    if c.specs[0].has_correct_priors:  # the prior is the same in every cell
+    if c.spec.has_correct_priors:
         return _envelope(c.w, c.laws) - c.under
-    act = lambda p, s: _act(s, bayes_params(p, c.K))
-    acts = _by_key(zip(c.ps, c.specs), act, (2 * c.K + 1,))
+    (p, Gamma), at = _distinct(c.p11 + 1j * c.p22, c.Gamma)  # p as one key
+    d, lam = (v[:, None] for v in _bayes_params(p.real, p.imag, c.K))
+    ok = (0.0 < lam) & (lam < math.inf)  # a lam past the float range has no rule
+    acts = _acts_where(ok, c.spec.prior, d, lam, Gamma, c.K)[at]
     return _combine(c.w, c.laws, acts) - c.under
 
 
@@ -628,8 +698,10 @@ SWEEP_METRICS = {
     ),
     "censor_gain": _metric_censor_gain,
     "finite_n_ratio": _metric_finite_n_ratio,
-    "lambda_bar": lambda c: _lambda_bars(c.ps, c.K),
-    "in_B": lambda c: _by_key(zip(c.ps, c.specs), lambda p, s: float(in_B(p, s))),
+    "lambda_bar": lambda c: _lambda_bars(c.p11, c.p22, c.K),
+    "in_B": lambda c: np.where(
+        _interior(c.p11, c.p22), _in_B(c.p11, c.p22, c.spec.rho, c.Gamma, c.K), math.nan
+    ),
     "regularity": lambda c: _regular(c.p11, c.p22).astype(float),
 }
 
@@ -689,36 +761,50 @@ def sweep(
         "beta": None if beta is None else _axis_value("beta", beta),
     }
     spec = ProblemSpec.noisy_priors(pi, gamma, base["K"], sigma_log, rho)
-    specs = {}  # one spec per (gamma, K)
     xs = [_axis_value(x, v) for v in x_values]
     ys = [_axis_value(y, v) for v in y_values]
-    kernels = {}  # censored kernel per distinct beta, local to this call
-    rows, groups = [], {}  # groups: the cells with dynamics, by K
-    for yv in ys:
-        for xv in xs:
-            ctx = dict(base)
-            ctx[x], ctx[y] = xv, yv
-            key = (ctx["gamma"], ctx["K"])
-            if key not in specs:
-                specs[key] = replace(spec, gamma=key[0], K=key[1])
-            rows.append({x: xv, y: yv, "value": math.nan, "regular": math.nan})
-            try:
-                p = _sweep_dynamics(ctx, model, kernels)
-            except ValueError:
-                continue
-            groups.setdefault(key[1], []).append((rows[-1], p, specs[key], ctx["d"]))
-    for cells in groups.values():
-        cell_rows, ps, cell_specs, ds = zip(*cells)
-        K, (p11, p22) = cell_specs[0].K, np.array([(p.p11, p.p22) for p in ps]).T
-        terms = lambda s: (*s.weights, baseline_welfare(s)[0])
-        w1, w2, under = _by_key(zip(cell_specs), terms, (3,)).T
-        laws = _p_laws(p11, p22, K)
-        c = _Cells(ps, p11, p22, cell_specs, ds, K, N, (w1, w2), under, laws)
-        values = SWEEP_METRICS[metric](c).tolist()
-        for row, value, reg in zip(cell_rows, values, _regular(p11, p22).tolist()):
-            if not math.isnan(value):
-                row["value"], row["regular"] = value, float(reg)
-    return rows
+    if not xs or not ys:
+        return []
+
+    def values(axis):  # the axis values, or the one fixed value
+        return xs if axis == x else ys if axis == y else [base[axis]]
+
+    def which(axis):  # per cell, row-major: the index of its value in values(axis)
+        if axis == x:
+            return np.tile(np.arange(len(xs)), len(ys))
+        if axis == y:
+            return np.repeat(np.arange(len(ys)), len(xs))
+        return np.zeros(len(xs) * len(ys), dtype=int)
+
+    def column(axis, dtype=float):
+        return np.array(values(axis), dtype)[which(axis)]
+
+    # one spec per gamma value, in row-major order: the first bad gamma raises
+    specs = [spec if g == gamma else replace(spec, gamma=g) for g in values("gamma")]
+    Gamma, w1, w2 = np.array([(s.Gamma, *s.weights) for s in specs]).T[:, which("gamma")]
+    under = _baselines(spec.prior, Gamma, w1, w2)
+    Ks = column("K", int)
+    if beta is not None or "beta" in (x, y):  # one kernel per distinct beta
+        kernels = {b: _beta_dynamics(model, b) for b in dict.fromkeys(values("beta"))}
+        p11, p22 = np.array([kernels[b] for b in values("beta")])[which("beta")].T
+    elif p11 is None and "p11" not in (x, y) or p22 is None and "p22" not in (x, y):
+        p11 = p22 = np.full(len(Ks), math.nan)  # no dynamics in any cell
+    else:
+        p11, p22 = column("p11"), column("p22")
+        inside = (0.0 <= p11) & (p11 <= 1.0) & (0.0 <= p22) & (p22 <= 1.0)
+        p11, p22 = np.where(inside, p11, math.nan), np.where(inside, p22, math.nan)
+    ds, dynamic, value = column("d"), ~np.isnan(p11), np.full(len(Ks), math.nan)
+    for K in dict.fromkeys(Ks[dynamic].tolist()):  # the cells with dynamics, by K
+        i = np.flatnonzero(dynamic & (Ks == K))
+        laws = _p_laws(p11[i], p22[i], K)
+        c = _Cells(p11[i], p22[i], Gamma[i], ds[i], K, N, (w1[i], w2[i]), under[i], laws, spec)
+        value[i] = SWEEP_METRICS[metric](c)
+    regular = np.where(np.isnan(value), math.nan, _regular(p11, p22))
+    cells = ((xv, yv) for yv in ys for xv in xs)
+    return [
+        {x: xv, y: yv, "value": v, "regular": r}
+        for (xv, yv), v, r in zip(cells, value.tolist(), regular.tolist())
+    ]
 
 
 def _axis_value(axis: str, v) -> float | int:
@@ -732,12 +818,10 @@ def _axis_value(axis: str, v) -> float | int:
     return float(v)
 
 
-def _sweep_dynamics(ctx: dict, model, kernels: dict) -> PVector:
-    beta = ctx["beta"]
-    if beta is not None:
-        if beta not in kernels:
-            kernels[beta] = censored_transitions(model, beta)
-        return conditional_dynamics(kernels[beta])
-    if ctx["p11"] is None or ctx["p22"] is None:
-        raise ValueError("sweep needs p11 and p22 (as axes or fixed values)")
-    return PVector(p11=ctx["p11"], p22=ctx["p22"])
+def _beta_dynamics(model, beta: float) -> tuple[float, float]:
+    """(p11, p22) of model censored at beta; NaN when fully censored."""
+    try:
+        p = conditional_dynamics(censored_transitions(model, beta))
+    except ValueError:
+        return math.nan, math.nan
+    return p.p11, p.p22

@@ -1,12 +1,15 @@
-"""The batched laws core against the per-cell path it replaced.
+"""The batched core against the per-cell path it replaced.
 
 ``chain._laws`` takes stacks of (up, down, stay) columns, ``welfare._combine``
-broadcasts over them, and ``sweep`` and the props battery evaluate whole
-stacks of cells at once. The per-cell path they replaced is kept here as the
-reference: the scalar power form and single matrix power of the chain, the
-per-row combine, the per-cell sweep metrics and the per-cell sweep loop.
-Every comparison is bit for bit (17 significant digits, sign and NaN
-included, as the CLI prints them).
+broadcasts over them, ``beliefs._act_probabilities`` takes stacks of rules,
+and ``sweep`` and the props battery evaluate whole stacks of cells at once.
+The per-cell path they replaced is kept here as the reference: the scalar
+power form and single matrix power of the chain, the per-row combine, the
+scalar act step, Bayes parameters and B test, the per-cell sweep metrics and
+the per-cell sweep loop. Every comparison is bit for bit (17 significant
+digits, sign and NaN included, as the CLI prints them). The stacks take d**s,
+log, exp and erfc through the C library, as the scalar path did, because
+numpy's own log, exp and power can round differently.
 """
 
 import math
@@ -17,27 +20,38 @@ import pytest
 
 from belieflab import (
     BeliefStrategy,
+    PriorModel,
     PVector,
     ProblemSpec,
     TransitionKernel,
     baseline_welfare,
     bayes_params,
+    censored_transitions,
+    conditional_dynamics,
+    delta_fixed,
     finite_n_distribution,
     in_B,
+    prior_exceed_prob,
     regular_censoring_gain,
     stationary,
     sweep,
     tilt_model,
 )
-from belieflab.beliefs import _LOG_MAX, _log_normalizer
+from belieflab.beliefs import (
+    _LOG_MAX,
+    _act_probabilities,
+    _bayes_params,
+    _log_normalizer,
+)
 from belieflab.chain import _birth_death_table, _laws
 from belieflab.welfare import (
     _act,
     _axis_value,
     _censoring_gains,
     _combine,
+    _fixed_power_gains,
+    _in_B,
     _power_rule,
-    _sweep_dynamics,
 )
 
 # ---------------------------------------------------------------------------
@@ -77,6 +91,62 @@ def _ref_combine(weights, phis, act):
     return w1 * float(phis[0] @ act) + w2 * float(phis[1] @ (1.0 - act))
 
 
+def _ref_exceed(prior, t):
+    if t == math.inf:
+        return 0.0
+    if not t > 0.0:
+        if t == 0.0:
+            return 1.0
+        raise ValueError(f"threshold t must be positive, got {t!r}")
+    if prior.sigma_log == 0.0:
+        return 1.0 if prior.rho >= t else 0.0
+    z = (math.log(prior.rho) - math.log(t)) / prior.sigma_log
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _ref_act(prior, d, lam, Gamma, K):
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
+    out = np.empty(2 * K + 1)
+    for i, s in enumerate(range(-K, K + 1)):
+        try:
+            shift = 1.0 * lam * d**s
+        except OverflowError:
+            shift = math.inf
+        t = Gamma / shift if shift not in (0.0, math.inf) else (
+            math.inf if shift == 0.0 else 0.0
+        )
+        out[i] = _ref_exceed(prior, t)
+    return out
+
+
+def _ref_spec_act(spec, d, lam=1.0):
+    return _ref_act(spec.prior, d, lam, spec.Gamma, spec.K)
+
+
+def _ref_bayes_params(p, K):
+    if not p.interior:
+        return math.nan, math.nan
+    r1, r2 = p.r1, p.r2
+    if K * max(abs(math.log(r1)), abs(math.log(r2))) + math.log(2 * K + 1) < _LOG_MAX:
+        s = np.arange(-K, K + 1, dtype=float)
+        lam = float(np.sum(r2**s) / np.sum(r1**s))
+    else:
+        log_z = _log_normalizer(np.log([r1, r2]), K)
+        log_lam = float(log_z[1] - log_z[0])
+        lam = math.exp(log_lam) if log_lam < _LOG_MAX else math.inf
+    return r1 / r2, lam
+
+
+def _ref_in_B(p, spec):
+    if not p.interior:
+        raise ValueError("in_B needs interior dynamics")
+    d, lam = _ref_bayes_params(p, spec.K)
+    scale = spec.rho * lam
+    bar = spec.Gamma / scale if scale > 0.0 else math.inf
+    return 0.0 < bar < math.inf and d > max(bar, 1.0 / bar)
+
+
 def _ref_censored_p(p, x):
     return PVector((p.p11 - x) / (1.0 - 2.0 * x), (p.p22 - x) / (1.0 - 2.0 * x))
 
@@ -91,27 +161,27 @@ def _ref_delta_bayes(p, spec, ctx):
         phis = _ref_laws(p, spec.K)
         w1, w2 = spec.weights
         return float(np.maximum(w1 * phis[0], w2 * phis[1]).sum()) - under
-    params = bayes_params(p, spec.K)
-    if params.degenerate:
+    if not p.interior:
         raise ValueError("degenerate")
-    return _ref_combine(spec.weights, _ref_laws(p, spec.K), _act(spec, params)) - under
+    act = _ref_spec_act(spec, *_ref_bayes_params(p, spec.K))
+    return _ref_combine(spec.weights, _ref_laws(p, spec.K), act) - under
 
 
 def _ref_delta_fixed(p, spec, ctx):
-    act = _act(spec, _power_rule(ctx["d"], "delta_fixed"))
+    act = _ref_spec_act(spec, _power_rule(ctx["d"], "delta_fixed").d)
     under, _ = baseline_welfare(spec)
     return _ref_combine(spec.weights, _ref_laws(p, spec.K), act) - under
 
 
 def _ref_censor_gain(p, spec, ctx):
-    act = _act(spec, BeliefStrategy(d=ctx["d"], lam=1.0))
+    act = _ref_spec_act(spec, BeliefStrategy(d=ctx["d"], lam=1.0).d)
     cut_p = _ref_censored_p(p, _ref_default_step(p))
     cut = _ref_combine(spec.weights, _ref_laws(cut_p, spec.K), act)
     return cut - _ref_combine(spec.weights, _ref_laws(p, spec.K), act)
 
 
 def _ref_finite_n_ratio(p, spec, ctx):
-    act = _act(spec, BeliefStrategy(d=ctx["d"], lam=1.0))
+    act = _ref_spec_act(spec, BeliefStrategy(d=ctx["d"], lam=1.0).d)
     full = _ref_combine(spec.weights, _ref_laws(p, spec.K), act)
     partial = _ref_combine(spec.weights, _ref_laws(p, spec.K, ctx["N"]), act)
     under, _ = baseline_welfare(spec)
@@ -137,9 +207,20 @@ _REFERENCE = {
     "censor_gain": _ref_censor_gain,
     "finite_n_ratio": _ref_finite_n_ratio,
     "lambda_bar": _ref_lambda_bar,
-    "in_B": lambda p, spec, ctx: 1.0 if in_B(p, spec) else 0.0,
+    "in_B": lambda p, spec, ctx: 1.0 if _ref_in_B(p, spec) else 0.0,
     "regularity": lambda p, spec, ctx: 1.0 if p.p11 > 0.5 and p.p22 > 0.5 else 0.0,
 }
+
+
+def _ref_dynamics(ctx, model, kernels):
+    beta = ctx["beta"]
+    if beta is not None:
+        if beta not in kernels:
+            kernels[beta] = censored_transitions(model, beta)
+        return conditional_dynamics(kernels[beta])
+    if ctx["p11"] is None or ctx["p22"] is None:
+        raise ValueError("sweep needs p11 and p22 (as axes or fixed values)")
+    return PVector(p11=ctx["p11"], p22=ctx["p22"])
 
 
 def _ref_sweep(metric, x, x_values, y, y_values, *, p11=None, p22=None, pi=0.5,
@@ -158,7 +239,7 @@ def _ref_sweep(metric, x, x_values, y, y_values, *, p11=None, p22=None, pi=0.5,
             cell_spec = replace(spec, gamma=ctx["gamma"], K=ctx["K"])
             row = {x: xv, y: yv}
             try:
-                p = _sweep_dynamics(ctx, model, kernels)
+                p = _ref_dynamics(ctx, model, kernels)
                 row["value"] = float(_REFERENCE[metric](p, cell_spec, ctx))
                 row["regular"] = 1.0 if p.p11 > 0.5 and p.p22 > 0.5 else 0.0
             except ValueError:
@@ -231,6 +312,123 @@ class TestStackedLaws:
                     np.testing.assert_array_equal(
                         finite_n_distribution(q, theta, K, N), _ref_finite_n(q, theta, K, N)
                     )
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# the act step
+
+_PRIORS = [PriorModel(1.0), PriorModel(2.5), PriorModel(1.0, 0.5), PriorModel(0.3, 1.7)]
+
+
+def _stack(rng, M):
+    """M (d, lam, Gamma) entries: powers up to 1e200 (the shift overflows),
+    lam near underflow, Gamma 0 and inf, and exact ties."""
+    d = np.exp(rng.uniform(-3.0, 4.0, M))
+    lam = np.exp(rng.uniform(-3.0, 3.0, M))
+    Gamma = np.exp(rng.uniform(-4.0, 4.0, M))
+    d[::9], d[1::9], d[2::9] = 1e200, 1e100, 1.0
+    lam[::7], lam[1::7], lam[2::7] = 5e-324, 1e-300, 2.0**-1074 * 3
+    Gamma[::5], Gamma[1::5] = 0.0, math.inf
+    d[3::11], lam[3::11], Gamma[3::11] = 2.0, 1.0, 1.0  # gamma = 0.5, d = 2: tie at s = 0
+    d[4::11], lam[4::11], Gamma[4::11] = 2.0, 0.5, 4.0  # tie at s = 3
+    return d, lam, Gamma
+
+
+@pytest.mark.parametrize("prior", _PRIORS, ids=lambda p: f"rho{p.rho}-sigma{p.sigma_log}")
+@pytest.mark.parametrize("K", [1, 2, 3, 7, 40])
+def test_stacked_act_step_matches_the_scalar_loop(prior, K):
+    rng = np.random.default_rng(K)
+    d, lam, Gamma = _stack(rng, 300)
+    rows = _act_probabilities(prior, d, lam, Gamma, K)
+    assert rows.shape == (300, 2 * K + 1)
+    for i in range(300):
+        ref = _ref_act(prior, float(d[i]), float(lam[i]), float(Gamma[i]), K)
+        np.testing.assert_array_equal(_bits(rows[i]), _bits(ref))
+
+
+def test_stacked_act_step_broadcasts_and_one_entry_is_one_row():
+    prior, K = PriorModel(1.0, 0.5), 3
+    d, lam, Gamma = np.array([1.5, 3.0, 1e200]), np.array([[0.5], [2.0]]), 0.7
+    rows = _act_probabilities(prior, d, lam, Gamma, K)
+    assert rows.shape == (2, 3, 2 * K + 1)
+    for i in range(2):
+        for j in range(3):
+            one = _act_probabilities(prior, d[j], lam[i, 0], Gamma, K)
+            assert one.shape == (2 * K + 1,)
+            np.testing.assert_array_equal(_bits(rows[i, j]), _bits(one))
+
+
+def test_tie_at_gamma_one_half_and_d_two_acts():
+    # Gamma = 1 and d = 2: at s = 0 the posterior equals the stakes exactly
+    spec = ProblemSpec.correct_priors(0.5, 0.5, 2)
+    act = _act(spec, BeliefStrategy(2.0))
+    np.testing.assert_array_equal(act, [0.0, 0.0, 1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(act, _ref_act(spec.prior, 2.0, 1.0, spec.Gamma, 2))
+
+
+@pytest.mark.parametrize("lam", [0.0, math.inf, math.nan])
+def test_act_step_refuses_a_lam_without_a_rule(lam):
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        _act_probabilities(PriorModel(1.0), np.array([2.0, 3.0]), np.array([1.0, lam]), 1.0, 2)
+
+
+def test_prior_exceed_prob_matches_the_scalar_form():
+    rng = np.random.default_rng(5)
+    ts = [0.0, math.inf, 5e-324, 1e308, 1.0, *np.exp(rng.uniform(-30, 30, 200))]
+    for prior in _PRIORS:
+        for t in ts:
+            assert _bits(prior_exceed_prob(prior, float(t))) == _bits(_ref_exceed(prior, float(t)))
+    for t in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="threshold t must be positive"):
+            prior_exceed_prob(_PRIORS[0], t)
+
+
+# ---------------------------------------------------------------------------
+# Bayes parameters and the set B
+
+
+def _p_grid(rng, M):
+    p = rng.uniform(0.0, 1.0, size=(M, 2))
+    p[::13] = [0.999999, 1e-6]
+    p[1::13] = [1e-7, 0.9999999]
+    p[2::13] = [0.0, 0.5]  # not interior
+    p[3::13] = [0.5, 1.0]
+    return p
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 60, 200, 300])
+def test_array_bayes_params_match_the_scalar_form(K):
+    p = _p_grid(np.random.default_rng(K), 400)
+    d, lam = _bayes_params(p[:, 0], p[:, 1], K)
+    branches = set()
+    for i, (p11, p22) in enumerate(p.tolist()):
+        ref = _ref_bayes_params(PVector(p11, p22), K)
+        assert (_bits(d[i]), _bits(lam[i])) == (_bits(ref[0]), _bits(ref[1]))
+        params = bayes_params(PVector(p11, p22), K)
+        assert (_bits(params.d), _bits(params.lam)) == (_bits(ref[0]), _bits(ref[1]))
+        branches.add("normal" if 0.0 < ref[1] < math.inf else "past the float range")
+    if K >= 200:  # the log-normalizer branch, out to lam = 0 and inf
+        assert branches == {"normal", "past the float range"}
+
+
+@pytest.mark.parametrize("K", [2, 200, 300])
+def test_array_in_B_matches_the_scalar_form(K):
+    rng = np.random.default_rng(K + 1)
+    p = rng.uniform(0.01, 0.99, size=(300, 2))
+    gammas = np.array([0.0, 0.2, 0.5, 0.6, 0.9, 1.0])
+    for sigma_log in (0.0, 0.5):
+        specs = [ProblemSpec.noisy_priors(0.4, float(g), K, sigma_log) for g in gammas]
+        Gamma = np.array([s.Gamma for s in specs])
+        got = _in_B(p[:, 0, None], p[:, 1, None], specs[0].rho, Gamma, K)
+        assert got.shape == (300, gammas.size)
+        for i, (p11, p22) in enumerate(p.tolist()):
+            for j, spec in enumerate(specs):
+                ref = _ref_in_B(PVector(p11, p22), spec)
+                assert got[i, j] == ref == in_B(PVector(p11, p22), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +539,19 @@ def test_battery_gains_match_regular_censoring_gain_cell_by_cell(K):
                 ref = _ref_combine(spec.weights, cut_laws, act)
                 ref -= _ref_combine(spec.weights, laws, act)
                 assert gain == ref
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+def test_battery_fixed_power_gains_match_delta_fixed_cell_by_cell(K):
+    grid, ds = np.linspace(0.02, 0.98, 21), (1.5, 3.0, 10.0)
+    specs = [ProblemSpec.noisy_priors(0.5, float(gamma), K) for gamma in grid[::4]]
+    gains = _fixed_power_gains(0.8, grid, specs, ds)
+    assert gains.shape == (21, len(specs), 3)
+    for i, p22 in enumerate(grid):
+        for j, spec in enumerate(specs):
+            for k, d in enumerate(ds):
+                ref = delta_fixed(PVector(0.8, float(p22)), spec, d).decomposed
+                assert _bits(gains[i, j, k]) == _bits(ref)
 
 
 def test_battery_gains_keep_the_scalar_checks():

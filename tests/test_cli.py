@@ -6,6 +6,7 @@ import math
 import pytest
 
 from belieflab import sweep, tilt_model
+from belieflab import cli
 from belieflab.cli import _build_parser, run
 
 
@@ -503,6 +504,24 @@ class TestPropsCheck:
         assert dominance.startswith("PASS  bayes-rule-dominance: min gap")
         assert dominance.endswith("(1 skipped: Bayes lam past the float range)")
 
+    def test_censoring_check_stops_at_the_first_failing_draw(self, capsys, monkeypatch):
+        # a wrong ddp at draw 300 fails the check there; of the two draws whose
+        # lambda_bar overflows at K = 123 (226 and 445), only the first is counted
+        steps = cli._censor_steps
+
+        def wrong_at_300(p11, p22):
+            *head, ddp = steps(p11, p22)
+            ddp = ddp.copy()
+            ddp[300] *= 2.0
+            return (*head, ddp)
+
+        monkeypatch.setattr(cli, "_censor_steps", wrong_at_300)
+        code, out = invoke(capsys, ["props-check", "--K", "123"])
+        assert code == 1
+        line = next(l for l in out.splitlines() if "censoring-derivatives" in l)
+        # the line the per-draw loop printed for the same wrong ddp
+        assert line == "FAIL  censoring-derivatives: p=(0.6412,0.7204) (1 skipped: lambda_bar overflows)"
+
 
 # ---------------------------------------------------------------------------
 # golden stdout: the sha256 of stdout for fixed argv, seeds included. The
@@ -571,6 +590,9 @@ def _golden_cases() -> dict[str, list[str]]:
         "--N", "80", "--trials", "5000", "--seed", "3",
     ]
     cases["props-check"] = ["props-check", "--K", "2"]
+    cases["props-check-K3"] = ["props-check", "--K", "3"]
+    # both skip branches: a Bayes lam past the float range, lambda_bar overflows
+    cases["props-check-K217"] = ["props-check", "--K", "217"]
     return cases
 
 
@@ -607,6 +629,8 @@ _GOLDEN_DIGESTS = {
     "oracle-ladder": "be9da0fe587f55c6564dda3d8250d735dbdbc1074ddd160a43d7987ba615658b",
     "oracle-chain": "3175c471c8700d2d3d7c70174bd0be64c547f5f0b0633064e85b335c781361a9",
     "props-check": "f5727de36403145007ff270814d1c24fd52d8b8a8eddf9b3dcfd25a7e9b67bbf",
+    "props-check-K3": "fc59d1837ae20ba633b487fa513832e4b280d6d8356e11ebbb9dfd14dd986e56",
+    "props-check-K217": "8032d040bf2dd2b02874352bafde70b6b8719d11fd172cb8c4ce49f4fc657e33",
 }
 
 

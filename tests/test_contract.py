@@ -67,10 +67,10 @@ def _bayes_rule_welfare(p, K):
     return expected_welfare(p, spec, bayes_params(p, K))
 
 
-def _argmax(weight):
+def _argmax(weight, beta_grid=(0.0,), d_grid=(2.0,)):
     spec = ProblemSpec.correct_priors(0.5, 0.6, 2)
     problems = [(tilt_model(1.0), spec, 1.0), (lunar_model(), spec, weight)]
-    return grid_argmax(problems, [0.0], [2.0])
+    return grid_argmax(problems, beta_grid, d_grid)
 
 
 _P3 = np.array([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
@@ -203,6 +203,14 @@ _BAD_INPUTS = {
     "argmax-nan-weight": (lambda: _argmax(math.nan), "weights must be finite"),
     "argmax-inf-weight": (lambda: _argmax(math.inf), "weights must be finite"),
     "argmax-negative-weight": (lambda: _argmax(-0.5), "nonnegative weights"),
+    "argmax-empty-beta-grid": (
+        lambda: _argmax(1.0, beta_grid=[]),
+        "beta_grid is empty",
+    ),
+    "argmax-empty-d-grid": (
+        lambda: _argmax(1.0, d_grid=[]),
+        "d_grid is empty",
+    ),
     "prior-exceed-nan-threshold": (
         lambda: prior_exceed_prob(PriorModel(1.0, 0.5), math.nan),
         "threshold t must be positive",

@@ -715,7 +715,7 @@ class TestLayers:
             d = float(rng.choice([1.0, rng.uniform(1.0, 10.0)]))
             strat = BeliefStrategy(d, float(rng.uniform(0.3, 3.0)))
             Gamma, K = float(rng.uniform(0.1, 9.0)), int(rng.integers(1, 5))
-            act = _act_probabilities(prior, strat, Gamma, K)
+            act = _act_probabilities(prior, strat.d, strat.lam, Gamma, K)
             np.testing.assert_array_equal(
                 threshold_mass(prior, strat, Gamma, K),
                 np.diff(np.concatenate(([0.0], act, [1.0]))),
