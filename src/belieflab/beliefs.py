@@ -180,7 +180,8 @@ def _exceed_probs(prior: PriorModel, t) -> np.ndarray:
         return (prior.rho >= t).astype(float)
     out = np.where(t == 0.0, 1.0, 0.0)  # t = 0 acts, t = inf does not
     inner = (0.0 < t) & (t < math.inf)
-    z = (math.log(prior.rho) - _libm(math.log, t[inner])) / prior.sigma_log
+    with np.errstate(all="ignore"):  # a float overflows to inf quietly, as in Python
+        z = (math.log(prior.rho) - _libm(math.log, t[inner])) / prior.sigma_log
     out[inner] = 0.5 * _libm(math.erfc, -z / _SQRT2)
     return out
 
@@ -263,7 +264,8 @@ def _drift_odds(p11, p22):
     is not interior), elementwise over arrays of p."""
     inner = np.asarray(_interior(p11, p22))
     p11, p22 = np.where(inner, p11, 0.5), np.where(inner, p22, 0.5)
-    return inner, np.stack([p11 / (1.0 - p11), (1.0 - p22) / p22], axis=-1)
+    with np.errstate(over="ignore"):  # a subnormal p22 gives r2 = inf, as in Python
+        return inner, np.stack([p11 / (1.0 - p11), (1.0 - p22) / p22], axis=-1)
 
 
 def _log_normalizer(log_r, K: int, with_mean: bool = False):

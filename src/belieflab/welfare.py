@@ -597,22 +597,20 @@ def grid_argmax(
         if len(grid) == 0:
             raise ValueError(f"{name} is empty: no (beta, d) to choose from")
     # act depends on (problem, d) only, the laws on (problem, beta) only
-    acts = [
-        [_act(spec, BeliefStrategy(d=float(d), lam=lam)) for _, spec, _ in probs]
-        for d in d_grid
-    ]
+    ds = [BeliefStrategy(d=float(d), lam=lam).d for d in d_grid]  # checks each rule
+    acts = [_act_probabilities(s.prior, ds, lam, s.Gamma, s.K) for _, s, _ in probs]
     table = []
     for beta in beta_grid:
         laws = [
             _laws(censored_transitions(model, float(beta)), spec.K)
             for model, spec, _ in probs
         ]
-        for d, act in zip(d_grid, acts):
-            terms = zip(probs, laws, act)
+        for j, d in enumerate(ds):
+            terms = zip(probs, laws, acts)
             value = sum(
-                w * float(_combine(s.weights, ph, a)) for (_, s, w), ph, a in terms
+                w * float(_combine(s.weights, ph, a[j])) for (_, s, w), ph, a in terms
             ) / total
-            table.append({"beta": float(beta), "d": float(d), "value": value})
+            table.append({"beta": float(beta), "d": d, "value": value})
     best = max(table, key=lambda row: row["value"])  # first of any tie
     return GridArgmax(**best, table=tuple(table))
 
@@ -780,7 +778,7 @@ def sweep(
         return np.array(values(axis), dtype)[which(axis)]
 
     # one spec per gamma value, in row-major order: the first bad gamma raises
-    specs = [spec if g == gamma else replace(spec, gamma=g) for g in values("gamma")]
+    specs = [replace(spec, gamma=g) for g in values("gamma")]
     Gamma, w1, w2 = np.array([(s.Gamma, *s.weights) for s in specs]).T[:, which("gamma")]
     under = _baselines(spec.prior, Gamma, w1, w2)
     Ks = column("K", int)
