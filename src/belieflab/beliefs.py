@@ -178,12 +178,15 @@ def _exceed_probs(prior: PriorModel, t) -> np.ndarray:
         raise ValueError(f"threshold t must be positive, got {float(t[~(t >= 0.0)][0])!r}")
     if prior.sigma_log == 0.0:
         return (prior.rho >= t).astype(float)
-    out = np.where(t == 0.0, 1.0, 0.0)  # t = 0 acts, t = inf does not
-    inner = (0.0 < t) & (t < math.inf)
+    # t = 0 gives z = inf and exactly 1, t = inf gives z = -inf and exactly 0
     with np.errstate(all="ignore"):  # a float overflows to inf quietly, as in Python
-        z = (math.log(prior.rho) - _libm(math.log, t[inner])) / prior.sigma_log
-    out[inner] = 0.5 * _libm(math.erfc, -z / _SQRT2)
-    return out
+        z = (math.log(prior.rho) - _libm(_log, t)) / prior.sigma_log
+    return 0.5 * _libm(math.erfc, -z / _SQRT2)
+
+
+def _log(t: float) -> float:
+    """log t, with log 0 = -inf."""
+    return math.log(t) if t else -math.inf
 
 
 def _act_probabilities(prior: PriorModel, d, lam, Gamma, K: int) -> np.ndarray:

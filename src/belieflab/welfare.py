@@ -184,8 +184,11 @@ def _envelope(weights, phis: np.ndarray) -> np.ndarray:
 
 def _p_laws(p11, p22, K: int, N=None) -> np.ndarray:
     """``_laws`` of dynamics (p11, p22), elementwise over arrays of p."""
-    cols = np.broadcast_arrays(*(v for col in _p_columns(p11, p22) for v in col))
-    return _laws(np.stack(cols, axis=-1).reshape(cols[0].shape + (2, 3)), K, N)
+    cols = np.empty(np.broadcast_shapes(np.shape(p11), np.shape(p22)) + (2, 3))
+    for theta, col in enumerate(_p_columns(p11, p22)):
+        for j, v in enumerate(col):
+            cols[..., theta, j] = v
+    return _laws(cols, K, N)
 
 
 def expected_welfare(p: PVector, spec: ProblemSpec, strategy) -> WelfareReport:
@@ -767,12 +770,11 @@ def sweep(
     def values(axis):  # the axis values, or the one fixed value
         return xs if axis == x else ys if axis == y else [base[axis]]
 
-    def which(axis):  # per cell, row-major: the index of its value in values(axis)
-        if axis == x:
-            return np.tile(np.arange(len(xs)), len(ys))
-        if axis == y:
-            return np.repeat(np.arange(len(ys)), len(xs))
-        return np.zeros(len(xs) * len(ys), dtype=int)
+    at = {  # per cell, row-major: the index of its value in values(axis)
+        x: np.tile(np.arange(len(xs)), len(ys)),
+        y: np.repeat(np.arange(len(ys)), len(xs)),
+    }
+    which = lambda axis: at.get(axis, np.zeros(len(xs) * len(ys), dtype=int))
 
     def column(axis, dtype=float):
         return np.array(values(axis), dtype)[which(axis)]
