@@ -350,6 +350,18 @@ def test_stacked_act_step_matches_the_scalar_loop(prior, K):
         np.testing.assert_array_equal(_bits(rows[i]), _bits(ref))
 
 
+def test_act_step_takes_log_where_numpy_and_the_c_library_differ():
+    # with d = 1 and lam = 1 the threshold is Gamma itself; numpy's own log
+    # rounds differently from math.log on some builds, at about 1 in 10,000
+    ts = np.exp(np.random.default_rng(9).uniform(-20.0, 20.0, 200_000))
+    differ = ts[np.log(ts) != np.array([math.log(t) for t in ts.tolist()])]
+    Gamma = np.concatenate([differ, ts[:50]])
+    for prior in _PRIORS[2:]:  # sigma > 0: the log is taken
+        rows = _act_probabilities(prior, 1.0, 1.0, Gamma, 1)
+        for G, row in zip(Gamma.tolist(), rows):
+            np.testing.assert_array_equal(_bits(row), _bits(_ref_act(prior, 1.0, 1.0, G, 1)))
+
+
 def test_stacked_act_step_broadcasts_and_one_entry_is_one_row():
     prior, K = PriorModel(1.0, 0.5), 3
     d, lam, Gamma = np.array([1.5, 3.0, 1e200]), np.array([[0.5], [2.0]]), 0.7
