@@ -232,18 +232,20 @@ def bayes_params(p: PVector, K: int) -> BayesParams:
     d is the per-state posterior step r1 / r2 and lam compares the
     normalizing weights of the two long-run distributions, so
     rho * lam * d**s equals the true posterior odds in state s. Boundary
-    dynamics are flagged degenerate instead of producing parameters.
+    dynamics, and odds past the float range (a subnormal p22), are flagged
+    degenerate instead of producing parameters.
     """
     K = _check_int(K, "K", 1)
-    if not p.interior:
-        return BayesParams(d=math.nan, lam=math.nan, degenerate=True)
-    d, lam = _bayes_params(p.p11, p.p22, K)
-    return BayesParams(d=float(d), lam=float(lam), degenerate=False)
+    if p.interior:
+        d, lam = _bayes_params(p.p11, p.p22, K)
+        if not math.isnan(d):
+            return BayesParams(d=float(d), lam=float(lam), degenerate=False)
+    return BayesParams(d=math.nan, lam=math.nan, degenerate=True)
 
 
 def _bayes_params(p11, p22, K: int):
     """(d, lam) of ``bayes_params`` elementwise over arrays of p; NaN where p
-    is not interior."""
+    is not interior or its odds are not finite."""
     inner, r = _drift_odds(p11, p22)
     lam = np.empty(inner.shape)
     # below this bound no power r**s and neither sum can overflow
@@ -263,12 +265,18 @@ def _bayes_params(p11, p22, K: int):
 
 
 def _drift_odds(p11, p22):
-    """Whether p is interior, and its odds (r1, r2) on a last axis (1 where p
-    is not interior), elementwise over arrays of p."""
+    """Whether p is interior with finite odds, and its odds (r1, r2) on a
+    last axis (1 where it is not), elementwise over arrays of p.
+
+    A subnormal p22 is interior, but its r2 overflows to inf; such a p counts
+    as a boundary p.
+    """
     inner = np.asarray(_interior(p11, p22))
     p11, p22 = np.where(inner, p11, 0.5), np.where(inner, p22, 0.5)
-    with np.errstate(over="ignore"):  # a subnormal p22 gives r2 = inf, as in Python
-        return inner, np.stack([p11 / (1.0 - p11), (1.0 - p22) / p22], axis=-1)
+    with np.errstate(over="ignore"):
+        r = np.stack([p11 / (1.0 - p11), (1.0 - p22) / p22], axis=-1)
+    inner = inner & np.isfinite(r).all(axis=-1)
+    return inner, np.where(inner[..., None], r, 1.0)
 
 
 def _log_normalizer(log_r, K: int, with_mean: bool = False):

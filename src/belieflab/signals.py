@@ -13,6 +13,7 @@ everything here is safe to use from parallel sweeps without locking.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -44,6 +45,8 @@ __all__ = [
 
 _BOUNDARY_TOL = 1e-12  # bisection width for censoring boundaries
 _QUAD_TOL = 1e-9       # absolute tolerance for numeric integration
+_QUAD_DEPTH = 48       # the quadrature accepts every piece at this depth
+_BLOCK = 1024          # points one bisection or quadrature block evaluates, about
 _NEG_TOL = 1e-15       # a probability may dip this far below 0 by rounding
 _SUM_TOL = 1e-12       # a law may miss a total of 1 by this much
 
@@ -227,20 +230,33 @@ def _p_columns(p11, p22):
     return (p11, 1.0 - p11, 0.0), (1.0 - p22, p22, 0.0)
 
 
-def _as_float_fn(f: Callable) -> Callable[[float], float]:
-    return lambda x: float(f(x))
+_ARRAY_RULE = "a density must map an array of signals to a float array of its shape"
+
+
+def _density_values(f: Callable, x: np.ndarray) -> np.ndarray:
+    """``f`` at every point of the array ``x``; ValueError unless that is a
+    float array of x's shape."""
+    try:
+        values = np.asarray(f(x), dtype=float)
+    except TypeError as err:
+        raise ValueError(f"{_ARRAY_RULE}: {err}") from None
+    if values.shape != x.shape:
+        raise ValueError(f"{_ARRAY_RULE}: got shape {values.shape} for {x.shape}")
+    return values
 
 
 @dataclass(frozen=True)
 class ContinuousSignalModel:
     """Pair of signal densities on [0, 1] with a monotone likelihood ratio.
 
-    ``density1`` and ``density2`` must be strictly positive on [0, 1],
-    integrate to 1 (checked numerically to 1e-6), and their ratio
-    L(x) = density1(x) / density2(x) must be strictly increasing (checked on
-    a 1000-point grid). ``sampler(rng, theta, size)``, when provided, draws
-    signals under the given state; the built-in families attach exact
-    inverse-CDF samplers.
+    ``density1`` and ``density2`` map an array of signals to a float array
+    of the same shape, elementwise, as numpy ufuncs do: the censoring
+    boundaries and masses evaluate them on whole grids at once. They must be
+    strictly positive on [0, 1], integrate to 1 (checked numerically to
+    1e-6), and their ratio L(x) = density1(x) / density2(x) must be strictly
+    increasing (checked on a 1000-point grid). ``sampler(rng, theta,
+    size)``, when provided, draws signals under the given state; the
+    built-in families attach exact inverse-CDF samplers.
     """
 
     density1: Callable
@@ -251,15 +267,15 @@ class ContinuousSignalModel:
 
     def __post_init__(self):
         grid = np.linspace(0.0, 1.0, 1001)
-        f1 = np.asarray(self.density1(grid), dtype=float)
-        f2 = np.asarray(self.density2(grid), dtype=float)
+        f1 = _density_values(self.density1, grid)
+        f2 = _density_values(self.density2, grid)
         if not (np.all(f1 > 0) and np.all(f2 > 0)):
             raise ValueError("densities must be strictly positive on [0, 1]")
         ratio = f1 / f2
         if not np.all(np.diff(ratio) > 0):
             raise ValueError("likelihood ratio must be strictly increasing")
-        for label, f in (("density1", self.density1), ("density2", self.density2)):
-            total = _adaptive_simpson(_as_float_fn(f), 0.0, 1.0, 1e-9)
+        totals = _simpson(self.density1, self.density2, np.zeros(2), np.ones(2), 1)
+        for label, total in zip(("density1", "density2"), totals.tolist()):
             if abs(total - 1.0) > 1e-6:
                 raise ValueError(f"{label} integrates to {total!r}, not 1")
 
@@ -374,6 +390,7 @@ def tilt_model(lam: float) -> ContinuousSignalModel:
     so the likelihood ratio is exp(lam * (2x - 1)): the uninformative signal
     sits at x = 1/2 and censoring removes a band symmetric around it.
     """
+    _check_finite(lam=lam)
     if lam <= 0:
         raise ValueError("lam must be positive")
     (density1, draw1), (density2, draw2) = _tilt(lam), _tilt(-lam)
@@ -398,6 +415,7 @@ def asymmetric_tilt_model(
     be strong, so a rising censoring threshold eventually silences the
     state-2 side entirely.
     """
+    _check_finite(lam=lam, spike=spike, weight=weight)
     if lam <= 0 or spike <= lam:
         raise ValueError("need 0 < lam < spike")
     if not 0.0 < weight < 1.0:
@@ -459,45 +477,145 @@ def classify(
 # censoring
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    if b <= a:
-        return 0.0
-    m = 0.5 * (a + b)
-    fa, fm, fb = f(a), f(m), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, 48)
+def _simpson(f1: Callable, f2: Callable, a, b, n1: int, level: int = 0) -> np.ndarray:
+    """Adaptive Simpson integrals of f1 over [a[i], b[i]] for i < n1, of f2
+    for the rest, to an absolute tolerance of _QUAD_TOL each.
+
+    The rule is recursive: a piece at depth j compares the Simpson estimate
+    S of itself with the sum of its halves' and accepts that sum plus its
+    excess over S / 15 when the excess is at most 15 * _QUAD_TOL / 2**j (or
+    at depth _QUAD_DEPTH); otherwise its integral is its left half's plus
+    its right half's. Every point a piece reads is the midpoint 0.5 * (l + r)
+    of the piece above it, so the pieces are the nodes of one binary tree
+    per interval. The tree is taken breadth first, a block of whole levels
+    at a time: one density call per block evaluates every piece of those
+    levels on every interval at once, and the pieces still open below the
+    block are the next block's intervals. Sums go back up the tree in the
+    recursion's pairs, so the results are the recursive rule's, bit for bit.
+    """
+    rows = len(a)
+    if not rows:
+        return np.zeros(0)
+    # as many whole levels of pieces as fit _BLOCK grid points, at least one
+    k = max(min(_QUAD_DEPTH + 1 - level, (_BLOCK // rows).bit_length() - 2), 1)
+    n = 2 ** (k + 1)  # grid steps of a row: the smallest pieces are 2 steps wide
+    x = np.empty((rows, n + 1))
+    x[:, 0], x[:, n] = a, b
+    step = n
+    while step > 1:  # each level's midpoints, rounded as the recursion rounds them
+        half = step // 2
+        x[:, half:n:step] = 0.5 * (x[:, :n:step] + x[:, step::step])
+        step = half
+    fx = np.concatenate([_density_values(f1, x[:n1]), _density_values(f2, x[n1:])])
+    if not np.isfinite(fx).all():
+        raise ValueError("densities must be finite on [0, 1]")
+    ends, points, starts = _heap_pieces(k)
+    xe, fe = np.take(x, ends, axis=1), np.take(fx, points, axis=1)
+    estimate = (xe[:, 1] - xe[:, 0]) / 6.0 * (fe[:, 0] + 4.0 * fe[:, 1] + fe[:, 2])
+    # the steps: the pieces of levels 0..k-1, each against its two halves
+    halves = estimate[:, 1::2] + estimate[:, 2::2]
+    excess = halves - estimate[:, : n // 2 - 1]
+    accept = np.abs(excess) <= _step_bounds(level, k)
+    value = halves + excess / 15.0
+    closed = np.logical_and.reduceat(accept.all(axis=0), starts)
+    if closed.any():  # every step of level top accepts: nothing below is open
+        top = int(closed.argmax())
+        below = value[:, starts[top] : 2 * starts[top] + 1]
+    else:  # a piece of level k is open when no piece above it accepted
+        top = k
+        r, c = np.nonzero((~accept[:, _ancestors(k)]).all(axis=2))
+        below = np.zeros((rows, n // 2))
+        below[r, c] = _simpson(
+            f1, f2, x[r, 2 * c], x[r, 2 * c + 2], np.searchsorted(r, n1), level + k
+        )
+    for j in reversed(range(top)):
+        part = slice(starts[j], 2 * starts[j] + 1)
+        halves = below[:, ::2] + below[:, 1::2]
+        below = np.where(accept[:, part], value[:, part], halves)
+    return below[:, 0]
 
 
-def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return _simpson_step(
-        f, a, m, fa, flm, fm, left, half, depth - 1
-    ) + _simpson_step(f, m, b, fm, frm, fb, right, half, depth - 1)
+@functools.cache
+def _heap_pieces(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Grid indices of the pieces of levels 0..k of a row of 2**(k + 1)
+    steps, in heap order (piece i has halves 2i + 1 and 2i + 2): (left end,
+    right end) and (left end, midpoint, right end); and the heap index of
+    the first piece of each level below k."""
+    n = 2 ** (k + 1)
+    left = np.concatenate([np.arange(0, n, n >> j) for j in range(k + 1)])
+    width = np.concatenate([np.full(2**j, n >> j) for j in range(k + 1)])
+    return (
+        np.stack([left, left + width]),
+        np.stack([left, left + width // 2, left + width]),
+        2 ** np.arange(k) - 1,
+    )
 
 
-def _ratio_boundary(model: ContinuousSignalModel, target: float) -> float:
-    """Solve L(x) = target by bisection, clipped to [0, 1]."""
-    ratio = model.likelihood_ratio
-    if float(ratio(0.0)) >= target:
-        return 0.0
-    if float(ratio(1.0)) <= target:
-        return 1.0
-    a, b = 0.0, 1.0
-    while b - a > _BOUNDARY_TOL:
-        m = 0.5 * (a + b)
-        if float(ratio(m)) < target:
-            a = m
+@functools.cache
+def _step_bounds(level: int, k: int) -> np.ndarray:
+    """15 times the tolerance of each step of depths level..level+k-1, in
+    heap order; every step at depth _QUAD_DEPTH accepts."""
+    bound = [
+        math.inf if j >= _QUAD_DEPTH else 15.0 * (_QUAD_TOL * 0.5**j)
+        for j in range(level, level + k)
+    ]
+    return np.repeat(bound, 2 ** np.arange(k))
+
+
+@functools.cache
+def _ancestors(k: int) -> np.ndarray:
+    """Row i: the heap indices of the pieces of levels 0..k-1 above piece i
+    of level k."""
+    i = np.arange(2**k)[:, None]
+    j = np.arange(k)
+    return 2**j - 1 + (i >> (k - j))
+
+
+_BISECT_STEPS = math.ceil(-math.log2(_BOUNDARY_TOL))  # halvings of [0, 1] to it
+
+
+def _ratio_boundaries(model: ContinuousSignalModel, targets: np.ndarray) -> np.ndarray:
+    """Solve L(x) = target for each target by bisection, clipped to [0, 1].
+
+    The bracket [a, b] starts at [0, 1] and halves _BISECT_STEPS times,
+    keeping [m, b] when L(m) < target and [a, m] otherwise. Every midpoint
+    is a dyadic rational, so a block of k halvings takes L at all 2**k - 1
+    midpoints it might visit in one call, then walks them as the halvings
+    would: on a row that is True, then False, the walk lands at the count
+    of Trues.
+    """
+
+    def ratio(x):
+        return _density_values(model.density1, x) / _density_values(model.density2, x)
+
+    at_zero, at_one = ratio(np.array([0.0, 1.0])).tolist()
+    x = np.where(at_zero >= targets, 0.0, 1.0)
+    inside = (at_zero < targets) & (at_one > targets)
+    goal = targets[inside][:, None]
+    a, width, steps = np.zeros(len(goal)), 1.0, _BISECT_STEPS
+    while steps and len(goal):
+        k = min(steps, max((_BLOCK // len(goal) + 1).bit_length() - 1, 1))
+        width /= 2**k
+        below = ratio(a[:, None] + width * np.arange(1, 2**k)) < goal
+        if (below[:, :-1] >= below[:, 1:]).all():
+            a = a + width * below.sum(axis=1)
         else:
-            b = m
-    return 0.5 * (a + b)
+            a = a + width * _walk(below)
+        steps -= k
+    x[inside] = a + 0.5 * width
+    return x
+
+
+def _walk(below: np.ndarray) -> np.ndarray:
+    """Per row, where halving [0, 2**k] k times ends: at j, it keeps the
+    upper half when ``below[:, j - 1]``, else the lower half."""
+    rows = np.arange(len(below))
+    lo, hi = np.zeros(len(below), int), np.full(len(below), below.shape[1] + 1)
+    while (hi - lo > 1).any():
+        m = (lo + hi) // 2
+        go = below[rows, m - 1]
+        lo, hi = np.where(go, m, lo), np.where(go, hi, m)
+    return lo
 
 
 def _direction_mass(model: DiscreteSignalModel, beta: float) -> np.ndarray:
@@ -512,37 +630,45 @@ def _direction_mass(model: DiscreteSignalModel, beta: float) -> np.ndarray:
     return np.cumsum(terms, axis=2)[:, :, -1]
 
 
-def censored_transitions(
-    model: ContinuousSignalModel | DiscreteSignalModel, beta: float
-) -> TransitionKernel:
-    """Move probabilities after dropping signals of strength below 1 + beta.
+def _censored_masses(
+    model: ContinuousSignalModel | DiscreteSignalModel, betas: Sequence[float]
+) -> np.ndarray:
+    """Entry [b, i - 1, theta - 1]: Pr(a signal survives censoring at
+    betas[b] and points to state i | theta), for a two-state model.
 
-    For continuous models the censored band [x_lo, x_hi] is located by
-    bisection on the monotone likelihood ratio (so the integrand kinks are
-    never crossed) and each surviving region is integrated adaptively to an
-    absolute tolerance of 1e-9. A beta so large that everything is censored
-    yields a legal degenerate kernel with stay probability 1.
+    The one home of censoring over a grid of betas. For a continuous model
+    the censored band [x_lo, x_hi] of every beta comes from one bisection
+    over all 2B targets, and the surviving pieces [x_hi, 1] and [0, x_lo]
+    under both states from one quadrature over all 4B intervals.
     """
-    _check_beta(beta)
+    for beta in betas:
+        _check_beta(beta)
+    betas = np.array(betas, dtype=float)
+    if not len(betas):
+        return np.zeros((0, 2, 2))
     if isinstance(model, ContinuousSignalModel):
-        x_lo = _ratio_boundary(model, 1.0 / (1.0 + beta))
-        x_hi = _ratio_boundary(model, 1.0 + beta)
-        up, down = [], []
-        for theta in (1, 2):
-            f = _as_float_fn(model.density(theta))
-            q_up = _adaptive_simpson(f, x_hi, 1.0, _QUAD_TOL) if x_hi < 1.0 else 0.0
-            q_down = _adaptive_simpson(f, 0.0, x_lo, _QUAD_TOL) if x_lo > 0.0 else 0.0
-            up.append(q_up)
-            down.append(q_down)
-    else:
-        if model.theta_count != 2:
-            raise ValueError(
-                "censored_transitions needs a two-state model; use "
-                "censored_direction_matrix for more states"
-            )
-        mass = _direction_mass(model, beta)
-        up, down = mass[0].tolist(), mass[1].tolist()
+        targets = np.concatenate([1.0 / (1.0 + betas), 1.0 + betas])
+        x_lo, x_hi = np.split(_ratio_boundaries(model, targets), 2)
+        # row i - 1: the pieces whose signals survive and point to state i
+        lo = np.stack([x_hi, np.zeros_like(x_hi)])
+        hi = np.stack([np.ones_like(x_lo), x_lo])
+        kept = lo < hi
+        a, b = np.tile(lo[kept], 2), np.tile(hi[kept], 2)  # theta = 1, then 2
+        mass = np.zeros((2, 2, len(betas)))  # [theta - 1, i - 1, b]
+        masses = _simpson(model.density1, model.density2, a, b, len(a) // 2)
+        mass[:, kept] = masses.reshape(2, -1)
+        return mass.transpose(2, 1, 0)
+    if model.theta_count != 2:
+        raise ValueError(
+            "censored_transitions needs a two-state model; use "
+            "censored_direction_matrix for more states"
+        )
+    return np.array([_direction_mass(model, beta) for beta in betas])
 
+
+def _kernel(mass: np.ndarray) -> TransitionKernel:
+    """The kernel of one beta's ``_censored_masses``."""
+    up, down = mass.tolist()
     stay = []
     for t in range(2):
         q0 = 1.0 - up[t] - down[t]
@@ -556,6 +682,22 @@ def censored_transitions(
             q0 = 0.0
         stay.append(q0)
     return TransitionKernel(up=tuple(up), down=tuple(down), stay=tuple(stay))
+
+
+def censored_transitions(
+    model: ContinuousSignalModel | DiscreteSignalModel, beta: float
+) -> TransitionKernel:
+    """Move probabilities after dropping signals of strength below 1 + beta.
+
+    For continuous models the censored band [x_lo, x_hi] is located by
+    bisection on the monotone likelihood ratio to a width of 1e-12 (so the
+    integrand kinks are never crossed) and each surviving region is
+    integrated by adaptive Simpson to an absolute tolerance of 1e-9. The
+    bisection and the quadrature are batched over a grid of betas, and this
+    is the grid of one beta. A beta so large that everything is censored
+    yields a legal degenerate kernel with stay probability 1.
+    """
+    return _kernel(_censored_masses(model, [beta])[0])
 
 
 def censored_direction_matrix(
@@ -696,8 +838,8 @@ def censor_path(
     if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be sorted ascending")
     points = []
-    for beta in betas:
-        p11, p22 = _processed_shares(censored_transitions(model, beta))
+    for beta, mass in zip(betas, _censored_masses(model, betas)):
+        p11, p22 = _processed_shares(_kernel(mass))
         points.append(CensorPoint(beta, p11, p22, (math.isnan(p11), math.isnan(p22))))
     return points
 

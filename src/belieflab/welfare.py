@@ -41,10 +41,11 @@ from .signals import (
     TransitionKernel,
     _check_beta,
     _check_finite,
+    _censored_masses,
     _check_int,
     _interior,
+    _kernel,
     _p_columns,
-    censored_transitions,
     conditional_dynamics,
 )
 
@@ -602,18 +603,19 @@ def grid_argmax(
     # act depends on (problem, d) only, the laws on (problem, beta) only
     ds = [BeliefStrategy(d=float(d), lam=lam).d for d in d_grid]  # checks each rule
     acts = [_act_probabilities(s.prior, ds, lam, s.Gamma, s.K) for _, s, _ in probs]
+    betas = [float(beta) for beta in beta_grid]
+    laws = [  # [problem][beta]
+        [_laws(_kernel(mass), spec.K) for mass in _censored_masses(model, betas)]
+        for model, spec, _ in probs
+    ]
     table = []
-    for beta in beta_grid:
-        laws = [
-            _laws(censored_transitions(model, float(beta)), spec.K)
-            for model, spec, _ in probs
-        ]
+    for i, beta in enumerate(betas):
         for j, d in enumerate(ds):
             terms = zip(probs, laws, acts)
             value = sum(
-                w * float(_combine(s.weights, ph, a[j])) for (_, s, w), ph, a in terms
+                w * float(_combine(s.weights, ph[i], a[j])) for (_, s, w), ph, a in terms
             ) / total
-            table.append({"beta": float(beta), "d": d, "value": value})
+            table.append({"beta": beta, "d": d, "value": value})
     best = max(table, key=lambda row: row["value"])  # first of any tie
     return GridArgmax(**best, table=tuple(table))
 
@@ -785,8 +787,7 @@ def sweep(
     under = _baselines(spec.prior, Gamma, w1, w2)
     Ks = column("K", int)
     if beta is not None or "beta" in (x, y):  # one kernel per distinct beta
-        kernels = {b: _beta_dynamics(model, b) for b in dict.fromkeys(values("beta"))}
-        p11, p22 = np.array([kernels[b] for b in values("beta")])[which("beta")].T
+        p11, p22 = _beta_dynamics(model, values("beta"))[which("beta")].T
     elif p11 is None and "p11" not in (x, y) or p22 is None and "p22" not in (x, y):
         p11 = p22 = np.full(len(Ks), math.nan)  # no dynamics in any cell
     else:
@@ -818,10 +819,18 @@ def _axis_value(axis: str, v) -> float | int:
     return float(v)
 
 
-def _beta_dynamics(model, beta: float) -> tuple[float, float]:
-    """(p11, p22) of model censored at beta; NaN when fully censored."""
+def _beta_dynamics(model, betas: list[float]) -> np.ndarray:
+    """Row b: (p11, p22) of model censored at betas[b]; NaN where the model
+    has no such dynamics, as when it is fully censored."""
+    dynamics = np.full((len(betas), 2), math.nan)
     try:
-        p = conditional_dynamics(censored_transitions(model, beta))
-    except ValueError:
-        return math.nan, math.nan
-    return p.p11, p.p22
+        masses = _censored_masses(model, betas)
+    except ValueError:  # not a two-state model
+        return dynamics
+    for row, mass in zip(dynamics, masses):
+        try:
+            p = conditional_dynamics(_kernel(mass))
+        except ValueError:
+            continue
+        row[:] = p.p11, p.p22
+    return dynamics

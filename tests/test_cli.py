@@ -559,6 +559,12 @@ def _golden_cases() -> dict[str, list[str]]:
         cases[f"censor-path-{name}"] = [
             "censor-path", "--model", name, "--grid", "0:1.5:7"
         ]
+    cases["censor-path-asymmetric_tilt-21"] = [
+        "censor-path", "--model", "asymmetric_tilt", "--grid", "0:2:21"
+    ]
+    cases["censor-path-tilt-lam2.7"] = [
+        "censor-path", "--model", "tilt", "--lam", "2.7", "--grid", "0:1.5:5"
+    ]
     cases["transitions-json"] = ["transitions", "--model", "{json}", "--beta", "0.1"]
     for name, params in _SCENARIO_PARAMS.items():
         cases[f"scenario-{name}"] = ["scenario", name, "--beta", "0.3"]
@@ -571,6 +577,11 @@ def _golden_cases() -> dict[str, list[str]]:
     cases["sweep-beta-tilt"] = [
         "sweep", "--metric", "delta_fixed", "--x", "beta", "--y", "d",
         "--model", "tilt", "--x-grid", "0:1:4", "--y-grid", "1.5:6:3",
+        "--sigma-log", "0.5",
+    ]
+    cases["sweep-beta-asymmetric_tilt"] = [
+        "sweep", "--metric", "delta_bayes", "--x", "beta", "--y", "gamma",
+        "--model", "asymmetric_tilt", "--x-grid", "0:1:6", "--y-grid", "0.1:0.9:5",
         "--sigma-log", "0.5",
     ]
     cases["oracle-welfare-tilt"] = [
@@ -601,6 +612,8 @@ _GOLDEN_DIGESTS = {
     "censor-path-tilt": "a9941bdac6965807ff6ab44b331a97437e9666d183ad4688629e704d875164cb",
     "transitions-asymmetric_tilt": "4cc6cb6b3989e62bcbe49a0c6a546c10765ff8298884ceb5f0806ea0a73fdd0a",
     "censor-path-asymmetric_tilt": "38ffac032267d5704d1bd128cd46e6d6c468c67b83de6c048111a2ab985d9c76",
+    "censor-path-asymmetric_tilt-21": "634814e1a4c0ddf3aa46b52392d1d43a763dbc342048649747377166eb8a3fea",
+    "censor-path-tilt-lam2.7": "29b0651470f3ed842288576f72f9446fa44caded144333b4bdfb00a75c821846",
     "transitions-lunar": "391b48c5010295bafbac17f696a4ffce1589fd71278034ccb44e57c565062a55",
     "censor-path-lunar": "c269e143b994e6e9be8d0bfdc9a71a7e37a5ba8d07768c8e1f117d72bce7d683",
     "transitions-illusory": "ed87aa8ec0e1f565917bfd9fab36c59d4b784e4378ad143d7806ffa51080484d",
@@ -624,6 +637,7 @@ _GOLDEN_DIGESTS = {
     "sweep-in_B": "9a6dc7815400c623eb2ba58057d6e3ebf811e9dab963c2f77e5b7dd80c59c6b2",
     "sweep-regularity": "72f4b69fb6eabec5a049bc52f8eb68b6613e4ebf618e59ae4baa4791027e4fa3",
     "sweep-beta-tilt": "6b698dc51caaba7514aab3e09e44354c31cffd2dd5bb08e6536cecfa1d09014a",
+    "sweep-beta-asymmetric_tilt": "69754ec772730464c2d5cc25f682298b17870521727b1e8639b7a3800ce02408",
     "oracle-welfare-tilt": "b50fc5d3c97df51ac6c027b08b551acb3a012d51fc1f35b0cd5cf5edf43b7dc8",
     "oracle-welfare-lunar": "9ba91df964da85969c87b8a2bfa47b9d35c7275983e33b83c437fadd3f0805bd",
     "oracle-ladder": "be9da0fe587f55c6564dda3d8250d735dbdbc1074ddd160a43d7987ba615658b",

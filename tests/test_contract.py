@@ -1,12 +1,14 @@
 """Boundary contract: bad input raises ValueError instead of passing through."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from belieflab import (
     BeliefStrategy,
+    ContinuousSignalModel,
     DiscreteSignalModel,
     PriorModel,
     PVector,
@@ -390,6 +392,22 @@ _BAD_INPUTS = {
     "asymmetric-tilt-overflowing-spike": (
         lambda: asymmetric_tilt_model(spike=1000.0), "overflows"
     ),
+    "tilt-inf-lam": (lambda: tilt_model(math.inf), "lam must be finite"),
+    "tilt-nan-lam": (lambda: tilt_model(math.nan), "lam must be finite"),
+    "asymmetric-tilt-inf-spike": (
+        lambda: asymmetric_tilt_model(spike=math.inf), "spike must be finite"
+    ),
+    "asymmetric-tilt-nan-lam": (
+        lambda: asymmetric_tilt_model(lam=math.nan), "lam must be finite"
+    ),
+    "continuous-scalar-only-density": (
+        lambda: ContinuousSignalModel(np.ones_like, math.exp),
+        "a density must map an array of signals to a float array of its shape",
+    ),
+    "continuous-density-returns-a-scalar": (
+        lambda: ContinuousSignalModel(lambda x: 2.0 * np.asarray(x) + 0.5, lambda x: 1.0),
+        r"a density must map an array .* got shape \(\) for \(1001,\)",
+    ),
 }
 
 
@@ -398,6 +416,15 @@ def test_bad_input_raises_value_error(case):
     call, pattern = _BAD_INPUTS[case]
     with pytest.raises(ValueError, match=pattern):
         call()
+
+
+def test_odds_past_the_float_range_give_a_degenerate_bayes_rule():
+    # a subnormal p22 is interior, but r2 = (1 - p22) / p22 overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = bayes_params(PVector(0.5, 1e-310), 2)
+    assert rule.degenerate
+    assert math.isnan(rule.d) and math.isnan(rule.lam)
 
 
 def test_integral_values_of_integer_arguments_still_accepted():

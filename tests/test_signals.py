@@ -8,6 +8,7 @@ from scipy import integrate
 
 from belieflab import (
     BeliefStrategy,
+    ContinuousSignalModel,
     DiscreteSignalModel,
     Evidence,
     FullyCensored,
@@ -669,3 +670,159 @@ class TestOneExponentialTilt:
 def test_every_two_state_pick_names_the_bad_theta(call):
     with pytest.raises(ValueError, match=r"^theta must be 1 or 2, got \d$"):
         call()
+
+
+# The scalar quadrature and bisection that censoring ran one beta and one
+# density call at a time, before the grid-batched home: kept as the
+# bit-for-bit reference, as ``_reference_tilt`` is kept for the families.
+def _adaptive_simpson(f, a, b, tol):
+    if b <= a:
+        return 0.0
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, 48)
+
+
+def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    err = left + right - whole
+    if depth <= 0 or abs(err) <= 15.0 * tol:
+        return left + right + err / 15.0
+    half = 0.5 * tol
+    return _simpson_step(
+        f, a, m, fa, flm, fm, left, half, depth - 1
+    ) + _simpson_step(f, m, b, fm, frm, fb, right, half, depth - 1)
+
+
+def _ratio_boundary(model, target):
+    """Solve L(x) = target by bisection, clipped to [0, 1]."""
+    ratio = lambda x: float(model.density1(x)) / float(model.density2(x))
+    if ratio(0.0) >= target:
+        return 0.0
+    if ratio(1.0) <= target:
+        return 1.0
+    a, b = 0.0, 1.0
+    while b - a > 1e-12:
+        m = 0.5 * (a + b)
+        if ratio(m) < target:
+            a = m
+        else:
+            b = m
+    return 0.5 * (a + b)
+
+
+def _reference_masses(model, beta):
+    """Entry [i - 1, theta - 1] as ``_censored_masses`` gives it for one beta,
+    and the two boundaries (x_lo, x_hi)."""
+    x_lo = _ratio_boundary(model, 1.0 / (1.0 + beta))
+    x_hi = _ratio_boundary(model, 1.0 + beta)
+    mass = np.zeros((2, 2))
+    for t in range(2):
+        f = lambda x, t=t: float(model.density(t + 1)(x))
+        mass[0, t] = _adaptive_simpson(f, x_hi, 1.0, 1e-9) if x_hi < 1.0 else 0.0
+        mass[1, t] = _adaptive_simpson(f, 0.0, x_lo, 1e-9) if x_lo > 0.0 else 0.0
+    return mass, (x_lo, x_hi)
+
+
+def _jump_model():
+    """A pair whose state-1 density jumps at 0.6: the quadrature refines the
+    piece holding the jump to its depth limit."""
+    return ContinuousSignalModel(
+        lambda x: (0.5 + x + 0.5 * (np.asarray(x) >= 0.6)) / 1.2,
+        lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        name="jump",
+    )
+
+
+# unsorted; 0; 1.2 silences the asymmetric state-2 side only (x_lo = 0);
+# 100 and 1e9 censor everything for the gentler models (x_lo = 0, x_hi = 1)
+_BETAS = [0.7, 0.0, 0.35, 1.2, 0.05, 3.0, 100.0, 1e9, 0.35]
+_MODELS = {
+    **{f"tilt-{lam}": (lambda lam=lam: tilt_model(lam)) for lam in (0.3, 1.0, 2.7, 20.0)},
+    **{
+        f"asymmetric-{lam}-{spike}-{weight}": (
+            lambda args=(lam, spike, weight): asymmetric_tilt_model(*args)
+        )
+        for lam, spike, weight in [(0.1, 14.0, 0.44), (0.5, 9.0, 0.2), (1.5, 30.0, 0.7)]
+    },
+    "jump": _jump_model,
+}
+
+
+class TestBatchedCensoring:
+    """The grid-batched censoring home against the scalar reference."""
+
+    @pytest.mark.parametrize("name", sorted(_MODELS))
+    def test_masses_match_the_scalar_reference_bit_for_bit(self, name):
+        from belieflab.signals import _censored_masses
+
+        model = _MODELS[name]()
+        got = _censored_masses(model, _BETAS)
+        assert got.shape == (len(_BETAS), 2, 2)
+        for beta, mass in zip(_BETAS, got):
+            np.testing.assert_array_equal(mass, _reference_masses(model, beta)[0])
+        # each beta alone is the same row of its own grid
+        assert censored_transitions(model, 0.35).up == tuple(got[2, 0])
+
+    def test_the_grid_reaches_every_kind_of_boundary(self):
+        bounds = [
+            _reference_masses(_MODELS[name](), beta)[1]
+            for name in ("tilt-0.3", "asymmetric-0.1-14.0-0.44")
+            for beta in _BETAS
+        ]
+        assert (0.0, 1.0) in bounds  # fully censored
+        assert any(lo == 0.0 < hi < 1.0 for lo, hi in bounds)  # one side only
+        assert any(0.0 < lo <= hi < 1.0 for lo, hi in bounds)  # both sides
+
+    @pytest.mark.parametrize("name", sorted(_MODELS))
+    def test_normalization_integrals_match_the_scalar_reference(self, name):
+        from belieflab.signals import _simpson
+
+        model = _MODELS[name]()
+        totals = _simpson(model.density1, model.density2, np.zeros(2), np.ones(2), 1)
+        for t, total in enumerate(totals.tolist()):
+            f = lambda x, t=t: float(model.density(t + 1)(x))
+            assert total == _adaptive_simpson(f, 0.0, 1.0, 1e-9)
+
+    def test_quadrature_on_any_interval_matches_the_scalar_reference(self):
+        # ends on no coarse power-of-two grid: the midpoints round, and the
+        # batched grid must round them as the recursion does
+        from belieflab.signals import _simpson
+
+        model = asymmetric_tilt_model()
+        a, b = np.sort(np.random.default_rng(5).random((2, 20)), axis=0)
+        got = _simpson(model.density1, model.density2, np.tile(a, 2), np.tile(b, 2), 20)
+        want = [
+            _adaptive_simpson(lambda x, t=t: float(model.density(t)(x)), lo, hi, 1e-9)
+            for t in (1, 2)
+            for lo, hi in zip(a.tolist(), b.tolist())
+        ]
+        np.testing.assert_array_equal(got, want)
+
+    def test_boundaries_walk_a_ratio_that_is_not_monotone_as_the_scalar_loop(self):
+        # a ratio that rises and falls: a block's probes are not all True,
+        # then all False, so the walk itself decides where the bracket goes
+        from types import SimpleNamespace
+
+        from belieflab.signals import _ratio_boundaries
+
+        wavy = SimpleNamespace(
+            density1=lambda x: 1.0 + x + 0.4 * np.sin(40.0 * np.asarray(x)),
+            density2=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        )
+        targets = np.array([0.9, 1.3, 1.05, 1.7, 2.2, 0.5, 3.0])
+        got = _ratio_boundaries(wavy, targets)
+        want = [_ratio_boundary(wavy, t) for t in targets.tolist()]
+        np.testing.assert_array_equal(got, want)
+
+    def test_an_empty_grid_has_no_masses(self, tilt1, lunar):
+        from belieflab.signals import _censored_masses
+
+        for model in (tilt1, lunar):
+            assert _censored_masses(model, []).shape == (0, 2, 2)
+        assert censor_path(tilt1, []) == []

@@ -668,16 +668,17 @@ class TestLayers:
 
     @staticmethod
     def _count_kernels(monkeypatch):
+        """The grids of betas that reach the censoring home, one list per call."""
         import belieflab.welfare as welfare
 
         calls = []
-        real = welfare.censored_transitions
+        real = welfare._censored_masses
 
-        def counted(model, beta):
-            calls.append(beta)
-            return real(model, beta)
+        def counted(model, betas):
+            calls.append(list(betas))
+            return real(model, betas)
 
-        monkeypatch.setattr(welfare, "censored_transitions", counted)
+        monkeypatch.setattr(welfare, "_censored_masses", counted)
         return calls
 
     def test_grid_argmax_builds_one_kernel_per_problem_and_beta(self, monkeypatch):
@@ -691,7 +692,7 @@ class TestLayers:
         betas, ds = [0.0, 0.2, 0.5], [1.5, 2.0, 3.0, 6.0]
         result = grid_argmax(problems, betas, ds)
         assert len(result.table) == len(betas) * len(ds)
-        assert len(calls) == len(betas) * len(problems)
+        assert calls == [betas] * len(problems)  # one grid per problem
 
     def test_beta_sweep_builds_one_kernel_per_beta(self, monkeypatch):
         from belieflab import tilt_model
@@ -702,7 +703,7 @@ class TestLayers:
             "delta_fixed", "beta", betas, "d", [1.5, 3.0, 6.0], model=tilt_model(1.0)
         )
         assert len(rows) == 9
-        assert sorted(calls) == betas
+        assert calls == [betas]  # one grid for the whole beta axis
 
     def test_threshold_mass_is_the_difference_of_the_act_step(self):
         from belieflab.beliefs import _act_probabilities
