@@ -39,9 +39,9 @@ from .chain import _laws
 from .signals import (
     PVector,
     TransitionKernel,
+    _censored_masses,
     _check_beta,
     _check_finite,
-    _censored_masses,
     _check_int,
     _interior,
     _kernel,
@@ -786,7 +786,7 @@ def sweep(
     Gamma, w1, w2 = np.array([(s.Gamma, *s.weights) for s in specs]).T[:, which("gamma")]
     under = _baselines(spec.prior, Gamma, w1, w2)
     Ks = column("K", int)
-    if beta is not None or "beta" in (x, y):  # one kernel per distinct beta
+    if beta is not None or "beta" in (x, y):  # one censoring call for all betas
         p11, p22 = _beta_dynamics(model, values("beta"))[which("beta")].T
     elif p11 is None and "p11" not in (x, y) or p22 is None and "p22" not in (x, y):
         p11 = p22 = np.full(len(Ks), math.nan)  # no dynamics in any cell
