@@ -120,29 +120,13 @@ def posterior(strategy, rho_tilde: float, s: int) -> float:
         return math.inf
 
 
-def _power(d: float, s: int) -> float:
-    """d**s as ``posterior`` takes it, inf where it overflows."""
-    try:
-        return d**s
-    except OverflowError:
-        return math.inf
-
-
 def _libm(fn, x: np.ndarray) -> np.ndarray:
     """The math function fn elementwise over the float array x.
 
-    numpy's own log, exp and power can round differently from the C library
-    that Python's math and ** call, so the stacks that must reproduce the
-    scalar path bit for bit take those steps here, one Python float at a time.
+    numpy has no erfc, so the act step takes ``math.erfc`` here, one Python
+    float at a time; every other step is numpy arithmetic.
     """
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
-def _powers(d: np.ndarray, K: int) -> np.ndarray:
-    """Rows d**s over s = -K..K, (..., 2K+1), through ``_power`` as ``_libm`` does."""
-    states = range(-K, K + 1)
-    flat = [_power(v, s) for v in d.ravel().tolist() for s in states]
-    return np.array(flat, dtype=float).reshape(d.shape + (len(states),))
 
 
 def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:
@@ -179,14 +163,9 @@ def _exceed_probs(prior: PriorModel, t) -> np.ndarray:
     if prior.sigma_log == 0.0:
         return (prior.rho >= t).astype(float)
     # t = 0 gives z = inf and exactly 1, t = inf gives z = -inf and exactly 0
-    with np.errstate(all="ignore"):  # a float overflows to inf quietly, as in Python
-        z = (math.log(prior.rho) - _libm(_log, t)) / prior.sigma_log
+    with np.errstate(all="ignore"):  # log 0 = -inf, and a float overflows to inf quietly
+        z = (math.log(prior.rho) - np.log(t)) / prior.sigma_log
     return 0.5 * _libm(math.erfc, -z / _SQRT2)
-
-
-def _log(t: float) -> float:
-    """log t, with log 0 = -inf."""
-    return math.log(t) if t else -math.inf
 
 
 def _act_probabilities(prior: PriorModel, d, lam, Gamma, K: int) -> np.ndarray:
@@ -203,7 +182,7 @@ def _act_probabilities(prior: PriorModel, d, lam, Gamma, K: int) -> np.ndarray:
     if bad.any():
         raise ValueError(f"lam must be positive and finite, got {float(lam[bad][0])!r}")
     with np.errstate(all="ignore"):  # a float overflows to inf quietly, as in Python
-        shift = lam * _powers(np.asarray(d, dtype=float), K)
+        shift = lam * np.asarray(d, dtype=float)[..., None] ** np.arange(-K, K + 1.0)
         t = np.where(shift == math.inf, 0.0, Gamma / shift)
     return _exceed_probs(prior, np.where(shift == 0.0, math.inf, t))
 
@@ -249,7 +228,7 @@ def _bayes_params(p11, p22, K: int):
     inner, r = _drift_odds(p11, p22)
     lam = np.empty(inner.shape)
     # below this bound no power r**s and neither sum can overflow
-    bound = K * np.abs(_libm(math.log, r)).max(axis=-1) + math.log(2 * K + 1)
+    bound = K * np.abs(np.log(r)).max(axis=-1) + math.log(2 * K + 1)
     small = bound < _LOG_MAX
     s = np.arange(-K, K + 1, dtype=float)
     z = (r[small][..., None] ** s).sum(axis=-1)
@@ -257,7 +236,7 @@ def _bayes_params(p11, p22, K: int):
     log_z = _log_normalizer(np.log(r[~small]), K)
     log_lam = log_z[..., 1] - log_z[..., 0]
     big = log_lam < _LOG_MAX
-    lam[~small] = np.where(big, _libm(math.exp, np.where(big, log_lam, 0.0)), math.inf)
+    lam[~small] = np.where(big, np.exp(np.where(big, log_lam, 0.0)), math.inf)
     return (
         np.where(inner, r[..., 0] / r[..., 1], math.nan),
         np.where(inner, lam, math.nan),
@@ -292,4 +271,4 @@ def _log_normalizer(log_r, K: int, with_mean: bool = False):
     w = np.exp(log_r * (s - top))
     z = w.sum(axis=-1)
     log_z = (top * log_r)[..., 0] + np.log(z)
-    return (log_z, (w @ s) / z) if with_mean else log_z
+    return (log_z, np.vecdot(w, s) / z) if with_mean else log_z

@@ -389,20 +389,22 @@ def _censor_response(p11, p22, K: int):
     moves p by 2p - 1, so dlog r1 = (2 p11 - 1) / (p11 (1 - p11)) and
     dlog r2 = (1 - 2 p22) / (p22 (1 - p22)). The log derivative of Z(r) is
     the long-run mean m(r) of s, so dlog lam = m(r2) dlog r2 - m(r1) dlog r1,
-    and lambda_bar adds K dlog d_p. Past the float range these are not finite.
+    and lambda_bar adds K dlog d_p. Past the float range these are not
+    finite; where ``beliefs._drift_odds`` finds no finite odds they are NaN.
     """
-    r1, r2 = p11 / (1.0 - p11), (1.0 - p22) / p22
-    dlog_r1 = (2.0 * p11 - 1.0) / (p11 * (1.0 - p11))
-    dlog_r2 = (1.0 - 2.0 * p22) / (p22 * (1.0 - p22))
-    log_r1, log_r2 = np.log(r1), np.log(r2)
-    log_z1, m1 = _log_normalizer(log_r1, K, with_mean=True)
-    log_z2, m2 = _log_normalizer(log_r2, K, with_mean=True)
-    dlog_lam = m2 * dlog_r2 - m1 * dlog_r1
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = np.exp(log_z2 - log_z1)
-        lambda_bar = np.exp(log_z2 - log_z1 + K * (log_r1 - log_r2))
+    inner, r = _drift_odds(p11, p22)
+    log_r = np.where(inner[..., None], np.log(r), math.nan)
+    log_z, m = _log_normalizer(log_r, K, with_mean=True)
+    log_lam, log_d = log_z[..., 1] - log_z[..., 0], log_r[..., 0] - log_r[..., 1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        dlog_r1 = (2.0 * p11 - 1.0) / (p11 * (1.0 - p11))
+        dlog_r2 = (1.0 - 2.0 * p22) / (p22 * (1.0 - p22))
+        dlog_lam = m[..., 1] * dlog_r2 - m[..., 0] * dlog_r1
+        lam = np.exp(log_lam)
+        lambda_bar = np.exp(log_lam + K * log_d)
         dlambar = lambda_bar * (dlog_lam + K * (dlog_r1 - dlog_r2))
-        return r1 / r2, lam, lambda_bar, lam * dlog_lam, dlambar
+        d_p = np.where(inner, r[..., 0] / r[..., 1], math.nan)
+        return d_p, lam, lambda_bar, lam * dlog_lam, dlambar
 
 
 def _censor_steps(p11, p22):
@@ -412,7 +414,7 @@ def _censor_steps(p11, p22):
     each coordinate, so dd = (2p - 1) / (1 - p)**2 and ddp = dd1 d2 + d1 dd2.
     """
     dp11, dp22 = 2.0 * p11 - 1.0, 2.0 * p22 - 1.0
-    dd1, dd2 = dp11 / (1.0 - p11) ** 2, dp22 / (1.0 - p22) ** 2
+    dd1, dd2 = dp11 / np.square(1.0 - p11), dp22 / np.square(1.0 - p22)
     return dp11, dp22, dd1, dd2, dd1 * (p22 / (1.0 - p22)) + (p11 / (1.0 - p11)) * dd2
 
 
@@ -437,25 +439,20 @@ class CensorSensitivity:
 
 
 def censor_sensitivity(p: PVector, K: int) -> CensorSensitivity:
+    """One row of ``_censor_steps`` and ``_censor_response``; raises where a
+    field is not finite."""
     if not p.interior:
         raise ValueError("censor_sensitivity needs interior dynamics")
     K = _check_int(K, "K", 1)
-    dp11, dp22, dd1, dd2, ddp = _censor_steps(p.p11, p.p22)
-    d_p, lam, lambda_bar, dlam, dlambar = _censor_response(p.p11, p.p22, K)
-    if not math.isfinite(lambda_bar):
+    dp11, dp22, dd1, dd2, ddp = map(float, _censor_steps(p.p11, p.p22))
+    d_p, lam, lambda_bar, dlam, dlambar = map(float, _censor_response(p.p11, p.p22, K))
+    if lambda_bar == math.inf:
         raise ValueError(f"lambda_bar overflows at K={K}")
-    return CensorSensitivity(
-        dp11=dp11,
-        dp22=dp22,
-        dd1=dd1,
-        dd2=dd2,
-        ddp=ddp,
-        dlam=float(dlam),
-        dlambar=float(dlambar),
-        lam=float(lam),
-        lambda_bar=float(lambda_bar),
-        d_p=d_p,
-    )
+    sens = CensorSensitivity(dp11, dp22, dd1, dd2, ddp, dlam, dlambar, lam, lambda_bar, d_p)
+    bad = [name for name, v in vars(sens).items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} not finite at p=({p.p11!r}, {p.p22!r}), K={K}")
+    return sens
 
 
 def regular_censoring_gain(

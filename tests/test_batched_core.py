@@ -6,10 +6,14 @@ and ``sweep`` and the props battery evaluate whole stacks of cells at once.
 The per-cell path they replaced is kept here as the reference: the scalar
 power form and single matrix power of the chain, the per-row combine, the
 scalar act step, Bayes parameters and B test, the per-cell sweep metrics and
-the per-cell sweep loop. Every comparison is bit for bit (17 significant
-digits, sign and NaN included, as the CLI prints them). The stacks take d**s,
-log, exp and erfc through the C library, as the scalar path did, because
-numpy's own log, exp and power can round differently.
+the per-cell sweep loop. The comparisons are bit for bit (17 significant
+digits, sign and NaN included, as the CLI prints them), with two stated
+bounds: the stacks take d**s, log and exp in numpy arithmetic, which can
+round differently from the C library that the scalar path called, and only
+erfc one Python float at a time. So act rows are within ``_ACT_BOUND`` of the
+scalar loop and of their 50-digit values (``exact_reference``), and a Bayes
+lam is within 2 ulp of the scalar form, with NaN, 0 and inf in the same
+places.
 """
 
 import math
@@ -26,6 +30,7 @@ from belieflab import (
     TransitionKernel,
     baseline_welfare,
     bayes_params,
+    censor_sensitivity,
     censored_transitions,
     conditional_dynamics,
     delta_fixed,
@@ -47,12 +52,15 @@ from belieflab.chain import _birth_death_table, _laws
 from belieflab.welfare import (
     _act,
     _axis_value,
+    _censor_response,
+    _censor_steps,
     _censoring_gains,
     _combine,
     _fixed_power_gains,
     _in_B,
     _power_rule,
 )
+from exact_reference import act_miss
 
 # ---------------------------------------------------------------------------
 # the per-cell path, as it stood before the batched core
@@ -321,6 +329,7 @@ def _bits(a):
 # ---------------------------------------------------------------------------
 # the act step
 
+_ACT_BOUND = 4.44e-16  # two ulp of 1, absolute
 _PRIORS = [PriorModel(1.0), PriorModel(2.5), PriorModel(1.0, 0.5), PriorModel(0.3, 1.7)]
 
 
@@ -345,21 +354,24 @@ def test_stacked_act_step_matches_the_scalar_loop(prior, K):
     d, lam, Gamma = _stack(rng, 300)
     rows = _act_probabilities(prior, d, lam, Gamma, K)
     assert rows.shape == (300, 2 * K + 1)
-    for i in range(300):
-        ref = _ref_act(prior, float(d[i]), float(lam[i]), float(Gamma[i]), K)
-        np.testing.assert_array_equal(_bits(rows[i]), _bits(ref))
+    entries = zip(d.tolist(), lam.tolist(), Gamma.tolist())
+    ref = np.array([_ref_act(prior, *entry, K) for entry in entries])
+    assert np.abs(rows - ref).max() <= _ACT_BOUND
+    assert act_miss(rows, prior, d, lam, Gamma) <= _ACT_BOUND
 
 
 def test_act_step_takes_log_where_numpy_and_the_c_library_differ():
     # with d = 1 and lam = 1 the threshold is Gamma itself; numpy's own log
-    # rounds differently from math.log on some builds, at about 1 in 10,000
+    # rounds differently from math.log on some builds, at about 1 in 10,000,
+    # and both stay within the bound of the exact value
     ts = np.exp(np.random.default_rng(9).uniform(-20.0, 20.0, 200_000))
     differ = ts[np.log(ts) != np.array([math.log(t) for t in ts.tolist()])]
     Gamma = np.concatenate([differ, ts[:50]])
     for prior in _PRIORS[2:]:  # sigma > 0: the log is taken
         rows = _act_probabilities(prior, 1.0, 1.0, Gamma, 1)
-        for G, row in zip(Gamma.tolist(), rows):
-            np.testing.assert_array_equal(_bits(row), _bits(_ref_act(prior, 1.0, 1.0, G, 1)))
+        ref = np.array([_ref_act(prior, 1.0, 1.0, G, 1) for G in Gamma.tolist()])
+        assert np.abs(rows - ref).max() <= _ACT_BOUND
+        assert act_miss(rows, prior, 1.0, 1.0, Gamma) <= _ACT_BOUND
 
 
 def test_stacked_act_step_broadcasts_and_one_entry_is_one_row():
@@ -412,16 +424,25 @@ def _p_grid(rng, M):
     return p
 
 
+def _within_ulps(a, b, n):
+    """a within n units in the last place of b, with NaN, 0 and inf only
+    where b has them."""
+    if not 0.0 < b < math.inf:
+        return _bits(a) == _bits(b)
+    return abs(a - b) <= n * np.spacing(b)
+
+
 @pytest.mark.parametrize("K", [1, 2, 5, 60, 200, 300])
 def test_array_bayes_params_match_the_scalar_form(K):
+    # d is bit for bit; lam takes numpy's log and exp, so it is within 2 ulp
     p = _p_grid(np.random.default_rng(K), 400)
     d, lam = _bayes_params(p[:, 0], p[:, 1], K)
     branches = set()
     for i, (p11, p22) in enumerate(p.tolist()):
         ref = _ref_bayes_params(PVector(p11, p22), K)
-        assert (_bits(d[i]), _bits(lam[i])) == (_bits(ref[0]), _bits(ref[1]))
         params = bayes_params(PVector(p11, p22), K)
-        assert (_bits(params.d), _bits(params.lam)) == (_bits(ref[0]), _bits(ref[1]))
+        assert _bits(d[i]) == _bits(params.d) == _bits(ref[0])
+        assert _within_ulps(lam[i], ref[1], 2) and _within_ulps(params.lam, ref[1], 2)
         branches.add("normal" if 0.0 < ref[1] < math.inf else "past the float range")
     if K >= 200:  # the log-normalizer branch, out to lam = 0 and inf
         assert branches == {"normal", "past the float range"}
@@ -441,6 +462,31 @@ def test_array_in_B_matches_the_scalar_form(K):
             for j, spec in enumerate(specs):
                 ref = _ref_in_B(PVector(p11, p22), spec)
                 assert got[i, j] == ref == in_B(PVector(p11, p22), spec)
+
+
+# ---------------------------------------------------------------------------
+# censoring responses: the scalar is one row of the arrays
+
+
+@pytest.mark.parametrize("K", [2, 217])
+def test_censor_sensitivity_is_one_row_of_the_arrays(K):
+    p = np.random.default_rng(K).uniform(0.0, 1.0, size=(3000, 2))
+    p[::97] = [0.5, 1e-310]  # odds past the float range
+    p[1::97] = [1e-310, 0.5]  # a response past the float range
+    fields = (
+        "dp11", "dp22", "dd1", "dd2", "ddp", "d_p", "lam", "lambda_bar", "dlam", "dlambar"
+    )
+    rows = np.stack([*_censor_steps(*p.T), *_censor_response(*p.T, K)], axis=-1)
+    raised = 0
+    for (p11, p22), row in zip(p.tolist(), rows):
+        try:
+            sens = censor_sensitivity(PVector(p11, p22), K)
+        except ValueError:
+            raised += 1
+            assert not np.isfinite(row).all()
+            continue
+        np.testing.assert_array_equal(_bits([getattr(sens, f) for f in fields]), _bits(row))
+    assert raised >= 2 * 31  # every planted p, and at K = 217 lambda_bar overflows too
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,16 @@ _BAD_INPUTS = {
     "lambda-bar-overflow": (
         lambda: censor_sensitivity(PVector(0.999, 0.999), 60), "lambda_bar overflows"
     ),
+    # a subnormal p22 is interior, but r2 overflows to inf
+    "censor-sensitivity-subnormal-p22": (
+        lambda: censor_sensitivity(PVector(0.5, 1e-310), 2),
+        r"lam, lambda_bar, d_p not finite at p=\(0.5, 1e-310\)",
+    ),
+    # a subnormal p11 has finite odds, but dlog r1 overflows
+    "censor-sensitivity-subnormal-p11": (
+        lambda: censor_sensitivity(PVector(1e-310, 0.5), 2),
+        r"dlam, dlambar not finite at p=\(1e-310, 0.5\), K=2",
+    ),
     # a Bayes lam past the float range has no posterior rule to evaluate
     "bayes-welfare-inf-lam": (
         lambda: _bayes_rule_welfare(PVector(0.45, 0.98), 200),

@@ -31,6 +31,7 @@ from belieflab import (
     welfare_at_threshold,
 )
 from belieflab.welfare import ProblemSpec, _lambda_bar
+from exact_reference import balances
 
 
 def spec_correct(pi=0.5, gamma=0.5, K=2):
@@ -322,14 +323,6 @@ class TestRegularity:
         assert regularity(PVector(*p)) == expected
 
 
-def _exact_balances(p11, p22, K, x):
-    """lam and lambda_bar after the censoring step x, in mpmath arithmetic."""
-    q11, q22 = ((p - x) / (1 - 2 * x) for p in (p11, p22))
-    r1, r2 = q11 / (1 - q11), (1 - q22) / q22
-    lam = sum(r2**s for s in range(-K, K + 1)) / sum(r1**s for s in range(-K, K + 1))
-    return lam, lam * (r1 / r2) ** K
-
-
 class TestCensorSensitivity:
     def test_balanced_coordinate_is_a_fixed_point(self):
         sens = censor_sensitivity(PVector(0.5, 0.7), 2)
@@ -361,11 +354,9 @@ class TestCensorSensitivity:
                 K = int(rng.choice([1, 2, 3, 5, 10]))
                 p11, p22 = (float(v) for v in rng.uniform(0.01, 0.99, size=2))
                 sens = censor_sensitivity(PVector(p11, p22), K)
-                balances = functools.cache(
-                    lambda x: _exact_balances(p11, p22, K, x)
-                )
+                along = functools.cache(lambda x: balances(p11, p22, K, x))
                 for j, got in enumerate((sens.dlam, sens.dlambar)):
-                    exact = mpmath.diff(lambda x: balances(x)[j], 0)
+                    exact = mpmath.diff(lambda x: along(x)[j], 0)
                     worst = max(worst, float(abs(got - exact) / abs(exact)))
         assert worst <= 1e-9
 
@@ -378,7 +369,7 @@ class TestCensorSensitivity:
         with mpmath.workdps(50):
             for _ in range(50):
                 p11, p22 = (float(v) for v in rng.uniform(0.01, 0.99, size=2))
-                exact = _exact_balances(mpmath.mpf(p11), mpmath.mpf(p22), K, 0)[1]
+                exact = balances(mpmath.mpf(p11), mpmath.mpf(p22), K, 0)[1]
                 p = PVector(p11, p22)
                 if exact > sys.float_info.max:
                     with pytest.raises(ValueError, match="lambda_bar overflows"):
@@ -521,7 +512,7 @@ class TestDWitness:
         steps = (mpmath.mpf(witness.censor_step), 0)
         with mpmath.workdps(50):
             for got, x in zip(witness.window, steps):
-                exact = _exact_balances(p11, p22, K, x)[1]
+                exact = balances(p11, p22, K, x)[1]
                 assert float(abs(got - exact) / exact) <= 1e-9
 
     def test_regular_symmetric_diagonal_is_safe(self):
