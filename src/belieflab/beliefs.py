@@ -120,13 +120,13 @@ def posterior(strategy, rho_tilde: float, s: int) -> float:
         return math.inf
 
 
-def _libm(fn, x: np.ndarray) -> np.ndarray:
-    """The math function fn elementwise over the float array x.
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """erfc elementwise over the float array x.
 
     numpy has no erfc, so the act step takes ``math.erfc`` here, one Python
     float at a time; every other step is numpy arithmetic.
     """
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:
@@ -165,7 +165,7 @@ def _exceed_probs(prior: PriorModel, t) -> np.ndarray:
     # t = 0 gives z = inf and exactly 1, t = inf gives z = -inf and exactly 0
     with np.errstate(all="ignore"):  # log 0 = -inf, and a float overflows to inf quietly
         z = (math.log(prior.rho) - np.log(t)) / prior.sigma_log
-    return 0.5 * _libm(math.erfc, -z / _SQRT2)
+    return 0.5 * _erfc(-z / _SQRT2)
 
 
 def _act_probabilities(prior: PriorModel, d, lam, Gamma, K: int) -> np.ndarray:
@@ -247,15 +247,14 @@ def _drift_odds(p11, p22):
     """Whether p is interior with finite odds, and its odds (r1, r2) on a
     last axis (1 where it is not), elementwise over arrays of p.
 
-    A subnormal p22 is interior, but its r2 overflows to inf; such a p counts
-    as a boundary p.
+    A p22 at or below 2**-1024 is interior, but its r2 = (1 - p22) / p22
+    overflows to inf; such a p counts as a boundary p. r1 <= 2**53 is finite.
     """
-    inner = np.asarray(_interior(p11, p22))
-    p11, p22 = np.where(inner, p11, 0.5), np.where(inner, p22, 0.5)
-    with np.errstate(over="ignore"):
-        r = np.stack([p11 / (1.0 - p11), (1.0 - p22) / p22], axis=-1)
-    inner = inner & np.isfinite(r).all(axis=-1)
-    return inner, np.where(inner[..., None], r, 1.0)
+    inner = np.asarray(_interior(p11, p22) & (p22 > 2.0**-1024))
+    r = np.ones(inner.shape + (2,))
+    np.divide(p11, 1.0 - p11, out=r[..., 0], where=inner)
+    np.divide(1.0 - p22, p22, out=r[..., 1], where=inner)
+    return inner, r
 
 
 def _log_normalizer(log_r, K: int, with_mean: bool = False):

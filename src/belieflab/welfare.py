@@ -392,19 +392,20 @@ def _censor_response(p11, p22, K: int):
     and lambda_bar adds K dlog d_p. Past the float range these are not
     finite; where ``beliefs._drift_odds`` finds no finite odds they are NaN.
     """
-    inner, r = _drift_odds(p11, p22)
-    log_r = np.where(inner[..., None], np.log(r), math.nan)
-    log_z, m = _log_normalizer(log_r, K, with_mean=True)
-    log_lam, log_d = log_z[..., 1] - log_z[..., 0], log_r[..., 0] - log_r[..., 1]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    # each normalizer on its coordinate's own shape: an n x n grid of p takes 2n, not 2n**2
+    (in1, r1), (in2, r2) = _drift_odds(p11, 0.5), _drift_odds(0.5, p22)
+    r1, r2 = r1[..., 0], r2[..., 1]
+    log_r1, log_r2 = np.where(in1, np.log(r1), math.nan), np.where(in2, np.log(r2), math.nan)
+    log_z1, m1 = _log_normalizer(log_r1, K, with_mean=True)
+    log_z2, m2 = _log_normalizer(log_r2, K, with_mean=True)
+    with np.errstate(over="ignore", invalid="ignore"):
         dlog_r1 = (2.0 * p11 - 1.0) / (p11 * (1.0 - p11))
         dlog_r2 = (1.0 - 2.0 * p22) / (p22 * (1.0 - p22))
-        dlog_lam = m[..., 1] * dlog_r2 - m[..., 0] * dlog_r1
-        lam = np.exp(log_lam)
-        lambda_bar = np.exp(log_lam + K * log_d)
+        dlog_lam = m2 * dlog_r2 - m1 * dlog_r1
+        lam = np.exp(log_z2 - log_z1)
+        lambda_bar = np.exp(log_z2 - log_z1 + K * (log_r1 - log_r2))
         dlambar = lambda_bar * (dlog_lam + K * (dlog_r1 - dlog_r2))
-        d_p = np.where(inner, r[..., 0] / r[..., 1], math.nan)
-        return d_p, lam, lambda_bar, lam * dlog_lam, dlambar
+        return np.where(in1 & in2, r1 / r2, math.nan), lam, lambda_bar, lam * dlog_lam, dlambar
 
 
 def _censor_steps(p11, p22):

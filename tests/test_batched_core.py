@@ -7,13 +7,12 @@ The per-cell path they replaced is kept here as the reference: the scalar
 power form and single matrix power of the chain, the per-row combine, the
 scalar act step, Bayes parameters and B test, the per-cell sweep metrics and
 the per-cell sweep loop. The comparisons are bit for bit (17 significant
-digits, sign and NaN included, as the CLI prints them), with two stated
-bounds: the stacks take d**s, log and exp in numpy arithmetic, which can
-round differently from the C library that the scalar path called, and only
-erfc one Python float at a time. So act rows are within ``_ACT_BOUND`` of the
-scalar loop and of their 50-digit values (``exact_reference``), and a Bayes
-lam is within 2 ulp of the scalar form, with NaN, 0 and inf in the same
-places.
+digits, sign and NaN included, as the CLI prints them), except where numpy
+arithmetic rounds apart from the C library that the scalar path called: the
+stacks take d**s, log and exp in numpy and only erfc one Python float at a
+time. There act rows are within ``_ACT_BOUND`` of the scalar loop and of
+their 50-digit values (``exact_reference``), and a Bayes lam at K = 300 is
+within 2 ulp of the scalar form, with NaN, 0 and inf in the same places.
 """
 
 import math
@@ -356,6 +355,8 @@ def test_stacked_act_step_matches_the_scalar_loop(prior, K):
     assert rows.shape == (300, 2 * K + 1)
     entries = zip(d.tolist(), lam.tolist(), Gamma.tolist())
     ref = np.array([_ref_act(prior, *entry, K) for entry in entries])
+    if K == 1 or prior.sigma_log == 0.0:  # numpy and the C library agree here
+        np.testing.assert_array_equal(_bits(rows), _bits(ref))
     assert np.abs(rows - ref).max() <= _ACT_BOUND
     assert act_miss(rows, prior, d, lam, Gamma) <= _ACT_BOUND
 
@@ -425,8 +426,8 @@ def _p_grid(rng, M):
 
 
 def _within_ulps(a, b, n):
-    """a within n units in the last place of b, with NaN, 0 and inf only
-    where b has them."""
+    """a within n units in the last place of b (n = 0: equal), with NaN, 0
+    and inf only where b has them."""
     if not 0.0 < b < math.inf:
         return _bits(a) == _bits(b)
     return abs(a - b) <= n * np.spacing(b)
@@ -434,7 +435,9 @@ def _within_ulps(a, b, n):
 
 @pytest.mark.parametrize("K", [1, 2, 5, 60, 200, 300])
 def test_array_bayes_params_match_the_scalar_form(K):
-    # d is bit for bit; lam takes numpy's log and exp, so it is within 2 ulp
+    # d is bit for bit; lam takes numpy's log and exp, which round apart from
+    # the C library only at K = 300 on this grid, there within 2 ulp
+    ulps = 2 if K == 300 else 0
     p = _p_grid(np.random.default_rng(K), 400)
     d, lam = _bayes_params(p[:, 0], p[:, 1], K)
     branches = set()
@@ -442,7 +445,7 @@ def test_array_bayes_params_match_the_scalar_form(K):
         ref = _ref_bayes_params(PVector(p11, p22), K)
         params = bayes_params(PVector(p11, p22), K)
         assert _bits(d[i]) == _bits(params.d) == _bits(ref[0])
-        assert _within_ulps(lam[i], ref[1], 2) and _within_ulps(params.lam, ref[1], 2)
+        assert _within_ulps(lam[i], ref[1], ulps) and _within_ulps(params.lam, ref[1], ulps)
         branches.add("normal" if 0.0 < ref[1] < math.inf else "past the float range")
     if K >= 200:  # the log-normalizer branch, out to lam = 0 and inf
         assert branches == {"normal", "past the float range"}

@@ -437,6 +437,17 @@ def test_odds_past_the_float_range_give_a_degenerate_bayes_rule():
     assert math.isnan(rule.d) and math.isnan(rule.lam)
 
 
+def test_odds_overflow_from_p22_at_two_to_the_minus_1024_down():
+    # 1 / 2**-1024 rounds to inf; the next float up keeps r2 finite
+    tiny = 2.0**-1024
+    assert bayes_params(PVector(0.5, tiny), 2).degenerate
+    above = float(np.nextafter(tiny, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = bayes_params(PVector(0.5, above), 2)
+    assert not rule.degenerate and rule.d == above and rule.lam == math.inf
+
+
 def test_integral_values_of_integer_arguments_still_accepted():
     q = kernel_from_p(0.7, 0.6)
     np.testing.assert_array_equal(
