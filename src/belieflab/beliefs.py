@@ -233,10 +233,11 @@ def _bayes_params(p11, p22, K: int):
     s = np.arange(-K, K + 1, dtype=float)
     z = (r[small][..., None] ** s).sum(axis=-1)
     lam[small] = z[..., 1] / z[..., 0]
-    log_z = _log_normalizer(np.log(r[~small]), K)
-    log_lam = log_z[..., 1] - log_z[..., 0]
-    big = log_lam < _LOG_MAX
-    lam[~small] = np.where(big, np.exp(np.where(big, log_lam, 0.0)), math.inf)
+    if not small.all():
+        log_z = _log_normalizer(np.log(r[~small]), K)
+        log_lam = log_z[..., 1] - log_z[..., 0]
+        big = log_lam < _LOG_MAX
+        lam[~small] = np.where(big, np.exp(np.where(big, log_lam, 0.0)), math.inf)
     return (
         np.where(inner, r[..., 0] / r[..., 1], math.nan),
         np.where(inner, lam, math.nan),

@@ -68,16 +68,17 @@ def _walk(table, dirs, pvals, start: int, trials: int, N: int, rng) -> np.ndarra
 
     Outcome k has probability ``pvals[k]`` and moves a walker in ``state``
     to ``table[state, dirs[k]]``. Each step splits the walkers of every
-    state over the outcomes at once; an empty state draws nothing.
+    state over the outcomes at once (an empty state draws nothing) and
+    gathers the split counts by target state with one ``bincount``, whose
+    float sums of integer counts stay exact below 2**53 walkers.
     """
     pvals = pvals / pvals.sum()
-    targets = table[:, dirs]
-    counts = np.zeros(table.shape[0], dtype=np.int64)
+    targets, size = table[:, dirs].ravel(), table.shape[0]
+    counts = np.zeros(size, dtype=np.int64)
     counts[start] = trials
     for _ in range(N):
-        drawn = rng.multinomial(counts, pvals)
-        counts = np.zeros_like(counts)
-        np.add.at(counts, targets, drawn)
+        drawn = rng.multinomial(counts, pvals).ravel()
+        counts = np.bincount(targets, weights=drawn, minlength=size).astype(np.int64)
     return counts
 
 
@@ -114,6 +115,28 @@ def simulate_chain(
     return ChainEstimate(probs=probs, stderr=stderr, trials=trials, seed=seed)
 
 
+def _down_bound(up_at: float) -> float:
+    """The largest float r < 1 whose ``1.0 / r`` is at least ``up_at`` >= 1.
+
+    ``fl(1 / r)`` never rises as r rises, so the floats in [0, 1) that pass
+    form a prefix, and non-negative floats order as their bit patterns do:
+    bisection over the patterns finds the prefix's end. ``1.0 / +0.0`` is
+    inf, so 0 always passes.
+    """
+
+    def value(bits: int) -> float:
+        return float(np.uint64(bits).view(np.float64))
+
+    lo, hi = 0, int(np.float64(1.0).view(np.uint64))  # lo passes, hi does not
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if 1.0 / value(mid) >= up_at:
+            lo = mid
+        else:
+            hi = mid
+    return value(lo)
+
+
 def _final_states(
     model, theta: int, beta: float, K: int, N: int, n: int, rng
 ) -> np.ndarray:
@@ -122,7 +145,11 @@ def _final_states(
     Both read the birth-death move table: discrete models walk the agents
     jointly through their occupancy counts and return the states sorted;
     continuous models sample every signal and move each agent by its
-    direction code (0 stay or censored, 1 up, 2 down).
+    likelihood ratio. A signal is evidence for state 1 (up) iff its ratio
+    is at least 1 + beta, and for state 2 (down) iff ``1.0 / ratio`` is,
+    which for ratios in [0, 1) means ratio <= ``_down_bound(1 + beta)``.
+    Both bounds come from beta alone, never from the censoring boundaries
+    or masses the oracle checks; other signals are censored (stay).
     """
     if isinstance(model, DiscreteSignalModel):
         if model.theta_count != 2:
@@ -136,16 +163,20 @@ def _final_states(
         raise TypeError(f"unsupported model type {type(model)!r}")
     if model.sampler is None:
         raise ValueError("continuous model has no sampler attached")
-    # flat, as one take beats [s, code]: state s moves by code c to entry 3s + c
-    table, s = _birth_death_table(K).ravel(), np.full(n, K)
+    up_at = 1.0 + beta
+    # Compared as bit patterns, +0.0 and (0, bound] are down, while -0.0, a
+    # negative ratio and NaN (sign bit set, or a pattern above inf's) stay.
+    down_to = np.float64(_down_bound(up_at)).view(np.uint64)
+    # flat, as one take beats [s, c]: the agent at 3s + 1 steps by c in
+    # (-1 down, 0 stay, +1 up) to moves[3s + 1 + c] = 3 * next + 1
+    moves = 3 * _birth_death_table(K)[:, [2, 0, 1]].ravel() + 1
+    at = np.full(n, 3 * K + 1)
     for _ in range(N):
-        x = model.sampler(rng, theta, n)
-        ratio = model.likelihood_ratio(x)
-        for1 = ratio >= 1.0
-        strength = np.where(for1, ratio, 1.0 / ratio)
-        code = np.where(strength >= 1.0 + beta, np.where(for1, 1, 2), 0)
-        s = table.take(3 * s + code)
-    return s - K
+        ratio = model.likelihood_ratio(model.sampler(rng, theta, n))
+        at += ratio >= up_at
+        at -= ratio.view(np.uint64) <= down_to
+        at = moves.take(at)
+    return at // 3 - K
 
 
 def simulate_welfare(

@@ -588,6 +588,11 @@ def _golden_cases() -> dict[str, list[str]]:
         "oracle", "welfare", "--model", "tilt", "--beta", "0.2",
         "--N", "50", "--trials", "3000", "--seed", "1",
     ]
+    # the asymmetric sampler draws two uniforms per step
+    cases["oracle-welfare-asymmetric_tilt"] = [
+        "oracle", "welfare", "--model", "asymmetric_tilt", "--beta", "0.3",
+        "--N", "50", "--trials", "3000", "--seed", "5",
+    ]
     cases["oracle-welfare-lunar"] = [
         "oracle", "welfare", "--model", "lunar", "--beta", "0.1",
         "--N", "50", "--trials", "3000", "--seed", "2", "--sigma-log", "0.5",
@@ -639,6 +644,7 @@ _GOLDEN_DIGESTS = {
     "sweep-beta-tilt": "6b698dc51caaba7514aab3e09e44354c31cffd2dd5bb08e6536cecfa1d09014a",
     "sweep-beta-asymmetric_tilt": "69754ec772730464c2d5cc25f682298b17870521727b1e8639b7a3800ce02408",
     "oracle-welfare-tilt": "b50fc5d3c97df51ac6c027b08b551acb3a012d51fc1f35b0cd5cf5edf43b7dc8",
+    "oracle-welfare-asymmetric_tilt": "1ae32ab5d5d38c3e693f02fc8ec9d923b1d2c0ddbd0ccd43abdf01baf269493b",
     "oracle-welfare-lunar": "9ba91df964da85969c87b8a2bfa47b9d35c7275983e33b83c437fadd3f0805bd",
     "oracle-ladder": "be9da0fe587f55c6564dda3d8250d735dbdbc1074ddd160a43d7987ba615658b",
     "oracle-chain": "3175c471c8700d2d3d7c70174bd0be64c547f5f0b0633064e85b335c781361a9",

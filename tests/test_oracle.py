@@ -23,9 +23,51 @@ from belieflab import (
     stationary,
     tilt_model,
 )
-from belieflab.chain import _ladder_index
-from belieflab.oracle import _final_states
+from belieflab import ContinuousSignalModel
+from belieflab.chain import _birth_death_table, _ladder_index, _ladder_move_table
+from belieflab.oracle import _down_bound, _final_states, _walk
 from belieflab.welfare import ProblemSpec
+
+
+def _reference_codes(ratio, beta):
+    """Direction codes (0 stay, 1 up, 2 down) of likelihood ratios, as the
+    oracle took them before its two bounds: the strength of a ratio below 1
+    is its reciprocal."""
+    for1 = ratio >= 1.0
+    with np.errstate(divide="ignore", over="ignore"):
+        strength = np.where(for1, ratio, 1.0 / ratio)
+    return np.where(strength >= 1.0 + beta, np.where(for1, 1, 2), 0)
+
+
+def _reference_walk(table, dirs, pvals, start, trials, N, rng):
+    """The occupancy walk as it scattered counts with ``np.add.at``."""
+    pvals = pvals / pvals.sum()
+    targets = table[:, dirs]
+    counts = np.zeros(table.shape[0], dtype=np.int64)
+    counts[start] = trials
+    for _ in range(N):
+        drawn = rng.multinomial(counts, pvals)
+        counts = np.zeros_like(counts)
+        np.add.at(counts, targets, drawn)
+    return counts
+
+
+class _GivenRatios(ContinuousSignalModel):
+    """A tilt whose sampler hands out fixed signals that are their own
+    likelihood ratios, so one oracle step from state 0 reads off each
+    signal's direction."""
+
+    def likelihood_ratio(self, x):
+        return x
+
+
+def _oracle_steps(ratios, beta):
+    base = tilt_model(1.0)
+    model = _GivenRatios(
+        base.density1, base.density2, sampler=lambda rng, theta, size: ratios.copy()
+    )
+    rng = np.random.default_rng(0)
+    return _final_states(model, 1, beta, 1, 1, ratios.size, rng)
 
 
 class TestSimulateChain:
@@ -145,9 +187,7 @@ class TestSimulateWelfare:
             s = np.zeros(n, dtype=np.int64)
             for _ in range(N):
                 ratio = model.likelihood_ratio(model.sampler(rng, theta, n))
-                for1 = ratio >= 1.0
-                strength = np.where(for1, ratio, 1.0 / ratio)
-                step = np.where(strength >= 1.0 + beta, np.where(for1, 1, -1), 0)
+                step = np.array([0, 1, -1])[_reference_codes(ratio, beta)]
                 s = np.clip(s + step, -K, K)
             return s
 
@@ -168,6 +208,71 @@ class TestSimulateWelfare:
             simulate_welfare(
                 bare, spec, BeliefStrategy(2.0), beta=0.0, N=5, trials=10, seed=0
             )
+
+
+class TestOracleKernels:
+    """The two bounds and the bincount scatter against the code they replaced."""
+
+    def test_down_bound_at_beta_zero_is_the_float_below_one(self):
+        assert _down_bound(1.0) == 1.0 - 2.0**-53
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-9, 0.2, 0.5, 3.0, 1e300])
+    def test_bounds_classify_as_the_reciprocal(self, beta):
+        up_at, down_at = 1.0 + beta, _down_bound(1.0 + beta)
+        edges = [
+            np.nextafter(v, toward) for v in (up_at, down_at, 1.0)
+            for toward in (-np.inf, np.inf)
+        ] + [up_at, down_at, 1.0, np.nextafter(np.nextafter(down_at, 2.0), 2.0)]
+        rng = np.random.default_rng(17)
+        ratios = np.concatenate([
+            np.exp(rng.normal(0.0, 2.0, 20_000)),
+            np.exp(rng.uniform(-745.0, 709.0, 20_000)),
+            up_at * np.exp(rng.normal(0.0, 1e-15, 2_000)),
+            down_at * np.exp(rng.normal(0.0, 1e-15, 2_000)),
+            edges,
+            [0.0, 5e-324, np.inf, np.nan, 2.0**1023, 1.0 / up_at],
+        ])
+        steps = _oracle_steps(ratios, beta)
+        expected = np.array([0, 1, -1])[_reference_codes(ratios, beta)]
+        np.testing.assert_array_equal(steps, expected)
+        assert steps[np.flatnonzero(ratios == down_at)[0]] == -1
+        assert steps[np.flatnonzero(ratios == np.nextafter(down_at, 2.0))[0]] != -1
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_a_ratio_with_its_sign_bit_set_stays(self, beta):
+        # a density that breaks positivity between the construction grid's
+        # points: -0.0, negative ratios and NaN stay, as they always did
+        ratios = np.array([-0.0, -5e-324, -0.5, -1.0, -2.0, -np.inf, np.nan, -np.nan])
+        np.testing.assert_array_equal(_reference_codes(ratios, beta), 0)
+        np.testing.assert_array_equal(_oracle_steps(ratios, beta), 0)
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("dirs", [[1, 2, 0], [0, 1, 1], [2, 2, 1, 0]])
+    def test_birth_death_walk_matches_the_add_at_scatter(self, K, dirs):
+        table, dirs = _birth_death_table(K), np.array(dirs)
+        pvals = np.random.default_rng(K).dirichlet(np.ones(dirs.size))
+        for start, trials, seed in ((K, 10_000, 1), (0, 777, 2), (2 * K, 3, 3)):
+            walked = _walk(table, dirs, pvals, start, trials, 60, np.random.default_rng(seed))
+            reference = _reference_walk(
+                table, dirs, pvals, start, trials, 60, np.random.default_rng(seed)
+            )
+            assert walked.dtype == reference.dtype
+            np.testing.assert_array_equal(walked, reference)
+            assert walked.sum() == trials
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_ladder_walk_matches_the_add_at_scatter(self, K, beta):
+        model, _ = autocorr_model(draws=10)
+        table, dirs = _ladder_move_table(K), model.directions(beta)
+        for theta in (1, 2, 3):
+            walked = _walk(
+                table, dirs, model.probs[theta - 1], 0, 5_000, 80, np.random.default_rng(theta)
+            )
+            reference = _reference_walk(
+                table, dirs, model.probs[theta - 1], 0, 5_000, 80, np.random.default_rng(theta)
+            )
+            np.testing.assert_array_equal(walked, reference)
 
 
 class TestSimulateLadder:
