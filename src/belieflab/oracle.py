@@ -127,7 +127,7 @@ def _down_bound(up_at: float) -> float:
     def value(bits: int) -> float:
         return float(np.uint64(bits).view(np.float64))
 
-    lo, hi = 0, int(np.float64(1.0).view(np.uint64))  # lo passes, hi does not
+    lo, hi = 0, int(np.float64(1.0).view(np.uint64))  # lo passes; hi fails or is 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if 1.0 / value(mid) >= up_at:
