@@ -660,28 +660,40 @@ def _censored_masses(
         return mass.transpose(2, 1, 0)
     if model.theta_count != 2:
         raise ValueError(
-            "censored_transitions needs a two-state model; use "
-            "censored_direction_matrix for more states"
+            f"censored transitions need a two-state model, not {model.theta_count} "
+            "states; use censored_direction_matrix for more states"
         )
     return np.array([_direction_mass(model, beta) for beta in betas])
 
 
-def _kernel(mass: np.ndarray) -> TransitionKernel:
-    """The kernel of one beta's ``_censored_masses``."""
-    up, down = mass.tolist()
-    stay = []
-    for t in range(2):
-        q0 = 1.0 - up[t] - down[t]
-        if q0 < 0.0:
-            # densities are only normalized to 1e-6; absorb the residue
-            if q0 < -1e-6:
-                raise ValueError(f"move probabilities exceed 1 under theta={t + 1}")
-            total = up[t] + down[t]
-            up[t] /= total
-            down[t] /= total
-            q0 = 0.0
-        stay.append(q0)
-    return TransitionKernel(up=tuple(up), down=tuple(down), stay=tuple(stay))
+def _columns(masses: np.ndarray) -> np.ndarray:
+    """(up, down, stay) columns, (..., 2, 3) indexed [..., theta - 1, move], of
+    ``_censored_masses`` output (..., 2, 2).
+
+    Densities are only normalized to 1e-6, so a stay in [-1e-6, 0) is a
+    residue: its column's up and down are rescaled to sum to 1 and stay is 0.
+    A larger excess, or a mass that is not finite, raises ValueError.
+    """
+    moves = np.swapaxes(masses, -1, -2)  # [..., theta - 1, (up, down)]
+    stay = 1.0 - moves[..., 0] - moves[..., 1]
+    if not (stay >= 0.0).all():  # NaN fails the comparison too
+        bad = np.argwhere(~(stay >= -1e-6))
+        if len(bad):
+            raise ValueError(
+                f"move probabilities exceed 1 or are not finite under theta={bad[0, -1] + 1}"
+            )
+        over = stay < 0.0
+        moves = moves / np.where(over, moves[..., 0] + moves[..., 1], 1.0)[..., None]
+        stay = np.where(over, 0.0, stay)
+    return np.concatenate([moves, stay[..., None]], axis=-1)
+
+
+def _shares(cols: np.ndarray) -> np.ndarray:
+    """(p11, p22) among processed signals, (..., 2), of columns (..., 2, 3);
+    NaN under a silenced state."""
+    moved = cols[..., 0] + cols[..., 1]  # [..., theta - 1]
+    toward = cols[..., [0, 1], [0, 1]]  # up under theta = 1, down under theta = 2
+    return np.divide(toward, moved, out=np.full(moved.shape, math.nan), where=moved > 0.0)
 
 
 def censored_transitions(
@@ -697,7 +709,8 @@ def censored_transitions(
     is the grid of one beta. A beta so large that everything is censored
     yields a legal degenerate kernel with stay probability 1.
     """
-    return _kernel(_censored_masses(model, [beta])[0])
+    cols = _columns(_censored_masses(model, [beta]))[0].tolist()  # [theta - 1][move]
+    return TransitionKernel(*zip(*cols))
 
 
 def censored_direction_matrix(
@@ -717,18 +730,9 @@ def censored_direction_matrix(
     return mass / totals
 
 
-def _processed_shares(q: TransitionKernel) -> tuple[float, float]:
-    """(p11, p22) among processed signals; NaN under a silenced state."""
-    (up1, down1, _), (up2, down2, _) = q.column(1), q.column(2)
-    return (
-        up1 / (up1 + down1) if up1 + down1 > 0.0 else math.nan,
-        down2 / (up2 + down2) if up2 + down2 > 0.0 else math.nan,
-    )
-
-
 def conditional_dynamics(q: TransitionKernel) -> PVector:
     """Collapse a kernel to the move probabilities conditional on processing."""
-    p11, p22 = _processed_shares(q)
+    p11, p22 = _shares(np.array([q.column(1), q.column(2)], dtype=float)).tolist()
     for theta, share in ((1, p11), (2, p22)):
         if math.isnan(share):
             raise FullyCensored(theta)
@@ -837,11 +841,11 @@ def censor_path(
     betas = [float(b) for b in beta_grid]
     if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be sorted ascending")
-    points = []
-    for beta, mass in zip(betas, _censored_masses(model, betas)):
-        p11, p22 = _processed_shares(_kernel(mass))
-        points.append(CensorPoint(beta, p11, p22, (math.isnan(p11), math.isnan(p22))))
-    return points
+    shares = _shares(_columns(_censored_masses(model, betas))).tolist()
+    return [
+        CensorPoint(beta, p11, p22, (math.isnan(p11), math.isnan(p22)))
+        for beta, (p11, p22) in zip(betas, shares)
+    ]
 
 
 # ---------------------------------------------------------------------------

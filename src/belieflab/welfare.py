@@ -14,6 +14,7 @@ censoring (the exact, nonlocal version) lives in ``signals``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from collections import namedtuple
@@ -43,10 +44,10 @@ from .signals import (
     _check_beta,
     _check_finite,
     _check_int,
+    _columns,
     _interior,
-    _kernel,
     _p_columns,
-    conditional_dynamics,
+    _shares,
 )
 
 __all__ = [
@@ -371,21 +372,18 @@ def _lambda_bar(p: PVector, K: int) -> float:
 
 
 def _lambda_bars(p11, p22, K: int) -> np.ndarray:
-    """lambda_bar elementwise over arrays of p: exp(log Z(r2) - log Z(r1) +
-    K log d_p) over the normalizers of ``beliefs._log_normalizer``; NaN where
-    p is not interior or the value is past the float range."""
-    inner, r = _drift_odds(p11, p22)
-    log_r = np.log(r)
-    log_z = _log_normalizer(log_r, K)
-    log_value = log_z[..., 1] - log_z[..., 0] + K * (log_r[..., 0] - log_r[..., 1])
-    ok = inner & (log_value < _LOG_MAX)
-    return np.where(ok, np.exp(np.where(ok, log_value, 0.0)), math.nan)
+    """lambda_bar of ``_censor_response`` elementwise over arrays of p; NaN
+    where p is not interior or the value is past the float range."""
+    lambda_bar = _censor_response(p11, p22, K)[2]
+    # exp steps hundreds of ulp per ulp of its argument here: this is log value < _LOG_MAX
+    return np.where(lambda_bar < np.exp(_LOG_MAX), lambda_bar, math.nan)
 
 
 def _censor_response(p11, p22, K: int):
     """(d_p, lam, lambda_bar, dlam, dlambar), elementwise over interior p.
 
-    lam and lambda_bar are taken in logs as in ``_lambda_bar``. Censoring
+    lam = Z(r2) / Z(r1) and lambda_bar = lam d_p**K are taken in logs, over
+    the normalizers of ``beliefs._log_normalizer``. Censoring
     moves p by 2p - 1, so dlog r1 = (2 p11 - 1) / (p11 (1 - p11)) and
     dlog r2 = (1 - 2 p22) / (p22 (1 - p22)). The log derivative of Z(r) is
     the long-run mean m(r) of s, so dlog lam = m(r2) dlog r2 - m(r1) dlog r1,
@@ -398,7 +396,7 @@ def _censor_response(p11, p22, K: int):
     log_r1, log_r2 = np.where(in1, np.log(r1), math.nan), np.where(in2, np.log(r2), math.nan)
     log_z1, m1 = _log_normalizer(log_r1, K, with_mean=True)
     log_z2, m2 = _log_normalizer(log_r2, K, with_mean=True)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dlog_r1 = (2.0 * p11 - 1.0) / (p11 * (1.0 - p11))
         dlog_r2 = (1.0 - 2.0 * p22) / (p22 * (1.0 - p22))
         dlog_lam = m2 * dlog_r2 - m1 * dlog_r1
@@ -600,20 +598,17 @@ def grid_argmax(
             raise ValueError(f"{name} is empty: no (beta, d) to choose from")
     # act depends on (problem, d) only, the laws on (problem, beta) only
     ds = [BeliefStrategy(d=float(d), lam=lam).d for d in d_grid]  # checks each rule
-    acts = [_act_probabilities(s.prior, ds, lam, s.Gamma, s.K) for _, s, _ in probs]
     betas = [float(beta) for beta in beta_grid]
-    laws = [  # [problem][beta]
-        [_laws(_kernel(mass), spec.K) for mass in _censored_masses(model, betas)]
-        for model, spec, _ in probs
+    values = np.zeros((len(betas), len(ds)))
+    for model, spec, w in probs:  # one (B, D) table per problem, added in problem order
+        acts = _act_probabilities(spec.prior, ds, lam, spec.Gamma, spec.K)  # (D, 2K+1)
+        laws = _laws(_columns(_censored_masses(model, betas)), spec.K)  # (B, 2, 2K+1)
+        values += w * _combine(spec.weights, laws[:, None], acts)
+    cells = itertools.product(betas, ds)  # row-major, beta outer
+    table = [
+        {"beta": beta, "d": d, "value": v}
+        for (beta, d), v in zip(cells, (values / total).ravel().tolist())
     ]
-    table = []
-    for i, beta in enumerate(betas):
-        for j, d in enumerate(ds):
-            terms = zip(probs, laws, acts)
-            value = sum(
-                w * float(_combine(s.weights, ph[i], a[j])) for (_, s, w), ph, a in terms
-            ) / total
-            table.append({"beta": beta, "d": d, "value": value})
     best = max(table, key=lambda row: row["value"])  # first of any tie
     return GridArgmax(**best, table=tuple(table))
 
@@ -733,10 +728,11 @@ def sweep(
     censoring, otherwise the dynamics are (p11, p22) directly. The outer
     loop runs over y, the inner over x, so rows come out row-major with x
     varying fastest. Inputs that hold for every cell (the problem, a fixed
-    beta, a beta without a model, N for finite_n_ratio, a fixed d for the
-    metrics that read it) are checked once and raise ValueError; cells
-    whose evaluation is undefined (no dynamics, fully censored, degenerate,
-    a d axis value outside the metric's domain) carry value NaN.
+    beta, a beta without a model, a model without two-state censoring, N
+    for finite_n_ratio, a fixed d for the metrics that read it) are checked
+    once and raise ValueError; cells whose evaluation is undefined (no
+    dynamics, fully censored, degenerate, a d axis value outside the
+    metric's domain) carry value NaN.
     """
     if metric not in SWEEP_METRICS:
         raise ValueError(
@@ -785,14 +781,15 @@ def sweep(
     under = _baselines(spec.prior, Gamma, w1, w2)
     Ks = column("K", int)
     if beta is not None or "beta" in (x, y):  # one censoring call for all betas
-        p11, p22 = _beta_dynamics(model, values("beta"))[which("beta")].T
+        p11, p22 = _shares(_columns(_censored_masses(model, values("beta"))))[which("beta")].T
     elif p11 is None and "p11" not in (x, y) or p22 is None and "p22" not in (x, y):
         p11 = p22 = np.full(len(Ks), math.nan)  # no dynamics in any cell
     else:
         p11, p22 = column("p11"), column("p22")
         inside = (0.0 <= p11) & (p11 <= 1.0) & (0.0 <= p22) & (p22 <= 1.0)
         p11, p22 = np.where(inside, p11, math.nan), np.where(inside, p22, math.nan)
-    ds, dynamic, value = column("d"), ~np.isnan(p11), np.full(len(Ks), math.nan)
+    # a state silenced by censoring leaves one coordinate NaN
+    ds, dynamic, value = column("d"), ~np.isnan(p11 + p22), np.full(len(Ks), math.nan)
     for K in dict.fromkeys(Ks[dynamic].tolist()):  # the cells with dynamics, by K
         i = np.flatnonzero(dynamic & (Ks == K))
         laws = _p_laws(p11[i], p22[i], K)
@@ -815,20 +812,3 @@ def _axis_value(axis: str, v) -> float | int:
     if axis == "beta":
         _check_beta(float(v))
     return float(v)
-
-
-def _beta_dynamics(model, betas: list[float]) -> np.ndarray:
-    """Row b: (p11, p22) of model censored at betas[b]; NaN where the model
-    has no such dynamics, as when it is fully censored."""
-    dynamics = np.full((len(betas), 2), math.nan)
-    try:
-        masses = _censored_masses(model, betas)
-    except ValueError:  # not a two-state model
-        return dynamics
-    for row, mass in zip(dynamics, masses):
-        try:
-            p = conditional_dynamics(_kernel(mass))
-        except ValueError:
-            continue
-        row[:] = p.p11, p.p22
-    return dynamics

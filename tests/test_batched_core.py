@@ -2,15 +2,17 @@
 
 ``chain._laws`` takes stacks of (up, down, stay) columns, ``welfare._combine``
 broadcasts over them, ``beliefs._act_probabilities`` takes stacks of rules,
-and ``sweep`` and the props battery evaluate whole stacks of cells at once.
-The per-cell path they replaced is kept here as the reference: the scalar
-power form and single matrix power of the chain, the per-row combine, the
-scalar act step, Bayes parameters and B test, the per-cell sweep metrics and
-the per-cell sweep loop. The comparisons are bit for bit (17 significant
-digits, sign and NaN included, as the CLI prints them), except where numpy
-arithmetic rounds apart from the C library that the scalar path called: the
-stacks take d**s, log and exp in numpy and only erfc one Python float at a
-time. There act rows are within ``_ACT_BOUND`` of the scalar loop and of
+``signals._columns`` and ``_shares`` take stacks of censored masses, and
+``sweep``, ``grid_argmax`` and the props battery evaluate whole stacks of
+cells at once. The per-cell path they replaced is kept here as the
+reference: the scalar power form and single matrix power of the chain, the
+per-row combine, the scalar act step, Bayes parameters and B test, the
+per-beta kernel and processed shares, the per-cell sweep metrics and the
+per-cell sweep and ``grid_argmax`` loops. The comparisons are bit for bit
+(17 significant digits, sign and NaN included, as the CLI prints them),
+except where numpy arithmetic rounds apart from the C library that the
+scalar path called: the stacks take d**s, log and exp in numpy and only
+erfc one Python float at a time. There act rows are within ``_ACT_BOUND`` of the scalar loop and of
 their 50-digit values (``exact_reference``), and a Bayes lam at K = 300 is
 within 2 ulp of the scalar form, with NaN, 0 and inf in the same places.
 """
@@ -21,6 +23,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import belieflab.welfare as welfare
 from belieflab import (
     BeliefStrategy,
     PriorModel,
@@ -34,6 +37,7 @@ from belieflab import (
     conditional_dynamics,
     delta_fixed,
     finite_n_distribution,
+    grid_argmax,
     in_B,
     prior_exceed_prob,
     regular_censoring_gain,
@@ -48,6 +52,7 @@ from belieflab.beliefs import (
     _log_normalizer,
 )
 from belieflab.chain import _birth_death_table, _laws
+from belieflab.signals import _censored_masses, _columns, _shares
 from belieflab.welfare import (
     _act,
     _axis_value,
@@ -60,6 +65,7 @@ from belieflab.welfare import (
     _power_rule,
 )
 from exact_reference import act_miss
+from test_perfbench_reference import argmax_problems, workloads
 
 # ---------------------------------------------------------------------------
 # the per-cell path, as it stood before the batched core
@@ -253,6 +259,54 @@ def _ref_sweep(metric, x, x_values, y, y_values, *, p11=None, p22=None, pi=0.5,
                 row["value"] = row["regular"] = math.nan
             rows.append(row)
     return rows
+
+
+def _ref_kernel(mass):
+    """The kernel of one beta's ``_censored_masses``."""
+    up, down = mass.tolist()
+    stay = []
+    for t in range(2):
+        q0 = 1.0 - up[t] - down[t]
+        if q0 < 0.0:
+            # densities are only normalized to 1e-6; absorb the residue
+            if q0 < -1e-6:
+                raise ValueError(f"move probabilities exceed 1 under theta={t + 1}")
+            total = up[t] + down[t]
+            up[t] /= total
+            down[t] /= total
+            q0 = 0.0
+        stay.append(q0)
+    return TransitionKernel(up=tuple(up), down=tuple(down), stay=tuple(stay))
+
+
+def _ref_shares(q):
+    (up1, down1, _), (up2, down2, _) = q.column(1), q.column(2)
+    return (
+        up1 / (up1 + down1) if up1 + down1 > 0.0 else math.nan,
+        down2 / (up2 + down2) if up2 + down2 > 0.0 else math.nan,
+    )
+
+
+def _ref_grid_argmax(problems, beta_grid, d_grid, lam=1.0):
+    """(beta, d, value) per cell, row-major, one combine per (problem, beta, d)."""
+    probs = [(m, s, float(w)) for m, s, w in problems]
+    total = sum(w for _, _, w in probs)
+    ds = [BeliefStrategy(d=float(d), lam=lam).d for d in d_grid]
+    acts = [_act_probabilities(s.prior, ds, lam, s.Gamma, s.K) for _, s, _ in probs]
+    betas = [float(beta) for beta in beta_grid]
+    laws = [
+        [_laws(_ref_kernel(mass), spec.K) for mass in _censored_masses(model, betas)]
+        for model, spec, _ in probs
+    ]
+    table = []
+    for i, beta in enumerate(betas):
+        for j, d in enumerate(ds):
+            terms = zip(probs, laws, acts)
+            value = sum(
+                w * float(_combine(s.weights, ph[i], a[j])) for (_, s, w), ph, a in terms
+            ) / total
+            table.append((beta, d, value))
+    return table
 
 
 def _printed(rows):
@@ -505,6 +559,85 @@ def test_broadcast_combine_matches_the_per_row_dot():
         got = _combine(weights, phis, acts)
         for i in range(300):
             assert got[i] == _ref_combine(weights[:, i], phis[i], acts[i])
+
+
+# ---------------------------------------------------------------------------
+# signal: the columns and shares of the censoring home's masses
+
+
+def _random_masses(rng, M):
+    """M betas' masses [b, i - 1, theta - 1], with zero moves, silenced states,
+    residues in [-1e-6, 0) and an exact total of 1 mixed in."""
+    masses = rng.dirichlet(np.ones(3), size=(M, 2))[..., :2].transpose(0, 2, 1)
+    masses[::5, 0, 0] = 0.0  # never up under theta = 1
+    masses[::7, 1, 1] = 0.0  # never down under theta = 2
+    masses[::9, :, 0] = 0.0  # silenced under theta = 1
+    moved = masses[1::4, :, 1]  # a view: theta = 2 moves a total just over 1
+    moved *= (1.0 + rng.uniform(0.0, 9.9e-7, (len(moved), 1))) / moved.sum(1, keepdims=True)
+    masses[2::6, :, 0] = [0.25, 0.75]  # stay exactly 0
+    return masses
+
+
+def test_columns_are_the_per_beta_kernels():
+    masses = _random_masses(np.random.default_rng(5), 400)
+    stay = 1.0 - masses[:, 0] - masses[:, 1]
+    assert ((-1e-6 <= stay) & (stay < 0.0)).sum() > 50  # the residue rule runs
+    cols = _columns(masses)
+    assert cols.shape == (400, 2, 3)
+    for mass, col in zip(masses, cols):
+        q = _ref_kernel(mass)
+        assert _bits(col).tolist() == _bits([q.column(1), q.column(2)]).tolist()
+    assert _columns(masses[:0]).shape == (0, 2, 3)
+
+
+@pytest.mark.parametrize("excess", [1.1e-6, 1e-3, math.inf, math.nan])
+def test_columns_refuse_an_excess_beyond_the_residue(excess):
+    masses = _random_masses(np.random.default_rng(6), 6)
+    masses[4, :, 1] *= (1.0 + excess) / masses[4, :, 1].sum()
+    with pytest.raises(ValueError):  # a NaN fails the kernel's finiteness check
+        _ref_kernel(masses[4])
+    with pytest.raises(ValueError, match="theta=2"):
+        _columns(masses)
+
+
+def test_shares_are_the_per_kernel_shares():
+    cols = _random_columns(np.random.default_rng(8), 300)
+    shares = _shares(cols)
+    assert np.isnan(shares).any()  # silenced columns
+    for col, share in zip(cols, shares):
+        assert _bits(share).tolist() == _bits(_ref_shares(_kernel(col))).tolist()
+
+
+# ---------------------------------------------------------------------------
+# welfare: grid_argmax on one stack per problem
+
+
+@pytest.mark.parametrize("name", sorted(workloads.ARGMAX_PROBLEMS))
+def test_grid_argmax_matches_the_per_cell_loop(name):
+    problems = argmax_problems(name)
+    for betas, ds in (
+        ([0.0, 0.1, 0.35, 0.5, 1.0, 3.0], [1.0, 1.5, 2.0, 3.0, 5.0]),
+        ([0.2], [2.5]),
+    ):
+        got = grid_argmax(problems, betas, ds)
+        table = [(r["beta"], r["d"], r["value"]) for r in got.table]
+        assert _bits(table).tolist() == _bits(_ref_grid_argmax(problems, betas, ds)).tolist()
+        best = max(table, key=lambda row: row[2])
+        assert (got.beta, got.d, got.value) == best
+
+
+def test_grid_argmax_takes_one_law_stack_per_problem(monkeypatch):
+    calls = []
+    real = welfare._laws
+
+    def counted(cols, K, N=None):
+        calls.append(np.shape(cols))
+        return real(cols, K, N)
+
+    monkeypatch.setattr(welfare, "_laws", counted)
+    problems = argmax_problems("tilt+asym+lunar+coin")
+    grid_argmax(problems, [0.0, 0.25, 0.5], [1.5, 2.0, 3.0, 6.0])
+    assert calls == [(3, 2, 3)] * len(problems)
 
 
 # ---------------------------------------------------------------------------

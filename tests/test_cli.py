@@ -428,6 +428,9 @@ class TestErrors:
               "--N", "-1"], "N must be an integer >= 0"),
             (["sweep", "--metric", "delta_fixed", "--x", "p11", "--y", "p22",
               "--beta", "0.5"], "needs a signal model"),
+            (["sweep", "--metric", "delta_fixed", "--x", "beta", "--y", "d",
+              "--model", "autocorr", "--x-grid", "0:0.5:2", "--y-grid", "2:2:1"],
+             "two-state model"),
             (["sweep", "--metric", "delta_bayes", "--x", "p11", "--y", "p22",
               "--pi", "1"], "pi must lie in (0, 1)"),
             (["oracle", "welfare", "--model", "lunar", "--pi", "1"],

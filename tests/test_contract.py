@@ -168,6 +168,11 @@ _BAD_INPUTS = {
     "sweep-fractional-K-fixed": (
         lambda: _sweep(K=2.5), "K must be an integer >= 1"
     ),
+    "sweep-beta-three-state": (
+        lambda: _sweep("delta_fixed", x="beta", x_values=[0.0, 0.5], y="d", y_values=[2.0],
+                       model=autocorr_model()[0]),
+        "two-state model",
+    ),
     "lambda-bar-overflow": (
         lambda: censor_sensitivity(PVector(0.999, 0.999), 60), "lambda_bar overflows"
     ),

@@ -10,9 +10,12 @@ on a named model through the CLI (the ``censor-path``, ``transitions``,
 ``sweep:beta`` and ``scenario`` pools), runs through
 ``belieflab.cli.run``, and its stdout must match the output recorded in
 ``perfbench/reference.json`` within ``checks.REL_TOL`` (1e-12), as the
-benchmark itself checks it. The ``censoring`` pool of fresh tilt
-parameters (1,024 jobs) is left to the benchmark. Only ``perfbench/checks.py`` and
-``perfbench/workloads.py`` are imported; both use the standard library only.
+benchmark itself checks it. The ``censoring`` ``grid_argmax`` pool is a
+library call: its problems are built and its table printed as
+``perfbench/worker.py`` builds and prints them. The ``censoring`` pool of
+fresh tilt parameters (1,024 jobs) is left to the benchmark. Only
+``perfbench/checks.py`` and ``perfbench/workloads.py`` are imported; both
+use the standard library only.
 """
 
 import contextlib
@@ -23,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+import belieflab as bl
 from belieflab.cli import run
 
 _PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -42,16 +46,49 @@ checks = _load("checks")
 workloads = _load("workloads")
 
 
-def _replay(workload: str, pool: str) -> None:
+def argmax_problems(name: str) -> list[tuple]:
+    """The ``workloads.ARGMAX_PROBLEMS`` set ``name`` as (model, spec, weight)
+    triples, built as ``perfbench/worker.py`` builds them."""
+    models = {
+        "tilt": bl.tilt_model(1.0),
+        "asymmetric_tilt": bl.asymmetric_tilt_model(),
+        "lunar": bl.lunar_model(),
+        "illusory": bl.illusory_model(alpha=2.0, r=0.1, q=0.05),
+        "coin": bl.coin_model(0.7, 0.8, 1),
+    }
+    return [
+        (models[model], bl.ProblemSpec(pi, gamma, bl.PriorModel(pi / (1.0 - pi), sigma), K), w)
+        for model, pi, gamma, sigma, K, w in workloads.ARGMAX_PROBLEMS[name]
+    ]
+
+
+def _cli(job) -> tuple[int, str]:
+    """(exit code, stdout) of a CLI job."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(list(job.argv))
+    return code, out.getvalue()
+
+
+def _grid_argmax(job) -> tuple[int, str]:
+    """(0, stdout) of a ``grid_argmax`` job, printed as ``perfbench/worker.py`` prints it."""
+    call = job.call
+    problems = argmax_problems(call["problems"])
+    result = bl.grid_argmax(problems, call["betas"], call["ds"], call["lam"])
+    lines = ["beta,d,value"]
+    lines += [f"{r['beta']:.17g},{r['d']:.17g},{r['value']:.17g}" for r in result.table]
+    lines.append(f"best,{result.beta:.17g},{result.d:.17g},{result.value:.17g}")
+    return 0, "\n".join(lines) + "\n"
+
+
+def _replay(workload: str, pool: str, execute=_cli) -> None:
     reference = checks.load_reference(workload)
     jobs = workloads.catalog(workload)[pool]
     failures = []
     for job in jobs:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = run(list(job.argv))
+        code, stdout = execute(job)
         reason = (
-            checks.check_reference(reference.get(job.key), out.getvalue())
+            checks.check_reference(reference.get(job.key), stdout)
             if code == 0
             else f"exit code {code}"
         )
@@ -80,3 +117,7 @@ def test_landscape_sweep_jobs_match_the_recorded_reference(pool):
 @pytest.mark.parametrize("pool", ["censor-path", "transitions", "sweep:beta", "scenario"])
 def test_named_model_censoring_jobs_match_the_recorded_reference(pool):
     _replay("censoring", pool)
+
+
+def test_grid_argmax_jobs_match_the_recorded_reference():
+    _replay("censoring", "grid_argmax", _grid_argmax)
