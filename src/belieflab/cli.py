@@ -31,7 +31,6 @@ from .beliefs import BeliefStrategy, _bayes_params, bayes_params
 from .chain import kernel_from_p, stationary
 from .signals import (
     PVector,
-    _build_model,
     censor_path,
     censored_transitions,
     conditional_dynamics,
@@ -92,26 +91,19 @@ def _emit_csv(out: str | None, header: list[str], rows: list[list]) -> None:
     print("\n".join(lines))
 
 
-def _named_model(name: str, overrides: dict):
-    """The model ``scenarios.MODELS`` lists under name, defaults overridden."""
-    build, defaults = sc.MODELS[name]
-    return _build_model(name, build, overrides, defaults)
-
-
 def _resolve_model(args):
-    """Model from --model: a name in ``scenarios.MODELS``, a .json model file,
-    or (from a config) a model document."""
-    name = args.model
-    if name is None:
+    """Model from --model: a name in ``scenarios.MODELS`` (with --lam where
+    its defaults list a lam), a .json model file, or (from a config or the
+    command's default) a model document."""
+    doc = args.model
+    if doc is None:
         raise ValueError("needs --model, on the command line or in --config")
-    if not isinstance(name, str):
-        return model_from_config(name)
-    if name.endswith(".json"):
-        return load_model(name)
-    if name not in sc.MODELS:
-        raise ValueError(f"unknown model {name!r}")
-    _, defaults = sc.MODELS[name]
-    return _named_model(name, {"lam": args.lam} if "lam" in defaults else {})
+    if isinstance(doc, str):
+        if doc.endswith(".json"):
+            return load_model(doc)
+        _, defaults = sc.MODELS.get(doc, (None, {}))
+        doc = {"family": doc, "params": {"lam": args.lam} if "lam" in defaults else {}}
+    return model_from_config(doc)
 
 
 def _grid(spec: str) -> np.ndarray:
@@ -259,7 +251,7 @@ def _cmd_scenario(args) -> int:
     params = args.params or "{}"
     if isinstance(params, str):  # a config may hold the overrides as an object
         params = json.loads(params)
-    model = _named_model(args.name, params)
+    model = model_from_config({"family": args.name, "params": params})
     rows = sc.evidence_table(model, beta=args.beta)
     prob_cols = [f"prob{t}" for t in range(1, model.theta_count + 1)]
     header = ["outcome", "direction", "strength", *prob_cols, "processed"]
@@ -312,15 +304,15 @@ def _cmd_oracle_welfare(args) -> int:
     return _print_oracle(args, est.estimate, est.stderr)
 
 
-@_command("oracle ladder", "--model --lam --K --N --beta --trials --seed")
+@_command(
+    "oracle ladder",
+    "--model --lam --K --N --beta --trials --seed",
+    model={"family": "autocorr", "params": {"draws": 10}},
+)
 def _cmd_oracle_ladder(args) -> int:
     """Monte Carlo law of the three-theory ladder."""
-    if args.model is None:
-        model = _named_model("autocorr", {"draws": 10})
-    else:
-        model = _resolve_model(args)
     est = mc.simulate_ladder(
-        model, args.K, args.N, args.trials, args.seed, beta=args.beta
+        _resolve_model(args), args.K, args.N, args.trials, args.seed, beta=args.beta
     )
     return _print_oracle(args, est.probs, est.stderr)
 

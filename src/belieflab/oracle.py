@@ -208,13 +208,14 @@ def simulate_welfare(
         if n == 0:
             continue
         s = _final_states(model, theta, beta, spec.K, N, n, rng)
-        if spec.prior.sigma_log > 0.0:
-            rho_tilde = spec.prior.rho * np.exp(
-                spec.prior.sigma_log * rng.standard_normal(n)
-            )
-        else:
-            rho_tilde = np.full(n, spec.prior.rho)
-        post = rho_tilde * strategy.lam * np.float_power(strategy.d, s)
+        with np.errstate(over="ignore"):  # inf acts, as in _act_probabilities
+            if spec.prior.sigma_log > 0.0:
+                rho_tilde = spec.prior.rho * np.exp(
+                    spec.prior.sigma_log * rng.standard_normal(n)
+                )
+            else:
+                rho_tilde = np.full(n, spec.prior.rho)
+            post = rho_tilde * strategy.lam * np.float_power(strategy.d, s)
         act1 = post >= spec.Gamma
         if theta == 1:
             pay = (1.0 - spec.gamma) * act1

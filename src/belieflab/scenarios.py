@@ -107,8 +107,10 @@ def lunar_model(
     cutoff = _check_int(cutoff, "cutoff", capacity + 1)
     if tension_ceiling is not None:
         tension_ceiling = _check_int(tension_ceiling, "tension_ceiling", 1)
-    if base_rate <= 0 or effect <= 1:
-        raise ValueError("need base_rate > 0, effect > 1")
+    if not 0.0 < base_rate < math.inf:  # NaN fails too
+        raise ValueError(f"base_rate must be positive and finite, got {base_rate!r}")
+    if not 1.0 < effect < math.inf:
+        raise ValueError(f"effect must be finite and exceed 1, got {effect!r}")
     if not 0.0 < full_moon_frac < 1.0:
         raise ValueError("full_moon_frac must lie in (0, 1)")
     max_tension = cutoff - capacity
@@ -136,7 +138,13 @@ def lunar_model(
             masses.append([moon_prob[moon] * mass for mass in col])
         columns += zip(*masses)
     probs = np.array(columns, dtype=float).T
-    probs /= probs.sum(axis=1, keepdims=True)  # drop the truncated tail
+    totals = probs.sum(axis=1, keepdims=True)
+    if not np.all(totals > 0.0):
+        raise ValueError(
+            f"no delivery count up to cutoff={cutoff} has mass at base_rate="
+            f"{base_rate!r}, effect={effect!r}; raise the cutoff"
+        )
+    probs /= totals  # drop the truncated tail
     return DiscreteSignalModel(outcomes=tuple(labels), probs=probs, theta_count=2)
 
 
@@ -181,8 +189,8 @@ def illusory_model(alpha: float, r: float, q: float) -> DiscreteSignalModel:
     no influence. r = Pr(P), q = Pr(C). With both events rare, only PC
     carries real strength, and it favors state 1.
     """
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1")
+    if not 1.0 < alpha < math.inf:  # NaN fails too
+        raise ValueError(f"alpha must be finite and exceed 1, got {alpha!r}")
     if not (0.0 < r < 1.0 and 0.0 < q < 1.0):
         raise ValueError("r and q must lie in (0, 1)")
     bend = 1.0 + (alpha - 1.0) * r
@@ -202,11 +210,20 @@ def illusory_model(alpha: float, r: float, q: float) -> DiscreteSignalModel:
 # coin framing
 
 
+def _binomial_term(n: int, k: int, a: float, b: float) -> float:
+    """comb(n, k) * a**k * b**(n - k), taken in logs where comb(n, k) is past
+    the float range (n above 1029)."""
+    try:
+        return math.comb(n, k) * a**k * b ** (n - k)
+    except OverflowError:
+        log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        return math.exp(log_comb + k * math.log(a) + (n - k) * math.log(b))
+
+
 def _binomial_rows(n: int, pairs) -> np.ndarray:
     """One row per (a, b): comb(n, k) * a**k * b**(n - k) for k = 0..n."""
     return np.array(
-        [[math.comb(n, k) * a**k * b ** (n - k) for k in range(n + 1)]
-         for a, b in pairs]
+        [[_binomial_term(n, k, a, b) for k in range(n + 1)] for a, b in pairs]
     )
 
 

@@ -851,31 +851,11 @@ def censor_path(
 # ---------------------------------------------------------------------------
 # JSON loading
 
-_FAMILIES = {
-    "tilt": tilt_model,
-    "asymmetric_tilt": asymmetric_tilt_model,
-}
-
-
-def _build_model(name: str, build: Callable, params, defaults: Mapping):
-    """``build(**defaults, **params)``, with bad ``params`` as a ValueError.
-
-    ``params`` must be a mapping; a key the constructor does not take, or a
-    value of the wrong type, makes it raise TypeError, reported here as a
-    ValueError that names the model.
-    """
-    if not isinstance(params, Mapping):
-        raise ValueError(f"params must be a JSON object, got {params!r}")
-    try:
-        return build(**{**defaults, **params})
-    except TypeError as err:
-        raise ValueError(f"bad params for model {name!r}: {err}") from None
-
-
 def model_from_config(doc: Mapping) -> ContinuousSignalModel | DiscreteSignalModel:
     """Build a model from a JSON-style mapping.
 
-    Continuous: ``{"family": "tilt", "params": {"lam": 1.0}}``.
+    Named: ``{"family": "tilt", "params": {"lam": 1.0}}``, with any name in
+    ``scenarios.MODELS``, whose defaults the params override.
     Discrete: ``{"theta_count": 2, "outcomes": [...],
     "probs": {"1": [...], "2": [...]}}``, where ``theta_count`` must be an
     integer and ``outcomes`` an array. A document without the keys its kind
@@ -884,12 +864,18 @@ def model_from_config(doc: Mapping) -> ContinuousSignalModel | DiscreteSignalMod
     if not isinstance(doc, Mapping):
         raise ValueError(f"a model document must be a JSON object, got {doc!r}")
     if "family" in doc:
-        name = doc["family"]
-        if name not in _FAMILIES:
-            raise ValueError(
-                f"unknown family {name!r}; known: {sorted(_FAMILIES)}"
-            )
-        return _build_model(name, _FAMILIES[name], doc.get("params", {}), {})
+        from .scenarios import MODELS  # scenarios imports this module
+
+        name, params = doc["family"], doc.get("params", {})
+        if not isinstance(name, str) or name not in MODELS:
+            raise ValueError(f"unknown family {name!r}; known: {sorted(MODELS)}")
+        if not isinstance(params, Mapping):
+            raise ValueError(f"params must be a JSON object, got {params!r}")
+        build, defaults = MODELS[name]
+        try:
+            return build(**{**defaults, **params})
+        except TypeError as err:  # a key the constructor lacks, a value of a wrong type
+            raise ValueError(f"bad params for model {name!r}: {err}") from None
     theta_count = doc.get("theta_count", 2)
     theta_count = _check_int(theta_count, "theta_count", 2)
     outcomes, probs = doc.get("outcomes"), doc.get("probs")

@@ -464,10 +464,10 @@ def regular_censoring_gain(
     side, raising the action-1 tail under state 1 and lowering it under
     state 2.
     """
-    gains = _censoring_gains(p.p11, p.p22, spec, x)
-    if not -spec.K < k <= spec.K:
+    k = _check_int(k, "k", 1 - spec.K)
+    if k > spec.K:
         raise ValueError(f"threshold k={k} outside (-K, K] for K={spec.K}")
-    return float(gains[_check_int(k, "k", -spec.K) + spec.K - 1])
+    return float(_censoring_gains(p.p11, p.p22, spec, x)[k + spec.K - 1])
 
 
 def _censoring_gains(p11, p22, spec: ProblemSpec, x=None) -> np.ndarray:
@@ -620,19 +620,15 @@ _AXES = ("p11", "p22", "gamma", "K", "d", "beta")
 
 
 def _distinct(*cols):
-    """The distinct values of each column, by value, and each cell's index
+    """The distinct values of each column, sorted, and each cell's index
     into them.
 
     The columns the act step reads vary along different sweep axes, so a
     table over the product of their distinct values is no larger than the
     cells, and holds each distinct combination once.
     """
-    values, at = [], []
-    for col in cols:
-        index = {}
-        at.append(np.array([index.setdefault(v, len(index)) for v in col.tolist()]))
-        values.append(np.array(list(index)))
-    return values, tuple(at)
+    values, at = zip(*(np.unique(col, return_inverse=True) for col in cols))
+    return values, at
 
 
 def _refuses(fn, *args) -> bool:

@@ -37,6 +37,7 @@ from belieflab import (
     lunar_model,
     lunar_strength_rows,
     model_from_config,
+    regular_censoring_gain,
     simulate_chain,
     simulate_ladder,
     simulate_welfare,
@@ -82,6 +83,7 @@ _INTEGER_ARGUMENTS = {
     "censor_sensitivity-K": (lambda v: censor_sensitivity(_P, v), 1, 4),
     "ProblemSpec-K": (lambda v: ProblemSpec.noisy_priors(0.5, 0.6, v), 1, 4),
     "welfare_at_threshold-k": (lambda v: welfare_at_threshold(v, _P, _SPEC), -2, 3),
+    "regular_censoring_gain-k": (lambda v: regular_censoring_gain(_P, _SPEC, v), -1, 2),
     "find_D_witness-K": (find_D_witness, 2, 2),
     "sweep-K": (lambda v: _grid("delta_bayes", K=v), 1, 4),
     "sweep-N": (lambda v: _grid("finite_n_ratio", N=v), 0, 6),

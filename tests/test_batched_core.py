@@ -60,6 +60,7 @@ from belieflab.welfare import (
     _censor_steps,
     _censoring_gains,
     _combine,
+    _distinct,
     _fixed_power_gains,
     _in_B,
     _power_rule,
@@ -756,3 +757,13 @@ def test_battery_gains_keep_the_scalar_checks():
         _censoring_gains(np.array([0.6, 1.0]), np.array([0.7, 0.7]), spec)
     with pytest.raises(ValueError, match="out of"):
         _censoring_gains(np.array([0.6, 0.7]), 0.7, spec, x=np.array([0.1, 0.4]))
+
+
+def test_distinct_indexes_each_cell_to_its_own_value():
+    rng = np.random.default_rng(20)
+    real = rng.choice([0.25, 1.5, 1.5 + 2**-52, 3.0], size=400)
+    pairs = rng.choice([0.6, 0.7], size=400) + 1j * rng.choice([0.55, 0.9], size=400)
+    (values, keys), at = _distinct(real, pairs)
+    assert values.tolist() == sorted(set(real.tolist())) and keys.size == 4
+    assert _bits(values[at[0]]).tolist() == _bits(real).tolist()
+    assert np.array_equal(keys[at[1]], pairs)

@@ -68,6 +68,12 @@ class TestScenario:
         assert code == 0
         assert len(out.strip().splitlines()) == 4  # header + three counts
 
+    def test_a_batch_past_the_float_range_of_comb_builds(self, capsys):
+        params = '{"alpha1": 0.45, "alpha2": 0.55, "J": 1100}'
+        code, out = invoke(capsys, ["scenario", "coin", "--params", params])
+        assert code == 0
+        assert len(out.strip().splitlines()) == 1102  # header + 1101 counts
+
 
 class TestSweep:
     def test_csv_grid(self, capsys, tmp_path):
@@ -240,6 +246,62 @@ class TestOracle:
         for row in payload["estimate"]:
             assert len(row) == 7  # 3K + 1 states
             assert sum(row) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestModelResolution:
+    """Every named model, flag and document builds through model_from_config."""
+
+    @pytest.fixture
+    def documents(self, monkeypatch):
+        built = []
+        build = cli.model_from_config
+
+        def counting(doc):
+            built.append(doc)
+            return build(doc)
+
+        monkeypatch.setattr(cli, "model_from_config", counting)
+        return built
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["transitions", "--model", "tilt", "--lam", "2.5"],
+             {"family": "tilt", "params": {"lam": 2.5}}),
+            (["transitions", "--model", "asymmetric_tilt", "--lam", "2.5"],
+             {"family": "asymmetric_tilt", "params": {}}),
+            (["transitions", "--model", "lunar"], {"family": "lunar", "params": {}}),
+            (["scenario", "coin", "--params", '{"J": 3}'],
+             {"family": "coin", "params": {"J": 3}}),
+            (["scenario", "illusory"], {"family": "illusory", "params": {}}),
+            (["oracle", "ladder", "--K", "1", "--N", "3", "--trials", "10"],
+             {"family": "autocorr", "params": {"draws": 10}}),
+        ],
+        ids=lambda v: " ".join(v[:3]) if isinstance(v, list) else None,
+    )
+    def test_each_named_model_is_one_document(self, argv, doc, documents, capsys):
+        code, _ = invoke(capsys, argv)
+        assert code == 0
+        assert documents == [doc]
+
+    @pytest.mark.parametrize("name", ["tilt", "lunar", "illusory", "coin"])
+    def test_a_model_file_naming_a_model_builds_it_with_its_defaults(
+        self, name, capsys, tmp_path
+    ):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"family": name}))
+        code, from_file = invoke(capsys, ["transitions", "--model", str(path)])
+        assert code == 0
+        assert from_file == invoke(capsys, ["transitions", "--model", name])[1]
+
+    def test_the_ladder_default_is_a_model_document(self, capsys, tmp_path):
+        argv = ["oracle", "ladder", "--K", "1", "--N", "20", "--trials", "300"]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"family": "autocorr", "params": {"draws": 10}}}))
+        code, default = invoke(capsys, argv)
+        assert code == 0
+        assert default == invoke(capsys, [*argv, "--config", str(cfg)])[1]
+        assert default != invoke(capsys, [*argv, "--model", "autocorr"])[1]
 
 
 class TestConfig:
@@ -447,6 +509,13 @@ class TestErrors:
               "--d", "0.5"], "d must be >= 1"),
             (["scenario", "coin", "--params", '{"J": true}'],
              "J must be an integer >= 1, got True"),
+            (["transitions", "--model", "nope"],
+             "unknown family 'nope'; known: ['asymmetric_tilt', 'autocorr', 'coin',"),
+            (["scenario", "lunar", "--params", '{"base_rate": 1000}'],
+             "no delivery count up to cutoff=40 has mass"),
+            # at the default biases 0.3**1100 and 0.2**1100 are 0.0 in floats
+            (["scenario", "coin", "--params", '{"J": 1100}'],
+             "outcome '0' has zero probability under every state"),
         ],
     )
     def test_bad_input_is_one_line_on_stderr(self, argv, message, capsys):
@@ -462,6 +531,7 @@ class TestErrors:
             ({"family": "tilt", "params": {"bogus": 1}},
              "unexpected keyword argument 'bogus'"),
             ({"family": "tilt", "params": [1]}, "must be a JSON object"),
+            ({"family": "nope"}, "unknown family 'nope'"),
             ([1], "must be a JSON object"),
             ({"probs": {"1": [1.0], "2": [1.0]}}, "needs 'outcomes'"),
             ({"outcomes": ["a", "b"], "probs": {"1": [0.6, 0.4]}},

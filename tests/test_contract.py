@@ -252,6 +252,33 @@ _BAD_INPUTS = {
         lambda: model_from_config({"family": "tilt", "params": [1]}),
         "params must be a JSON object",
     ),
+    "lunar-empty-truncated-table": (
+        lambda: lunar_model(base_rate=1e3),
+        "no delivery count up to cutoff=40 has mass",
+    ),
+    "lunar-nan-base-rate": (
+        lambda: lunar_model(base_rate=math.nan),
+        "base_rate must be positive and finite, got nan",
+    ),
+    "lunar-inf-base-rate": (
+        lambda: lunar_model(base_rate=math.inf),
+        "base_rate must be positive and finite, got inf",
+    ),
+    "lunar-nan-effect": (
+        lambda: lunar_model(effect=math.nan),
+        "effect must be finite and exceed 1, got nan",
+    ),
+    "illusory-nan-alpha": (
+        lambda: illusory_model(math.nan, 0.1, 0.05),
+        "alpha must be finite and exceed 1, got nan",
+    ),
+    "model-doc-unknown-family": (
+        lambda: model_from_config({"family": "nope"}),
+        r"unknown family 'nope'; known: \['asymmetric_tilt', 'autocorr', 'coin',",
+    ),
+    "model-doc-family-not-a-name": (
+        lambda: model_from_config({"family": ["tilt"]}), "unknown family",
+    ),
     "model-doc-not-object": (
         lambda: model_from_config([1]), "model document must be a JSON object"
     ),

@@ -198,6 +198,31 @@ class TestSimulateWelfare:
             assert walked.dtype == reference.dtype
             assert np.array_equal(walked, reference)
 
+    @pytest.mark.parametrize(
+        "sigma_log, rho, d",
+        [(0.5, None, 1e200), (1e300, None, 2.0), (3.0, 1e308, 2.0)],
+        ids=["d-1e200", "sigma_log-1e300", "rho-1e308"],
+    )
+    def test_a_posterior_past_the_float_range_acts_quietly(self, sigma_log, rho, d):
+        # the suite raises RuntimeWarning; the act step lets these go to inf quietly
+        spec = ProblemSpec.noisy_priors(0.5, 0.6, 2, sigma_log, rho=rho)
+        est = simulate_welfare(
+            lunar_model(), spec, BeliefStrategy(d), beta=0.0, N=5, trials=2000, seed=0
+        )
+        assert 0.0 < est.estimate < 1.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_power_past_the_float_range_matches_the_finite_n_law(self, seed):
+        from belieflab import finite_n_welfare
+
+        model, strat = lunar_model(), BeliefStrategy(1e200)
+        spec = ProblemSpec.noisy_priors(0.5, 0.6, 2, 0.5)
+        exact = finite_n_welfare(censored_transitions(model, 0.0), spec, strat, 5)
+        est = simulate_welfare(
+            model, spec, strat, beta=0.0, N=5, trials=20_000, seed=seed
+        )
+        assert abs(est.estimate - exact) <= 6.0 * est.stderr
+
     def test_missing_sampler_rejected(self):
         from belieflab import ContinuousSignalModel, tilt_model
 

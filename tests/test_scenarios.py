@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy import stats
 
 from belieflab import (
     FullyCensored,
     autocorr_model,
+    batch,
     censored_transitions,
     classify,
     coin_model,
@@ -16,6 +18,7 @@ from belieflab import (
     lunar_model,
     lunar_strength_rows,
 )
+from belieflab.signals import _check_law
 
 
 @pytest.fixture(scope="module")
@@ -219,6 +222,47 @@ class TestAutocorr:
         for draws in (2, 6, 10, 13):
             model, _ = autocorr_model(draws=draws)
             np.testing.assert_allclose(model.probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+def _product_terms(n, a, b):
+    """comb(n, k) * a**k * b**(n - k) as floats, None where comb(n, k) is past
+    the float range."""
+    terms = []
+    for k in range(n + 1):
+        try:
+            terms.append(math.comb(n, k) * a**k * b ** (n - k))
+        except OverflowError:
+            terms.append(None)
+    return terms
+
+
+class TestBinomialRowsPastTheFloatRange:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: coin_model(0.7, 0.8, J=1030),
+            lambda: coin_model(0.7, 0.8, J=1100),
+            lambda: autocorr_model(draws=1031)[0],
+            lambda: batch(coin_model(0.7, 0.8), 1100),
+        ],
+        ids=["coin-1030", "coin-1100", "autocorr-1031", "batch-1100"],
+    )
+    def test_rows_are_laws(self, build):
+        _check_law(build().probs, 1, "binomial rows")
+
+    def test_finite_products_keep_their_bits_and_the_rest_match_exact_values(self):
+        J = 1100
+        model = coin_model(0.7, 0.8, J=J)
+        for row, a in zip(model.probs, (0.7, 0.8)):
+            terms = _product_terms(J, a, 1.0 - a)
+            assert any(t is None for t in terms) and any(t is not None for t in terms)
+            for k, (value, term) in enumerate(zip(row.tolist(), terms)):
+                if term is not None:
+                    assert value == term
+                    continue
+                with mp.workdps(40):
+                    exact = mp.binomial(J, k) * mp.mpf(a) ** k * mp.mpf(1.0 - a) ** (J - k)
+                assert value == pytest.approx(float(exact), rel=1e-10, abs=0.0)
 
 
 class TestEvidenceTable:

@@ -26,7 +26,7 @@ from belieflab import (
     simulate_welfare,
     tilt_model,
 )
-from belieflab.scenarios import coin_model, lunar_model
+from belieflab.scenarios import MODELS, coin_model, lunar_model
 from belieflab.welfare import ProblemSpec
 
 
@@ -546,6 +546,21 @@ class TestJsonInterface:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown family"):
             model_from_config({"family": "nope"})
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_every_named_model_builds_from_a_document_with_its_defaults(self, name):
+        build, defaults = MODELS[name]
+        model, expected = model_from_config({"family": name}), build(**defaults)
+        assert type(model) is type(expected)
+        if isinstance(model, DiscreteSignalModel):
+            assert model.outcomes == expected.outcomes
+            assert np.array_equal(model.probs, expected.probs)
+        else:
+            assert (model.name, model.params) == (expected.name, expected.params)
+
+    def test_document_params_override_the_defaults(self):
+        model = model_from_config({"family": "coin", "params": {"J": 3}})
+        assert np.array_equal(model.probs, coin_model(0.7, 0.8, 3).probs)
 
     def test_load_from_file(self, tmp_path):
         import json
