@@ -119,22 +119,16 @@ def _down_bound(up_at: float) -> float:
     """The largest float r < 1 whose ``1.0 / r`` is at least ``up_at`` >= 1.
 
     ``fl(1 / r)`` never rises as r rises, so the floats in [0, 1) that pass
-    form a prefix, and non-negative floats order as their bit patterns do:
-    bisection over the patterns finds the prefix's end. ``1.0 / +0.0`` is
-    inf, so 0 always passes.
+    form a prefix. Its end lies within a few float steps of ``1 / up_at``:
+    step down until r passes, then up while the next float below 1 passes.
+    ``1.0 / r`` is inf for the smallest r, so the first walk stops above 0.
     """
-
-    def value(bits: int) -> float:
-        return float(np.uint64(bits).view(np.float64))
-
-    lo, hi = 0, int(np.float64(1.0).view(np.uint64))  # lo passes; hi fails or is 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if 1.0 / value(mid) >= up_at:
-            lo = mid
-        else:
-            hi = mid
-    return value(lo)
+    r = min(1.0 / up_at, math.nextafter(1.0, 0.0))
+    while 1.0 / r < up_at:
+        r = math.nextafter(r, 0.0)
+    while (up := math.nextafter(r, 1.0)) < 1.0 and 1.0 / up >= up_at:
+        r = up
+    return r
 
 
 def _final_states(
@@ -192,9 +186,10 @@ def simulate_welfare(
 
     Per trial: draw the state, run N raw signals through censoring and the
     mental chain (``_final_states``), draw the prior, then act 1 iff the
-    posterior rho_tilde * lam * d**s clears Gamma. The prior draws are
-    independent of the final states, so pairing them with sorted states is
-    as good as pairing them agent by agent.
+    posterior rho_tilde * lam * d**s clears Gamma or the shift lam * d**s
+    is infinite. The prior draws are independent of the final states, so
+    pairing them with sorted states is as good as pairing them agent by
+    agent.
     """
     trials = _check_int(trials, "trials", 2)  # two for a standard error
     N = _check_int(N, "N", 0)
@@ -208,15 +203,18 @@ def simulate_welfare(
         if n == 0:
             continue
         s = _final_states(model, theta, beta, spec.K, N, n, rng)
-        with np.errstate(over="ignore"):  # inf acts, as in _act_probabilities
+        # as in _act_probabilities, an infinite shift acts 1 and a zero one
+        # 0, also where the prior draw makes the posterior 0 * inf = NaN
+        with np.errstate(over="ignore", invalid="ignore"):
             if spec.prior.sigma_log > 0.0:
                 rho_tilde = spec.prior.rho * np.exp(
                     spec.prior.sigma_log * rng.standard_normal(n)
                 )
             else:
                 rho_tilde = np.full(n, spec.prior.rho)
-            post = rho_tilde * strategy.lam * np.float_power(strategy.d, s)
-        act1 = post >= spec.Gamma
+            shift = np.float_power(strategy.d, s)
+            post = rho_tilde * strategy.lam * shift
+            act1 = (post >= spec.Gamma) | (strategy.lam * shift == math.inf)
         if theta == 1:
             pay = (1.0 - spec.gamma) * act1
         else:

@@ -35,6 +35,7 @@ __all__ = [
     "lunar_strength_rows",
     "illusory_model",
     "coin_model",
+    "AutocorrRow",
     "autocorr_model",
 ]
 

@@ -300,8 +300,9 @@ class DiscreteSignalModel:
     Every outcome is classified once, at construction: its direction is the
     state with the highest probability (exact ties go to the lowest state),
     its strength that probability over the runner-up (inf when the
-    runner-up is 0). Outcomes with zero probability under every state are
-    only flagged here; using them raises.
+    runner-up is 0). An outcome with zero probability under every state is
+    never drawn: it gets direction 0 and strength NaN, so censoring reads it
+    as censored at every beta, and ``classify`` refuses it.
     """
 
     outcomes: tuple[str, ...]
@@ -332,12 +333,14 @@ class DiscreteSignalModel:
         top, runner = ranked[-1], ranked[-2]
         with np.errstate(divide="ignore", invalid="ignore"):
             strength = np.where(runner == 0, math.inf, top / runner)
+        null = top <= 0
         object.__setattr__(
             self, "_index", {label: i for i, label in enumerate(self.outcomes)}
         )
-        object.__setattr__(self, "_direction", np.argmax(probs, axis=0) + 1)
-        object.__setattr__(self, "_strength", strength)
-        object.__setattr__(self, "_null", top <= 0)
+        object.__setattr__(
+            self, "_direction", np.where(null, 0, np.argmax(probs, axis=0) + 1)
+        )
+        object.__setattr__(self, "_strength", np.where(null, math.nan, strength))
 
     def outcome_index(self, label: str) -> int:
         try:
@@ -349,17 +352,9 @@ class DiscreteSignalModel:
         theta = _check_theta(theta, self.theta_count)
         return float(self.probs[theta - 1, self.outcome_index(label)])
 
-    def _require_signal(self, idx: int) -> None:
-        if self._null[idx]:
-            raise ValueError(
-                f"outcome {self.outcomes[idx]!r} has zero probability under every state"
-            )
-
     def directions(self, beta: float) -> np.ndarray:
         """Per-outcome direction after censoring at 1 + beta, 0 when censored."""
         _check_beta(beta)
-        if self._null.any():
-            self._require_signal(int(np.argmax(self._null)))
         return np.where(self._strength >= 1.0 + beta, self._direction, 0)
 
 
@@ -469,7 +464,10 @@ def classify(
         return Evidence(2, f2 / f1)
 
     idx = model.outcome_index(x)
-    model._require_signal(idx)
+    if model._direction[idx] == 0:
+        raise ValueError(
+            f"outcome {model.outcomes[idx]!r} has zero probability under every state"
+        )
     return Evidence(int(model._direction[idx]), float(model._strength[idx]))
 
 

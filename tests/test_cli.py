@@ -74,6 +74,17 @@ class TestScenario:
         assert code == 0
         assert len(out.strip().splitlines()) == 1102  # header + 1101 counts
 
+    def test_a_batch_with_null_outcomes_prints_them_censored(self, capsys):
+        # at the default biases 0.3**1100 and 0.2**1100 are 0.0 in floats, so
+        # the low counts have no mass: direction 0, strength nan, unprocessed
+        code, out = invoke(capsys, ["scenario", "coin", "--params", '{"J": 1100}'])
+        assert code == 0
+        rows = [line.split() for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 1101
+        null = [row for row in rows if row[1:] == ["0", "nan", "0", "0", "0"]]
+        assert null and null[0][0] == "0"
+        assert all(row[2] != "nan" for row in rows if row not in null)
+
 
 class TestSweep:
     def test_csv_grid(self, capsys, tmp_path):
@@ -513,9 +524,6 @@ class TestErrors:
              "unknown family 'nope'; known: ['asymmetric_tilt', 'autocorr', 'coin',"),
             (["scenario", "lunar", "--params", '{"base_rate": 1000}'],
              "no delivery count up to cutoff=40 has mass"),
-            # at the default biases 0.3**1100 and 0.2**1100 are 0.0 in floats
-            (["scenario", "coin", "--params", '{"J": 1100}'],
-             "outcome '0' has zero probability under every state"),
         ],
     )
     def test_bad_input_is_one_line_on_stderr(self, argv, message, capsys):

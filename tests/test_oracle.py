@@ -52,6 +52,24 @@ def _reference_walk(table, dirs, pvals, start, trials, N, rng):
     return counts
 
 
+def _bisected_down_bound(up_at):
+    """``oracle._down_bound`` as it bisected over float bit patterns: the
+    floats in [0, 1) whose reciprocal passes form a prefix, and non-negative
+    floats order as their bit patterns do."""
+
+    def value(bits):
+        return float(np.uint64(bits).view(np.float64))
+
+    lo, hi = 0, int(np.float64(1.0).view(np.uint64))  # lo passes; hi fails or is 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if 1.0 / value(mid) >= up_at:
+            lo = mid
+        else:
+            hi = mid
+    return value(lo)
+
+
 class _GivenRatios(ContinuousSignalModel):
     """A tilt whose sampler hands out fixed signals that are their own
     likelihood ratios, so one oracle step from state 0 reads off each
@@ -223,6 +241,21 @@ class TestSimulateWelfare:
         )
         assert abs(est.estimate - exact) <= 6.0 * est.stderr
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_an_infinite_shift_acts_where_the_prior_draw_is_zero(self, seed):
+        # sigma_log = 1e300 sends about half the prior draws to 0 and the
+        # power sends the shift to inf: the posterior 0 * inf acts 1, as an
+        # infinite shift does in the closed form (0.23253), and runs quietly
+        from belieflab import finite_n_welfare
+
+        model, strat = lunar_model(), BeliefStrategy(1e200)
+        spec = ProblemSpec.noisy_priors(0.5, 0.6, 2, 1e300)
+        exact = finite_n_welfare(censored_transitions(model, 0.0), spec, strat, 5)
+        est = simulate_welfare(
+            model, spec, strat, beta=0.0, N=5, trials=20_000, seed=seed
+        )
+        assert abs(est.estimate - exact) <= 6.0 * est.stderr
+
     def test_missing_sampler_rejected(self):
         from belieflab import ContinuousSignalModel, tilt_model
 
@@ -240,6 +273,14 @@ class TestOracleKernels:
 
     def test_down_bound_at_beta_zero_is_the_float_below_one(self):
         assert _down_bound(1.0) == 1.0 - 2.0**-53
+
+    def test_down_bound_matches_bisection_over_bit_patterns(self):
+        rng = np.random.default_rng(23)
+        up_ats = [1.0, 1.0 + 2.0**-52, 2.0**1022, 2.0**1023, np.finfo(float).max]
+        up_ats += list(1.0 + rng.random(2_000))
+        up_ats += list(1.0 + np.exp(rng.uniform(-40.0, 709.0, 2_000)))
+        for up_at in up_ats:
+            assert _down_bound(float(up_at)) == _bisected_down_bound(float(up_at))
 
     @pytest.mark.parametrize("beta", [0.0, 1e-9, 0.2, 0.5, 3.0, 1e300])
     def test_bounds_classify_as_the_reciprocal(self, beta):

@@ -74,24 +74,48 @@ class TestClassify:
         with pytest.raises(ValueError, match="unknown outcome"):
             classify(lunar, "99,9")
 
-    def test_zero_probability_everywhere_rejected(self):
-        # construction only flags the outcome; every consumer raises on use
+    def test_zero_probability_everywhere_is_refused_by_classify_only(self):
+        # an outcome with no mass under any state is never drawn: classify
+        # refuses it, and censoring reads it as censored at every beta
         model = DiscreteSignalModel(
-            outcomes=("a", "b"), probs=np.array([[1.0, 0.0], [1.0, 0.0]])
+            outcomes=("a", "b", "c"),
+            probs=np.array([[0.7, 0.0, 0.3], [0.4, 0.0, 0.6]]),
         )
-        assert classify(model, "a") == Evidence(1, 1.0)
+        without = DiscreteSignalModel(
+            outcomes=("a", "c"), probs=np.array([[0.7, 0.3], [0.4, 0.6]])
+        )
+        assert classify(model, "a") == classify(without, "a")
+        with pytest.raises(ValueError, match="'b' has zero probability"):
+            classify(model, "b")
+        for beta in (0.0, 0.5, 1e300):
+            assert model.directions(beta)[1] == 0
+            np.testing.assert_array_equal(
+                np.delete(model.directions(beta), 1), without.directions(beta)
+            )
+        assert censored_transitions(model, 0.0) == censored_transitions(without, 0.0)
+        np.testing.assert_array_equal(
+            censored_direction_matrix(model, 0.0),
+            censored_direction_matrix(without, 0.0),
+        )
+        # the oracle's walk splits no walkers onto the null outcome
         spec = ProblemSpec.correct_priors(0.5, 0.5, 2)
-        consumers = (
-            lambda: classify(model, "b"),
-            lambda: censored_transitions(model, 0.0),
-            lambda: censored_direction_matrix(model, 0.0),
-            lambda: simulate_welfare(
-                model, spec, BeliefStrategy(d=2.0), 0.0, N=3, trials=10, seed=0
-            ),
-        )
-        for consume in consumers:
-            with pytest.raises(ValueError, match="'b' has zero probability"):
-                consume()
+        estimates = [
+            simulate_welfare(
+                m, spec, BeliefStrategy(d=2.0), 0.0, N=30, trials=500, seed=0
+            )
+            for m in (model, without)
+        ]
+        assert estimates[0] == estimates[1]
+
+    @pytest.mark.parametrize("J", [620, 700, 1100])
+    def test_a_long_coin_batch_censors(self, J):
+        # 0.3**J and 0.2**J underflow, so the low tail counts have no mass
+        model = coin_model(0.7, 0.8, J)
+        assert (model.probs.max(axis=0) == 0.0).any()
+        q = censored_transitions(model, 0.0)
+        for theta in (1, 2):
+            assert math.fsum(q.column(theta)) == pytest.approx(1.0, abs=1e-12)
+        assert censored_direction_matrix(model, 0.0).sum(axis=0) == pytest.approx(1.0)
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
