@@ -110,9 +110,11 @@ def _grid(spec: str) -> np.ndarray:
     """Parse 'lo:hi:n' into n evenly spaced values."""
     try:
         lo, hi, n = spec.split(":")
+        if not math.isfinite(float(hi) - float(lo)):  # a NaN, an infinite end or span
+            raise ValueError
         return np.linspace(float(lo), float(hi), int(n))
     except ValueError:
-        raise ValueError(f"bad grid {spec!r}, expected lo:hi:n") from None
+        raise ValueError(f"bad grid {spec!r}, expected lo:hi:n with finite ends") from None
 
 
 # Every flag once: its argparse spec, default included. A config key is the
@@ -434,16 +436,23 @@ def _cmd_props_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every command's parser, or only the given _COMMANDS key's."""
     parser = argparse.ArgumentParser(
         prog="belieflab",
         description="censored coarse-evidence belief dynamics laboratory",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    oracle = sub.add_parser("oracle", help="Monte Carlo estimates")
-    groups = {"": sub, "oracle": oracle.add_subparsers(dest="kind", required=True)}
-    for command, (fn, flags, defaults) in _COMMANDS.items():
-        group, _, name = command.rpartition(" ")
+    # one command's usage names every choice as the full usage does; the full
+    # parser keeps the default metavar, which its errors name "command"
+    top = "{%s}" % ",".join(["oracle", *(c for c in _COMMANDS if " " not in c)])
+    sub = parser.add_subparsers(dest="command", required=True, metavar=command and top)
+    groups = {"": sub}
+    if command is None or command.startswith("oracle "):
+        oracle = sub.add_parser("oracle", help="Monte Carlo estimates")
+        groups["oracle"] = oracle.add_subparsers(dest="kind", required=True)
+    for cmd in _COMMANDS if command is None else [command]:
+        fn, flags, defaults = _COMMANDS[cmd]
+        group, _, name = cmd.rpartition(" ")
         leaf = groups[group].add_parser(name, help=fn.__doc__)
         leaf.add_argument("--config", **_FLAGS["--config"])
         dests = {}
@@ -474,7 +483,10 @@ def _config_defaults(args) -> dict:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the invoked command's parser only; -h or an unknown command gets them all
+    command = " ".join(argv[:2] if argv[:1] == ["oracle"] else argv[:1])
+    parser = _build_parser(command if command in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -315,6 +315,32 @@ class TestModelResolution:
         assert default != invoke(capsys, [*argv, "--model", "autocorr"])[1]
 
 
+# argv, a config that changes some of its defaults, and the same as flags
+_CONFIG_CASES = [
+    (
+        ["censor-path", "--model", "tilt"],
+        {"grid": "0:1:3", "lam": 2.5},
+        ["--grid", "0:1:3", "--lam", "2.5"],
+    ),
+    (
+        ["sweep", "--metric", "finite_n_ratio", "--x", "p11", "--y", "p22",
+         "--x-grid", "0.2:0.8:2", "--y-grid", "0.3:0.7:2"],
+        {"N": 25, "sigma-log": 0.5},
+        ["--N", "25", "--sigma-log", "0.5"],
+    ),
+    (
+        ["oracle", "welfare", "--trials", "200"],
+        {"model": "tilt", "lambda": 0.8, "seed": 5},
+        ["--model", "tilt", "--lambda", "0.8", "--seed", "5"],
+    ),
+    (
+        ["scenario", "coin"],
+        {"params": {"alpha1": 0.6, "J": 3}, "beta": 0.3},
+        ["--params", '{"alpha1": 0.6, "J": 3}', "--beta", "0.3"],
+    ),
+]
+
+
 class TestConfig:
     def test_config_fills_unset_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -355,29 +381,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "argv, config, flags",
-        [
-            (
-                ["censor-path", "--model", "tilt"],
-                {"grid": "0:1:3", "lam": 2.5},
-                ["--grid", "0:1:3", "--lam", "2.5"],
-            ),
-            (
-                ["sweep", "--metric", "finite_n_ratio", "--x", "p11", "--y", "p22",
-                 "--x-grid", "0.2:0.8:2", "--y-grid", "0.3:0.7:2"],
-                {"N": 25, "sigma-log": 0.5},
-                ["--N", "25", "--sigma-log", "0.5"],
-            ),
-            (
-                ["oracle", "welfare", "--trials", "200"],
-                {"model": "tilt", "lambda": 0.8, "seed": 5},
-                ["--model", "tilt", "--lambda", "0.8", "--seed", "5"],
-            ),
-            (
-                ["scenario", "coin"],
-                {"params": {"alpha1": 0.6, "J": 3}, "beta": 0.3},
-                ["--params", '{"alpha1": 0.6, "J": 3}', "--beta", "0.3"],
-            ),
-        ],
+        _CONFIG_CASES,
         ids=["censor-path", "sweep", "oracle-welfare", "scenario"],
     )
     def test_config_keys_are_the_flags(self, argv, config, flags, capsys, tmp_path):
@@ -447,25 +451,27 @@ def _leaf_flags(parser, command=""):
     return {command: sorted(names)}
 
 
+# one flag each command does not read
+_UNREAD_FLAGS = [
+    ["sweep", "--metric", "delta_fixed", "--x", "p11", "--y", "d",
+     "--p22", "0.7", "--beta-fixed", "0.2"],
+    ["props-check", "--seed", "1"],
+    ["censor-path", "--model", "tilt", "--beta", "0.2"],
+    ["stationary", "--r", "2", "--gamma", "0.5"],
+    ["scenario", "lunar", "--K", "3"],
+    ["oracle", "chain", "--p11", "0.7", "--p22", "0.6", "--model", "lunar"],
+]
+
+
 class TestFlags:
     def test_each_command_takes_exactly_the_flags_it_reads(self):
         flags = _leaf_flags(_build_parser())
         assert flags == {c: sorted(names.split()) for c, names in _READS.items()}
         assert sum(map(len, flags.values())) == 68
+        for command in _READS:
+            assert _leaf_flags(_build_parser(command)) == {command: flags[command]}
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["sweep", "--metric", "delta_fixed", "--x", "p11", "--y", "d",
-             "--p22", "0.7", "--beta-fixed", "0.2"],
-            ["props-check", "--seed", "1"],
-            ["censor-path", "--model", "tilt", "--beta", "0.2"],
-            ["stationary", "--r", "2", "--gamma", "0.5"],
-            ["scenario", "lunar", "--K", "3"],
-            ["oracle", "chain", "--p11", "0.7", "--p22", "0.6", "--model", "lunar"],
-        ],
-        ids=lambda argv: " ".join(argv[:2]),
-    )
+    @pytest.mark.parametrize("argv", _UNREAD_FLAGS, ids=lambda argv: " ".join(argv[:2]))
     def test_a_flag_the_command_does_not_read_exits_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -487,6 +493,114 @@ class TestFlags:
         cells = [line.split(",") for line in out.splitlines()[1:]]
         assert [float(c[2]) for c in cells] == [r["value"] for r in rows]
         assert all(math.isfinite(r["value"]) for r in rows)
+
+
+class TestOneCommandParser:
+    """run builds the invoked command's parser only, and every call parses and
+    prints as it would with the full parser, built fresh each time."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The progs of the ArgumentParsers constructed from here on."""
+        progs, init = [], argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            progs.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return progs
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["stationary", "--r", "2"], 2),
+            (["sweep", "--metric", "in_B", "--x", "p11", "--y", "p22",
+              "--x-grid", "0.2:0.8:2", "--y-grid", "0.3:0.7:2"], 2),
+            (["props-check", "--K", "0"], 2),
+            (["oracle", "chain", "--p11", "0.7", "--p22", "0.6", "--N", "3",
+              "--trials", "10"], 3),
+            (["oracle", "welfare", "--model", "tilt", "--N", "3", "--trials", "10"], 3),
+            (["-h"], 11),
+            (["oracle", "-h"], 11),
+            (["bogus"], 11),
+            (["oracle", "bogus"], 11),
+            (["oracle"], 11),
+            ([], 11),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_a_call_builds_its_commands_parser_only(self, argv, count, built, capsys):
+        try:
+            run(argv)
+        except SystemExit:
+            pass
+        assert len(built) == count, built
+        if count < 11:  # the invoked leaf, built last
+            assert built[-1] == "belieflab " + " ".join(argv[: count - 1])
+
+    @staticmethod
+    def _calls(tmp_path):
+        """Every golden argv, every unread flag, each command's -h and the
+        --config cases, by name."""
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(_GOLDEN_MODEL))
+        calls = {
+            name: [str(model_path) if a == "{json}" else a for a in argv]
+            for name, argv in _golden_cases().items()
+        }
+        calls.update({"unread " + " ".join(argv): argv for argv in _UNREAD_FLAGS})
+        calls.update({f"help {c}": [*c.split(), "-h"] for c in _READS})
+        for i, (argv, config, _) in enumerate(_CONFIG_CASES):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps(config))
+            calls["config " + " ".join(argv)] = [*argv, "--config", str(cfg)]
+        return calls
+
+    @staticmethod
+    def _parsed(parser, argv, capsys):
+        try:
+            namespace, code = vars(parser.parse_args(argv)), None
+        except SystemExit as exc:
+            namespace, code = None, exc.code
+        if namespace:
+            namespace["leaf"] = namespace["leaf"].format_help()
+        return namespace, code, *capsys.readouterr()
+
+    @staticmethod
+    def _ran(argv, capsys):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, *capsys.readouterr()
+
+    def test_it_parses_and_prints_as_the_full_parser(self, capsys, monkeypatch, tmp_path):
+        calls = self._calls(tmp_path)
+        assert len(calls) == len(_golden_cases()) + 6 + 9 + 4
+        for name, argv in calls.items():
+            command = " ".join(argv[:2] if argv[0] == "oracle" else argv[:1])
+            one = self._parsed(_build_parser(command), argv, capsys)
+            assert one == self._parsed(_build_parser(), argv, capsys), name
+            ran = self._ran(argv, capsys)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_build_parser", lambda command=None: _build_parser())
+                assert ran == self._ran(argv, capsys), name
+
+    @pytest.mark.parametrize(
+        "argv, config, flags",
+        _CONFIG_CASES,
+        ids=["censor-path", "sweep", "oracle-welfare", "scenario"],
+    )
+    def test_a_config_does_not_leak_into_the_next_call(
+        self, argv, config, flags, capsys, tmp_path
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        fresh = self._ran(argv, capsys)
+        configured = self._ran([*argv, "--config", str(cfg)], capsys)
+        assert configured != fresh
+        assert self._ran(argv, capsys) == fresh
 
 
 class TestErrors:
@@ -524,6 +638,15 @@ class TestErrors:
              "unknown family 'nope'; known: ['asymmetric_tilt', 'autocorr', 'coin',"),
             (["scenario", "lunar", "--params", '{"base_rate": 1000}'],
              "no delivery count up to cutoff=40 has mass"),
+            (["sweep", "--metric", "in_B", "--x", "p11", "--y", "p22",
+              "--x-grid", "0.1:inf:2", "--y-grid", "0.2:0.3:2"],
+             "bad grid '0.1:inf:2', expected lo:hi:n with finite ends"),
+            (["sweep", "--metric", "delta_bayes", "--x", "d", "--y", "gamma",
+              "--p11", "0.5", "--x-grid", "nan:3:2", "--y-grid", "0.2:0.3:2"],
+             "bad grid 'nan:3:2', expected lo:hi:n with finite ends"),
+            (["sweep", "--metric", "delta_bayes", "--x", "d", "--y", "gamma",
+              "--p11", "0.5", "--x-grid=-1e308:1e308:3", "--y-grid", "0.2:0.3:2"],
+             "bad grid '-1e308:1e308:3'"),
         ],
     )
     def test_bad_input_is_one_line_on_stderr(self, argv, message, capsys):
