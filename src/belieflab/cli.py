@@ -27,31 +27,11 @@ import numpy as np
 
 from . import oracle as mc
 from . import scenarios as sc
-from .beliefs import BeliefStrategy, _bayes_params, bayes_params
+from .beliefs import BeliefStrategy
 from .chain import kernel_from_p, stationary
-from .signals import (
-    PVector,
-    censor_path,
-    censored_transitions,
-    conditional_dynamics,
-    load_model,
-    model_from_config,
-)
-from .welfare import (
-    ProblemSpec,
-    SWEEP_METRICS,
-    _censor_map,
-    _censor_response,
-    _censor_steps,
-    _censoring_gains,
-    _fixed_power_gains,
-    _in_B,
-    _rule_welfares,
-    bayes_welfare,
-    expected_welfare,
-    find_D_witness,
-    sweep,
-)
+from .scenarios import load_model, model_from_config
+from .signals import censor_path, censored_transitions, conditional_dynamics
+from .welfare import ProblemSpec, SWEEP_METRICS, _props_battery, sweep
 
 __all__ = ["run", "main"]
 
@@ -63,14 +43,7 @@ def _fmt(x) -> str:
 
 
 def _dump_json(obj) -> str:
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, np.generic):
-            return o.item()
-        raise TypeError(f"not JSON serializable: {type(o)!r}")
-
-    return json.dumps(obj, indent=2, sort_keys=True, default=default)
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -107,14 +80,15 @@ def _resolve_model(args):
 
 
 def _grid(spec: str) -> np.ndarray:
-    """Parse 'lo:hi:n' into n evenly spaced values."""
+    """Parse 'lo:hi:n' into n >= 1 evenly spaced values."""
     try:
         lo, hi, n = spec.split(":")
-        if not math.isfinite(float(hi) - float(lo)):  # a NaN, an infinite end or span
+        if not math.isfinite(float(hi) - float(lo)) or int(n) < 1:  # a NaN, inf or no point
             raise ValueError
         return np.linspace(float(lo), float(hi), int(n))
     except ValueError:
-        raise ValueError(f"bad grid {spec!r}, expected lo:hi:n with finite ends") from None
+        expected = "lo:hi:n with finite ends and n >= 1"
+        raise ValueError(f"bad grid {spec!r}, expected {expected}") from None
 
 
 # Every flag once: its argparse spec, default included. A config key is the
@@ -176,7 +150,7 @@ def _cmd_stationary(args) -> int:
         "K": args.K,
         "r": args.r,
         "states": list(range(-args.K, args.K + 1)),
-        "probs": [float(v) for v in probs],
+        "probs": probs.tolist(),
         "sum": float(probs.sum()),
     }
     print(_dump_json(payload))
@@ -274,8 +248,8 @@ def _cmd_scenario(args) -> int:
 
 
 def _print_oracle(args, estimate, stderr) -> int:
-    payload = {"estimate": estimate, "stderr": stderr}
-    print(_dump_json({**payload, "trials": args.trials, "seed": args.seed}))
+    payload = {"estimate": estimate, "stderr": stderr, "trials": args.trials, "seed": args.seed}
+    print(_dump_json({key: np.asarray(v).tolist() for key, v in payload.items()}))
     return 0
 
 
@@ -317,107 +291,6 @@ def _cmd_oracle_ladder(args) -> int:
         _resolve_model(args), args.K, args.N, args.trials, args.seed, beta=args.beta
     )
     return _print_oracle(args, est.probs, est.stderr)
-
-
-def _props_battery(K: int) -> list[tuple[str, bool, str]]:
-    """Reduced versions of the optimality and censoring checks."""
-    rng = np.random.default_rng(12345)
-    results = []
-
-    # Exact Bayes parameters dominate every fixed rule under correct priors.
-    worst = math.inf
-    witness = ""
-    ok = True
-    skipped = 0
-    for _ in range(30):
-        p = PVector(*rng.uniform(0.02, 0.98, size=2))
-        gamma = float(rng.uniform(0.1, 0.9))
-        spec = ProblemSpec.correct_priors(0.5, gamma, K)
-        best = bayes_welfare(p, spec)
-        # 200 rules (d, lam) = exp of uniform draws on [0, 3) and [-2, 2)
-        d, lam = np.exp(rng.uniform([0.0, -2.0], [3.0, 2.0], size=(200, 2))).T
-        gaps = best - _rule_welfares(p, spec, d, lam)
-        if gaps.min() < worst:
-            worst = float(gaps.min())
-            witness = f"p=({p.p11:.3f},{p.p22:.3f}) gamma={gamma:.3f}"
-        ok = ok and not np.any(gaps < -1e-12)
-        params = bayes_params(p, spec.K)
-        if not 0.0 < params.lam < math.inf:  # a balance past the float range
-            skipped += 1
-            continue
-        if abs(best - expected_welfare(p, spec, params).value) > 1e-12:
-            ok = False
-            witness = f"equality failed at p=({p.p11:.3f},{p.p22:.3f})"
-    detail = f"min gap {worst:.3e} ({witness})"
-    if skipped:
-        detail += f" ({skipped} skipped: Bayes lam past the float range)"
-    results.append(("bayes-rule-dominance", ok, detail))
-
-    # Fixed-power rules gain on the balanced-informative set B.
-    grid, ds = np.linspace(0.02, 0.98, 21), (1.5, 3.0, 10.0)
-    specs = [ProblemSpec.noisy_priors(0.5, float(gamma), K) for gamma in grid]
-    Gamma = np.array([s.Gamma for s in specs])
-    inside = _in_B(0.8, grid[:, None], specs[0].rho, Gamma, K)  # p22 down, gamma across
-    # the term-by-term form is cancellation-free, so strict positivity
-    # survives even where the gain is ~1e-20
-    gains = _fixed_power_gains(0.8, grid, specs, ds)  # p22, gamma, d
-    bad = np.argwhere(inside[..., None] & ~(gains > 0.0))  # the witness is the last
-    witness = "all positive"
-    if bad.size:
-        i, j, k = bad[-1]
-        witness = f"p22={grid[i]:.3f} gamma={grid[j]:.3f} d={ds[k]}: {gains[i, j, k]:.3e}"
-    results.append(("fixed-power-gain-on-B", not bad.size, witness))
-
-    # Censoring-response: analytic derivatives match finite differences.
-    p11, p22 = rng.uniform(0.05, 0.95, size=(1000, 2)).T
-    _, lam, lambda_bar, dlam, _ = _censor_response(p11, p22, K)
-    dp11, dp22, _, _, ddp = _censor_steps(p11, p22)
-    h = 1e-6
-    (hi11, hi22), (lo11, lo22) = _censor_map(p11, p22, h), _censor_map(p11, p22, -h)
-    fd_d = (_bayes_params(hi11, hi22, K)[0] - _bayes_params(lo11, lo22, K)[0]) / (2 * h)
-    rel = lambda a, b: abs(a - b) / np.maximum(np.maximum(abs(a), abs(b)), 1e-9)
-    derivative = (
-        (rel((hi11 - lo11) / (2 * h), dp11) > 1e-4)
-        | (rel((hi22 - lo22) / (2 * h), dp22) > 1e-4)
-        | (rel(fd_d, ddp) > 1e-4)
-    )
-    with np.errstate(all="ignore"):  # past the float range, as in Python floats
-        balance = (abs(lam - 1.0) > 1e-6) & (dlam * (lam - 1.0) < 0)
-    # lambda_bar past the float range is skipped, as find_D_witness skips it
-    skip = ~np.isfinite(lambda_bar)
-    failures = np.flatnonzero(~skip & (derivative | balance))
-    stop = failures[0] if failures.size else p11.size  # the first failure ends the check
-    witness = "1000 draws"
-    if failures.size:
-        at = f"p=({p11[stop]:.4f},{p22[stop]:.4f})"
-        witness = at if derivative[stop] else f"balance sign at {at}"
-    skipped = int(skip[:stop].sum())
-    if skipped:
-        witness += f" ({skipped} skipped: lambda_bar overflows)"
-    results.append(("censoring-derivatives", not failures.size, witness))
-
-    # Somewhere, censoring strictly hurts a Bayesian agent.
-    witness_obj = find_D_witness(max(K, 2))
-    ok = witness_obj is not None and witness_obj.welfare_after < witness_obj.welfare_before
-    detail = (
-        f"p=({witness_obj.p.p11:.4f},{witness_obj.p.p22:.4f}) "
-        f"drop {witness_obj.welfare_before - witness_obj.welfare_after:.3e}"
-        if witness_obj
-        else "no witness found"
-    )
-    results.append(("censoring-can-hurt-witness", ok, detail))
-
-    # On regular problems, censoring never hurts, threshold by threshold.
-    grid = np.linspace(0.52, 0.98, 21)
-    spec = ProblemSpec.correct_priors(0.5, 0.6, K)
-    gains = _censoring_gains(grid[:, None], grid, spec)  # p11 outer, p22, k = 1-K..K
-    bad = np.argwhere(gains < -1e-12)  # the witness is the last, in loop order
-    witness = "all nonnegative"
-    if bad.size:
-        i, j, k = bad[-1]
-        witness = f"p=({grid[i]:.3f},{grid[j]:.3f}) k={k - K + 1}: {gains[i, j, k]:.3e}"
-    results.append(("regular-censoring-gain", not bad.size, witness))
-    return results
 
 
 @_command("props-check", "--K")

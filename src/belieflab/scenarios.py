@@ -9,16 +9,22 @@ Each constructor builds the exact outcome table of a story problem:
 * ``coin_model``: which of two tail biases drives a coin?
 * ``autocorr_model``: are consecutive binary draws positively correlated,
   negatively correlated, or independent? (three underlying states)
+
+``MODELS`` names them with the continuous families; ``model_from_config``
+builds a named or discrete model from a JSON document, ``load_model`` from a file.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from .signals import (
+    ContinuousSignalModel,
     DiscreteSignalModel,
     _check_int,
     asymmetric_tilt_model,
@@ -37,6 +43,8 @@ __all__ = [
     "coin_model",
     "AutocorrRow",
     "autocorr_model",
+    "model_from_config",
+    "load_model",
 ]
 
 
@@ -312,3 +320,55 @@ MODELS = {
     "asymmetric_tilt": (asymmetric_tilt_model, {}),
     **SCENARIOS,
 }
+
+
+# ---------------------------------------------------------------------------
+# JSON loading
+
+
+def model_from_config(doc: Mapping) -> ContinuousSignalModel | DiscreteSignalModel:
+    """Build a model from a JSON-style mapping.
+
+    Named: ``{"family": "tilt", "params": {"lam": 1.0}}``, with any name in
+    ``MODELS``, whose defaults the params override.
+    Discrete: ``{"theta_count": 2, "outcomes": [...],
+    "probs": {"1": [...], "2": [...]}}``, where ``theta_count`` must be an
+    integer and ``outcomes`` an array. A document without the keys its kind
+    needs, or with bad params, raises ValueError.
+    """
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"a model document must be a JSON object, got {doc!r}")
+    if "family" in doc:
+        name, params = doc["family"], doc.get("params", {})
+        if not isinstance(name, str) or name not in MODELS:
+            raise ValueError(f"unknown family {name!r}; known: {sorted(MODELS)}")
+        if not isinstance(params, Mapping):
+            raise ValueError(f"params must be a JSON object, got {params!r}")
+        build, defaults = MODELS[name]
+        try:
+            return build(**{**defaults, **params})
+        except TypeError as err:  # a key the constructor lacks, a value of a wrong type
+            raise ValueError(f"bad params for model {name!r}: {err}") from None
+    theta_count = doc.get("theta_count", 2)
+    theta_count = _check_int(theta_count, "theta_count", 2)
+    outcomes, probs = doc.get("outcomes"), doc.get("probs")
+    if not isinstance(outcomes, (list, tuple)) or not isinstance(probs, Mapping):
+        raise ValueError(
+            "a discrete model document needs 'outcomes' and 'probs' "
+            "(a JSON array and a JSON object)"
+        )
+    rows = []
+    for theta in map(str, range(1, theta_count + 1)):
+        if theta not in probs:
+            raise ValueError(f"'probs' has no row for state {theta}")
+        rows.append(probs[theta])
+    return DiscreteSignalModel(
+        outcomes=tuple(str(o) for o in outcomes),
+        probs=np.array(rows, dtype=float),
+        theta_count=theta_count,
+    )
+
+
+def load_model(path: str) -> ContinuousSignalModel | DiscreteSignalModel:
+    with open(path, encoding="utf-8") as fh:
+        return model_from_config(json.load(fh))

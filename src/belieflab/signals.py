@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -39,8 +38,6 @@ __all__ = [
     "pool",
     "batch",
     "censor_path",
-    "model_from_config",
-    "load_model",
 ]
 
 _BOUNDARY_TOL = 1e-12  # bisection width for censoring boundaries
@@ -54,15 +51,11 @@ _SUM_TOL = 1e-12       # a law may miss a total of 1 by this much
 def _check_finite(**values) -> None:
     """Raise ValueError naming the first argument that holds a NaN or inf.
 
-    Each value is a number, a tuple of numbers or a numpy array.
+    Each value is a number or a tuple of numbers.
     """
     for name, value in values.items():
-        if isinstance(value, np.ndarray):
-            finite = bool(np.isfinite(value).all())
-        else:
-            items = value if isinstance(value, tuple) else (value,)
-            finite = all(map(math.isfinite, items))
-        if not finite:
+        items = value if isinstance(value, tuple) else (value,)
+        if not all(map(math.isfinite, items)):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
@@ -844,56 +837,3 @@ def censor_path(
         CensorPoint(beta, p11, p22, (math.isnan(p11), math.isnan(p22)))
         for beta, (p11, p22) in zip(betas, shares)
     ]
-
-
-# ---------------------------------------------------------------------------
-# JSON loading
-
-def model_from_config(doc: Mapping) -> ContinuousSignalModel | DiscreteSignalModel:
-    """Build a model from a JSON-style mapping.
-
-    Named: ``{"family": "tilt", "params": {"lam": 1.0}}``, with any name in
-    ``scenarios.MODELS``, whose defaults the params override.
-    Discrete: ``{"theta_count": 2, "outcomes": [...],
-    "probs": {"1": [...], "2": [...]}}``, where ``theta_count`` must be an
-    integer and ``outcomes`` an array. A document without the keys its kind
-    needs, or with bad params, raises ValueError.
-    """
-    if not isinstance(doc, Mapping):
-        raise ValueError(f"a model document must be a JSON object, got {doc!r}")
-    if "family" in doc:
-        from .scenarios import MODELS  # scenarios imports this module
-
-        name, params = doc["family"], doc.get("params", {})
-        if not isinstance(name, str) or name not in MODELS:
-            raise ValueError(f"unknown family {name!r}; known: {sorted(MODELS)}")
-        if not isinstance(params, Mapping):
-            raise ValueError(f"params must be a JSON object, got {params!r}")
-        build, defaults = MODELS[name]
-        try:
-            return build(**{**defaults, **params})
-        except TypeError as err:  # a key the constructor lacks, a value of a wrong type
-            raise ValueError(f"bad params for model {name!r}: {err}") from None
-    theta_count = doc.get("theta_count", 2)
-    theta_count = _check_int(theta_count, "theta_count", 2)
-    outcomes, probs = doc.get("outcomes"), doc.get("probs")
-    if not isinstance(outcomes, (list, tuple)) or not isinstance(probs, Mapping):
-        raise ValueError(
-            "a discrete model document needs 'outcomes' and 'probs' "
-            "(a JSON array and a JSON object)"
-        )
-    rows = []
-    for theta in map(str, range(1, theta_count + 1)):
-        if theta not in probs:
-            raise ValueError(f"'probs' has no row for state {theta}")
-        rows.append(probs[theta])
-    return DiscreteSignalModel(
-        outcomes=tuple(str(o) for o in outcomes),
-        probs=np.array(rows, dtype=float),
-        theta_count=theta_count,
-    )
-
-
-def load_model(path: str) -> ContinuousSignalModel | DiscreteSignalModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_config(json.load(fh))

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from belieflab import sweep, tilt_model
-from belieflab import cli
+from belieflab import cli, welfare
 from belieflab.cli import _build_parser, run
 
 
@@ -647,6 +647,12 @@ class TestErrors:
             (["sweep", "--metric", "delta_bayes", "--x", "d", "--y", "gamma",
               "--p11", "0.5", "--x-grid=-1e308:1e308:3", "--y-grid", "0.2:0.3:2"],
              "bad grid '-1e308:1e308:3'"),
+            (["sweep", "--metric", "in_B", "--x", "p11", "--y", "p22",
+              "--x-grid", "0.1:0.9:0"],
+             "bad grid '0.1:0.9:0', expected lo:hi:n with finite ends and n >= 1"),
+            (["censor-path", "--model", "tilt", "--grid", "0:1:0"],
+             "bad grid '0:1:0', expected lo:hi:n with finite ends and n >= 1"),
+            (["oracle", "chain", "--p22", "0.4"], "needs --p11 and --p22"),
         ],
     )
     def test_bad_input_is_one_line_on_stderr(self, argv, message, capsys):
@@ -711,7 +717,7 @@ class TestPropsCheck:
     def test_censoring_check_stops_at_the_first_failing_draw(self, capsys, monkeypatch):
         # a wrong ddp at draw 300 fails the check there; of the two draws whose
         # lambda_bar overflows at K = 123 (226 and 445), only the first is counted
-        steps = cli._censor_steps
+        steps = welfare._censor_steps
 
         def wrong_at_300(p11, p22):
             *head, ddp = steps(p11, p22)
@@ -719,7 +725,7 @@ class TestPropsCheck:
             ddp[300] *= 2.0
             return (*head, ddp)
 
-        monkeypatch.setattr(cli, "_censor_steps", wrong_at_300)
+        monkeypatch.setattr(welfare, "_censor_steps", wrong_at_300)
         code, out = invoke(capsys, ["props-check", "--K", "123"])
         assert code == 1
         line = next(l for l in out.splitlines() if "censoring-derivatives" in l)

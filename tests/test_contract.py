@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from belieflab import (
+    BayesParams,
     BeliefStrategy,
     ContinuousSignalModel,
     DiscreteSignalModel,
@@ -19,7 +20,9 @@ from belieflab import (
     bayes_welfare,
     censored_direction_matrix,
     censor_sensitivity,
+    censored_p,
     censored_transitions,
+    classify,
     coin_model,
     decision_threshold,
     evidence_table,
@@ -33,6 +36,7 @@ from belieflab import (
     ladder_transition,
     lunar_model,
     model_from_config,
+    pool,
     prior_exceed_prob,
     regular_censoring_gain,
     simulate_chain,
@@ -449,6 +453,87 @@ _BAD_INPUTS = {
     "continuous-density-returns-a-scalar": (
         lambda: ContinuousSignalModel(lambda x: 2.0 * np.asarray(x) + 0.5, lambda x: 1.0),
         r"a density must map an array .* got shape \(\) for \(1001,\)",
+    ),
+    "decision-threshold-inverted-power": (
+        lambda: decision_threshold(BayesParams(0.5, 1.0), 1.0, 1.5, 2),
+        "decision_threshold assumes d >= 1",
+    ),
+    "threshold-mass-inverted-power": (
+        lambda: threshold_mass(PriorModel(1.0), BayesParams(0.5, 1.0), 1.5, 2),
+        "threshold_mass assumes d >= 1",
+    ),
+    "ladder-two-by-two-law": (
+        lambda: ladder_transition(np.eye(2), 1, 1), r"p3 must be 3x3, got shape \(2, 2\)"
+    ),
+    "lunar-moon-fraction-above-one": (
+        lambda: lunar_model(full_moon_frac=1.5), "full_moon_frac must lie in"
+    ),
+    "illusory-r-above-one": (
+        lambda: illusory_model(2.0, 1.5, 0.05), "r and q must lie in"
+    ),
+    "coin-bias-above-one": (lambda: coin_model(1.5, 0.8), "alpha1 must lie in"),
+    "autocorr-two-rhos": (
+        lambda: autocorr_model(rho_set=(0.5, 0.5)),
+        "rho_set must be three probabilities",
+    ),
+    "kernel-entry-above-one": (
+        lambda: TransitionKernel((1.5, 0.5), (-0.5, 0.5), (0.0, 0.0)),
+        r"kernel entry 1.5 outside \[0, 1\]",
+    ),
+    "continuous-density-zero-at-an-end": (
+        lambda: ContinuousSignalModel(
+            lambda x: 2.0 * np.asarray(x), lambda x: 2.0 - 2.0 * np.asarray(x)
+        ),
+        "densities must be strictly positive",
+    ),
+    "discrete-table-shape": (
+        lambda: DiscreteSignalModel(outcomes=("a", "b"), probs=np.array([[0.6, 0.4]])),
+        r"probs shape \(1, 2\) does not match 2 states x 2 outcomes",
+    ),
+    "discrete-repeated-label": (
+        lambda: DiscreteSignalModel(
+            outcomes=("a", "a"), probs=np.array([[0.6, 0.4], [0.3, 0.7]])
+        ),
+        "outcome labels must be unique",
+    ),
+    "tilt-negative-lam": (lambda: tilt_model(-1.0), "lam must be positive"),
+    "asymmetric-tilt-lam-above-spike": (
+        lambda: asymmetric_tilt_model(lam=2.0, spike=1.0), "need 0 < lam < spike"
+    ),
+    "asymmetric-tilt-weight-above-one": (
+        lambda: asymmetric_tilt_model(weight=1.5), "weight must lie in"
+    ),
+    "classify-signal-outside-support": (
+        lambda: classify(tilt_model(1.0), 1.5), "signal 1.5 outside the support"
+    ),
+    "pool-empty-group": (
+        lambda: pool(coin_model(0.7, 0.8), [[], ["0", "1"]]), "empty partition group"
+    ),
+    "welfare-degenerate-parameters": (
+        lambda: expected_welfare(
+            PVector(0.7, 0.6), _SPEC, BayesParams(math.nan, math.nan, True)
+        ),
+        "degenerate parameters have no posterior rule",
+    ),
+    "in-b-boundary-p": (
+        lambda: in_B(PVector(1.0, 0.5), _SPEC), "in_B needs interior dynamics"
+    ),
+    "censor-sensitivity-boundary-p": (
+        lambda: censor_sensitivity(PVector(1.0, 0.5), 2),
+        "censor_sensitivity needs interior dynamics",
+    ),
+    "censored-p-step-too-large": (
+        lambda: censored_p(PVector(0.7, 0.6), 0.7), "censor step x must lie in"
+    ),
+    "censoring-gain-k-above-K": (
+        lambda: regular_censoring_gain(PVector(0.8, 0.7), _SPEC, 3),
+        r"threshold k=3 outside \(-K, K\] for K=2",
+    ),
+    "sweep-unknown-axis": (
+        lambda: _sweep(x="bogus"), "unknown axis 'bogus'; choose from"
+    ),
+    "sweep-same-axis-twice": (
+        lambda: _sweep(y="p11"), "x and y axes must differ"
     ),
 }
 
