@@ -134,8 +134,11 @@ def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:
 
     Returns -K when even the lowest state acts 1 and K + 1 when no state
     does. Indifference counts as acting 1 (the ">= Gamma" convention is used
-    everywhere). Requires d >= 1 so that posteriors rise with the state,
-    and Gamma >= 0 (inf included: then no finite posterior acts).
+    everywhere). The states that act are those of the act step at the
+    deterministic prior rho_tilde (``_act_probabilities``), so the result is
+    the point mass of ``threshold_mass`` with no prior noise, ties included.
+    Requires d >= 1 so that posteriors rise with the state, and Gamma >= 0
+    (inf included: then no finite posterior acts).
     """
     if not strategy.d >= 1.0:
         raise ValueError("decision_threshold assumes d >= 1")
@@ -144,10 +147,9 @@ def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:
         raise ValueError(f"rho_tilde must be positive, got {rho_tilde!r}")
     if not Gamma >= 0.0:
         raise ValueError(f"Gamma must be nonnegative, got {Gamma!r}")
-    for s in range(-K, K + 1):
-        if posterior(strategy, rho_tilde, s) >= Gamma:
-            return s
-    return K + 1
+    act = _act_probabilities(PriorModel(rho_tilde), strategy.d, strategy.lam, Gamma, K)
+    acting = np.flatnonzero(act)
+    return int(acting[0]) - K if acting.size else K + 1
 
 
 def prior_exceed_prob(prior: PriorModel, t: float) -> float:

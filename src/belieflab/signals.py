@@ -51,11 +51,18 @@ _SUM_TOL = 1e-12       # a law may miss a total of 1 by this much
 def _check_finite(**values) -> None:
     """Raise ValueError naming the first argument that holds a NaN or inf.
 
-    Each value is a number or a tuple of numbers.
+    Each value is a number or a tuple of numbers; anything else (a list, an
+    array) is refused too.
     """
     for name, value in values.items():
         items = value if isinstance(value, tuple) else (value,)
-        if not all(map(math.isfinite, items)):
+        try:
+            finite = all(map(math.isfinite, items))
+        except TypeError:
+            raise ValueError(
+                f"{name} must be a finite number or a tuple of them, got {value!r}"
+            ) from None
+        if not finite:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 

@@ -715,18 +715,6 @@ def grid_argmax(
 _AXES = ("p11", "p22", "gamma", "K", "d", "beta")
 
 
-def _distinct(*cols):
-    """The distinct values of each column, sorted, and each cell's index
-    into them.
-
-    The columns the act step reads vary along different sweep axes, so a
-    table over the product of their distinct values is no larger than the
-    cells, and holds each distinct combination once.
-    """
-    values, at = zip(*(np.unique(col, return_inverse=True) for col in cols))
-    return values, at
-
-
 def _refuses(fn, *args) -> bool:
     """Whether fn(*args) raises ValueError."""
     try:
@@ -736,19 +724,19 @@ def _refuses(fn, *args) -> bool:
     return False
 
 
-# The sweep cells of one K that have dynamics, as arrays over the cells: p11,
-# p22, the stakes odds Gamma, the power d, the weights (w1, w2), the
-# noisy-prior baseline welfare and the long-run laws; spec holds the prior and
-# rho the cells share (its gamma and K are not theirs).
+# The sweep grid at one K, each input an array over the grid axes it varies
+# on ((1, nx) on x, (ny, 1) on y, (1, 1) when fixed): p11 and p22 (0.5 in the
+# cells without dynamics), the stakes odds Gamma, the power d, the weights
+# (w1, w2), the noisy-prior baseline welfare and the long-run laws; spec
+# holds the prior and rho the cells share (its gamma and K are not theirs).
 _Cells = namedtuple("_Cells", "p11 p22 Gamma d K N w under laws spec")
 
 
 def _power_acts(c: _Cells, metric: str) -> np.ndarray:
     """Act rows of the power-d rule ``metric`` reads, one act step over the
-    distinct (Gamma, d); NaN rows where ``_power_rule`` refuses d."""
-    (Gamma, d), at = _distinct(c.Gamma, c.d)
-    ok = ~np.array([_refuses(_power_rule, v, metric) for v in d.tolist()], dtype=bool)
-    return _acts_where(ok, c.spec.prior, d, 1.0, Gamma[:, None], c.K)[at]
+    (Gamma, d) axes; NaN rows where ``_power_rule`` refuses d."""
+    ok = [not _refuses(_power_rule, v, metric) for v in c.d.ravel().tolist()]
+    return _acts_where(np.reshape(ok, c.d.shape), c.spec.prior, c.d, 1.0, c.Gamma, c.K)
 
 
 # Each metric returns one value per cell, NaN where the cell is undefined.
@@ -758,10 +746,9 @@ def _metric_delta_bayes(c: _Cells) -> np.ndarray:
     """As ``bayes_welfare``: the envelope under correct priors, else the rule."""
     if c.spec.has_correct_priors:
         return _envelope(c.w, c.laws) - c.under
-    (p, Gamma), at = _distinct(c.p11 + 1j * c.p22, c.Gamma)  # p as one key
-    d, lam = (v[:, None] for v in _bayes_params(p.real, p.imag, c.K))
+    d, lam = _bayes_params(c.p11, c.p22, c.K)
     ok = (0.0 < lam) & (lam < math.inf)  # a lam past the float range has no rule
-    acts = _acts_where(ok, c.spec.prior, d, lam, Gamma, c.K)[at]
+    acts = _acts_where(ok, c.spec.prior, d, lam, c.Gamma, c.K)
     return _combine(c.w, c.laws, acts) - c.under
 
 
@@ -858,40 +845,34 @@ def sweep(
     def values(axis):  # the axis values, or the one fixed value
         return xs if axis == x else ys if axis == y else [base[axis]]
 
-    at = {  # per cell, row-major: the index of its value in values(axis)
-        x: np.tile(np.arange(len(xs)), len(ys)),
-        y: np.repeat(np.arange(len(ys)), len(xs)),
-    }
-    which = lambda axis: at.get(axis, np.zeros(len(xs) * len(ys), dtype=int))
+    def on_axis(v, axis):  # v along the grid axis of ``axis``, (1, 1) when fixed
+        return np.reshape(v, (-1, 1) if axis == y else (1, -1))
 
-    def column(axis, dtype=float):
-        return np.array(values(axis), dtype)[which(axis)]
-
-    # one spec per gamma value, in row-major order: the first bad gamma raises
+    grid = lambda axis, dtype=float: on_axis(np.array(values(axis), dtype), axis)
+    # one spec per gamma value, in order: the first bad gamma raises
     specs = [replace(spec, gamma=g) for g in values("gamma")]
-    Gamma, w1, w2 = np.array([(s.Gamma, *s.weights) for s in specs]).T[:, which("gamma")]
+    stakes = np.array([(s.Gamma, *s.weights) for s in specs])
+    Gamma, w1, w2 = (on_axis(v, "gamma") for v in stakes.T)
     under = _baselines(spec.prior, Gamma, w1, w2)
-    Ks = column("K", int)
     if beta is not None or "beta" in (x, y):  # one censoring call for all betas
-        p11, p22 = _shares(_columns(_censored_masses(model, values("beta"))))[which("beta")].T
-    elif p11 is None and "p11" not in (x, y) or p22 is None and "p22" not in (x, y):
-        p11 = p22 = np.full(len(Ks), math.nan)  # no dynamics in any cell
-    else:
-        p11, p22 = column("p11"), column("p22")
-        inside = (0.0 <= p11) & (p11 <= 1.0) & (0.0 <= p22) & (p22 <= 1.0)
-        p11, p22 = np.where(inside, p11, math.nan), np.where(inside, p22, math.nan)
-    # a state silenced by censoring leaves one coordinate NaN
-    ds, dynamic, value = column("d"), ~np.isnan(p11 + p22), np.full(len(Ks), math.nan)
-    for K in dict.fromkeys(Ks[dynamic].tolist()):  # the cells with dynamics, by K
-        i = np.flatnonzero(dynamic & (Ks == K))
-        laws = _p_laws(p11[i], p22[i], K)
-        c = _Cells(p11[i], p22[i], Gamma[i], ds[i], K, N, (w1[i], w2[i]), under[i], laws, spec)
-        value[i] = SWEEP_METRICS[metric](c)
+        shares = _shares(_columns(_censored_masses(model, values("beta"))))
+        p11, p22 = (on_axis(v, "beta") for v in shares.T)
+    else:  # a p neither fixed nor an axis is NaN
+        p11, p22 = grid("p11"), grid("p22")
+    # a p outside [0, 1], missing, or silenced by censoring leaves no dynamics:
+    # such cells are evaluated at p = 0.5 and set to NaN
+    inside = [(0.0 <= v) & (v <= 1.0) for v in (p11, p22)]
+    p11, p22 = (np.where(ok, v, 0.5) for ok, v in zip(inside, (p11, p22)))
+    Ks, ds, value = grid("K", int), grid("d"), np.full((len(ys), len(xs)), math.nan)
+    for K in dict.fromkeys(Ks.ravel().tolist()):  # nothing else varies along a K axis
+        c = _Cells(p11, p22, Gamma, ds, K, N, (w1, w2), under, _p_laws(p11, p22, K), spec)
+        value = np.where(Ks == K, SWEEP_METRICS[metric](c), value)
+    value = np.where(inside[0] & inside[1], value, math.nan)
     regular = np.where(np.isnan(value), math.nan, _regular(p11, p22))
     cells = ((xv, yv) for yv in ys for xv in xs)
     return [
         {x: xv, y: yv, "value": v, "regular": r}
-        for (xv, yv), v, r in zip(cells, value.tolist(), regular.tolist())
+        for (xv, yv), v, r in zip(cells, value.ravel().tolist(), regular.ravel().tolist())
     ]
 
 

@@ -60,7 +60,6 @@ from belieflab.welfare import (
     _censor_steps,
     _censoring_gains,
     _combine,
-    _distinct,
     _fixed_power_gains,
     _in_B,
     _power_rule,
@@ -712,6 +711,27 @@ def test_the_grids_reach_every_undefined_cell_kind():
     assert nan_cells["regularity", "beta-axis-tilt"] == 3  # fully censored
 
 
+def test_sweep_takes_laws_on_the_dynamics_axes_and_acts_on_the_others(monkeypatch):
+    calls = []
+    real_laws, real_acts = welfare._p_laws, welfare._act_probabilities
+
+    def laws(p11, p22, K, N=None):
+        calls.append(("laws", np.broadcast_shapes(np.shape(p11), np.shape(p22))))
+        return real_laws(p11, p22, K, N)
+
+    def acts(prior, d, lam, Gamma, K):
+        calls.append(("acts", np.broadcast_shapes(*map(np.shape, (d, lam, Gamma)))))
+        return real_acts(prior, d, lam, Gamma, K)
+
+    monkeypatch.setattr(welfare, "_p_laws", laws)
+    monkeypatch.setattr(welfare, "_act_probabilities", acts)
+    sweep("delta_fixed", "gamma", [0.2, 0.5, 0.7], "d", [2.0, 4.0], p11=0.8, p22=0.3)
+    assert calls == [("laws", (1, 1)), ("acts", (2, 3))]
+    calls.clear()
+    sweep("delta_fixed", "p11", [0.6, 0.7, 0.9], "p22", [0.3, 0.8])
+    assert calls == [("laws", (2, 3)), ("acts", (1, 1))]
+
+
 # ---------------------------------------------------------------------------
 # props battery: the regular-censoring stack
 
@@ -757,13 +777,3 @@ def test_battery_gains_keep_the_scalar_checks():
         _censoring_gains(np.array([0.6, 1.0]), np.array([0.7, 0.7]), spec)
     with pytest.raises(ValueError, match="out of"):
         _censoring_gains(np.array([0.6, 0.7]), 0.7, spec, x=np.array([0.1, 0.4]))
-
-
-def test_distinct_indexes_each_cell_to_its_own_value():
-    rng = np.random.default_rng(20)
-    real = rng.choice([0.25, 1.5, 1.5 + 2**-52, 3.0], size=400)
-    pairs = rng.choice([0.6, 0.7], size=400) + 1j * rng.choice([0.55, 0.9], size=400)
-    (values, keys), at = _distinct(real, pairs)
-    assert values.tolist() == sorted(set(real.tolist())) and keys.size == 4
-    assert _bits(values[at[0]]).tolist() == _bits(real).tolist()
-    assert np.array_equal(keys[at[1]], pairs)

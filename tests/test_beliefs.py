@@ -62,6 +62,23 @@ class TestDecisionThreshold:
         assert decision_threshold(BeliefStrategy(1.0), 2.0, 1.5, 2) == -2
         assert decision_threshold(BeliefStrategy(1.0), 1.0, 1.5, 2) == 3
 
+    def test_ties_follow_the_act_step(self):
+        # Gamma is a posterior or its float neighbour, where the product
+        # rho * lam * d**s and the act step's rho >= Gamma / (lam * d**s)
+        # can round to different sides of the bar
+        rng = np.random.default_rng(25)
+        disagree = []
+        for _ in range(2000):
+            K = int(rng.integers(1, 6))
+            d, lam, rho = np.exp(rng.uniform([0.0, -2.0, -2.0], [3.0, 2.0, 2.0])).tolist()
+            strat = BeliefStrategy(d, lam)
+            Gamma = posterior(strat, rho, int(rng.integers(-K, K + 1)))
+            Gamma = math.nextafter(Gamma, (0.0, Gamma, math.inf)[int(rng.integers(3))])
+            mass = threshold_mass(PriorModel(rho), strat, Gamma, K)
+            if decision_threshold(strat, rho, Gamma, K) != int(np.argmax(mass)) - K:
+                disagree.append((d, lam, rho, Gamma, K))
+        assert not disagree
+
     @given(
         d=st.floats(1.0, 10.0),
         rhos=st.tuples(st.floats(0.1, 10.0), st.floats(0.1, 10.0)),

@@ -79,6 +79,12 @@ def _argmax(weight, beta_grid=(0.0,), d_grid=(2.0,)):
     return grid_argmax(problems, beta_grid, d_grid)
 
 
+def _holed(density, at, value):
+    """``density`` with ``value`` at the one signal ``at``, a point that is off
+    the construction grid and not dyadic unless ``at`` is."""
+    return lambda x: np.where(np.asarray(x) == at, value, density(np.asarray(x, float)))
+
+
 _P3 = np.array([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
 _PAIR = DiscreteSignalModel(outcomes=("a", "b"), probs=np.array([[0.6, 0.4], [0.3, 0.7]]))
 
@@ -534,6 +540,36 @@ _BAD_INPUTS = {
     ),
     "sweep-same-axis-twice": (
         lambda: _sweep(y="p11"), "x and y axes must differ"
+    ),
+    "decision-threshold-inf-prior": (
+        lambda: decision_threshold(BeliefStrategy(2.0), math.inf, 1.5, 2),
+        "rho must be finite",
+    ),
+    "kernel-list-field": (
+        lambda: TransitionKernel([0.5, 0.5], (0.5, 0.5), (0.0, 0.0)),
+        "up must be a finite number or a tuple of them",
+    ),
+    "kernel-array-field": (
+        lambda: TransitionKernel(np.array([0.5, 0.5]), (0.5, 0.5), (0.0, 0.0)),
+        "up must be a finite number or a tuple of them",
+    ),
+    # both densities are 0 at x = 0.0005 only, which no construction check reads
+    "classify-zero-density-under-both-states": (
+        lambda: classify(
+            ContinuousSignalModel(
+                _holed(lambda x: 0.9 + 0.2 * x, 0.0005, 0.0),
+                _holed(np.ones_like, 0.0005, 0.0),
+            ),
+            0.0005,
+        ),
+        "zero density under both states at x=0.0005",
+    ),
+    # NaN at 1/16: off the 1,001-point grid, but a point of the first quadrature block
+    "continuous-density-nan-between-grid-points": (
+        lambda: ContinuousSignalModel(
+            _holed(lambda x: 0.9 + 0.2 * x, 0.0625, math.nan), np.ones_like
+        ),
+        r"densities must be finite on \[0, 1\]",
     ),
 }
 

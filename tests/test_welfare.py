@@ -585,6 +585,11 @@ class TestSweep:
         rows = sweep("delta_bayes", "gamma", [0.5], "d", [2.0])
         assert math.isnan(rows[0]["value"])
 
+    @pytest.mark.parametrize("empty", ["x_values", "y_values"])
+    def test_an_empty_axis_gives_no_rows(self, empty):
+        grid = dict(x="p11", x_values=[0.3, 0.7], y="p22", y_values=[0.6])
+        assert sweep("delta_bayes", **{**grid, empty: []}) == []
+
 
 class TestGridArgmax:
     def test_cells_match_the_welfare_pipeline(self):
