@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import PVector, _check_finite, _check_int, _interior
+from .signals import PVector, _check_finite, _check_int, _check_number, _interior
 
 __all__ = [
     "PriorModel",
@@ -43,6 +43,7 @@ class PriorModel:
     sigma_log: float = 0.0
 
     def __post_init__(self):
+        _check_number(rho=self.rho, sigma_log=self.sigma_log)
         if not self.rho > 0:
             raise ValueError(f"rho must be positive, got {self.rho!r}")
         if self.sigma_log < 0:
@@ -56,6 +57,7 @@ class PriorModel:
 
 def _objective_odds(pi: float) -> float:
     """Odds pi / (1 - pi) of state 1 for a state frequency pi in (0, 1)."""
+    _check_number(pi=pi)
     if not 0.0 < pi < 1.0:
         raise ValueError(f"pi must lie in (0, 1), got {pi!r}")
     return pi / (1.0 - pi)
@@ -73,6 +75,7 @@ class BeliefStrategy:
     lam: float = 1.0
 
     def __post_init__(self):
+        _check_number(d=self.d, lam=self.lam)
         if not self.d >= 1.0:
             raise ValueError(f"d must be >= 1, got {self.d!r}")
         if not self.lam > 0.0:
@@ -102,6 +105,7 @@ class Stakes:
     gamma: float
 
     def __post_init__(self):
+        _check_number(gamma=self.gamma)
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
 

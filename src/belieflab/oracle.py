@@ -155,8 +155,6 @@ def _final_states(
         return np.repeat(np.arange(-K, K + 1), counts)
     if not isinstance(model, ContinuousSignalModel):
         raise TypeError(f"unsupported model type {type(model)!r}")
-    if model.sampler is None:
-        raise ValueError("continuous model has no sampler attached")
     up_at = 1.0 + beta
     # Compared as bit patterns, +0.0 and (0, bound] are down, while -0.0, a
     # negative ratio and NaN (sign bit set, or a pattern above inf's) stay.

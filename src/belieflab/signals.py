@@ -66,6 +66,16 @@ def _check_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _check_number(**values) -> None:
+    """Raise ValueError naming the first argument that is no single number,
+    such as a list, an array, None or a string. NaN and inf pass."""
+    for name, value in values.items():
+        try:
+            math.isnan(value)
+        except TypeError:
+            raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
 _INT_TYPES = (int, np.integer)
 
 
@@ -191,6 +201,7 @@ class PVector:
     p22: float
 
     def __post_init__(self):
+        _check_number(p11=self.p11, p22=self.p22)
         for name, v in (("p11", self.p11), ("p22", self.p22)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v!r} outside [0, 1]")
@@ -230,62 +241,68 @@ def _p_columns(p11, p22):
     return (p11, 1.0 - p11, 0.0), (1.0 - p22, p22, 0.0)
 
 
-_ARRAY_RULE = "a density must map an array of signals to a float array of its shape"
-
-
-def _density_values(f: Callable, x: np.ndarray) -> np.ndarray:
-    """``f`` at every point of the array ``x``; ValueError unless that is a
-    float array of x's shape."""
-    try:
-        values = np.asarray(f(x), dtype=float)
-    except TypeError as err:
-        raise ValueError(f"{_ARRAY_RULE}: {err}") from None
-    if values.shape != x.shape:
-        raise ValueError(f"{_ARRAY_RULE}: got shape {values.shape} for {x.shape}")
-    return values
-
-
 @dataclass(frozen=True)
 class ContinuousSignalModel:
-    """Pair of signal densities on [0, 1] with a monotone likelihood ratio.
+    """Pair of signal densities on [0, 1], each a mixture of exponential tilts.
 
-    ``density1`` and ``density2`` map an array of signals to a float array
-    of the same shape, elementwise, as numpy ufuncs do: the censoring
-    boundaries and masses evaluate them on whole grids at once. They must be
-    strictly positive on [0, 1], integrate to 1 (checked numerically to
-    1e-6), and their ratio L(x) = density1(x) / density2(x) must be strictly
-    increasing (checked on a 1000-point grid). ``sampler(rng, theta,
-    size)``, when provided, draws signals under the given state; the
-    built-in families attach exact inverse-CDF samplers.
+    ``tilts`` holds one or two (t, weight) components per state; a state's
+    density is the weighted sum of its unit tilts t * exp(t * x) / expm1(t)
+    (``_tilt``), so it is normalized in closed form. Each t is finite and
+    nonzero with expm1(|t|) finite, each state's weights form a law (a
+    rounding dip below 0 becomes 0), and every state-1 t exceeds every
+    state-2 t. So both densities are positive and finite on [0, 1], and the
+    likelihood ratio L(x) = density1(x) / density2(x) strictly increases.
+    Construction binds ``density1``, ``density2`` and ``likelihood_ratio``,
+    elementwise over arrays, and ``sampler(rng, theta, size)``, an exact
+    inverse-CDF draw under state theta.
     """
 
-    density1: Callable
-    density2: Callable
+    tilts: tuple
     name: str = "custom"
     params: Mapping[str, float] = field(default_factory=dict)
-    sampler: Callable | None = None
 
     def __post_init__(self):
-        grid = np.linspace(0.0, 1.0, 1001)
-        f1 = _density_values(self.density1, grid)
-        f2 = _density_values(self.density2, grid)
-        if not (np.all(f1 > 0) and np.all(f2 > 0)):
-            raise ValueError("densities must be strictly positive on [0, 1]")
-        ratio = f1 / f2
-        if not np.all(np.diff(ratio) > 0):
-            raise ValueError("likelihood ratio must be strictly increasing")
-        totals = _simpson(self.density1, self.density2, np.zeros(2), np.ones(2), 1)
-        for label, total in zip(("density1", "density2"), totals.tolist()):
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"{label} integrates to {total!r}, not 1")
-
-    def likelihood_ratio(self, x):
-        return np.asarray(self.density1(x), dtype=float) / np.asarray(
-            self.density2(x), dtype=float
+        tilts = _check_tilts(self.tilts)
+        (density1, draw1), (density2, draw2) = map(_mixture, tilts)
+        object.__setattr__(self, "tilts", tilts)
+        object.__setattr__(self, "density1", density1)
+        object.__setattr__(self, "density2", density2)
+        object.__setattr__(self, "likelihood_ratio", lambda x: density1(x) / density2(x))
+        object.__setattr__(
+            self, "sampler", lambda rng, theta, size: _pick(theta, draw1, draw2)(rng, size)
         )
 
     def density(self, theta: int) -> Callable:
         return _pick(theta, self.density1, self.density2)
+
+
+def _check_tilts(tilts) -> tuple:
+    """``tilts`` as two tuples of float (t, weight) pairs; ValueError unless
+    they keep the rules of ``ContinuousSignalModel``."""
+    try:
+        states = tuple(tuple((t, w) for t, w in state) for state in tilts)
+    except (TypeError, ValueError):
+        states = ()
+    if len(states) != 2:
+        raise ValueError(f"tilts must be two states of (t, weight) pairs, got {tilts!r}")
+    for theta, state in enumerate(states, start=1):
+        if len(state) not in (1, 2):
+            raise ValueError(
+                f"state {theta} needs one or two tilt components, got {len(state)}"
+            )
+        for t, w in state:
+            _check_number(tilt=t, weight=w)
+            if t == 0 or not math.isfinite(t):
+                raise ValueError(f"tilt must be finite and nonzero, got {t!r}")
+            try:
+                math.expm1(abs(t))
+            except OverflowError:
+                raise ValueError(f"tilt {t!r} overflows the density's normalizer") from None
+        weights = np.array([w for _, w in state], dtype=float)
+        _check_law(weights, 0, f"state {theta} tilt weights")
+    if min(t for t, _ in states[0]) <= max(t for t, _ in states[1]):
+        raise ValueError("every state-1 tilt must exceed every state-2 tilt")
+    return tuple(tuple((float(t), max(float(w), 0.0)) for t, w in state) for state in states)
 
 
 @dataclass(frozen=True)
@@ -362,20 +379,37 @@ class DiscreteSignalModel:
 # built-in continuous families
 
 
-def _tilt(t: float, mass: float = 1.0) -> tuple[Callable, Callable]:
-    """``mass`` times the density t * exp(t * x) / expm1(t) on [0, 1].
+def _tilt(t: float, weight: float) -> tuple[Callable, Callable]:
+    """``weight`` times the density t * exp(t * x) / expm1(t) on [0, 1].
 
     Also returns the unit density's inverse CDF, log1p(u * expm1(t)) / t.
     """
-    try:
-        rise = math.expm1(t)
-    except OverflowError:
-        raise ValueError(f"tilt {t!r} overflows the density's normalizer") from None
-    scale = mass * (t / rise)
+    rise = math.expm1(t)
+    scale = weight * (t / rise)
     return (
         lambda x: scale * np.exp(t * np.asarray(x, dtype=float)),
         lambda u: np.log1p(u * rise) / t,
     )
+
+
+def _mixture(components: tuple) -> tuple[Callable, Callable]:
+    """One state's density and draw(rng, size), of its (t, weight) components.
+
+    Two components add their densities in order. A draw takes its uniform u
+    first; with two components, a second uniform below the second weight
+    picks the second inverse CDF at u, and otherwise the first.
+    """
+    (first, draw_first), *rest = [_tilt(t, w) for t, w in components]
+    if not rest:
+        return first, lambda rng, size: draw_first(rng.random(size))
+    [(second, draw_second)] = rest
+    w_second = components[1][1]
+
+    def draw(rng, size):
+        u = rng.random(size)
+        return np.where(rng.random(size) < w_second, draw_second(u), draw_first(u))
+
+    return (lambda x: first(x) + second(x)), draw
 
 
 def tilt_model(lam: float) -> ContinuousSignalModel:
@@ -388,13 +422,8 @@ def tilt_model(lam: float) -> ContinuousSignalModel:
     _check_finite(lam=lam)
     if lam <= 0:
         raise ValueError("lam must be positive")
-    (density1, draw1), (density2, draw2) = _tilt(lam), _tilt(-lam)
-
-    def sampler(rng, theta, size):
-        return _pick(theta, draw1, draw2)(rng.random(size))
-
     return ContinuousSignalModel(
-        density1, density2, name="tilt", params={"lam": lam}, sampler=sampler
+        (((lam, 1.0),), ((-lam, 1.0),)), name="tilt", params={"lam": lam}
     )
 
 
@@ -415,24 +444,10 @@ def asymmetric_tilt_model(
         raise ValueError("need 0 < lam < spike")
     if not 0.0 < weight < 1.0:
         raise ValueError("weight must lie in (0, 1)")
-    (base, draw_base), (density2, draw2) = _tilt(lam, 1.0 - weight), _tilt(-lam)
-    spiked, draw_spiked = _tilt(spike, weight)
-
-    def density1(x):
-        return base(x) + spiked(x)
-
-    def sampler(rng, theta, size):
-        u = rng.random(size)
-        if _pick(theta, False, True):  # state 2: the plain downward tilt
-            return draw2(u)
-        return np.where(rng.random(size) < weight, draw_spiked(u), draw_base(u))
-
     return ContinuousSignalModel(
-        density1,
-        density2,
+        (((lam, 1.0 - weight), (spike, weight)), ((-lam, 1.0),)),
         name="asymmetric_tilt",
         params={"lam": lam, "spike": spike, "weight": weight},
-        sampler=sampler,
     )
 
 
@@ -457,8 +472,6 @@ def classify(
             raise ValueError(f"signal {xf!r} outside the support [0, 1]")
         f1 = float(model.density1(xf))
         f2 = float(model.density2(xf))
-        if f1 <= 0 and f2 <= 0:
-            raise ValueError(f"zero density under both states at x={xf!r}")
         if f1 >= f2:
             return Evidence(1, f1 / f2)
         return Evidence(2, f2 / f1)
@@ -504,9 +517,7 @@ def _simpson(f1: Callable, f2: Callable, a, b, n1: int, level: int = 0) -> np.nd
         half = step // 2
         x[:, half:n:step] = 0.5 * (x[:, :n:step] + x[:, step::step])
         step = half
-    fx = np.concatenate([_density_values(f1, x[:n1]), _density_values(f2, x[n1:])])
-    if not np.isfinite(fx).all():
-        raise ValueError("densities must be finite on [0, 1]")
+    fx = np.concatenate([f1(x[:n1]), f2(x[n1:])])
     ends, points, starts = _heap_pieces(k)
     xe, fe = np.take(x, ends, axis=1), np.take(fx, points, axis=1)
     estimate = (xe[:, 1] - xe[:, 0]) / 6.0 * (fe[:, 0] + 4.0 * fe[:, 1] + fe[:, 2])
@@ -582,10 +593,7 @@ def _ratio_boundaries(model: ContinuousSignalModel, targets: np.ndarray) -> np.n
     would: on a row that is True, then False, the walk lands at the count
     of Trues.
     """
-
-    def ratio(x):
-        return _density_values(model.density1, x) / _density_values(model.density2, x)
-
+    ratio = model.likelihood_ratio
     at_zero, at_one = ratio(np.array([0.0, 1.0])).tolist()
     x = np.where(at_zero >= targets, 0.0, 1.0)
     inside = (at_zero < targets) & (at_one > targets)
@@ -668,8 +676,9 @@ def _columns(masses: np.ndarray) -> np.ndarray:
     """(up, down, stay) columns, (..., 2, 3) indexed [..., theta - 1, move], of
     ``_censored_masses`` output (..., 2, 2).
 
-    Densities are only normalized to 1e-6, so a stay in [-1e-6, 0) is a
-    residue: its column's up and down are rescaled to sum to 1 and stay is 0.
+    Each mass carries the quadrature's error (1e-9 a piece), so a stay in
+    [-1e-6, 0) is a residue: its column's up and down are rescaled to sum to
+    1 and stay is 0.
     A larger excess, or a mass that is not finite, raises ValueError.
     """
     moves = np.swapaxes(masses, -1, -2)  # [..., theta - 1, (up, down)]

@@ -13,6 +13,7 @@ from belieflab import (
     DiscreteSignalModel,
     PriorModel,
     PVector,
+    Stakes,
     TransitionKernel,
     asymmetric_tilt_model,
     batch,
@@ -77,12 +78,6 @@ def _argmax(weight, beta_grid=(0.0,), d_grid=(2.0,)):
     spec = ProblemSpec.correct_priors(0.5, 0.6, 2)
     problems = [(tilt_model(1.0), spec, 1.0), (lunar_model(), spec, weight)]
     return grid_argmax(problems, beta_grid, d_grid)
-
-
-def _holed(density, at, value):
-    """``density`` with ``value`` at the one signal ``at``, a point that is off
-    the construction grid and not dyadic unless ``at`` is."""
-    return lambda x: np.where(np.asarray(x) == at, value, density(np.asarray(x, float)))
 
 
 _P3 = np.array([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
@@ -452,14 +447,6 @@ _BAD_INPUTS = {
     "asymmetric-tilt-nan-lam": (
         lambda: asymmetric_tilt_model(lam=math.nan), "lam must be finite"
     ),
-    "continuous-scalar-only-density": (
-        lambda: ContinuousSignalModel(np.ones_like, math.exp),
-        "a density must map an array of signals to a float array of its shape",
-    ),
-    "continuous-density-returns-a-scalar": (
-        lambda: ContinuousSignalModel(lambda x: 2.0 * np.asarray(x) + 0.5, lambda x: 1.0),
-        r"a density must map an array .* got shape \(\) for \(1001,\)",
-    ),
     "decision-threshold-inverted-power": (
         lambda: decision_threshold(BayesParams(0.5, 1.0), 1.0, 1.5, 2),
         "decision_threshold assumes d >= 1",
@@ -485,12 +472,6 @@ _BAD_INPUTS = {
     "kernel-entry-above-one": (
         lambda: TransitionKernel((1.5, 0.5), (-0.5, 0.5), (0.0, 0.0)),
         r"kernel entry 1.5 outside \[0, 1\]",
-    ),
-    "continuous-density-zero-at-an-end": (
-        lambda: ContinuousSignalModel(
-            lambda x: 2.0 * np.asarray(x), lambda x: 2.0 - 2.0 * np.asarray(x)
-        ),
-        "densities must be strictly positive",
     ),
     "discrete-table-shape": (
         lambda: DiscreteSignalModel(outcomes=("a", "b"), probs=np.array([[0.6, 0.4]])),
@@ -553,23 +534,78 @@ _BAD_INPUTS = {
         lambda: TransitionKernel(np.array([0.5, 0.5]), (0.5, 0.5), (0.0, 0.0)),
         "up must be a finite number or a tuple of them",
     ),
-    # both densities are 0 at x = 0.0005 only, which no construction check reads
-    "classify-zero-density-under-both-states": (
-        lambda: classify(
-            ContinuousSignalModel(
-                _holed(lambda x: 0.9 + 0.2 * x, 0.0005, 0.0),
-                _holed(np.ones_like, 0.0005, 0.0),
-            ),
-            0.0005,
-        ),
-        "zero density under both states at x=0.0005",
+    "continuous-zero-tilt": (
+        lambda: ContinuousSignalModel((((0.0, 1.0),), ((-1.0, 1.0),))),
+        "tilt must be finite and nonzero, got 0.0",
     ),
-    # NaN at 1/16: off the 1,001-point grid, but a point of the first quadrature block
-    "continuous-density-nan-between-grid-points": (
+    "continuous-nan-tilt": (
+        lambda: ContinuousSignalModel((((math.nan, 1.0),), ((-1.0, 1.0),))),
+        "tilt must be finite and nonzero, got nan",
+    ),
+    # expm1(-710) is finite, but the density exp(-710 x) underflows near x = 1
+    "continuous-tilt-past-expm1-range": (
+        lambda: ContinuousSignalModel((((1.0, 1.0),), ((-710.0, 1.0),))),
+        "tilt -710.0 overflows the density's normalizer",
+    ),
+    "continuous-nan-weight": (
+        lambda: ContinuousSignalModel((((1.0, math.nan),), ((-1.0, 1.0),))),
+        "state 1 tilt weights must be finite",
+    ),
+    "continuous-weights-not-a-law": (
+        lambda: ContinuousSignalModel((((1.0, 0.6), (2.0, 0.6)), ((-1.0, 1.0),))),
+        "state 1 tilt weights must be finite, nonnegative and sum to 1",
+    ),
+    "continuous-state-1-tilt-not-above-state-2": (
+        lambda: ContinuousSignalModel((((1.0, 0.5), (3.0, 0.5)), ((2.0, 1.0),))),
+        "every state-1 tilt must exceed every state-2 tilt",
+    ),
+    "continuous-three-components": (
         lambda: ContinuousSignalModel(
-            _holed(lambda x: 0.9 + 0.2 * x, 0.0625, math.nan), np.ones_like
+            (((1.0, 0.5), (2.0, 0.25), (3.0, 0.25)), ((-1.0, 1.0),))
         ),
-        r"densities must be finite on \[0, 1\]",
+        "state 1 needs one or two tilt components, got 3",
+    ),
+    "continuous-tilts-not-pairs": (
+        lambda: ContinuousSignalModel((1.0, -1.0)),
+        r"tilts must be two states of \(t, weight\) pairs, got \(1.0, -1.0\)",
+    ),
+    "continuous-one-state": (
+        lambda: ContinuousSignalModel((((1.0, 1.0),),)),
+        r"tilts must be two states of \(t, weight\) pairs",
+    ),
+    "continuous-tilt-not-a-number": (
+        lambda: ContinuousSignalModel(((("1.0", 1.0),), ((-1.0, 1.0),))),
+        "tilt must be a number, got '1.0'",
+    ),
+    "prior-list-rho": (lambda: PriorModel([1.0]), r"rho must be a number, got \[1.0\]"),
+    "prior-none-rho": (lambda: PriorModel(None), "rho must be a number, got None"),
+    "prior-str-sigma": (
+        lambda: PriorModel(1.0, "0.5"), "sigma_log must be a number, got '0.5'"
+    ),
+    "strategy-list-d": (
+        lambda: BeliefStrategy([2.0]), r"d must be a number, got \[2.0\]"
+    ),
+    "strategy-array-lam": (
+        lambda: BeliefStrategy(2.0, np.array([1.0, 2.0])), "lam must be a number"
+    ),
+    "pvector-list-field": (
+        lambda: PVector([0.5], 0.5), r"p11 must be a number, got \[0.5\]"
+    ),
+    "pvector-str-field": (
+        lambda: PVector("0.5", 0.5), "p11 must be a number, got '0.5'"
+    ),
+    "pvector-array-field": (
+        lambda: PVector(0.5, np.array([0.5, 0.6])), "p22 must be a number"
+    ),
+    "stakes-list-gamma": (
+        lambda: Stakes([0.5]), r"gamma must be a number, got \[0.5\]"
+    ),
+    "spec-none-pi": (
+        lambda: ProblemSpec(None, 0.6, PriorModel(1.0), 2), "pi must be a number, got None"
+    ),
+    "spec-str-gamma": (
+        lambda: ProblemSpec(0.5, "0.6", PriorModel(1.0), 2),
+        "gamma must be a number, got '0.6'",
     ),
 }
 

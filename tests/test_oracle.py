@@ -75,15 +75,14 @@ class _GivenRatios(ContinuousSignalModel):
     likelihood ratios, so one oracle step from state 0 reads off each
     signal's direction."""
 
-    def likelihood_ratio(self, x):
-        return x
+    def __init__(self, ratios):
+        super().__init__((((1.0, 1.0),), ((-1.0, 1.0),)))
+        object.__setattr__(self, "likelihood_ratio", lambda x: x)
+        object.__setattr__(self, "sampler", lambda rng, theta, size: ratios.copy())
 
 
 def _oracle_steps(ratios, beta):
-    base = tilt_model(1.0)
-    model = _GivenRatios(
-        base.density1, base.density2, sampler=lambda rng, theta, size: ratios.copy()
-    )
+    model = _GivenRatios(ratios)
     rng = np.random.default_rng(0)
     return _final_states(model, 1, beta, 1, 1, ratios.size, rng)
 
@@ -255,17 +254,6 @@ class TestSimulateWelfare:
             model, spec, strat, beta=0.0, N=5, trials=20_000, seed=seed
         )
         assert abs(est.estimate - exact) <= 6.0 * est.stderr
-
-    def test_missing_sampler_rejected(self):
-        from belieflab import ContinuousSignalModel, tilt_model
-
-        base = tilt_model(1.0)
-        bare = ContinuousSignalModel(base.density1, base.density2)
-        spec = ProblemSpec.correct_priors(0.5, 0.6, 2)
-        with pytest.raises(ValueError, match="sampler"):
-            simulate_welfare(
-                bare, spec, BeliefStrategy(2.0), beta=0.0, N=5, trials=10, seed=0
-            )
 
 
 class TestOracleKernels:

@@ -5,15 +5,15 @@ catalog and the ``landscape`` ``sweep:finite_n_ratio`` pool), every
 ``landscape`` job that reads the Bayes balance lam or lambda_bar (the
 ``sweep:lambda_bar`` and ``props-check`` pools), every other ``landscape``
 sweep pool (``delta_bayes``, ``delta_fixed``, ``censor_gain``, ``in_B``),
-each of which runs on the batched laws core, and every ``censoring`` job
-on a named model through the CLI (the ``censor-path``, ``transitions``,
-``sweep:beta`` and ``scenario`` pools), runs through
-``belieflab.cli.run``, and its stdout must match the output recorded in
+each of which runs on the batched laws core, and every ``censoring`` CLI
+job (the ``censor-path``, ``transitions``, ``sweep:beta`` and ``scenario``
+pools on named models, and the ``fresh-tilt`` pool of 1,024 jobs on fresh
+tilt parameters, no two on one model), runs through ``belieflab.cli.run``,
+and its stdout must match the output recorded in
 ``perfbench/reference.json`` within ``checks.REL_TOL`` (1e-12), as the
 benchmark itself checks it. The ``censoring`` ``grid_argmax`` pool is a
 library call: its problems are built and its table printed as
-``perfbench/worker.py`` builds and prints them. The ``censoring`` pool of
-fresh tilt parameters (1,024 jobs) is left to the benchmark. Only
+``perfbench/worker.py`` builds and prints them. Only
 ``perfbench/checks.py`` and ``perfbench/workloads.py`` are imported; both
 use the standard library only.
 """
@@ -121,3 +121,7 @@ def test_named_model_censoring_jobs_match_the_recorded_reference(pool):
 
 def test_grid_argmax_jobs_match_the_recorded_reference():
     _replay("censoring", "grid_argmax", _grid_argmax)
+
+
+def test_fresh_tilt_jobs_match_the_recorded_reference():
+    _replay("censoring", "fresh-tilt")

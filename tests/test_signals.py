@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -47,6 +48,16 @@ def random_discrete(rng, n_outcomes=5, theta_count=2):
     return DiscreteSignalModel(outcomes=labels, probs=probs, theta_count=theta_count)
 
 
+# The largest tilt whose expm1 is finite: the next float up is refused.
+_T_MAX = 709.782712893384
+
+
+def test_the_largest_tilt_allowed_is_the_end_of_expm1s_range():
+    ContinuousSignalModel((((_T_MAX, 1.0),), ((-_T_MAX, 1.0),)))
+    with pytest.raises(ValueError, match="overflows"):
+        ContinuousSignalModel((((np.nextafter(_T_MAX, math.inf), 1.0),), ((-1.0, 1.0),)))
+
+
 class TestClassify:
     def test_uninformative_signal_ties_to_direction_one(self, tilt1):
         ev = classify(tilt1, 0.5)
@@ -69,6 +80,26 @@ class TestClassify:
             ratio = float(tilt1.likelihood_ratio(x))
             assert ev.strength == pytest.approx(max(ratio, 1.0 / ratio), rel=1e-12)
             assert ev.direction == (1 if ratio >= 1 else 2)
+
+    @pytest.mark.parametrize(
+        "tilts, weakest",
+        [
+            ((((_T_MAX, 1.0),), ((-_T_MAX, 1.0),)), 1e308),
+            (
+                (((1.0, 1e-300), (_T_MAX, 1.0)), ((-_T_MAX, 1.0), (-0.5, 1e-300))),
+                1e300,
+            ),
+        ],
+        ids=["one-component", "two-component"],
+    )
+    def test_the_most_extreme_tilts_allowed_give_finite_strengths(self, tilts, weakest):
+        # the symmetric pair at the largest tilt has strength exp(709.78) at
+        # both ends, within 3e-14 of the largest float
+        model = ContinuousSignalModel(tilts)
+        for x, direction in ((0.0, 2), (1.0, 1)):
+            ev = classify(model, x)
+            assert ev.direction == direction
+            assert weakest < ev.strength < math.inf
 
     def test_unknown_outcome_rejected(self, lunar):
         with pytest.raises(ValueError, match="unknown outcome"):
@@ -537,18 +568,14 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="read-only"):
             model.probs[0, 0] = 5.0
 
-    def test_decreasing_ratio_rejected(self):
-        with pytest.raises(ValueError, match="increasing"):
-            tilt = tilt_model(1.0)
-            # swap the densities: ratio becomes decreasing
-            type(tilt)(tilt.density2, tilt.density1)
 
-    def test_density_normalization_checked(self):
-        with pytest.raises(ValueError, match="integrates"):
-            tilt = tilt_model(1.0)
-            type(tilt)(
-                lambda x: 2.0 * np.asarray(tilt.density1(x)), tilt.density2
-            )
+    def test_a_rounding_dip_below_zero_in_a_weight_is_a_zero(self):
+        # kept, the weight -5e-16 would take density1 below 0 near x = 0
+        model = ContinuousSignalModel(
+            (((_T_MAX, 1.0 + 5e-16), (1.0, -5e-16)), ((-1.0, 1.0),))
+        )
+        assert model.tilts[0][1] == (1.0, 0.0)
+        assert model.density1(0.0) > 0.0
 
 
 class TestJsonInterface:
@@ -769,12 +796,17 @@ def _reference_masses(model, beta):
 
 
 def _jump_model():
-    """A pair whose state-1 density jumps at 0.6: the quadrature refines the
-    piece holding the jump to its depth limit."""
-    return ContinuousSignalModel(
-        lambda x: (0.5 + x + 0.5 * (np.asarray(x) >= 0.6)) / 1.2,
-        lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        name="jump",
+    """A pair whose state-1 density jumps at 0.6, which no tilt mixture does:
+    the quadrature refines the piece holding the jump to its depth limit.
+    It carries only what the bisection, the quadrature and the scalar
+    references read."""
+    density1 = lambda x: (0.5 + x + 0.5 * (np.asarray(x) >= 0.6)) / 1.2
+    density2 = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    return SimpleNamespace(
+        density1=density1,
+        density2=density2,
+        density=lambda theta: (density1, density2)[theta - 1],
+        likelihood_ratio=lambda x: density1(x) / density2(x),
     )
 
 
@@ -789,7 +821,6 @@ _MODELS = {
         )
         for lam, spike, weight in [(0.1, 14.0, 0.44), (0.5, 9.0, 0.2), (1.5, 30.0, 0.7)]
     },
-    "jump": _jump_model,
 }
 
 
@@ -808,6 +839,24 @@ class TestBatchedCensoring:
         # each beta alone is the same row of its own grid
         assert censored_transitions(model, 0.35).up == tuple(got[2, 0])
 
+    def test_jump_masses_match_the_scalar_reference_bit_for_bit(self):
+        # no model holds the jump: its boundaries and its pieces, the up
+        # piece [x_hi, 1] and the down piece [0, x_lo] of every beta under
+        # both states, go to the bisection and the quadrature directly
+        from belieflab.signals import _ratio_boundaries, _simpson
+
+        jump, betas = _jump_model(), np.array(_BETAS)
+        bounds = _ratio_boundaries(jump, np.concatenate([1.0 / (1.0 + betas), 1.0 + betas]))
+        x_lo, x_hi = np.split(bounds, 2)
+        a = np.concatenate([x_hi, np.zeros_like(x_lo)])
+        b = np.concatenate([np.ones_like(x_hi), x_lo])
+        got = _simpson(jump.density1, jump.density2, np.tile(a, 2), np.tile(b, 2), len(a))
+        got = got.reshape(2, 2, -1)  # [theta - 1, i - 1, beta]
+        for k, beta in enumerate(_BETAS):
+            mass, want_bounds = _reference_masses(jump, beta)
+            assert (x_lo[k], x_hi[k]) == want_bounds
+            np.testing.assert_array_equal(got[:, :, k].T, mass)
+
     def test_the_grid_reaches_every_kind_of_boundary(self):
         bounds = [
             _reference_masses(_MODELS[name](), beta)[1]
@@ -818,11 +867,11 @@ class TestBatchedCensoring:
         assert any(lo == 0.0 < hi < 1.0 for lo, hi in bounds)  # one side only
         assert any(0.0 < lo <= hi < 1.0 for lo, hi in bounds)  # both sides
 
-    @pytest.mark.parametrize("name", sorted(_MODELS))
+    @pytest.mark.parametrize("name", [*sorted(_MODELS), "jump"])
     def test_normalization_integrals_match_the_scalar_reference(self, name):
         from belieflab.signals import _simpson
 
-        model = _MODELS[name]()
+        model = _MODELS.get(name, _jump_model)()
         totals = _simpson(model.density1, model.density2, np.zeros(2), np.ones(2), 1)
         for t, total in enumerate(totals.tolist()):
             f = lambda x, t=t: float(model.density(t + 1)(x))
@@ -846,13 +895,14 @@ class TestBatchedCensoring:
     def test_boundaries_walk_a_ratio_that_is_not_monotone_as_the_scalar_loop(self):
         # a ratio that rises and falls: a block's probes are not all True,
         # then all False, so the walk itself decides where the bracket goes
-        from types import SimpleNamespace
-
         from belieflab.signals import _ratio_boundaries
 
+        density1 = lambda x: 1.0 + x + 0.4 * np.sin(40.0 * np.asarray(x))
+        density2 = lambda x: np.ones_like(np.asarray(x, dtype=float))
         wavy = SimpleNamespace(
-            density1=lambda x: 1.0 + x + 0.4 * np.sin(40.0 * np.asarray(x)),
-            density2=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            density1=density1,
+            density2=density2,
+            likelihood_ratio=lambda x: density1(x) / density2(x),
         )
         targets = np.array([0.9, 1.3, 1.05, 1.7, 2.2, 0.5, 3.0])
         got = _ratio_boundaries(wavy, targets)
