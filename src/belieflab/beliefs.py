@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import PVector, _check_finite, _check_int, _check_number, _interior
+from .signals import PVector, _check_int, _check_real, _interior
 
 __all__ = [
     "PriorModel",
@@ -43,12 +43,10 @@ class PriorModel:
     sigma_log: float = 0.0
 
     def __post_init__(self):
-        _check_number(rho=self.rho, sigma_log=self.sigma_log)
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho!r}")
-        if self.sigma_log < 0:
-            raise ValueError("sigma_log must be nonnegative")
-        _check_finite(rho=self.rho, sigma_log=self.sigma_log)
+        object.__setattr__(self, "rho", _check_real(self.rho, "rho", 0, math.inf, "()"))
+        object.__setattr__(
+            self, "sigma_log", _check_real(self.sigma_log, "sigma_log", 0, math.inf, "[)")
+        )
 
     @classmethod
     def from_probability(cls, pi: float, sigma_log: float = 0.0) -> "PriorModel":
@@ -57,9 +55,7 @@ class PriorModel:
 
 def _objective_odds(pi: float) -> float:
     """Odds pi / (1 - pi) of state 1 for a state frequency pi in (0, 1)."""
-    _check_number(pi=pi)
-    if not 0.0 < pi < 1.0:
-        raise ValueError(f"pi must lie in (0, 1), got {pi!r}")
+    pi = _check_real(pi, "pi", 0, 1, "()")
     return pi / (1.0 - pi)
 
 
@@ -75,12 +71,8 @@ class BeliefStrategy:
     lam: float = 1.0
 
     def __post_init__(self):
-        _check_number(d=self.d, lam=self.lam)
-        if not self.d >= 1.0:
-            raise ValueError(f"d must be >= 1, got {self.d!r}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam!r}")
-        _check_finite(d=self.d, lam=self.lam)
+        object.__setattr__(self, "d", _check_real(self.d, "d", 1, math.inf, "[)"))
+        object.__setattr__(self, "lam", _check_real(self.lam, "lam", 0, math.inf, "()"))
 
 
 @dataclass(frozen=True)
@@ -105,9 +97,7 @@ class Stakes:
     gamma: float
 
     def __post_init__(self):
-        _check_number(gamma=self.gamma)
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma!r}")
+        object.__setattr__(self, "gamma", _check_real(self.gamma, "gamma", 0, 1, "[]"))
 
     @property
     def ratio(self) -> float:
@@ -118,6 +108,7 @@ class Stakes:
 
 def posterior(strategy, rho_tilde: float, s: int) -> float:
     """Posterior odds of state 1 in mental state s; inf when d**s overflows."""
+    rho_tilde = _check_real(rho_tilde, "rho_tilde", 0, math.inf, "()")
     try:
         return rho_tilde * strategy.lam * strategy.d**s
     except OverflowError:
@@ -144,13 +135,10 @@ def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:
     Requires d >= 1 so that posteriors rise with the state, and Gamma >= 0
     (inf included: then no finite posterior acts).
     """
-    if not strategy.d >= 1.0:
-        raise ValueError("decision_threshold assumes d >= 1")
+    _check_real(strategy.d, "strategy.d", 1, math.inf, "[]")
     K = _check_int(K, "K", 1)
-    if not rho_tilde > 0.0:
-        raise ValueError(f"rho_tilde must be positive, got {rho_tilde!r}")
-    if not Gamma >= 0.0:
-        raise ValueError(f"Gamma must be nonnegative, got {Gamma!r}")
+    rho_tilde = _check_real(rho_tilde, "rho_tilde", 0, math.inf, "()")
+    Gamma = _check_real(Gamma, "Gamma", 0, math.inf, "[]")
     act = _act_probabilities(PriorModel(rho_tilde), strategy.d, strategy.lam, Gamma, K)
     acting = np.flatnonzero(act)
     return int(acting[0]) - K if acting.size else K + 1
@@ -202,9 +190,9 @@ def threshold_mass(
     the probability that no state acts (threshold K + 1): Pr(threshold <= s)
     is the act probability at s, so the law is its difference.
     """
-    if not strategy.d >= 1.0:
-        raise ValueError("threshold_mass assumes d >= 1")
+    _check_real(strategy.d, "strategy.d", 1, math.inf, "[]")
     K = _check_int(K, "K", 1)
+    Gamma = _check_real(Gamma, "Gamma", 0, math.inf, "[]")
     cum = _act_probabilities(prior, strategy.d, strategy.lam, Gamma, K)
     return np.concatenate(
         ([cum[0]], np.maximum(np.diff(cum), 0.0), [max(1.0 - cum[-1], 0.0)])

@@ -13,7 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .signals import PVector, TransitionKernel, _check_int, _check_law, _check_theta
+from .signals import (
+    PVector, TransitionKernel, _check_int, _check_law, _check_real, _check_theta,
+)
 
 __all__ = [
     "stationary",
@@ -35,8 +37,7 @@ def stationary(r: float, K: int) -> np.ndarray:
     are legal and flow through the welfare analysis unchanged).
     """
     K = _check_int(K, "K", 1)
-    if not r >= 0.0:
-        raise ValueError(f"r must be positive (or the 0/inf sentinel), got {r!r}")
+    r = _check_real(r, "r", 0, np.inf, "[]")
     return _laws(np.array([r, 1.0, 0.0]), K)
 
 

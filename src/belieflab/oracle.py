@@ -154,7 +154,10 @@ def _final_states(
         )
         return np.repeat(np.arange(-K, K + 1), counts)
     if not isinstance(model, ContinuousSignalModel):
-        raise TypeError(f"unsupported model type {type(model)!r}")
+        raise ValueError(
+            "simulate_welfare needs a ContinuousSignalModel or a DiscreteSignalModel, "
+            f"got {type(model).__name__}"
+        )
     up_at = 1.0 + beta
     # Compared as bit patterns, +0.0 and (0, bound] are down, while -0.0, a
     # negative ratio and NaN (sign bit set, or a pattern above inf's) stay.
@@ -191,7 +194,7 @@ def simulate_welfare(
     """
     trials = _check_int(trials, "trials", 2)  # two for a standard error
     N = _check_int(N, "N", 0)
-    _check_beta(beta)
+    beta = _check_beta(beta)
     seed = _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     n1 = int(rng.binomial(trials, spec.pi))

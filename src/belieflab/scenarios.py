@@ -27,6 +27,7 @@ from .signals import (
     ContinuousSignalModel,
     DiscreteSignalModel,
     _check_int,
+    _check_real,
     asymmetric_tilt_model,
     classify,
     tilt_model,
@@ -59,6 +60,10 @@ class EvidenceRow:
 
 def evidence_table(model: DiscreteSignalModel, beta: float = 0.0) -> list[EvidenceRow]:
     """Direction, strength, and processing status of every outcome."""
+    if not isinstance(model, DiscreteSignalModel):
+        raise ValueError(
+            f"evidence_table needs a DiscreteSignalModel, got {type(model).__name__}"
+        )
     kept = model.directions(beta)
     return [
         EvidenceRow(
@@ -116,12 +121,9 @@ def lunar_model(
     cutoff = _check_int(cutoff, "cutoff", capacity + 1)
     if tension_ceiling is not None:
         tension_ceiling = _check_int(tension_ceiling, "tension_ceiling", 1)
-    if not 0.0 < base_rate < math.inf:  # NaN fails too
-        raise ValueError(f"base_rate must be positive and finite, got {base_rate!r}")
-    if not 1.0 < effect < math.inf:
-        raise ValueError(f"effect must be finite and exceed 1, got {effect!r}")
-    if not 0.0 < full_moon_frac < 1.0:
-        raise ValueError("full_moon_frac must lie in (0, 1)")
+    base_rate = _check_real(base_rate, "base_rate", 0, math.inf, "()")
+    effect = _check_real(effect, "effect", 1, math.inf, "()")
+    full_moon_frac = _check_real(full_moon_frac, "full_moon_frac", 0, 1, "()")
     max_tension = cutoff - capacity
     if tension_ceiling is None or tension_ceiling >= max_tension:
         tension_ceiling = max_tension
@@ -198,10 +200,9 @@ def illusory_model(alpha: float, r: float, q: float) -> DiscreteSignalModel:
     no influence. r = Pr(P), q = Pr(C). With both events rare, only PC
     carries real strength, and it favors state 1.
     """
-    if not 1.0 < alpha < math.inf:  # NaN fails too
-        raise ValueError(f"alpha must be finite and exceed 1, got {alpha!r}")
-    if not (0.0 < r < 1.0 and 0.0 < q < 1.0):
-        raise ValueError("r and q must lie in (0, 1)")
+    alpha = _check_real(alpha, "alpha", 1, math.inf, "()")
+    r = _check_real(r, "r", 0, 1, "()")
+    q = _check_real(q, "q", 0, 1, "()")
     bend = 1.0 + (alpha - 1.0) * r
     q1 = alpha * q / bend        # Pr(C | P, state 1)
     qbar1 = q / bend             # Pr(C | ~P, state 1)
@@ -243,9 +244,8 @@ def coin_model(alpha1: float, alpha2: float, J: int = 1) -> DiscreteSignalModel:
     sufficient for a batch of flips, so the model advertises a
     batch_builder and ``batch`` stays exact at any batch size.
     """
-    for name, a in (("alpha1", alpha1), ("alpha2", alpha2)):
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"{name} must lie in (0, 1)")
+    alpha1 = _check_real(alpha1, "alpha1", 0, 1, "()")
+    alpha2 = _check_real(alpha2, "alpha2", 0, 1, "()")
     J = _check_int(J, "J", 1)
     labels = tuple(str(k) for k in range(J + 1))
     probs = _binomial_rows(J, [(a, 1.0 - a) for a in (alpha1, alpha2)])
@@ -282,8 +282,9 @@ def autocorr_model(
     strength, and the count probability under the independence state.
     """
     draws = _check_int(draws, "draws", 2)
-    if len(rho_set) != 3 or not all(0.0 < r < 1.0 for r in rho_set):
-        raise ValueError("rho_set must be three probabilities in (0, 1)")
+    if not isinstance(rho_set, (tuple, list, np.ndarray)) or len(rho_set) != 3:
+        raise ValueError(f"rho_set must be three probabilities, got {rho_set!r}")
+    rho_set = [_check_real(rho, "rho_set", 0, 1, "()") for rho in rho_set]
     T = draws - 1
     labels = tuple(str(n) for n in range(T + 1))
     probs = _binomial_rows(T, [(1.0 - rho, rho) for rho in rho_set])

@@ -48,34 +48,6 @@ _NEG_TOL = 1e-15       # a probability may dip this far below 0 by rounding
 _SUM_TOL = 1e-12       # a law may miss a total of 1 by this much
 
 
-def _check_finite(**values) -> None:
-    """Raise ValueError naming the first argument that holds a NaN or inf.
-
-    Each value is a number or a tuple of numbers; anything else (a list, an
-    array) is refused too.
-    """
-    for name, value in values.items():
-        items = value if isinstance(value, tuple) else (value,)
-        try:
-            finite = all(map(math.isfinite, items))
-        except TypeError:
-            raise ValueError(
-                f"{name} must be a finite number or a tuple of them, got {value!r}"
-            ) from None
-        if not finite:
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
-def _check_number(**values) -> None:
-    """Raise ValueError naming the first argument that is no single number,
-    such as a list, an array, None or a string. NaN and inf pass."""
-    for name, value in values.items():
-        try:
-            math.isnan(value)
-        except TypeError:
-            raise ValueError(f"{name} must be a number, got {value!r}") from None
-
-
 _INT_TYPES = (int, np.integer)
 
 
@@ -93,6 +65,29 @@ def _check_int(value, name: str, low: int) -> int:
     if not isinstance(value, _INT_TYPES) or value.__class__ is bool or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _check_real(value, name: str, low, high, ends: str) -> float:
+    """``value`` as a float; ValueError unless it is a real number in the
+    interval from ``low`` to ``high`` with ``ends`` "[" or "(" and "]" or ")".
+
+    An int, float or numpy real counts; a bool does not, as in ``_check_int``,
+    nor does a tuple, list, array, str or None. NaN lies in no interval, and
+    an infinite end is in the interval only when closed, so (0, inf) refuses
+    inf. It runs on hot paths, so a plain float strictly inside returns first.
+    """
+    if value.__class__ is float and low < value < high:
+        return value
+    if isinstance(value, (float, np.floating, *_INT_TYPES)) and value.__class__ is not bool:
+        try:
+            x = float(value)
+        except OverflowError:  # an int past the float range
+            x = math.inf if value > 0 else -math.inf
+        if low < x < high or x == low and ends[0] == "[" or x == high and ends[1] == "]":
+            return x
+    raise ValueError(
+        f"{name} must be a real number in {ends[0]}{low!r}, {high!r}{ends[1]}, got {value!r}"
+    )
 
 
 def _check_law(array: np.ndarray, axis: int, what: str) -> None:
@@ -129,10 +124,8 @@ def _pick(theta: int, first, second):
     return (first, second)[_check_theta(theta, 2) - 1]
 
 
-def _check_beta(beta: float) -> None:
-    _check_finite(beta=beta)
-    if beta < 0:
-        raise ValueError("beta must be nonnegative")
+def _check_beta(beta) -> float:
+    return _check_real(beta, "beta", 0, math.inf, "[)")
 
 
 class FullyCensored(ValueError):
@@ -171,16 +164,14 @@ class TransitionKernel:
     stay: tuple[float, float]
 
     def __post_init__(self):
-        _check_finite(up=self.up, down=self.down, stay=self.stay)
-        for i in range(2):
-            total = self.up[i] + self.down[i] + self.stay[i]
+        for name, pair in (("up", self.up), ("down", self.down), ("stay", self.stay)):
+            if pair.__class__ is not tuple or len(pair) != 2:
+                raise ValueError(f"{name} must be a tuple of two probabilities, got {pair!r}")
+            for q in pair:  # a probability, or a rounding dip past 0 or 1
+                _check_real(q, name, -_NEG_TOL, 1 + _NEG_TOL, "[]")
+        for theta, total in enumerate(map(sum, zip(self.up, self.down, self.stay)), 1):
             if abs(total - 1.0) > _SUM_TOL:
-                raise ValueError(
-                    f"kernel column theta={i + 1} sums to {total!r}, not 1"
-                )
-            for q in (self.up[i], self.down[i], self.stay[i]):
-                if q < -_NEG_TOL or q > 1 + _NEG_TOL:
-                    raise ValueError(f"kernel entry {q!r} outside [0, 1]")
+                raise ValueError(f"kernel column theta={theta} sums to {total!r}, not 1")
 
     def column(self, theta: int) -> tuple[float, float, float]:
         """(up, down, stay) probabilities for underlying state ``theta``."""
@@ -201,12 +192,9 @@ class PVector:
     p22: float
 
     def __post_init__(self):
-        _check_number(p11=self.p11, p22=self.p22)
-        for name, v in (("p11", self.p11), ("p22", self.p22)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v!r} outside [0, 1]")
-            # a Python float overflows d**s quietly to inf, as ``posterior`` expects
-            object.__setattr__(self, name, float(v))
+        # a Python float overflows d**s quietly to inf, as ``posterior`` expects
+        object.__setattr__(self, "p11", _check_real(self.p11, "p11", 0, 1, "[]"))
+        object.__setattr__(self, "p22", _check_real(self.p22, "p22", 0, 1, "[]"))
 
     def column(self, theta: int) -> tuple[float, float, float]:
         """(up, down, stay) probabilities for underlying state ``theta``."""
@@ -291,9 +279,9 @@ def _check_tilts(tilts) -> tuple:
                 f"state {theta} needs one or two tilt components, got {len(state)}"
             )
         for t, w in state:
-            _check_number(tilt=t, weight=w)
-            if t == 0 or not math.isfinite(t):
-                raise ValueError(f"tilt must be finite and nonzero, got {t!r}")
+            if _check_real(t, "tilt", -math.inf, math.inf, "()") == 0:
+                raise ValueError(f"tilt must be nonzero, got {t!r}")
+            _check_real(w, "weight", -math.inf, math.inf, "()")
             try:
                 math.expm1(abs(t))
             except OverflowError:
@@ -419,9 +407,7 @@ def tilt_model(lam: float) -> ContinuousSignalModel:
     so the likelihood ratio is exp(lam * (2x - 1)): the uninformative signal
     sits at x = 1/2 and censoring removes a band symmetric around it.
     """
-    _check_finite(lam=lam)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    lam = _check_real(lam, "lam", 0, math.inf, "()")
     return ContinuousSignalModel(
         (((lam, 1.0),), ((-lam, 1.0),)), name="tilt", params={"lam": lam}
     )
@@ -439,11 +425,9 @@ def asymmetric_tilt_model(
     be strong, so a rising censoring threshold eventually silences the
     state-2 side entirely.
     """
-    _check_finite(lam=lam, spike=spike, weight=weight)
-    if lam <= 0 or spike <= lam:
-        raise ValueError("need 0 < lam < spike")
-    if not 0.0 < weight < 1.0:
-        raise ValueError("weight must lie in (0, 1)")
+    lam = _check_real(lam, "lam", 0, math.inf, "()")
+    spike = _check_real(spike, "spike", lam, math.inf, "()")
+    weight = _check_real(weight, "weight", 0, 1, "()")
     return ContinuousSignalModel(
         (((lam, 1.0 - weight), (spike, weight)), ((-lam, 1.0),)),
         name="asymmetric_tilt",
@@ -467,11 +451,9 @@ def classify(
     any beta > 0 anyway).
     """
     if isinstance(model, ContinuousSignalModel):
-        xf = float(x)
-        if not 0.0 <= xf <= 1.0:
-            raise ValueError(f"signal {xf!r} outside the support [0, 1]")
-        f1 = float(model.density1(xf))
-        f2 = float(model.density2(xf))
+        x = _check_real(x, "x", 0, 1, "[]")
+        f1 = float(model.density1(x))
+        f2 = float(model.density2(x))
         if f1 >= f2:
             return Evidence(1, f1 / f2)
         return Evidence(2, f2 / f1)
@@ -647,9 +629,7 @@ def _censored_masses(
     over all 2B targets, and the surviving pieces [x_hi, 1] and [0, x_lo]
     under both states from one quadrature over all 4B intervals.
     """
-    for beta in betas:
-        _check_beta(beta)
-    betas = np.array(betas, dtype=float)
+    betas = np.array([_check_beta(beta) for beta in betas], dtype=float)
     if not len(betas):
         return np.zeros((0, 2, 2))
     if isinstance(model, ContinuousSignalModel):
@@ -664,6 +644,11 @@ def _censored_masses(
         masses = _simpson(model.density1, model.density2, a, b, len(a) // 2)
         mass[:, kept] = masses.reshape(2, -1)
         return mass.transpose(2, 1, 0)
+    if not isinstance(model, DiscreteSignalModel):
+        raise ValueError(
+            "censoring needs a ContinuousSignalModel or a DiscreteSignalModel, "
+            f"got {type(model).__name__}"
+        )
     if model.theta_count != 2:
         raise ValueError(
             f"censored transitions need a two-state model, not {model.theta_count} "
@@ -760,10 +745,16 @@ def pool(
     iterable of member groups (labels are then joined with '+'). The groups
     must cover every outcome exactly once.
     """
-    if isinstance(partition, Mapping):
-        groups = [(str(k), list(v)) for k, v in partition.items()]
-    else:
-        groups = [("+".join(str(m) for m in g), list(g)) for g in partition]
+    try:
+        if isinstance(partition, Mapping):
+            groups = [(str(k), list(v)) for k, v in partition.items()]
+        else:
+            groups = [("+".join(str(m) for m in g), list(g)) for g in partition]
+    except TypeError:
+        raise ValueError(
+            "partition must map labels to groups of outcome labels or be an "
+            f"iterable of such groups, got {partition!r}"
+        ) from None
     seen: list[int] = []
     new_probs = np.zeros((model.theta_count, len(groups)))
     for j, (_, members) in enumerate(groups):
@@ -845,7 +836,7 @@ def censor_path(
     beta_grid: Sequence[float],
 ) -> list[CensorPoint]:
     """Trace (p11, p22) as the censoring threshold sweeps over beta_grid."""
-    betas = [float(b) for b in beta_grid]
+    betas = [_check_beta(b) for b in beta_grid]
     if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be sorted ascending")
     shares = _shares(_columns(_censored_masses(model, betas))).tolist()

@@ -42,8 +42,8 @@ from .signals import (
     TransitionKernel,
     _censored_masses,
     _check_beta,
-    _check_finite,
     _check_int,
+    _check_real,
     _columns,
     _interior,
     _p_columns,
@@ -282,15 +282,14 @@ def _fixed_power_gains(p11, p22, specs, ds) -> np.ndarray:
     return _decomposed_gains((w1[:, None], w2[:, None]), laws, acts, base)[2]
 
 
-def _power_rule(d: float, metric: str) -> BeliefStrategy:
+def _power_rule(d, metric: str) -> BeliefStrategy:
     """The rule of power d and lam 1 that ``metric`` evaluates.
 
     Raises ValueError for a d outside the metric's domain: d > 1 for
     delta_fixed, a finite d >= 1 for the other metrics that read d.
     """
-    if metric == "delta_fixed" and not d > 1.0:
-        raise ValueError("delta_fixed assumes d > 1")
-    return BeliefStrategy(d=d, lam=1.0)
+    ends = "()" if metric == "delta_fixed" else "[)"
+    return BeliefStrategy(d=_check_real(d, "d", 1, math.inf, ends), lam=1.0)
 
 
 def in_B(p: PVector, spec: ProblemSpec) -> bool:
@@ -329,13 +328,11 @@ def _regular(p11, p22):
 
 def censored_p(p: PVector, x: float) -> PVector:
     """First-order censoring map in p-space: both coordinates lose mass x."""
-    return PVector(*_censor_map(p.p11, p.p22, x))
+    return PVector(*_censor_map(p.p11, p.p22, _check_real(x, "x", -0.5, 0.5, "()")))
 
 
 def _censor_map(p11, p22, x):
-    """``censored_p`` elementwise over arrays of p and x, with its checks."""
-    if not np.all((-0.5 < x) & (x < 0.5)):
-        raise ValueError("censor step x must lie in (-0.5, 0.5)")
+    """``censored_p`` elementwise over arrays of p and x; raises where p leaves [0, 1]."""
     new11 = (p11 - x) / (1.0 - 2.0 * x)
     new22 = (p22 - x) / (1.0 - 2.0 * x)
     if not np.all((0.0 <= new11) & (new11 <= 1.0) & (0.0 <= new22) & (new22 <= 1.0)):
@@ -461,6 +458,8 @@ def regular_censoring_gain(
     k = _check_int(k, "k", 1 - spec.K)
     if k > spec.K:
         raise ValueError(f"threshold k={k} outside (-K, K] for K={spec.K}")
+    if x is not None:
+        x = _check_real(x, "x", 0, 0.5, "()")
     return float(_censoring_gains(p.p11, p.p22, spec, x)[k + spec.K - 1])
 
 
@@ -470,7 +469,7 @@ def _censoring_gains(p11, p22, spec: ProblemSpec, x=None) -> np.ndarray:
         raise ValueError(f"dynamics p=({p11}, {p22}) are not regular")
     if x is None:
         x = _default_step(p11, p22)
-    if not np.all(x > 0.0):
+    if not np.all(x > 0.0):  # a default step of 0, at p11 or p22 = 1
         raise ValueError("censor step x must be positive")
     s, K = np.arange(-spec.K, spec.K + 1), spec.K
     acts = (s >= s[1:, None]).astype(float)  # one threshold rule per row
@@ -683,18 +682,16 @@ def grid_argmax(
     grid reporting, not an optimizer; ties resolve to the first cell in
     row-major (beta outer, d inner) order.
     """
-    probs = [(m, s, float(w)) for m, s, w in problems]
-    weights = tuple(w for _, _, w in probs)
-    _check_finite(weights=weights)
-    total = sum(weights)
-    if not probs or min(weights) < 0.0 or total <= 0.0:
-        raise ValueError("problems must carry nonnegative weights, positive in total")
+    probs = [(m, s, _check_real(w, "weight", 0, math.inf, "[)")) for m, s, w in problems]
+    total = sum(w for _, _, w in probs)
+    if not total > 0.0:
+        raise ValueError("problems must carry weights positive in total")
     for name, grid in (("beta_grid", beta_grid), ("d_grid", d_grid)):
         if len(grid) == 0:
             raise ValueError(f"{name} is empty: no (beta, d) to choose from")
     # act depends on (problem, d) only, the laws on (problem, beta) only
-    ds = [BeliefStrategy(d=float(d), lam=lam).d for d in d_grid]  # checks each rule
-    betas = [float(beta) for beta in beta_grid]
+    ds = [BeliefStrategy(d=d, lam=lam).d for d in d_grid]  # checks each rule
+    betas = [_check_beta(beta) for beta in beta_grid]
     values = np.zeros((len(betas), len(ds)))
     for model, spec, w in probs:  # one (B, D) table per problem, added in problem order
         acts = _act_probabilities(spec.prior, ds, lam, spec.Gamma, spec.K)  # (D, 2K+1)
@@ -883,5 +880,5 @@ def _axis_value(axis: str, v) -> float | int:
             v = int(v)
         return _check_int(v, "K", 1)
     if axis == "beta":
-        _check_beta(float(v))
+        return _check_beta(v)
     return float(v)

@@ -1,10 +1,11 @@
-"""The two argument rules: one integer rule and one probability-law rule.
+"""The argument rules: an integer rule, a real-number rule and a probability-law rule.
 
-Every integer argument of the public API goes through ``signals._check_int``
-and every probability array through ``signals._check_law``. The property
-tests below run each integer argument through bad values (which must raise
-ValueError) and through numpy integers (which must give the output of the
-same Python int). The last test keeps either rule from being written out
+Every integer argument of the public API goes through ``signals._check_int``,
+every scalar real argument through ``signals._check_real`` and every
+probability array through ``signals._check_law``. The property tests below
+run each integer and each real argument through bad values (which must raise
+ValueError) and through numpy scalars (which must give the output of the
+same Python number). The last test keeps any rule from being written out
 again outside ``signals.py``.
 """
 
@@ -20,23 +21,37 @@ from hypothesis import strategies as st
 
 from belieflab import (
     BeliefStrategy,
+    ContinuousSignalModel,
     DiscreteSignalModel,
     PriorModel,
     PVector,
+    Stakes,
+    TransitionKernel,
+    asymmetric_tilt_model,
     autocorr_model,
     batch,
     bayes_params,
+    censor_path,
     censor_sensitivity,
+    censored_direction_matrix,
+    censored_p,
+    censored_transitions,
+    classify,
     coin_model,
     decision_threshold,
+    delta_fixed,
+    evidence_table,
     finite_n_distribution,
     find_D_witness,
+    grid_argmax,
+    illusory_model,
     kernel_from_p,
     ladder_state_labels,
     ladder_transition,
     lunar_model,
     lunar_strength_rows,
     model_from_config,
+    posterior,
     regular_censoring_gain,
     simulate_chain,
     simulate_ladder,
@@ -44,6 +59,7 @@ from belieflab import (
     stationary,
     sweep,
     threshold_mass,
+    tilt_model,
     welfare_at_threshold,
 )
 from belieflab.welfare import ProblemSpec
@@ -54,6 +70,7 @@ _SPEC = ProblemSpec.correct_priors(0.5, 0.6, 2)
 _P3 = np.array([[0.6, 0.2, 0.2], [0.2, 0.6, 0.2], [0.2, 0.2, 0.6]])
 _LADDER_MODEL = autocorr_model(draws=4)[0]
 _PAIR = DiscreteSignalModel(outcomes=("a", "b"), probs=np.array([[0.6, 0.4], [0.3, 0.7]]))
+_TILT = tilt_model(1.0)
 
 
 def _grid(metric, **kwargs):
@@ -123,6 +140,213 @@ _INTEGER_ARGUMENTS = {
 }
 
 
+_INF = math.inf
+
+# argument -> (call taking the argument, its interval (low, high, ends), the
+# valid values tried); the name in the message is the part after the "-"
+_REAL_ARGUMENTS = {
+    "TransitionKernel-up": (
+        lambda v: TransitionKernel((v, 0.3), (0.75, 0.7), (0.0, 0.0)),
+        (-1e-15, 1 + 1e-15, "[]"), (0.25, 0.25),
+    ),
+    "TransitionKernel-down": (
+        lambda v: TransitionKernel((0.75, 0.3), (v, 0.7), (0.0, 0.0)),
+        (-1e-15, 1 + 1e-15, "[]"), (0.25, 0.25),
+    ),
+    "TransitionKernel-stay": (
+        lambda v: TransitionKernel((0.75, 0.3), (0.0, 0.7), (v, 0.0)),
+        (-1e-15, 1 + 1e-15, "[]"), (0.25, 0.25),
+    ),
+    "PVector-p11": (lambda v: PVector(v, 0.6), (0, 1, "[]"), (0, 1)),
+    "PVector-p22": (lambda v: PVector(0.7, v), (0, 1, "[]"), (0, 1)),
+    "kernel_from_p-p11": (lambda v: kernel_from_p(v, 0.6), (0, 1, "[]"), (0, 1)),
+    "kernel_from_p-p22": (lambda v: kernel_from_p(0.7, v), (0, 1, "[]"), (0, 1)),
+    "ContinuousSignalModel-tilt": (
+        lambda v: ContinuousSignalModel((((v, 1.0),), ((-1.0, 1.0),))),
+        (-_INF, _INF, "()"), (0.5, 20),
+    ),
+    "ContinuousSignalModel-weight": (
+        lambda v: ContinuousSignalModel((((1.0, v),), ((-1.0, 1.0),))),
+        (-_INF, _INF, "()"), (1, 1),
+    ),
+    "tilt_model-lam": (tilt_model, (0, _INF, "()"), (0.01, 20)),
+    "asymmetric_tilt_model-lam": (
+        lambda v: asymmetric_tilt_model(lam=v), (0, _INF, "()"), (0.01, 10)
+    ),
+    "asymmetric_tilt_model-spike": (
+        lambda v: asymmetric_tilt_model(spike=v), (0.1, _INF, "()"), (0.2, 30)
+    ),
+    "asymmetric_tilt_model-weight": (
+        lambda v: asymmetric_tilt_model(weight=v), (0, 1, "()"), (0.01, 0.99)
+    ),
+    "classify-x": (lambda v: classify(_TILT, v), (0, 1, "[]"), (0, 1)),
+    "censored_transitions-beta": (
+        lambda v: censored_transitions(_TILT, v), (0, _INF, "[)"), (0, 2)
+    ),
+    "censored_direction_matrix-beta": (
+        lambda v: censored_direction_matrix(_PAIR, v), (0, _INF, "[)"), (0, 0.5)
+    ),
+    "directions-beta": (_PAIR.directions, (0, _INF, "[)"), (0, 3)),
+    "censor_path-beta": (lambda v: censor_path(_PAIR, [v]), (0, _INF, "[)"), (0, 3)),
+    "evidence_table-beta": (lambda v: evidence_table(_PAIR, v), (0, _INF, "[)"), (0, 3)),
+    "PriorModel-rho": (PriorModel, (0, _INF, "()"), (0.01, 100)),
+    "PriorModel-sigma_log": (lambda v: PriorModel(1.0, v), (0, _INF, "[)"), (0, 3)),
+    "BeliefStrategy-d": (BeliefStrategy, (1, _INF, "[)"), (1, 50)),
+    "BeliefStrategy-lam": (lambda v: BeliefStrategy(2.0, v), (0, _INF, "()"), (0.01, 100)),
+    "Stakes-gamma": (Stakes, (0, 1, "[]"), (0, 1)),
+    "ProblemSpec-pi": (
+        lambda v: ProblemSpec(v, 0.6, PriorModel(1.0), 2), (0, 1, "()"), (0.01, 0.99)
+    ),
+    "ProblemSpec-gamma": (lambda v: ProblemSpec(0.5, v, PriorModel(1.0), 2), (0, 1, "[]"), (0, 1)),
+    "posterior-rho_tilde": (
+        lambda v: posterior(BeliefStrategy(2.0), v, 1), (0, _INF, "()"), (0.01, 100)
+    ),
+    "decision_threshold-rho_tilde": (
+        lambda v: decision_threshold(BeliefStrategy(2.0), v, 1.5, 2), (0, _INF, "()"), (0.01, 100)
+    ),
+    "decision_threshold-Gamma": (
+        lambda v: decision_threshold(BeliefStrategy(2.0), 1.0, v, 2), (0, _INF, "[]"), (0, 100)
+    ),
+    "threshold_mass-Gamma": (
+        lambda v: threshold_mass(PriorModel(1.0, 0.5), BeliefStrategy(2.0), v, 2),
+        (0, _INF, "[]"), (0, 100),
+    ),
+    "stationary-r": (lambda v: stationary(v, 2), (0, _INF, "[]"), (0, 50)),
+    "censored_p-x": (lambda v: censored_p(_P, v), (-0.5, 0.5, "()"), (-0.1, 0.1)),
+    "regular_censoring_gain-x": (
+        lambda v: regular_censoring_gain(_P, _SPEC, 1, v), (0, 0.5, "()"), (0.001, 0.1)
+    ),
+    "delta_fixed-d": (lambda v: delta_fixed(_P, _SPEC, v), (1, _INF, "()"), (1.01, 50)),
+    "grid_argmax-weight": (
+        lambda v: grid_argmax([(_PAIR, _SPEC, v)], [0.0], [2.0]), (0, _INF, "[)"), (0.1, 10)
+    ),
+    "grid_argmax-beta": (
+        lambda v: grid_argmax([(_PAIR, _SPEC, 1.0)], [v], [2.0]), (0, _INF, "[)"), (0, 3)
+    ),
+    "grid_argmax-d": (
+        lambda v: grid_argmax([(_PAIR, _SPEC, 1.0)], [0.0], [v]), (1, _INF, "[)"), (1, 50)
+    ),
+    "sweep-d": (lambda v: _grid("delta_fixed", d=v), (1, _INF, "()"), (1.01, 50)),
+    "sweep-beta": (
+        lambda v: sweep("delta_fixed", "gamma", [0.6], "d", [2.0], beta=v, model=_PAIR),
+        (0, _INF, "[)"), (0, 0.5),
+    ),
+    "sweep-pi": (lambda v: _grid("delta_bayes", pi=v), (0, 1, "()"), (0.01, 0.99)),
+    "sweep-gamma": (lambda v: _grid("delta_bayes", gamma=v), (0, 1, "[]"), (0, 1)),
+    "sweep-sigma_log": (lambda v: _grid("delta_bayes", sigma_log=v), (0, _INF, "[)"), (0, 3)),
+    "sweep-rho": (lambda v: _grid("delta_bayes", rho=v), (0, _INF, "()"), (0.01, 100)),
+    "lunar_model-base_rate": (lambda v: lunar_model(base_rate=v), (0, _INF, "()"), (2, 20)),
+    "lunar_model-effect": (lambda v: lunar_model(effect=v), (1, _INF, "()"), (1.01, 3)),
+    "lunar_model-full_moon_frac": (
+        lambda v: lunar_model(full_moon_frac=v), (0, 1, "()"), (0.01, 0.99)
+    ),
+    "illusory_model-alpha": (lambda v: illusory_model(v, 0.1, 0.05), (1, _INF, "()"), (1.01, 50)),
+    "illusory_model-r": (lambda v: illusory_model(2.0, v, 0.05), (0, 1, "()"), (0.01, 0.99)),
+    "illusory_model-q": (lambda v: illusory_model(2.0, 0.1, v), (0, 1, "()"), (0.01, 0.4)),
+    "coin_model-alpha1": (lambda v: coin_model(v, 0.6), (0, 1, "()"), (0.01, 0.99)),
+    "coin_model-alpha2": (lambda v: coin_model(0.3, v), (0, 1, "()"), (0.01, 0.99)),
+    "autocorr_model-rho_set": (
+        lambda v: autocorr_model(rho_set=(v, 1.0 / 3.0, 0.5)), (0, 1, "()"), (0.01, 0.99)
+    ),
+    "simulate_welfare-beta": (
+        lambda v: simulate_welfare(_PAIR, _SPEC, BeliefStrategy(2.0), v, 5, 20, 0),
+        (0, _INF, "[)"), (0, 0.5),
+    ),
+    "simulate_ladder-beta": (
+        lambda v: simulate_ladder(_LADDER_MODEL, 2, 5, 20, 0, beta=v), (0, _INF, "[)"), (0, 0.3)
+    ),
+}
+
+# call -> (the argument its message names, the call); each raised TypeError,
+# or passed, before the real-number rule
+_FORMER_ESCAPES = {
+    "tilt_model-tuple": ("lam", lambda: tilt_model((1.0,))),
+    "asymmetric_tilt_model-tuple-spike": (
+        "spike", lambda: asymmetric_tilt_model(spike=(14.0,))
+    ),
+    "censored_transitions-tuple": ("beta", lambda: censored_transitions(_TILT, (0.5,))),
+    "censor_path-tuple-beta": ("beta", lambda: censor_path(_TILT, [(0.5,)])),
+    "classify-tuple": ("x", lambda: classify(_TILT, (0.5,))),
+    "coin_model-list": ("alpha1", lambda: coin_model([0.7], 0.8)),
+    "illusory_model-str": ("alpha", lambda: illusory_model("2", 0.1, 0.05)),
+    "lunar_model-str-base_rate": ("base_rate", lambda: lunar_model(base_rate="10")),
+    "lunar_model-none-effect": ("effect", lambda: lunar_model(effect=None)),
+    "autocorr_model-str-rhos": ("rho_set", lambda: autocorr_model(rho_set=("a", "b", "c"))),
+    "stationary-list": ("r", lambda: stationary([1.0], 2)),
+    "stationary-str": ("r", lambda: stationary("x", 2)),
+    "decision_threshold-str": (
+        "rho_tilde", lambda: decision_threshold(BeliefStrategy(2.0), "a", 1.0, 2)
+    ),
+    "posterior-str": ("rho_tilde", lambda: posterior(BeliefStrategy(2.0), "x", 1)),
+    "censored_p-list": ("x", lambda: censored_p(_P, [0.1])),
+    "censored_p-str": ("x", lambda: censored_p(_P, "x")),
+    "regular_censoring_gain-str": ("x", lambda: regular_censoring_gain(_P, _SPEC, 1, "x")),
+    "regular_censoring_gain-list": (
+        "x", lambda: regular_censoring_gain(_P, _SPEC, 1, [0.01])
+    ),
+    "sweep-str-d": ("d", lambda: _grid("delta_fixed", d="x")),
+    "PVector-bool": ("p11", lambda: PVector(True, 0.5)),
+    "BeliefStrategy-bool": ("d", lambda: BeliefStrategy(True)),
+}
+
+
+# arguments where None selects a default
+_OPTIONAL = {"regular_censoring_gain-x", "sweep-beta", "sweep-rho"}
+
+
+def _inside(x, low, high, ends):
+    return (low < x or x == low and ends[0] == "[") and (x < high or x == high and ends[1] == "]")
+
+
+def _bad_reals(low, high, ends, valid):
+    """Values the real-number rule refuses for the interval (low, high, ends):
+    no single number, a bool, NaN, or a number outside."""
+    outside = [st.sampled_from([math.nan, np.float64(math.nan), -_INF, _INF])]
+    if low > -_INF:
+        outside.append(st.floats(max_value=low))
+    if high < _INF:
+        outside.append(st.floats(min_value=high))
+    return st.one_of(
+        st.booleans(),
+        st.sampled_from(
+            [None, np.True_, (valid,), [valid], str(valid), np.array([valid]), np.array(valid)]
+        ),
+        st.one_of(outside).filter(lambda x: not _inside(x, low, high, ends)),
+    )
+
+
+@pytest.mark.parametrize("argument", sorted(_REAL_ARGUMENTS))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_bad_real_raises_value_error(argument, data):
+    call, (low, high, ends), (valid, _) = _REAL_ARGUMENTS[argument]
+    bad = _bad_reals(low, high, ends, float(valid))
+    if argument in _OPTIONAL:
+        bad = bad.filter(lambda v: v is not None)
+    value = data.draw(bad, label="value")
+    name = argument.split("-")[1]
+    with pytest.raises(ValueError, match=f"^{name} must be a real number in "):
+        call(value)
+
+
+@pytest.mark.parametrize("argument", sorted(_REAL_ARGUMENTS))
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(data=st.data())
+def test_a_numpy_float_gives_the_python_float_output(argument, data):
+    call, (low, high, ends), (first, last) = _REAL_ARGUMENTS[argument]
+    value = data.draw(
+        st.floats(first, last).filter(lambda x: _inside(x, low, high, ends)), label="value"
+    )
+    np.testing.assert_equal(_plain(call(np.float64(value))), _plain(call(value)))
+
+
+@pytest.mark.parametrize("case", sorted(_FORMER_ESCAPES))
+def test_a_former_escape_raises_value_error_naming_its_argument(case):
+    name, call = _FORMER_ESCAPES[case]
+    with pytest.raises(ValueError, match=f"^{name} must be a real number in "):
+        call()
+
+
 def _bad_values(low):
     """Values the integer rule refuses for an argument bounded below by low."""
     return st.one_of(
@@ -172,6 +396,13 @@ def test_a_numpy_integer_gives_the_python_int_output(argument, data):
     np.testing.assert_equal(_plain(call(dtype(value))), _plain(call(value)))
 
 
+# a string holding the message of a hand-written scalar range refusal, which
+# _check_real replaces
+_SCALAR_REFUSALS = (
+    r"""["'][^"']*(must be (finite|nonnegative|a number|>= )|must lie in|outside \[0, 1\])"""
+)
+
+
 def test_each_argument_rule_has_one_home():
     source = Path(__file__).resolve().parents[1] / "src" / "belieflab"
     strays = [
@@ -179,6 +410,6 @@ def test_each_argument_rule_has_one_home():
         for path in sorted(source.glob("*.py"))
         if path.name != "signals.py"
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if re.search(r"np\.\w*integer|1e-15", line)
+        if re.search(r"np\.\w*integer|1e-15", line) or re.search(_SCALAR_REFUSALS, line)
     ]
     assert strays == []

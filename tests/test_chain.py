@@ -15,7 +15,7 @@ from belieflab import (
     ladder_transition,
     stationary,
 )
-from belieflab.chain import _ladder_move_table, _laws
+from belieflab.chain import _birth_death_table, _ladder_move_table, _laws, _move_matrix
 
 
 class TestStationary:
@@ -131,6 +131,25 @@ def test_matrix_power_laws_match_the_step_loop(K):
                 ref = _step_loop_law(*column, K, N)
                 assert np.abs(got - ref).max() <= 1e-12, (column, N)
                 np.testing.assert_array_equal(laws[theta - 1], got)
+
+
+@pytest.mark.parametrize(
+    "up, down, stay",
+    [(0.45, 0.25, 0.3), (0.2, 0.5, 0.3), (0.1, 0.1, 0.8), (0.3, 0.7, 0.0), (0.999, 0.001, 0.0)],
+)
+@pytest.mark.parametrize("K", [1, 2, 3, 6])
+def test_move_matrix_has_the_exact_spectrum(K, up, down, stay):
+    # the birth-death chain on 2K+1 states whose ends keep a blocked move has
+    # eigenvalues 1 and stay + 2 sqrt(up down) cos(pi j / (2K+1)), j = 1..2K
+    # (Feller, An Introduction to Probability Theory and Its Applications, vol. 1)
+    P = _move_matrix(_birth_death_table(K)[:, [1, 2, 0]], (up, down, stay))
+    j = np.arange(1, 2 * K + 1)
+    exact = stay + 2.0 * math.sqrt(up * down) * np.cos(math.pi * j / (2 * K + 1))
+    eigenvalues = np.linalg.eigvals(P)
+    assert np.abs(eigenvalues.imag).max() <= 1e-12
+    np.testing.assert_allclose(
+        np.sort(eigenvalues.real), np.sort(np.append(exact, 1.0)), rtol=0, atol=1e-12
+    )
 
 
 def _scatter(p3, K, theta):

@@ -607,8 +607,9 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["stationary", "--r", "-1"], "r must be positive"),
-            (["oracle", "welfare", "--model", "tilt", "--d", "0.5"], "d must be >= 1"),
+            (["stationary", "--r", "-1"], "r must be a real number in [0, inf], got -1.0"),
+            (["oracle", "welfare", "--model", "tilt", "--d", "0.5"],
+             "d must be a real number in [1, inf), got 0.5"),
             (["transitions"], "needs --model"),
             (["censor-path", "--model", "tilt", "--grid", "0:1"], "bad grid"),
             (["sweep", "--metric", "finite_n_ratio", "--x", "p11", "--y", "p22",
@@ -619,9 +620,9 @@ class TestErrors:
               "--model", "autocorr", "--x-grid", "0:0.5:2", "--y-grid", "2:2:1"],
              "two-state model"),
             (["sweep", "--metric", "delta_bayes", "--x", "p11", "--y", "p22",
-              "--pi", "1"], "pi must lie in (0, 1)"),
+              "--pi", "1"], "pi must be a real number in (0, 1), got 1.0"),
             (["oracle", "welfare", "--model", "lunar", "--pi", "1"],
-             "pi must lie in (0, 1)"),
+             "pi must be a real number in (0, 1), got 1.0"),
             (["scenario", "coin", "--params", '{"bogus": 1}'],
              "unexpected keyword argument 'bogus'"),
             (["scenario", "coin", "--params", "[1]"], "must be a JSON object"),
@@ -629,9 +630,9 @@ class TestErrors:
              "J must be an integer"),
             (["transitions", "--model", "tilt", "--lam", "1000"], "overflows"),
             (["sweep", "--metric", "delta_fixed", "--x", "p11", "--y", "p22",
-              "--d", "0.5"], "delta_fixed assumes d > 1"),
+              "--d", "0.5"], "d must be a real number in (1, inf), got 0.5"),
             (["sweep", "--metric", "finite_n_ratio", "--x", "p11", "--y", "p22",
-              "--d", "0.5"], "d must be >= 1"),
+              "--d", "0.5"], "d must be a real number in [1, inf), got 0.5"),
             (["scenario", "coin", "--params", '{"J": true}'],
              "J must be an integer >= 1, got True"),
             (["transitions", "--model", "nope"],

@@ -88,24 +88,27 @@ _PAIR = DiscreteSignalModel(outcomes=("a", "b"), probs=np.array([[0.6, 0.4], [0.
 _BAD_INPUTS = {
     "kernel-nan-entry": (
         lambda: TransitionKernel(up=(math.nan, 0.5), down=(0.5, 0.5), stay=(0.0, 0.0)),
-        "up must be finite",
+        r"up must be a real number in \[-1e-15, 1\.000000000000001\], got nan",
     ),
     "prior-nan-sigma": (
         lambda: PriorModel(1.0, sigma_log=math.nan),
-        "sigma_log must be finite",
+        r"sigma_log must be a real number in \[0, inf\), got nan",
     ),
-    "prior-inf-rho": (lambda: PriorModel(rho=math.inf), "rho must be finite"),
+    "prior-inf-rho": (
+        lambda: PriorModel(rho=math.inf),
+        r"rho must be a real number in \(0, inf\), got inf",
+    ),
     "spec-fractional-K": (
         lambda: ProblemSpec(pi=0.5, gamma=0.6, prior=PriorModel(1.0), K=2.5),
         "K must be an integer >= 1",
     ),
     "transitions-nan-beta": (
         lambda: censored_transitions(tilt_model(1.0), math.nan),
-        "beta must be finite",
+        r"beta must be a real number in \[0, inf\), got nan",
     ),
     "direction-matrix-nan-beta": (
         lambda: censored_direction_matrix(autocorr_model(draws=6)[0], math.nan),
-        "beta must be finite",
+        r"beta must be a real number in \[0, inf\), got nan",
     ),
     "discrete-nan-probs": (
         lambda: DiscreteSignalModel(
@@ -128,26 +131,36 @@ _BAD_INPUTS = {
         "K must be an integer >= 1",
     ),
     "ladder-negative-N": (lambda: _ladder(N=-1), "N must be an integer >= 0"),
-    "ladder-nan-beta": (lambda: _ladder(beta=math.nan), "beta must be finite"),
-    "ladder-negative-beta": (lambda: _ladder(beta=-1.0), "beta must be nonnegative"),
+    "ladder-nan-beta": (
+        lambda: _ladder(beta=math.nan),
+        r"beta must be a real number in \[0, inf\), got nan",
+    ),
+    "ladder-negative-beta": (
+        lambda: _ladder(beta=-1.0),
+        r"beta must be a real number in \[0, inf\), got -1\.0",
+    ),
     "ladder-zero-K": (lambda: _ladder(K=0), "K must be an integer >= 1"),
     "welfare-lunar-negative-N": (
         lambda: _welfare(lunar_model(), N=-1), "N must be an integer >= 0"
     ),
     "welfare-lunar-nan-beta": (
-        lambda: _welfare(lunar_model(), beta=math.nan), "beta must be finite"
+        lambda: _welfare(lunar_model(), beta=math.nan),
+        r"beta must be a real number in \[0, inf\), got nan",
     ),
     "welfare-lunar-negative-beta": (
-        lambda: _welfare(lunar_model(), beta=-0.5), "beta must be nonnegative"
+        lambda: _welfare(lunar_model(), beta=-0.5),
+        r"beta must be a real number in \[0, inf\), got -0\.5",
     ),
     "welfare-tilt-negative-N": (
         lambda: _welfare(tilt_model(1.0), N=-1), "N must be an integer >= 0"
     ),
     "welfare-tilt-nan-beta": (
-        lambda: _welfare(tilt_model(1.0), beta=math.nan), "beta must be finite"
+        lambda: _welfare(tilt_model(1.0), beta=math.nan),
+        r"beta must be a real number in \[0, inf\), got nan",
     ),
     "welfare-tilt-negative-beta": (
-        lambda: _welfare(tilt_model(1.0), beta=-0.5), "beta must be nonnegative"
+        lambda: _welfare(tilt_model(1.0), beta=-0.5),
+        r"beta must be a real number in \[0, inf\), got -0\.5",
     ),
     "welfare-three-state-discrete": (
         lambda: _welfare(autocorr_model(draws=6)[0]), "two-state model"
@@ -207,9 +220,13 @@ _BAD_INPUTS = {
         "lam must be positive and finite, got inf",
     ),
     "strategy-inf-lam": (
-        lambda: BeliefStrategy(1e200, lam=math.inf), "lam must be finite"
+        lambda: BeliefStrategy(1e200, lam=math.inf),
+        r"lam must be a real number in \(0, inf\), got inf",
     ),
-    "strategy-inf-d": (lambda: BeliefStrategy(math.inf), "d must be finite"),
+    "strategy-inf-d": (
+        lambda: BeliefStrategy(math.inf),
+        r"d must be a real number in \[1, inf\), got inf",
+    ),
     "ladder-continuous-model": (
         lambda: simulate_ladder(tilt_model(1.0), 2, 5, trials=10, seed=0),
         "three-state discrete model",
@@ -222,9 +239,18 @@ _BAD_INPUTS = {
         lambda: regular_censoring_gain(PVector(0.7, 0.6), _SPEC, 0.5),
         "k must be an integer",
     ),
-    "argmax-nan-weight": (lambda: _argmax(math.nan), "weights must be finite"),
-    "argmax-inf-weight": (lambda: _argmax(math.inf), "weights must be finite"),
-    "argmax-negative-weight": (lambda: _argmax(-0.5), "nonnegative weights"),
+    "argmax-nan-weight": (
+        lambda: _argmax(math.nan),
+        r"weight must be a real number in \[0, inf\), got nan",
+    ),
+    "argmax-inf-weight": (
+        lambda: _argmax(math.inf),
+        r"weight must be a real number in \[0, inf\), got inf",
+    ),
+    "argmax-negative-weight": (
+        lambda: _argmax(-0.5),
+        r"weight must be a real number in \[0, inf\), got -0\.5",
+    ),
     "argmax-empty-beta-grid": (
         lambda: _argmax(1.0, beta_grid=[]),
         "beta_grid is empty",
@@ -239,15 +265,15 @@ _BAD_INPUTS = {
     ),
     "decision-threshold-nan-prior": (
         lambda: decision_threshold(BeliefStrategy(2.0), math.nan, 1.5, 2),
-        "rho_tilde must be positive",
+        r"rho_tilde must be a real number in \(0, inf\), got nan",
     ),
     "decision-threshold-nan-gamma": (
         lambda: decision_threshold(BeliefStrategy(2.0), 1.0, math.nan, 2),
-        "Gamma must be nonnegative",
+        r"Gamma must be a real number in \[0, inf\], got nan",
     ),
     "decision-threshold-negative-gamma": (
         lambda: decision_threshold(BeliefStrategy(2.0), 1.0, -1.0, 2),
-        "Gamma must be nonnegative",
+        r"Gamma must be a real number in \[0, inf\], got -1\.0",
     ),
     "model-doc-unknown-param": (
         lambda: model_from_config({"family": "tilt", "params": {"bogus": 1}}),
@@ -263,19 +289,19 @@ _BAD_INPUTS = {
     ),
     "lunar-nan-base-rate": (
         lambda: lunar_model(base_rate=math.nan),
-        "base_rate must be positive and finite, got nan",
+        r"base_rate must be a real number in \(0, inf\), got nan",
     ),
     "lunar-inf-base-rate": (
         lambda: lunar_model(base_rate=math.inf),
-        "base_rate must be positive and finite, got inf",
+        r"base_rate must be a real number in \(0, inf\), got inf",
     ),
     "lunar-nan-effect": (
         lambda: lunar_model(effect=math.nan),
-        "effect must be finite and exceed 1, got nan",
+        r"effect must be a real number in \(1, inf\), got nan",
     ),
     "illusory-nan-alpha": (
         lambda: illusory_model(math.nan, 0.1, 0.05),
-        "alpha must be finite and exceed 1, got nan",
+        r"alpha must be a real number in \(1, inf\), got nan",
     ),
     "model-doc-unknown-family": (
         lambda: model_from_config({"family": "nope"}),
@@ -318,7 +344,8 @@ _BAD_INPUTS = {
         "needs 'outcomes' and 'probs'",
     ),
     "evidence-table-nan-beta": (
-        lambda: evidence_table(lunar_model(), beta=math.nan), "beta must be finite"
+        lambda: evidence_table(lunar_model(), beta=math.nan),
+        r"beta must be a real number in \[0, inf\), got nan",
     ),
     "chain-fractional-trials": (
         lambda: simulate_chain(kernel_from_p(0.7, 0.6), 1, 2, N=5, trials=2.5, seed=0),
@@ -337,11 +364,21 @@ _BAD_INPUTS = {
         lambda: bayes_params(PVector(0.7, 0.6), 2.5), "K must be an integer >= 1"
     ),
     "spec-pi-one-with-rho": (
-        lambda: ProblemSpec.noisy_priors(1.0, 0.6, 2, rho=1.0), "pi must lie in"
+        lambda: ProblemSpec.noisy_priors(1.0, 0.6, 2, rho=1.0),
+        r"pi must be a real number in \(0, 1\), got 1\.0",
     ),
-    "sweep-pi-one": (lambda: _sweep(pi=1.0), "pi must lie in"),
-    "sweep-nan-sigma": (lambda: _sweep(sigma_log=math.nan), "sigma_log must be finite"),
-    "sweep-negative-rho": (lambda: _sweep(rho=-1.0), "rho must be positive"),
+    "sweep-pi-one": (
+        lambda: _sweep(pi=1.0),
+        r"pi must be a real number in \(0, 1\), got 1\.0",
+    ),
+    "sweep-nan-sigma": (
+        lambda: _sweep(sigma_log=math.nan),
+        r"sigma_log must be a real number in \[0, inf\), got nan",
+    ),
+    "sweep-negative-rho": (
+        lambda: _sweep(rho=-1.0),
+        r"rho must be a real number in \(0, inf\), got -1\.0",
+    ),
     "sweep-negative-N": (
         lambda: _sweep("finite_n_ratio", N=-1), "N must be an integer >= 0"
     ),
@@ -355,19 +392,24 @@ _BAD_INPUTS = {
         lambda: _sweep(y="beta", y_values=[0.0, 0.5]), "needs a signal model"
     ),
     "sweep-negative-fixed-beta": (
-        lambda: _sweep(beta=-0.5, model=tilt_model(1.0)), "beta must be nonnegative"
+        lambda: _sweep(beta=-0.5, model=tilt_model(1.0)),
+        r"beta must be a real number in \[0, inf\), got -0\.5",
     ),
     "sweep-nan-fixed-beta": (
-        lambda: _sweep(beta=math.nan, model=tilt_model(1.0)), "beta must be finite"
+        lambda: _sweep(beta=math.nan, model=tilt_model(1.0)),
+        r"beta must be a real number in \[0, inf\), got nan",
     ),
     "sweep-delta-fixed-fixed-d-one": (
-        lambda: _sweep("delta_fixed", d=1.0), "delta_fixed assumes d > 1"
+        lambda: _sweep("delta_fixed", d=1.0),
+        r"d must be a real number in \(1, inf\), got 1\.0",
     ),
     "sweep-censor-gain-fixed-d-below-one": (
-        lambda: _sweep("censor_gain", d=0.5), "d must be >= 1"
+        lambda: _sweep("censor_gain", d=0.5),
+        r"d must be a real number in \[1, inf\), got 0\.5",
     ),
     "sweep-finite-n-ratio-nan-d": (
-        lambda: _sweep("finite_n_ratio", d=math.nan), "d must be >= 1"
+        lambda: _sweep("finite_n_ratio", d=math.nan),
+        r"d must be a real number in \[1, inf\), got nan",
     ),
     "coin-fractional-J": (lambda: coin_model(0.7, 0.8, 2.5), "J must be an integer"),
     "batch-fractional-J": (
@@ -439,39 +481,52 @@ _BAD_INPUTS = {
     "asymmetric-tilt-overflowing-spike": (
         lambda: asymmetric_tilt_model(spike=1000.0), "overflows"
     ),
-    "tilt-inf-lam": (lambda: tilt_model(math.inf), "lam must be finite"),
-    "tilt-nan-lam": (lambda: tilt_model(math.nan), "lam must be finite"),
+    "tilt-inf-lam": (
+        lambda: tilt_model(math.inf),
+        r"lam must be a real number in \(0, inf\), got inf",
+    ),
+    "tilt-nan-lam": (
+        lambda: tilt_model(math.nan),
+        r"lam must be a real number in \(0, inf\), got nan",
+    ),
     "asymmetric-tilt-inf-spike": (
-        lambda: asymmetric_tilt_model(spike=math.inf), "spike must be finite"
+        lambda: asymmetric_tilt_model(spike=math.inf),
+        r"spike must be a real number in \(0\.1, inf\), got inf",
     ),
     "asymmetric-tilt-nan-lam": (
-        lambda: asymmetric_tilt_model(lam=math.nan), "lam must be finite"
+        lambda: asymmetric_tilt_model(lam=math.nan),
+        r"lam must be a real number in \(0, inf\), got nan",
     ),
     "decision-threshold-inverted-power": (
         lambda: decision_threshold(BayesParams(0.5, 1.0), 1.0, 1.5, 2),
-        "decision_threshold assumes d >= 1",
+        r"strategy\.d must be a real number in \[1, inf\], got 0\.5",
     ),
     "threshold-mass-inverted-power": (
         lambda: threshold_mass(PriorModel(1.0), BayesParams(0.5, 1.0), 1.5, 2),
-        "threshold_mass assumes d >= 1",
+        r"strategy\.d must be a real number in \[1, inf\], got 0\.5",
     ),
     "ladder-two-by-two-law": (
         lambda: ladder_transition(np.eye(2), 1, 1), r"p3 must be 3x3, got shape \(2, 2\)"
     ),
     "lunar-moon-fraction-above-one": (
-        lambda: lunar_model(full_moon_frac=1.5), "full_moon_frac must lie in"
+        lambda: lunar_model(full_moon_frac=1.5),
+        r"full_moon_frac must be a real number in \(0, 1\), got 1\.5",
     ),
     "illusory-r-above-one": (
-        lambda: illusory_model(2.0, 1.5, 0.05), "r and q must lie in"
+        lambda: illusory_model(2.0, 1.5, 0.05),
+        r"r must be a real number in \(0, 1\), got 1\.5",
     ),
-    "coin-bias-above-one": (lambda: coin_model(1.5, 0.8), "alpha1 must lie in"),
+    "coin-bias-above-one": (
+        lambda: coin_model(1.5, 0.8),
+        r"alpha1 must be a real number in \(0, 1\), got 1\.5",
+    ),
     "autocorr-two-rhos": (
         lambda: autocorr_model(rho_set=(0.5, 0.5)),
         "rho_set must be three probabilities",
     ),
     "kernel-entry-above-one": (
         lambda: TransitionKernel((1.5, 0.5), (-0.5, 0.5), (0.0, 0.0)),
-        r"kernel entry 1.5 outside \[0, 1\]",
+        r"up must be a real number in \[-1e-15, 1\.000000000000001\], got 1\.5",
     ),
     "discrete-table-shape": (
         lambda: DiscreteSignalModel(outcomes=("a", "b"), probs=np.array([[0.6, 0.4]])),
@@ -483,18 +538,49 @@ _BAD_INPUTS = {
         ),
         "outcome labels must be unique",
     ),
-    "tilt-negative-lam": (lambda: tilt_model(-1.0), "lam must be positive"),
+    "tilt-negative-lam": (
+        lambda: tilt_model(-1.0),
+        r"lam must be a real number in \(0, inf\), got -1\.0",
+    ),
     "asymmetric-tilt-lam-above-spike": (
-        lambda: asymmetric_tilt_model(lam=2.0, spike=1.0), "need 0 < lam < spike"
+        lambda: asymmetric_tilt_model(lam=2.0, spike=1.0),
+        r"spike must be a real number in \(2\.0, inf\), got 1\.0",
     ),
     "asymmetric-tilt-weight-above-one": (
-        lambda: asymmetric_tilt_model(weight=1.5), "weight must lie in"
+        lambda: asymmetric_tilt_model(weight=1.5),
+        r"weight must be a real number in \(0, 1\), got 1\.5",
     ),
     "classify-signal-outside-support": (
-        lambda: classify(tilt_model(1.0), 1.5), "signal 1.5 outside the support"
+        lambda: classify(tilt_model(1.0), 1.5),
+        r"x must be a real number in \[0, 1\], got 1\.5",
     ),
     "pool-empty-group": (
         lambda: pool(coin_model(0.7, 0.8), [[], ["0", "1"]]), "empty partition group"
+    ),
+    "pool-partition-an-int": (
+        lambda: pool(coin_model(0.7, 0.8), 5),
+        "partition must map labels to groups of outcome labels or be an iterable of such "
+        "groups, got 5",
+    ),
+    "pool-group-an-int": (
+        lambda: pool(coin_model(0.7, 0.8), {"a": 5}),
+        r"partition must map labels to groups .*, got \{'a': 5\}",
+    ),
+    "transitions-model-a-name": (
+        lambda: censored_transitions("tilt", 0.1),
+        "censoring needs a ContinuousSignalModel or a DiscreteSignalModel, got str",
+    ),
+    "sweep-model-a-name": (
+        lambda: _sweep(x="beta", x_values=[0.0], y="d", y_values=[2.0], model="tilt"),
+        "censoring needs a ContinuousSignalModel or a DiscreteSignalModel, got str",
+    ),
+    "evidence-table-continuous-model": (
+        lambda: evidence_table(tilt_model(1.0)),
+        "evidence_table needs a DiscreteSignalModel, got ContinuousSignalModel",
+    ),
+    "welfare-model-a-name": (
+        lambda: _welfare("tilt"),
+        "simulate_welfare needs a ContinuousSignalModel or a DiscreteSignalModel, got str",
     ),
     "welfare-degenerate-parameters": (
         lambda: expected_welfare(
@@ -510,7 +596,8 @@ _BAD_INPUTS = {
         "censor_sensitivity needs interior dynamics",
     ),
     "censored-p-step-too-large": (
-        lambda: censored_p(PVector(0.7, 0.6), 0.7), "censor step x must lie in"
+        lambda: censored_p(PVector(0.7, 0.6), 0.7),
+        r"x must be a real number in \(-0\.5, 0\.5\), got 0\.7",
     ),
     "censoring-gain-k-above-K": (
         lambda: regular_censoring_gain(PVector(0.8, 0.7), _SPEC, 3),
@@ -524,23 +611,23 @@ _BAD_INPUTS = {
     ),
     "decision-threshold-inf-prior": (
         lambda: decision_threshold(BeliefStrategy(2.0), math.inf, 1.5, 2),
-        "rho must be finite",
+        r"rho_tilde must be a real number in \(0, inf\), got inf",
     ),
     "kernel-list-field": (
         lambda: TransitionKernel([0.5, 0.5], (0.5, 0.5), (0.0, 0.0)),
-        "up must be a finite number or a tuple of them",
+        r"up must be a tuple of two probabilities, got \[0\.5, 0\.5\]",
     ),
     "kernel-array-field": (
         lambda: TransitionKernel(np.array([0.5, 0.5]), (0.5, 0.5), (0.0, 0.0)),
-        "up must be a finite number or a tuple of them",
+        "up must be a tuple of two probabilities, got array",
     ),
     "continuous-zero-tilt": (
         lambda: ContinuousSignalModel((((0.0, 1.0),), ((-1.0, 1.0),))),
-        "tilt must be finite and nonzero, got 0.0",
+        r"tilt must be nonzero, got 0\.0",
     ),
     "continuous-nan-tilt": (
         lambda: ContinuousSignalModel((((math.nan, 1.0),), ((-1.0, 1.0),))),
-        "tilt must be finite and nonzero, got nan",
+        r"tilt must be a real number in \(-inf, inf\), got nan",
     ),
     # expm1(-710) is finite, but the density exp(-710 x) underflows near x = 1
     "continuous-tilt-past-expm1-range": (
@@ -549,7 +636,7 @@ _BAD_INPUTS = {
     ),
     "continuous-nan-weight": (
         lambda: ContinuousSignalModel((((1.0, math.nan),), ((-1.0, 1.0),))),
-        "state 1 tilt weights must be finite",
+        r"weight must be a real number in \(-inf, inf\), got nan",
     ),
     "continuous-weights-not-a-law": (
         lambda: ContinuousSignalModel((((1.0, 0.6), (2.0, 0.6)), ((-1.0, 1.0),))),
@@ -575,37 +662,49 @@ _BAD_INPUTS = {
     ),
     "continuous-tilt-not-a-number": (
         lambda: ContinuousSignalModel(((("1.0", 1.0),), ((-1.0, 1.0),))),
-        "tilt must be a number, got '1.0'",
+        r"tilt must be a real number in \(-inf, inf\), got '1\.0'",
     ),
-    "prior-list-rho": (lambda: PriorModel([1.0]), r"rho must be a number, got \[1.0\]"),
-    "prior-none-rho": (lambda: PriorModel(None), "rho must be a number, got None"),
+    "prior-list-rho": (
+        lambda: PriorModel([1.0]),
+        r"rho must be a real number in \(0, inf\), got \[1\.0\]",
+    ),
+    "prior-none-rho": (
+        lambda: PriorModel(None),
+        r"rho must be a real number in \(0, inf\), got None",
+    ),
     "prior-str-sigma": (
-        lambda: PriorModel(1.0, "0.5"), "sigma_log must be a number, got '0.5'"
+        lambda: PriorModel(1.0, "0.5"),
+        r"sigma_log must be a real number in \[0, inf\), got '0\.5'",
     ),
     "strategy-list-d": (
-        lambda: BeliefStrategy([2.0]), r"d must be a number, got \[2.0\]"
+        lambda: BeliefStrategy([2.0]),
+        r"d must be a real number in \[1, inf\), got \[2\.0\]",
     ),
     "strategy-array-lam": (
-        lambda: BeliefStrategy(2.0, np.array([1.0, 2.0])), "lam must be a number"
+        lambda: BeliefStrategy(2.0, np.array([1.0, 2.0])),
+        r"lam must be a real number in \(0, inf\), got array",
     ),
     "pvector-list-field": (
-        lambda: PVector([0.5], 0.5), r"p11 must be a number, got \[0.5\]"
+        lambda: PVector([0.5], 0.5),
+        r"p11 must be a real number in \[0, 1\], got \[0\.5\]",
     ),
     "pvector-str-field": (
-        lambda: PVector("0.5", 0.5), "p11 must be a number, got '0.5'"
+        lambda: PVector("0.5", 0.5), r"p11 must be a real number in \[0, 1\], got '0\.5'"
     ),
     "pvector-array-field": (
-        lambda: PVector(0.5, np.array([0.5, 0.6])), "p22 must be a number"
+        lambda: PVector(0.5, np.array([0.5, 0.6])),
+        r"p22 must be a real number in \[0, 1\], got array",
     ),
     "stakes-list-gamma": (
-        lambda: Stakes([0.5]), r"gamma must be a number, got \[0.5\]"
+        lambda: Stakes([0.5]), r"gamma must be a real number in \[0, 1\], got \[0\.5\]"
     ),
     "spec-none-pi": (
-        lambda: ProblemSpec(None, 0.6, PriorModel(1.0), 2), "pi must be a number, got None"
+        lambda: ProblemSpec(None, 0.6, PriorModel(1.0), 2),
+        r"pi must be a real number in \(0, 1\), got None",
     ),
     "spec-str-gamma": (
         lambda: ProblemSpec(0.5, "0.6", PriorModel(1.0), 2),
-        "gamma must be a number, got '0.6'",
+        r"gamma must be a real number in \[0, 1\], got '0\.6'",
     ),
 }
 
