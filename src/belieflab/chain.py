@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .signals import (
-    PVector, TransitionKernel, _check_int, _check_law, _check_real, _check_theta,
+    PVector, TransitionKernel, _check_int, _check_law, _check_real,
 )
 
 __all__ = [
@@ -158,7 +158,7 @@ def ladder_transition(p3: np.ndarray, K: int, theta: int) -> np.ndarray:
     if p3.shape != (3, 3):
         raise ValueError(f"p3 must be 3x3, got shape {p3.shape}")
     _check_law(p3, 0, "p3 columns")
-    theta = _check_theta(theta, 3)
+    theta = _check_int(theta, "theta", 1, 3)
     return _move_matrix(_ladder_move_table(K)[:, 1:], p3[:, theta - 1])
 
 

@@ -18,12 +18,13 @@ import numpy as np
 
 from .chain import _birth_death_table, _ladder_move_table
 from .signals import (
-    ContinuousSignalModel,
     DiscreteSignalModel,
     PVector,
     TransitionKernel,
+    _SIGNAL_MODELS,
     _check_beta,
     _check_int,
+    _check_kind,
 )
 from .welfare import ProblemSpec
 
@@ -146,18 +147,11 @@ def _final_states(
     or masses the oracle checks; other signals are censored (stay).
     """
     if isinstance(model, DiscreteSignalModel):
-        if model.theta_count != 2:
-            raise ValueError("simulate_welfare needs a two-state model")
         counts = _walk(
             _birth_death_table(K), model.directions(beta), model.probs[theta - 1],
             K, n, N, rng,
         )
         return np.repeat(np.arange(-K, K + 1), counts)
-    if not isinstance(model, ContinuousSignalModel):
-        raise ValueError(
-            "simulate_welfare needs a ContinuousSignalModel or a DiscreteSignalModel, "
-            f"got {type(model).__name__}"
-        )
     up_at = 1.0 + beta
     # Compared as bit patterns, +0.0 and (0, bound] are down, while -0.0, a
     # negative ratio and NaN (sign bit set, or a pattern above inf's) stay.
@@ -196,6 +190,7 @@ def simulate_welfare(
     N = _check_int(N, "N", 0)
     beta = _check_beta(beta)
     seed = _check_int(seed, "seed", 0)
+    _check_kind(model, "model", _SIGNAL_MODELS, 2)
     rng = np.random.default_rng(seed)
     n1 = int(rng.binomial(trials, spec.pi))
     payoffs = np.empty(trials)
@@ -243,8 +238,7 @@ def simulate_ladder(
     beta: float = 0.0,
 ) -> LadderEstimate:
     """Empirical occupancy of the three-ladder system under each state."""
-    if not isinstance(model, DiscreteSignalModel) or model.theta_count != 3:
-        raise ValueError("simulate_ladder needs a three-state discrete model")
+    _check_kind(model, "model", DiscreteSignalModel, 3)
     trials = _check_int(trials, "trials", 1)
     K = _check_int(K, "K", 1)
     N = _check_int(N, "N", 0)

@@ -27,6 +27,7 @@ from .signals import (
     ContinuousSignalModel,
     DiscreteSignalModel,
     _check_int,
+    _check_kind,
     _check_real,
     asymmetric_tilt_model,
     classify,
@@ -60,11 +61,7 @@ class EvidenceRow:
 
 def evidence_table(model: DiscreteSignalModel, beta: float = 0.0) -> list[EvidenceRow]:
     """Direction, strength, and processing status of every outcome."""
-    if not isinstance(model, DiscreteSignalModel):
-        raise ValueError(
-            f"evidence_table needs a DiscreteSignalModel, got {type(model).__name__}"
-        )
-    kept = model.directions(beta)
+    kept = _check_kind(model, "model", DiscreteSignalModel).directions(beta)
     return [
         EvidenceRow(
             outcome=label,
@@ -350,8 +347,7 @@ def model_from_config(doc: Mapping) -> ContinuousSignalModel | DiscreteSignalMod
             return build(**{**defaults, **params})
         except TypeError as err:  # a key the constructor lacks, a value of a wrong type
             raise ValueError(f"bad params for model {name!r}: {err}") from None
-    theta_count = doc.get("theta_count", 2)
-    theta_count = _check_int(theta_count, "theta_count", 2)
+    theta_count = _check_int(doc.get("theta_count", 2), "theta_count", 2)
     outcomes, probs = doc.get("outcomes"), doc.get("probs")
     if not isinstance(outcomes, (list, tuple)) or not isinstance(probs, Mapping):
         raise ValueError(

@@ -51,20 +51,21 @@ _SUM_TOL = 1e-12       # a law may miss a total of 1 by this much
 _INT_TYPES = (int, np.integer)
 
 
-def _check_int(value, name: str, low: int) -> int:
-    """``value`` as an int; ValueError unless it is an int or numpy integer >= ``low``.
+def _check_int(value, name: str, low: int, high=math.inf) -> int:
+    """``value`` as an int; ValueError unless it is an int or numpy integer in [low, high].
 
     A bool is refused, although Python counts it as an int: a JSON ``true``
-    is no count. A numpy integer comes back as the same Python int, so it
-    computes what that int does (numpy's fixed width wraps around, and its
-    power can land an ulp away). It runs on hot paths, so a plain int in
-    range returns first and the arguments are positional.
+    is no count, nor True a state. A numpy integer comes back as the same
+    Python int, so it computes what that int does (numpy's fixed width wraps
+    around, and its power can land an ulp away). It runs on hot paths, so a
+    plain int in range returns first and the arguments are positional.
     """
-    if value.__class__ is int and value >= low:
+    if value.__class__ is int and low <= value <= high:
         return value
-    if not isinstance(value, _INT_TYPES) or value.__class__ is bool or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
+    if isinstance(value, _INT_TYPES) and value.__class__ is not bool and low <= value <= high:
+        return int(value)
+    interval = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+    raise ValueError(f"{name} must be an integer {interval}, got {value!r}")
 
 
 def _check_real(value, name: str, low, high, ends: str) -> float:
@@ -104,24 +105,26 @@ def _check_law(array: np.ndarray, axis: int, what: str) -> None:
         )
 
 
-def _check_theta(theta, n: int) -> int:
-    """``theta`` as an int; ValueError unless it is an int or numpy integer in 1..n.
-
-    As in ``_check_int``, a bool or a float is refused: neither True nor 1.0
-    is state 1. The state loops call it through ``_pick`` on every sweep
-    cell, so a plain int in range returns first.
-    """
-    if theta.__class__ is int and 0 < theta <= n:
-        return theta
-    if isinstance(theta, _INT_TYPES) and theta.__class__ is not bool and 0 < theta <= n:
-        return int(theta)
-    states = ", ".join(map(str, range(1, n))) + f" or {n}"
-    raise ValueError(f"theta must be {states}, got {theta}")
+def _check_kind(value, name: str, kinds, states: int | None = None):
+    """``value``; ValueError unless it is a ``kinds`` (a class or a tuple of them)
+    with ``states`` states when set (a continuous model has two)."""
+    count = getattr(value, "theta_count", 2)
+    if isinstance(value, kinds) and states in (None, count):
+        return value
+    names = [kind.__name__ for kind in (kinds if isinstance(kinds, tuple) else (kinds,))]
+    want = " or a ".join(names)
+    got = type(value).__name__
+    if states is not None:
+        want += f" with {states} states"
+        got += f" with {count} states" if isinstance(value, kinds) else ""
+    raise ValueError(f"{name} must be a {want}, got {got}")
 
 
 def _pick(theta: int, first, second):
     """``first`` under state 1, ``second`` under state 2."""
-    return (first, second)[_check_theta(theta, 2) - 1]
+    if theta.__class__ is not int or not 0 < theta < 3:  # the hot path skips the rule
+        theta = _check_int(theta, "theta", 1, 2)
+    return (first, second)[theta - 1]
 
 
 def _check_beta(beta) -> float:
@@ -147,7 +150,7 @@ class Evidence:
 
     def processed(self, beta: float) -> bool:
         """True when the signal survives censoring at threshold 1 + beta."""
-        return self.strength >= 1.0 + beta
+        return self.strength >= 1.0 + _check_beta(beta)
 
 
 @dataclass(frozen=True)
@@ -354,7 +357,7 @@ class DiscreteSignalModel:
             raise ValueError(f"unknown outcome {label!r}") from None
 
     def prob(self, label: str, theta: int) -> float:
-        theta = _check_theta(theta, self.theta_count)
+        theta = _check_int(theta, "theta", 1, self.theta_count)
         return float(self.probs[theta - 1, self.outcome_index(label)])
 
     def directions(self, beta: float) -> np.ndarray:
@@ -450,7 +453,7 @@ def classify(
     which keeps classification deterministic (such signals are censored by
     any beta > 0 anyway).
     """
-    if isinstance(model, ContinuousSignalModel):
+    if isinstance(_check_kind(model, "model", _SIGNAL_MODELS), ContinuousSignalModel):
         x = _check_real(x, "x", 0, 1, "[]")
         f1 = float(model.density1(x))
         f2 = float(model.density2(x))
@@ -563,6 +566,7 @@ def _ancestors(k: int) -> np.ndarray:
 
 
 _BISECT_STEPS = math.ceil(-math.log2(_BOUNDARY_TOL))  # halvings of [0, 1] to it
+_SIGNAL_MODELS = (ContinuousSignalModel, DiscreteSignalModel)  # the kinds classify takes
 
 
 def _ratio_boundaries(model: ContinuousSignalModel, targets: np.ndarray) -> np.ndarray:
@@ -629,6 +633,7 @@ def _censored_masses(
     over all 2B targets, and the surviving pieces [x_hi, 1] and [0, x_lo]
     under both states from one quadrature over all 4B intervals.
     """
+    _check_kind(model, "model", _SIGNAL_MODELS, 2)
     betas = np.array([_check_beta(beta) for beta in betas], dtype=float)
     if not len(betas):
         return np.zeros((0, 2, 2))
@@ -644,16 +649,6 @@ def _censored_masses(
         masses = _simpson(model.density1, model.density2, a, b, len(a) // 2)
         mass[:, kept] = masses.reshape(2, -1)
         return mass.transpose(2, 1, 0)
-    if not isinstance(model, DiscreteSignalModel):
-        raise ValueError(
-            "censoring needs a ContinuousSignalModel or a DiscreteSignalModel, "
-            f"got {type(model).__name__}"
-        )
-    if model.theta_count != 2:
-        raise ValueError(
-            f"censored transitions need a two-state model, not {model.theta_count} "
-            "states; use censored_direction_matrix for more states"
-        )
     return np.array([_direction_mass(model, beta) for beta in betas])
 
 
@@ -714,7 +709,7 @@ def censored_direction_matrix(
     signal points to state i when the true state is theta; columns sum to 1.
     Raises FullyCensored when some state processes nothing at all.
     """
-    mass = _direction_mass(model, beta)
+    mass = _direction_mass(_check_kind(model, "model", DiscreteSignalModel), beta)
     totals = mass.sum(axis=0)
     for theta in range(1, model.theta_count + 1):
         if totals[theta - 1] <= 0.0:
@@ -745,6 +740,7 @@ def pool(
     iterable of member groups (labels are then joined with '+'). The groups
     must cover every outcome exactly once.
     """
+    _check_kind(model, "model", DiscreteSignalModel)
     try:
         if isinstance(partition, Mapping):
             groups = [(str(k), list(v)) for k, v in partition.items()]
@@ -784,6 +780,7 @@ def batch(model: DiscreteSignalModel, J: int) -> DiscreteSignalModel:
     to it. Otherwise outcomes are explicit J-tuples with product
     probabilities, refused above a million tuples.
     """
+    _check_kind(model, "model", DiscreteSignalModel)
     J = _check_int(J, "J", 1)
     if J == 1:
         return model

@@ -43,6 +43,7 @@ from .signals import (
     _censored_masses,
     _check_beta,
     _check_int,
+    _check_kind,
     _check_real,
     _columns,
     _interior,
@@ -86,6 +87,7 @@ class ProblemSpec:
     K: int
 
     def __post_init__(self):
+        _check_kind(self.prior, "prior", PriorModel)
         object.__setattr__(self, "_rho", _objective_odds(self.pi))
         object.__setattr__(self, "_stakes", Stakes(self.gamma))
         object.__setattr__(self, "K", _check_int(self.K, "K", 1))
@@ -148,9 +150,7 @@ def _baselines(prior: PriorModel, Gamma, w1, w2) -> np.ndarray:
 
 def welfare_at_threshold(k: int, p: PVector, spec: ProblemSpec) -> float:
     """Welfare of the rule 'act 1 iff the mental state is at least k' (k <= K + 1)."""
-    k = _check_int(k, "k", -spec.K)
-    if k > spec.K + 1:
-        raise ValueError(f"k={k} outside -K..K+1 for K={spec.K}")
+    k = _check_int(k, "k", -spec.K, spec.K + 1)
     act = (np.arange(-spec.K, spec.K + 1) >= k).astype(float)
     return float(_combine(spec.weights, _laws(p, spec.K), act))
 
@@ -455,9 +455,7 @@ def regular_censoring_gain(
     side, raising the action-1 tail under state 1 and lowering it under
     state 2.
     """
-    k = _check_int(k, "k", 1 - spec.K)
-    if k > spec.K:
-        raise ValueError(f"threshold k={k} outside (-K, K] for K={spec.K}")
+    k = _check_int(k, "k", 1 - spec.K, spec.K)
     if x is not None:
         x = _check_real(x, "x", 0, 0.5, "()")
     return float(_censoring_gains(p.p11, p.p22, spec, x)[k + spec.K - 1])
@@ -805,10 +803,11 @@ def sweep(
     loop runs over y, the inner over x, so rows come out row-major with x
     varying fastest. Inputs that hold for every cell (the problem, a fixed
     beta, a beta without a model, a model without two-state censoring, N
-    for finite_n_ratio, a fixed d for the metrics that read it) are checked
-    once and raise ValueError; cells whose evaluation is undefined (no
-    dynamics, fully censored, degenerate, a d axis value outside the
-    metric's domain) carry value NaN.
+    for finite_n_ratio, a fixed d for the metrics that read it, and each
+    axis value or fixed value by the rule of its axis, which refuses a NaN p
+    or d) are checked once and raise ValueError; cells whose evaluation is
+    undefined (no dynamics, fully censored, degenerate, a d axis value
+    outside the metric's domain) carry value NaN.
     """
     if metric not in SWEEP_METRICS:
         raise ValueError(
@@ -825,14 +824,9 @@ def sweep(
         N = _check_int(N, "N", 0)
     if metric in ("delta_fixed", "censor_gain", "finite_n_ratio") and "d" not in (x, y):
         _power_rule(d, metric)
-    base = {
-        "p11": p11,
-        "p22": p22,
-        "gamma": gamma,
-        "K": _axis_value("K", K),
-        "d": d,
-        "beta": None if beta is None else _axis_value("beta", beta),
-    }
+    base = {"gamma": gamma, "K": _axis_value("K", K), "d": _axis_value("d", d)}
+    for axis, v in (("p11", p11), ("p22", p22), ("beta", beta)):  # None: not fixed
+        base[axis] = None if v is None else _axis_value(axis, v)
     spec = ProblemSpec.noisy_priors(pi, gamma, base["K"], sigma_log, rho)
     xs = [_axis_value(x, v) for v in x_values]
     ys = [_axis_value(y, v) for v in y_values]
@@ -874,11 +868,14 @@ def sweep(
 
 
 def _axis_value(axis: str, v) -> float | int:
-    """A grid value as a float, or as an int on the K axis; a beta is checked."""
+    """A grid or fixed value by the rule of its axis: K, beta and gamma by their
+    own; a p or d is any number but NaN, and one outside its domain a NaN cell."""
     if axis == "K":
         if isinstance(v, float) and v.is_integer():  # a CLI grid value such as 2.0
             v = int(v)
         return _check_int(v, "K", 1)
     if axis == "beta":
         return _check_beta(v)
-    return float(v)
+    if axis == "gamma":
+        return Stakes(v).gamma
+    return _check_real(v, axis, -math.inf, math.inf, "[]")

@@ -1,10 +1,12 @@
-"""The argument rules: an integer rule, a real-number rule and a probability-law rule.
+"""The argument rules: an integer rule, a real-number rule, a probability-law
+rule and a kind rule.
 
-Every integer argument of the public API goes through ``signals._check_int``,
-every scalar real argument through ``signals._check_real`` and every
-probability array through ``signals._check_law``. The property tests below
-run each integer and each real argument through bad values (which must raise
-ValueError) and through numpy scalars (which must give the output of the
+Every integer argument of the public API (a state theta among them) goes
+through ``signals._check_int``, every scalar real argument through
+``signals._check_real``, every probability array through ``signals._check_law``
+and every model argument through ``signals._check_kind``. The property tests
+below run each integer and each real argument through bad values (which must
+raise ValueError) and through numpy scalars (which must give the output of the
 same Python number). The last test keeps any rule from being written out
 again outside ``signals.py``.
 """
@@ -23,6 +25,7 @@ from belieflab import (
     BeliefStrategy,
     ContinuousSignalModel,
     DiscreteSignalModel,
+    Evidence,
     PriorModel,
     PVector,
     Stakes,
@@ -52,6 +55,7 @@ from belieflab import (
     lunar_strength_rows,
     model_from_config,
     posterior,
+    prior_exceed_prob,
     regular_censoring_gain,
     simulate_chain,
     simulate_ladder,
@@ -84,6 +88,11 @@ def _doc(theta_count):
 
 # argument -> (call taking the argument, its lower bound, largest value tried)
 _INTEGER_ARGUMENTS = {
+    "column-theta": (_P.column, 1, 2),
+    "prob-theta": (lambda v: _PAIR.prob("a", v), 1, 2),
+    "finite_n_distribution-theta": (lambda v: finite_n_distribution(_Q, v, 2, 3), 1, 2),
+    "ladder_transition-theta": (lambda v: ladder_transition(_P3, 2, v), 1, 3),
+    "simulate_chain-theta": (lambda v: simulate_chain(_Q, v, 2, 5, 20, 0), 1, 2),
     "stationary-K": (lambda v: stationary(2.0, v), 1, 4),
     "finite_n_distribution-K": (lambda v: finite_n_distribution(_Q, 1, v, 3), 1, 4),
     "finite_n_distribution-N": (lambda v: finite_n_distribution(_Q, 1, 2, v), 0, 6),
@@ -137,6 +146,17 @@ _INTEGER_ARGUMENTS = {
         lambda v: DiscreteSignalModel(_PAIR.outcomes, _PAIR.probs, theta_count=v), 2, 2
     ),
     "model_from_config-theta_count": (lambda v: model_from_config(_doc(v)), 2, 2),
+}
+
+# argument -> its upper end, for the integer arguments bounded above
+_UPPER_ENDS = {
+    "column-theta": 2,
+    "prob-theta": 2,
+    "finite_n_distribution-theta": 2,
+    "ladder_transition-theta": 3,
+    "simulate_chain-theta": 2,
+    "welfare_at_threshold-k": 3,
+    "regular_censoring_gain-k": 2,
 }
 
 
@@ -212,6 +232,10 @@ _REAL_ARGUMENTS = {
         (0, _INF, "[]"), (0, 100),
     ),
     "stationary-r": (lambda v: stationary(v, 2), (0, _INF, "[]"), (0, 50)),
+    "prior_exceed_prob-t": (
+        lambda v: prior_exceed_prob(PriorModel(1.0, 0.5), v), (0, _INF, "[]"), (0, 100)
+    ),
+    "processed-beta": (Evidence(1, 2.0).processed, (0, _INF, "[)"), (0, 3)),
     "censored_p-x": (lambda v: censored_p(_P, v), (-0.5, 0.5, "()"), (-0.1, 0.1)),
     "regular_censoring_gain-x": (
         lambda v: regular_censoring_gain(_P, _SPEC, 1, v), (0, 0.5, "()"), (0.001, 0.1)
@@ -227,6 +251,25 @@ _REAL_ARGUMENTS = {
         lambda v: grid_argmax([(_PAIR, _SPEC, 1.0)], [0.0], [v]), (1, _INF, "[)"), (1, 50)
     ),
     "sweep-d": (lambda v: _grid("delta_fixed", d=v), (1, _INF, "()"), (1.01, 50)),
+    "sweep-d-ignored": (lambda v: _grid("delta_bayes", d=v), (-_INF, _INF, "[]"), (0.5, 50)),
+    "sweep-d-axis": (
+        lambda v: sweep("delta_fixed", "d", [v], "p22", [0.6], p11=0.7),
+        (-_INF, _INF, "[]"), (0.5, 50),
+    ),
+    "sweep-p11-axis": (
+        lambda v: sweep("delta_bayes", "p11", [v], "p22", [0.6]), (-_INF, _INF, "[]"), (-1, 2)
+    ),
+    "sweep-p22-axis": (
+        lambda v: sweep("delta_bayes", "p11", [0.7], "p22", [v]), (-_INF, _INF, "[]"), (-1, 2)
+    ),
+    "sweep-p11-fixed": (
+        lambda v: sweep("delta_bayes", "p22", [0.6], "gamma", [0.6], p11=v),
+        (-_INF, _INF, "[]"), (-1, 2),
+    ),
+    "sweep-p22-fixed": (
+        lambda v: sweep("delta_bayes", "p11", [0.7], "gamma", [0.6], p22=v),
+        (-_INF, _INF, "[]"), (-1, 2),
+    ),
     "sweep-beta": (
         lambda v: sweep("delta_fixed", "gamma", [0.6], "d", [2.0], beta=v, model=_PAIR),
         (0, _INF, "[)"), (0, 0.5),
@@ -287,11 +330,25 @@ _FORMER_ESCAPES = {
     "sweep-str-d": ("d", lambda: _grid("delta_fixed", d="x")),
     "PVector-bool": ("p11", lambda: PVector(True, 0.5)),
     "BeliefStrategy-bool": ("d", lambda: BeliefStrategy(True)),
+    "sweep-tuple-p11-axis": ("p11", lambda: sweep("delta_bayes", "p11", [(0.7,)], "p22", [0.6])),
+    "sweep-list-p11-fixed": (
+        "p11", lambda: sweep("delta_bayes", "p22", [0.6], "gamma", [0.6], p11=[0.7])
+    ),
+    "sweep-str-p11-fixed": (
+        "p11", lambda: sweep("delta_bayes", "p22", [0.6], "gamma", [0.6], p11="x")
+    ),
+    "prior_exceed_prob-list": ("t", lambda: prior_exceed_prob(PriorModel(1.0, 0.5), [1.0])),
+    "prior_exceed_prob-str": ("t", lambda: prior_exceed_prob(PriorModel(1.0, 0.5), "x")),
+    "processed-str": ("beta", lambda: Evidence(1, 2.0).processed("x")),
+    "processed-nan": ("beta", lambda: Evidence(1, 2.0).processed(math.nan)),
+    "processed-negative": ("beta", lambda: Evidence(1, 2.0).processed(-1.0)),
 }
 
 
-# arguments where None selects a default
-_OPTIONAL = {"regular_censoring_gain-x", "sweep-beta", "sweep-rho"}
+# arguments where None selects a default (or, for a fixed p, no p: NaN cells)
+_OPTIONAL = {
+    "regular_censoring_gain-x", "sweep-beta", "sweep-rho", "sweep-p11-fixed", "sweep-p22-fixed",
+}
 
 
 def _inside(x, low, high, ends):
@@ -325,7 +382,8 @@ def test_a_bad_real_raises_value_error(argument, data):
         bad = bad.filter(lambda v: v is not None)
     value = data.draw(bad, label="value")
     name = argument.split("-")[1]
-    with pytest.raises(ValueError, match=f"^{name} must be a real number in "):
+    interval = re.escape(f"{ends[0]}{low!r}, {high!r}{ends[1]}")
+    with pytest.raises(ValueError, match=f"^{name} must be a real number in {interval}, got "):
         call(value)
 
 
@@ -347,9 +405,9 @@ def test_a_former_escape_raises_value_error_naming_its_argument(case):
         call()
 
 
-def _bad_values(low):
-    """Values the integer rule refuses for an argument bounded below by low."""
-    return st.one_of(
+def _bad_values(low, high):
+    """Values the integer rule refuses for an argument in [low, high]."""
+    bad = [
         st.booleans(),
         st.sampled_from([np.True_, math.nan, math.inf, -math.inf]),
         st.floats(allow_nan=False, allow_infinity=False).filter(
@@ -357,7 +415,13 @@ def _bad_values(low):
         ),
         st.integers(max_value=low - 1),
         st.integers(min_value=-(2**62), max_value=low - 1).map(np.int64),
-    )
+    ]
+    if high < math.inf:
+        bad += [
+            st.integers(min_value=high + 1),
+            st.integers(min_value=high + 1, max_value=2**62).map(np.int64),
+        ]
+    return st.one_of(bad)
 
 
 def _plain(out):
@@ -378,9 +442,11 @@ def _plain(out):
 @given(data=st.data())
 def test_a_non_integer_or_low_value_raises_value_error(argument, data):
     call, low, _ = _INTEGER_ARGUMENTS[argument]
-    value = data.draw(_bad_values(low), label="value")
+    high = _UPPER_ENDS.get(argument, math.inf)
+    value = data.draw(_bad_values(low, high), label="value")
     name = argument.split("-")[1]
-    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+    interval = f">= {low}" if high == math.inf else re.escape(f"in [{low}, {high}]")
+    with pytest.raises(ValueError, match=f"^{name} must be an integer {interval}, got "):
         call(value)
 
 
@@ -403,6 +469,14 @@ _SCALAR_REFUSALS = (
 )
 
 
+# the messages of the hand-written state, threshold and model refusals, which
+# _check_int and _check_kind replace
+_OLD_REFUSALS = (
+    r"theta must be 1|outside -K|outside \(-K|needs a ContinuousSignalModel"
+    r"|needs a DiscreteSignalModel|two-state model|three-state"
+)
+
+
 def test_each_argument_rule_has_one_home():
     source = Path(__file__).resolve().parents[1] / "src" / "belieflab"
     strays = [
@@ -410,6 +484,8 @@ def test_each_argument_rule_has_one_home():
         for path in sorted(source.glob("*.py"))
         if path.name != "signals.py"
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if re.search(r"np\.\w*integer|1e-15", line) or re.search(_SCALAR_REFUSALS, line)
+        if re.search(r"np\.\w*integer|1e-15", line)
+        or re.search(_SCALAR_REFUSALS, line)
+        or re.search(_OLD_REFUSALS, line)
     ]
     assert strays == []

@@ -462,7 +462,7 @@ def test_prior_exceed_prob_matches_the_scalar_form():
         for t in ts:
             assert _bits(prior_exceed_prob(prior, float(t))) == _bits(_ref_exceed(prior, float(t)))
     for t in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="threshold t must be positive"):
+        with pytest.raises(ValueError, match=rf"^t must be a real number in \[0, inf\], got {t}$"):
             prior_exceed_prob(_PRIORS[0], t)
 
 

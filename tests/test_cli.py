@@ -618,7 +618,10 @@ class TestErrors:
               "--beta", "0.5"], "needs a signal model"),
             (["sweep", "--metric", "delta_fixed", "--x", "beta", "--y", "d",
               "--model", "autocorr", "--x-grid", "0:0.5:2", "--y-grid", "2:2:1"],
-             "two-state model"),
+             "model must be a ContinuousSignalModel or a DiscreteSignalModel with 2 states, "
+             "got DiscreteSignalModel with 3 states"),
+            (["sweep", "--metric", "delta_bayes", "--x", "p22", "--y", "gamma",
+              "--p11", "nan"], "p11 must be a real number in [-inf, inf], got nan"),
             (["sweep", "--metric", "delta_bayes", "--x", "p11", "--y", "p22",
               "--pi", "1"], "pi must be a real number in (0, 1), got 1.0"),
             (["oracle", "welfare", "--model", "lunar", "--pi", "1"],

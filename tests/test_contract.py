@@ -163,7 +163,9 @@ _BAD_INPUTS = {
         r"beta must be a real number in \[0, inf\), got -0\.5",
     ),
     "welfare-three-state-discrete": (
-        lambda: _welfare(autocorr_model(draws=6)[0]), "two-state model"
+        lambda: _welfare(autocorr_model(draws=6)[0]),
+        "model must be a ContinuousSignalModel or a DiscreteSignalModel with 2 states, "
+        "got DiscreteSignalModel with 3 states",
     ),
     "welfare-one-trial": (
         lambda: _welfare(lunar_model(), trials=1), "trials must be an integer >= 2"
@@ -189,7 +191,8 @@ _BAD_INPUTS = {
     "sweep-beta-three-state": (
         lambda: _sweep("delta_fixed", x="beta", x_values=[0.0, 0.5], y="d", y_values=[2.0],
                        model=autocorr_model()[0]),
-        "two-state model",
+        "model must be a ContinuousSignalModel or a DiscreteSignalModel with 2 states, "
+        "got DiscreteSignalModel with 3 states",
     ),
     "lambda-bar-overflow": (
         lambda: censor_sensitivity(PVector(0.999, 0.999), 60), "lambda_bar overflows"
@@ -229,7 +232,7 @@ _BAD_INPUTS = {
     ),
     "ladder-continuous-model": (
         lambda: simulate_ladder(tilt_model(1.0), 2, 5, trials=10, seed=0),
-        "three-state discrete model",
+        "model must be a DiscreteSignalModel with 3 states, got ContinuousSignalModel$",
     ),
     "threshold-welfare-fractional-k": (
         lambda: welfare_at_threshold(0.5, PVector(0.7, 0.6), _SPEC),
@@ -261,7 +264,7 @@ _BAD_INPUTS = {
     ),
     "prior-exceed-nan-threshold": (
         lambda: prior_exceed_prob(PriorModel(1.0, 0.5), math.nan),
-        "threshold t must be positive",
+        r"t must be a real number in \[0, inf\], got nan",
     ),
     "decision-threshold-nan-prior": (
         lambda: decision_threshold(BeliefStrategy(2.0), math.nan, 1.5, 2),
@@ -459,23 +462,26 @@ _BAD_INPUTS = {
         "probs rows must be finite, nonnegative",
     ),
     "kernel-bool-theta": (
-        lambda: kernel_from_p(0.7, 0.6).column(True), "theta must be 1 or 2, got True"
+        lambda: kernel_from_p(0.7, 0.6).column(True),
+        r"theta must be an integer in \[1, 2\], got True",
     ),
     "finite-n-bool-theta": (
         lambda: finite_n_distribution(kernel_from_p(0.7, 0.6), True, 1, 2),
-        "theta must be 1 or 2, got True",
+        r"theta must be an integer in \[1, 2\], got True",
     ),
     "ladder-bool-theta": (
-        lambda: ladder_transition(_P3, 1, True), "theta must be 1, 2 or 3, got True"
+        lambda: ladder_transition(_P3, 1, True),
+        r"theta must be an integer in \[1, 3\], got True",
     ),
     "ladder-float-theta": (
-        lambda: ladder_transition(_P3, 1, 1.0), "theta must be 1, 2 or 3, got 1.0"
+        lambda: ladder_transition(_P3, 1, 1.0),
+        r"theta must be an integer in \[1, 3\], got 1\.0",
     ),
     "discrete-prob-zero-theta": (
-        lambda: _PAIR.prob("a", 0), "theta must be 1 or 2, got 0"
+        lambda: _PAIR.prob("a", 0), r"theta must be an integer in \[1, 2\], got 0"
     ),
     "discrete-prob-high-theta": (
-        lambda: _PAIR.prob("a", 3), "theta must be 1 or 2, got 3"
+        lambda: _PAIR.prob("a", 3), r"theta must be an integer in \[1, 2\], got 3"
     ),
     "tilt-overflowing-lam": (lambda: tilt_model(1000.0), "overflows"),
     "asymmetric-tilt-overflowing-spike": (
@@ -568,19 +574,22 @@ _BAD_INPUTS = {
     ),
     "transitions-model-a-name": (
         lambda: censored_transitions("tilt", 0.1),
-        "censoring needs a ContinuousSignalModel or a DiscreteSignalModel, got str",
+        "model must be a ContinuousSignalModel or a DiscreteSignalModel with 2 states, "
+        "got str$",
     ),
     "sweep-model-a-name": (
         lambda: _sweep(x="beta", x_values=[0.0], y="d", y_values=[2.0], model="tilt"),
-        "censoring needs a ContinuousSignalModel or a DiscreteSignalModel, got str",
+        "model must be a ContinuousSignalModel or a DiscreteSignalModel with 2 states, "
+        "got str$",
     ),
     "evidence-table-continuous-model": (
         lambda: evidence_table(tilt_model(1.0)),
-        "evidence_table needs a DiscreteSignalModel, got ContinuousSignalModel",
+        "model must be a DiscreteSignalModel, got ContinuousSignalModel$",
     ),
     "welfare-model-a-name": (
         lambda: _welfare("tilt"),
-        "simulate_welfare needs a ContinuousSignalModel or a DiscreteSignalModel, got str",
+        "model must be a ContinuousSignalModel or a DiscreteSignalModel with 2 states, "
+        "got str$",
     ),
     "welfare-degenerate-parameters": (
         lambda: expected_welfare(
@@ -601,7 +610,7 @@ _BAD_INPUTS = {
     ),
     "censoring-gain-k-above-K": (
         lambda: regular_censoring_gain(PVector(0.8, 0.7), _SPEC, 3),
-        r"threshold k=3 outside \(-K, K\] for K=2",
+        r"k must be an integer in \[-1, 2\], got 3",
     ),
     "sweep-unknown-axis": (
         lambda: _sweep(x="bogus"), "unknown axis 'bogus'; choose from"
@@ -705,6 +714,66 @@ _BAD_INPUTS = {
     "spec-str-gamma": (
         lambda: ProblemSpec(0.5, "0.6", PriorModel(1.0), 2),
         r"gamma must be a real number in \[0, 1\], got '0\.6'",
+    ),
+    "spec-str-prior": (
+        lambda: ProblemSpec(0.5, 0.6, "prior", 2), "^prior must be a PriorModel, got str$"
+    ),
+    "direction-matrix-continuous-model": (
+        lambda: censored_direction_matrix(tilt_model(1.0), 0.1),
+        "^model must be a DiscreteSignalModel, got ContinuousSignalModel$",
+    ),
+    "direction-matrix-model-a-name": (
+        lambda: censored_direction_matrix("x", 0.1),
+        "^model must be a DiscreteSignalModel, got str$",
+    ),
+    "pool-continuous-model": (
+        lambda: pool(tilt_model(1.0), [["a"]]),
+        "^model must be a DiscreteSignalModel, got ContinuousSignalModel$",
+    ),
+    "batch-continuous-model": (
+        lambda: batch(tilt_model(1.0), 2),
+        "^model must be a DiscreteSignalModel, got ContinuousSignalModel$",
+    ),
+    "batch-continuous-model-one-at-a-time": (
+        lambda: batch(tilt_model(1.0), 1),
+        "^model must be a DiscreteSignalModel, got ContinuousSignalModel$",
+    ),
+    "classify-model-a-name": (
+        lambda: classify("x", 0.5),
+        "^model must be a ContinuousSignalModel or a DiscreteSignalModel, got str$",
+    ),
+    "ladder-two-state-model": (
+        lambda: simulate_ladder(lunar_model(), 2, 5, trials=10, seed=0),
+        "^model must be a DiscreteSignalModel with 3 states, got DiscreteSignalModel with 2 "
+        "states$",
+    ),
+    "threshold-welfare-k-above-K": (
+        lambda: welfare_at_threshold(4, PVector(0.7, 0.6), _SPEC),
+        r"^k must be an integer in \[-2, 3\], got 4$",
+    ),
+    "threshold-welfare-k-below-minus-K": (
+        lambda: welfare_at_threshold(-3, PVector(0.7, 0.6), _SPEC),
+        r"^k must be an integer in \[-2, 3\], got -3$",
+    ),
+    "censoring-gain-k-at-minus-K": (
+        lambda: regular_censoring_gain(PVector(0.8, 0.7), _SPEC, -2),
+        r"^k must be an integer in \[-1, 2\], got -2$",
+    ),
+    "sweep-nan-p11-axis": (
+        lambda: _sweep(x_values=[0.7, math.nan]),
+        r"^p11 must be a real number in \[-inf, inf\], got nan$",
+    ),
+    "sweep-nan-p22-fixed": (
+        lambda: _sweep(y="gamma", y_values=[0.6], p22=math.nan),
+        r"^p22 must be a real number in \[-inf, inf\], got nan$",
+    ),
+    "sweep-nan-d-axis": (
+        lambda: _sweep("delta_fixed", x="d", x_values=[2.0, math.nan], p11=0.7),
+        r"^d must be a real number in \[-inf, inf\], got nan$",
+    ),
+    "sweep-str-gamma-axis": (
+        lambda: _sweep(y="gamma", y_values=["0.6"], p22=0.6),
+        r"^gamma must be a real number in \[0, 1\], got '0\.6'$",
     ),
 }
 

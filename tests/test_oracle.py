@@ -376,5 +376,9 @@ class TestSimulateLadder:
             assert np.all(gap <= 3.0 * est.stderr[theta - 1] + 3.0 / trials)
 
     def test_two_state_model_rejected(self):
-        with pytest.raises(ValueError, match="three-state"):
+        with pytest.raises(
+            ValueError,
+            match="^model must be a DiscreteSignalModel with 3 states, "
+            "got DiscreteSignalModel with 2 states$",
+        ):
             simulate_ladder(lunar_model(), 2, N=10, trials=10, seed=0)

@@ -734,7 +734,7 @@ class TestOneExponentialTilt:
     ids=["kernel", "pvector", "density", "tilt-sampler", "asymmetric-sampler"],
 )
 def test_every_two_state_pick_names_the_bad_theta(call):
-    with pytest.raises(ValueError, match=r"^theta must be 1 or 2, got \d$"):
+    with pytest.raises(ValueError, match=r"^theta must be an integer in \[1, 2\], got \d$"):
         call()
 
 
