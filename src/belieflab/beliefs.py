@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signals import PVector, _check_int, _check_real, _interior
+from .signals import PVector, _check_int, _check_kind, _check_real, _interior
 
 __all__ = [
     "PriorModel",
@@ -106,8 +106,21 @@ class Stakes:
         return self.gamma / (1.0 - self.gamma)
 
 
+def _check_rule(strategy):
+    """``strategy``; ValueError unless it is a posterior rule: a ``BeliefStrategy``,
+    or ``BayesParams`` that are not degenerate, with d and lam in (0, inf)."""
+    _check_kind(strategy, "strategy", (BeliefStrategy, BayesParams))
+    if isinstance(strategy, BayesParams):
+        if strategy.degenerate:
+            raise ValueError("degenerate parameters have no posterior rule to evaluate")
+        _check_real(strategy.d, "d", 0, math.inf, "()")
+        _check_real(strategy.lam, "lam", 0, math.inf, "()")
+    return strategy
+
+
 def posterior(strategy, rho_tilde: float, s: int) -> float:
     """Posterior odds of state 1 in mental state s; inf when d**s overflows."""
+    _check_rule(strategy)
     rho_tilde = _check_real(rho_tilde, "rho_tilde", 0, math.inf, "()")
     try:
         return rho_tilde * strategy.lam * strategy.d**s
@@ -129,19 +142,13 @@ def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:
 
     Returns -K when even the lowest state acts 1 and K + 1 when no state
     does. Indifference counts as acting 1 (the ">= Gamma" convention is used
-    everywhere). The states that act are those of the act step at the
-    deterministic prior rho_tilde (``_act_probabilities``), so the result is
-    the point mass of ``threshold_mass`` with no prior noise, ties included.
-    Requires d >= 1 so that posteriors rise with the state, and Gamma >= 0
-    (inf included: then no finite posterior acts).
+    everywhere). This is the point mass of ``threshold_mass`` at the
+    deterministic prior rho_tilde, so the two agree at ties, and it reads
+    the same arguments: d >= 1 so that posteriors rise with the state, and
+    Gamma >= 0 (inf included: then no finite posterior acts).
     """
-    _check_real(strategy.d, "strategy.d", 1, math.inf, "[]")
-    K = _check_int(K, "K", 1)
     rho_tilde = _check_real(rho_tilde, "rho_tilde", 0, math.inf, "()")
-    Gamma = _check_real(Gamma, "Gamma", 0, math.inf, "[]")
-    act = _act_probabilities(PriorModel(rho_tilde), strategy.d, strategy.lam, Gamma, K)
-    acting = np.flatnonzero(act)
-    return int(acting[0]) - K if acting.size else K + 1
+    return int(threshold_mass(PriorModel(rho_tilde), strategy, Gamma, K).argmax() - K)
 
 
 def prior_exceed_prob(prior: PriorModel, t: float) -> float:
@@ -150,10 +157,8 @@ def prior_exceed_prob(prior: PriorModel, t: float) -> float:
 
 
 def _exceed_probs(prior: PriorModel, t) -> np.ndarray:
-    """``prior_exceed_prob`` elementwise over an array of thresholds t."""
+    """``prior_exceed_prob`` elementwise over an array of thresholds t in [0, inf]."""
     t = np.asarray(t, dtype=float)
-    if not (t >= 0.0).all():  # NaN fails too
-        raise ValueError(f"threshold t must be positive, got {float(t[~(t >= 0.0)][0])!r}")
     if prior.sigma_log == 0.0:
         return (prior.rho >= t).astype(float)
     # t = 0 gives z = inf and exactly 1, t = inf gives z = -inf and exactly 0
@@ -167,14 +172,11 @@ def _act_probabilities(prior: PriorModel, d, lam, Gamma, K: int) -> np.ndarray:
 
     One row (..., 2K+1) per entry of the broadcast d, lam and Gamma; scalars
     give one row. The shift lam * d**s is the posterior at prior odds 1 (see
-    ``posterior``); one that overflows or underflows acts 1 or 0 outright. A
-    lam of 0 or inf (only ``BayesParams`` can carry one) has no posterior
-    rule and raises.
+    ``posterior``); one that overflows or underflows acts 1 or 0 outright.
+    Callers keep lam in (0, inf), d >= 0 and Gamma in [0, inf] (by ``_check_rule``
+    or their own checks and masks), so each threshold Gamma / shift is in [0, inf].
     """
     lam, Gamma = (np.asarray(v, dtype=float)[..., None] for v in (lam, Gamma))
-    bad = ~((0.0 < lam) & (lam < math.inf))
-    if bad.any():
-        raise ValueError(f"lam must be positive and finite, got {float(lam[bad][0])!r}")
     with np.errstate(all="ignore"):  # a float overflows to inf quietly, as in Python
         shift = lam * np.asarray(d, dtype=float)[..., None] ** np.arange(-K, K + 1.0)
         t = np.where(shift == math.inf, 0.0, Gamma / shift)
@@ -190,7 +192,8 @@ def threshold_mass(
     the probability that no state acts (threshold K + 1): Pr(threshold <= s)
     is the act probability at s, so the law is its difference.
     """
-    _check_real(strategy.d, "strategy.d", 1, math.inf, "[]")
+    _check_kind(prior, "prior", PriorModel)
+    _check_real(_check_rule(strategy).d, "strategy.d", 1, math.inf, "[]")
     K = _check_int(K, "K", 1)
     Gamma = _check_real(Gamma, "Gamma", 0, math.inf, "[]")
     cum = _act_probabilities(prior, strategy.d, strategy.lam, Gamma, K)

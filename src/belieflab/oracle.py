@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beliefs import _check_rule
 from .chain import _birth_death_table, _ladder_move_table
 from .signals import (
     DiscreteSignalModel,
@@ -26,7 +27,6 @@ from .signals import (
     _check_int,
     _check_kind,
 )
-from .welfare import ProblemSpec
 
 __all__ = [
     "ChainEstimate",
@@ -170,7 +170,7 @@ def _final_states(
 
 def simulate_welfare(
     model,
-    spec: ProblemSpec,
+    spec,
     strategy,
     beta: float,
     N: int,
@@ -179,10 +179,12 @@ def simulate_welfare(
 ) -> WelfareEstimate:
     """Realized welfare of the full pipeline, with a 95% CI.
 
-    Per trial: draw the state, run N raw signals through censoring and the
-    mental chain (``_final_states``), draw the prior, then act 1 iff the
-    posterior rho_tilde * lam * d**s clears Gamma or the shift lam * d**s
-    is infinite. The prior draws are independent of the final states, so
+    spec is a ``welfare.ProblemSpec``, and strategy a posterior rule checked
+    as the closed form checks it (``beliefs._check_rule``). Per trial: draw
+    the state, run N raw signals through censoring and the mental chain
+    (``_final_states``), draw the prior, then act 1 iff the posterior
+    rho_tilde * lam * d**s clears Gamma or the shift lam * d**s is
+    infinite. The prior draws are independent of the final states, so
     pairing them with sorted states is as good as pairing them agent by
     agent.
     """
@@ -191,6 +193,7 @@ def simulate_welfare(
     beta = _check_beta(beta)
     seed = _check_int(seed, "seed", 0)
     _check_kind(model, "model", _SIGNAL_MODELS, 2)
+    _check_rule(strategy)
     rng = np.random.default_rng(seed)
     n1 = int(rng.binomial(trials, spec.pi))
     payoffs = np.empty(trials)

@@ -165,8 +165,7 @@ def lunar_strength_rows(
     state-1 row runs ("0,0", then tension 1..8 on full-moon days).
     """
     max_tension = _check_int(max_tension, "max_tension", 0)
-    if model is None:
-        model = lunar_model()
+    model = lunar_model() if model is None else _check_kind(model, "model", DiscreteSignalModel)
     for_two = ["0,1"] + [f"{x},0" for x in range(max_tension, 0, -1)]
     for_one = ["0,0"] + [f"{x},1" for x in range(1, max_tension + 1)]
 
@@ -175,7 +174,7 @@ def lunar_strength_rows(
         for label in labels:
             ev = classify(model, label)
             if ev.direction != expect_direction:
-                raise RuntimeError(
+                raise ValueError(
                     f"outcome {label} points to {ev.direction}, "
                     f"expected {expect_direction}"
                 )

@@ -29,6 +29,7 @@ from .beliefs import (
     Stakes,
     _act_probabilities,
     _bayes_params,
+    _check_rule,
     _drift_odds,
     _exceed_probs,
     _log_normalizer,
@@ -156,7 +157,8 @@ def welfare_at_threshold(k: int, p: PVector, spec: ProblemSpec) -> float:
 
 
 def _act(spec: ProblemSpec, strategy) -> np.ndarray:
-    """The act step of one rule for the prior, stakes and chain size of ``spec``."""
+    """The act step of a rule, checked first, for the prior, stakes and K of ``spec``."""
+    _check_rule(strategy)
     return _act_probabilities(spec.prior, strategy.d, strategy.lam, spec.Gamma, spec.K)
 
 
@@ -203,9 +205,8 @@ def expected_welfare(p: PVector, spec: ProblemSpec, strategy) -> WelfareReport:
     to the inverted-reading rules with d < 1 that exact Bayes parameters can
     produce.
     """
-    if getattr(strategy, "degenerate", False):
-        raise ValueError("degenerate parameters have no posterior rule to evaluate")
-    value = float(_combine(spec.weights, _laws(p, spec.K), _act(spec, strategy)))
+    act = _act(spec, strategy)
+    value = float(_combine(spec.weights, _laws(p, spec.K), act))
     under, under0 = baseline_welfare(spec)
     return WelfareReport(
         value=value, baseline=under, baseline_correct=under0, delta=value - under
@@ -223,13 +224,7 @@ def bayes_welfare(p: PVector, spec: ProblemSpec) -> float:
     """
     if spec.has_correct_priors:
         return float(_envelope(spec.weights, _laws(p, spec.K)))
-    params = bayes_params(p, spec.K)
-    if params.degenerate:
-        raise ValueError(
-            "noisy-prior Bayes evaluation needs interior dynamics; "
-            f"got p=({p.p11!r}, {p.p22!r})"
-        )
-    return expected_welfare(p, spec, params).value
+    return expected_welfare(p, spec, bayes_params(p, spec.K)).value
 
 
 @dataclass(frozen=True)
@@ -349,17 +344,6 @@ def _default_step(p11, p22):
     """``default_censor_step`` elementwise over arrays of p."""
     room = np.minimum(np.minimum(p11, 1.0 - p11), np.minimum(p22, 1.0 - p22))
     return 0.5 * np.minimum(room, 0.02)
-
-
-def _lambda_bar(p: PVector, K: int) -> float:
-    """Largest Bayesian posterior shift lam * d_p**K; raises where
-    ``_lambda_bars`` leaves it undefined."""
-    if not p.interior:
-        raise ValueError("lambda_bar needs interior dynamics")
-    value = float(_lambda_bars(p.p11, p.p22, K))
-    if math.isnan(value):
-        raise ValueError(f"lambda_bar overflows at K={K}")
-    return value
 
 
 def _lambda_bars(p11, p22, K: int) -> np.ndarray:
@@ -483,8 +467,8 @@ def finite_n_welfare(
     N: int,
 ) -> float:
     """Welfare when the decision is taken after only N signals."""
-    phis = _laws(p_or_q, spec.K, N)
-    return float(_combine(spec.weights, phis, _act(spec, strategy)))
+    act = _act(spec, strategy)
+    return float(_combine(spec.weights, _laws(p_or_q, spec.K, N), act))
 
 
 @dataclass(frozen=True)
@@ -527,14 +511,14 @@ def find_D_witness(K: int) -> DWitness | None:
     if not score[i, j] < 0.0:
         return None
     dlambar, p = float(score[i, j]), PVector(p11=float(grid[i]), p22=float(grid[j]))
-    before = _lambda_bar(p, K)
-    after = _lambda_bar(censored_p(p, censor_step), K)
+    cut = censored_p(p, censor_step)
+    before, after = (float(_lambda_bars(q.p11, q.p22, K)) for q in (p, cut))
     target = 0.5 * (before + after)  # Gamma / rho inside (after, before)
     pi = 0.5
     gamma = target / (1.0 + target)  # rho = 1, so Gamma = target
     spec = ProblemSpec.correct_priors(pi=pi, gamma=gamma, K=K)
     w_before = bayes_welfare(p, spec)
-    w_after = bayes_welfare(censored_p(p, censor_step), spec)
+    w_after = bayes_welfare(cut, spec)
     _, base = baseline_welfare(spec)
     if not (w_before > base and w_after < w_before):
         raise RuntimeError(

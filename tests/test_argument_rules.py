@@ -1,14 +1,14 @@
 """The argument rules: an integer rule, a real-number rule, a probability-law
-rule and a kind rule.
+rule, a kind rule and a posterior-rule rule.
 
 Every integer argument of the public API (a state theta among them) goes
 through ``signals._check_int``, every scalar real argument through
-``signals._check_real``, every probability array through ``signals._check_law``
-and every model argument through ``signals._check_kind``. The property tests
-below run each integer and each real argument through bad values (which must
-raise ValueError) and through numpy scalars (which must give the output of the
-same Python number). The last test keeps any rule from being written out
-again outside ``signals.py``.
+``signals._check_real``, every probability array through ``signals._check_law``,
+every model argument through ``signals._check_kind`` and every posterior rule
+through ``beliefs._check_rule``. The property tests below run each integer and
+each real argument through bad values (which must raise ValueError) and
+through numpy scalars (which must give the output of the same Python number).
+The last test keeps any rule from being written out again outside its home.
 """
 
 import dataclasses
@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from belieflab import (
+    BayesParams,
     BeliefStrategy,
     ContinuousSignalModel,
     DiscreteSignalModel,
@@ -44,7 +45,9 @@ from belieflab import (
     decision_threshold,
     delta_fixed,
     evidence_table,
+    expected_welfare,
     finite_n_distribution,
+    finite_n_welfare,
     find_D_witness,
     grid_argmax,
     illusory_model,
@@ -66,6 +69,7 @@ from belieflab import (
     tilt_model,
     welfare_at_threshold,
 )
+from belieflab.signals import _check_real
 from belieflab.welfare import ProblemSpec
 
 _Q = kernel_from_p(0.7, 0.6)
@@ -462,6 +466,47 @@ def test_a_numpy_integer_gives_the_python_int_output(argument, data):
     np.testing.assert_equal(_plain(call(dtype(value))), _plain(call(value)))
 
 
+def test_an_int_past_the_float_range_reads_as_an_infinity():
+    assert _check_real(10**400, "t", 0, _INF, "[]") == _INF
+    assert _check_real(-(10**400), "x", -_INF, 0, "[]") == -_INF
+    prior = PriorModel(1.0, 0.5)
+    assert prior_exceed_prob(prior, 10**400) == prior_exceed_prob(prior, _INF) == 0.0
+    with pytest.raises(ValueError, match=r"^rho must be a real number in \(0, inf\), got 1000"):
+        PriorModel(10**400)
+
+
+# each public function that takes a posterior rule, called with the rule
+_RULE_CALLS = {
+    "expected_welfare": lambda rule: expected_welfare(_P, _SPEC, rule),
+    "finite_n_welfare": lambda rule: finite_n_welfare(_P, _SPEC, rule, 5),
+    "threshold_mass": lambda rule: threshold_mass(PriorModel(1.0, 0.5), rule, 1.5, 2),
+    "decision_threshold": lambda rule: decision_threshold(rule, 1.0, 1.5, 2),
+    "posterior": lambda rule: posterior(rule, 1.0, 1),
+    "simulate_welfare": lambda rule: simulate_welfare(_PAIR, _SPEC, rule, 0.0, 5, 20, 0),
+}
+
+# a value that is no posterior rule -> the message every call above raises
+_BAD_RULES = {
+    "degenerate": (
+        BayesParams(math.nan, math.nan, True),
+        "degenerate parameters have no posterior rule to evaluate",
+    ),
+    "zero-lam": (BayesParams(2.0, 0.0), r"lam must be a real number in \(0, inf\), got 0\.0"),
+    "inf-lam": (BayesParams(2.0, _INF), r"lam must be a real number in \(0, inf\), got inf"),
+    "nan-d": (BayesParams(math.nan, 1.0), r"d must be a real number in \(0, inf\), got nan"),
+    "none": (None, "strategy must be a BeliefStrategy or a BayesParams, got NoneType"),
+    "tuple": ((2.0, 1.0), "strategy must be a BeliefStrategy or a BayesParams, got tuple"),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_BAD_RULES))
+@pytest.mark.parametrize("call", sorted(_RULE_CALLS))
+def test_a_bad_posterior_rule_raises_the_same_value_error(call, rule):
+    value, message = _BAD_RULES[rule]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _RULE_CALLS[call](value)
+
+
 # a string holding the message of a hand-written scalar range refusal, which
 # _check_real replaces
 _SCALAR_REFUSALS = (
@@ -477,15 +522,26 @@ _OLD_REFUSALS = (
 )
 
 
+# the late act-step refusals of a rule's lam and thresholds, and a duck test
+# for a degenerate rule, which _check_rule replaces in every module
+_RULE_REFUSALS = (
+    r"threshold t must be positive|lam must be positive and finite"
+    r"""|getattr\([^)]*["']degenerate"""
+)
+
+
 def test_each_argument_rule_has_one_home():
     source = Path(__file__).resolve().parents[1] / "src" / "belieflab"
     strays = [
         f"{path.name}:{number}"
         for path in sorted(source.glob("*.py"))
-        if path.name != "signals.py"
         for number, line in enumerate(path.read_text().splitlines(), 1)
-        if re.search(r"np\.\w*integer|1e-15", line)
-        or re.search(_SCALAR_REFUSALS, line)
-        or re.search(_OLD_REFUSALS, line)
+        if re.search(_RULE_REFUSALS, line)
+        or path.name != "signals.py"
+        and (
+            re.search(r"np\.\w*integer|1e-15", line)
+            or re.search(_SCALAR_REFUSALS, line)
+            or re.search(_OLD_REFUSALS, line)
+        )
     ]
     assert strays == []

@@ -25,6 +25,7 @@ import pytest
 
 import belieflab.welfare as welfare
 from belieflab import (
+    BayesParams,
     BeliefStrategy,
     PriorModel,
     PVector,
@@ -451,8 +452,11 @@ def test_tie_at_gamma_one_half_and_d_two_acts():
 
 @pytest.mark.parametrize("lam", [0.0, math.inf, math.nan])
 def test_act_step_refuses_a_lam_without_a_rule(lam):
-    with pytest.raises(ValueError, match="lam must be positive and finite"):
-        _act_probabilities(PriorModel(1.0), np.array([2.0, 3.0]), np.array([1.0, lam]), 1.0, 2)
+    # the act step checks the rule at entry, so no such lam reaches the act row
+    spec = ProblemSpec.correct_priors(0.5, 0.5, 2)
+    message = rf"^lam must be a real number in \(0, inf\), got {lam}$"
+    with pytest.raises(ValueError, match=message):
+        _act(spec, BayesParams(2.0, lam))
 
 
 def test_prior_exceed_prob_matches_the_scalar_form():

@@ -28,6 +28,9 @@ class TestPosterior:
     def test_direct_product(self):
         assert posterior(BeliefStrategy(3.0), 2.0, 2) == pytest.approx(18.0)
 
+    def test_a_power_past_the_float_range_is_inf(self):
+        assert posterior(BeliefStrategy(1e200), 1.0, 2) == math.inf
+
     def test_power_one_ignores_the_state(self):
         strat = BeliefStrategy(1.0, lam=0.7)
         for s in range(-3, 4):

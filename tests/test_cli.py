@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -410,6 +411,14 @@ class TestConfig:
         assert captured.out == ""
         assert repr(next(iter(config))) in captured.err
 
+    def test_config_that_is_no_object_exits_nonzero(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([1]))
+        assert run(["stationary", "--r", "2", "--config", str(cfg)]) != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config {str(cfg)!r} must hold a JSON object" in captured.err
+
     def test_config_value_goes_through_the_flag_type(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"K": 2.5}))
@@ -717,6 +726,29 @@ class TestPropsCheck:
         dominance = out.splitlines()[0]
         assert dominance.startswith("PASS  bayes-rule-dominance: min gap")
         assert dominance.endswith("(1 skipped: Bayes lam past the float range)")
+
+    def test_checks_print_their_fail_witnesses(self, capsys, monkeypatch):
+        # a Bayes rule 1e-9 below its envelope, and fixed-power and
+        # regular-censoring gains of the wrong sign
+        expected, fixed, regular = (
+            welfare.expected_welfare, welfare._fixed_power_gains, welfare._censoring_gains
+        )
+
+        def below(p, spec, rule):
+            report = expected(p, spec, rule)
+            return dataclasses.replace(report, value=report.value - 1e-9)
+
+        monkeypatch.setattr(welfare, "expected_welfare", below)
+        monkeypatch.setattr(welfare, "_fixed_power_gains", lambda *args: -fixed(*args))
+        monkeypatch.setattr(welfare, "_censoring_gains", lambda *args: regular(*args) - 1.0)
+        code, out = invoke(capsys, ["props-check"])
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == (
+            "FAIL  bayes-rule-dominance: min gap -5.551e-17 (equality failed at p=(0.269,0.214))"
+        )
+        assert lines[1] == "FAIL  fixed-power-gain-on-B: p22=0.980 gamma=0.980 d=10.0: -6.932e-03"
+        assert lines[4] == "FAIL  regular-censoring-gain: p=(0.980,0.980) k=2: -9.980e-01"
 
     def test_censoring_check_stops_at_the_first_failing_draw(self, capsys, monkeypatch):
         # a wrong ddp at draw 300 fails the check there; of the two draws whose

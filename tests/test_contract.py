@@ -36,6 +36,7 @@ from belieflab import (
     kernel_from_p,
     ladder_transition,
     lunar_model,
+    lunar_strength_rows,
     model_from_config,
     pool,
     prior_exceed_prob,
@@ -210,17 +211,17 @@ _BAD_INPUTS = {
     # a Bayes lam past the float range has no posterior rule to evaluate
     "bayes-welfare-inf-lam": (
         lambda: _bayes_rule_welfare(PVector(0.45, 0.98), 200),
-        "lam must be positive and finite, got inf",
+        r"^lam must be a real number in \(0, inf\), got inf$",
     ),
     "bayes-welfare-zero-lam": (
         lambda: _bayes_rule_welfare(PVector(0.02, 0.6), 300),
-        "lam must be positive and finite, got 0.0",
+        r"^lam must be a real number in \(0, inf\), got 0\.0$",
     ),
     "noisy-bayes-welfare-inf-lam": (
         lambda: bayes_welfare(
             PVector(0.6, 0.99), ProblemSpec.noisy_priors(0.5, 0.5, 300, 0.5)
         ),
-        "lam must be positive and finite, got inf",
+        r"^lam must be a real number in \(0, inf\), got inf$",
     ),
     "strategy-inf-lam": (
         lambda: BeliefStrategy(1e200, lam=math.inf),
@@ -506,6 +507,20 @@ _BAD_INPUTS = {
     "decision-threshold-inverted-power": (
         lambda: decision_threshold(BayesParams(0.5, 1.0), 1.0, 1.5, 2),
         r"strategy\.d must be a real number in \[1, inf\], got 0\.5",
+    ),
+    "threshold-mass-prior-a-str": (
+        lambda: threshold_mass("prior", BeliefStrategy(2.0), 1.5, 2),
+        "^prior must be a PriorModel, got str$",
+    ),
+    "lunar-strength-rows-swapped-states": (
+        lambda: lunar_strength_rows(
+            DiscreteSignalModel(lunar_model().outcomes, lunar_model().probs[::-1])
+        ),
+        "^outcome 0,1 points to 1, expected 2$",
+    ),
+    "lunar-strength-rows-continuous-model": (
+        lambda: lunar_strength_rows(tilt_model(1.0)),
+        "^model must be a DiscreteSignalModel, got ContinuousSignalModel$",
     ),
     "threshold-mass-inverted-power": (
         lambda: threshold_mass(PriorModel(1.0), BayesParams(0.5, 1.0), 1.5, 2),

@@ -10,6 +10,7 @@ from belieflab import (
     autocorr_model,
     censored_direction_matrix,
     censored_transitions,
+    coin_model,
     conditional_dynamics,
     expected_welfare,
     finite_n_distribution,
@@ -145,6 +146,17 @@ class TestSimulateWelfare:
 
         under, _ = baseline_welfare(spec)
         assert est.ci_low <= under <= est.ci_high
+
+    @pytest.mark.parametrize("pi, lam, pay", [(1e-12, 1e-3, 0.6), (1.0 - 1e-12, 1e3, 0.4)])
+    def test_a_state_that_draws_no_agent_is_skipped(self, pi, lam, pay):
+        # every agent lies in one state, and the rule acts never (state 2,
+        # paying gamma) or always (state 1, paying 1 - gamma)
+        spec = ProblemSpec.correct_priors(pi, 0.6, 2)
+        est = simulate_welfare(
+            coin_model(0.7, 0.8), spec, BeliefStrategy(1.0, lam), 0.0, N=5, trials=100, seed=0
+        )
+        assert est.estimate == pytest.approx(pay, rel=1e-15)
+        assert est.stderr == pytest.approx(0.0, abs=1e-15)
 
     def test_locked_lunar_chain_matches_degenerate_closed_form(self):
         model = lunar_model()
