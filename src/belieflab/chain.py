@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .signals import (
-    PVector, TransitionKernel, _check_int, _check_law, _check_real,
+    PVector, TransitionKernel, _check_int, _check_kind, _check_law, _check_real,
 )
 
 __all__ = [
@@ -90,8 +90,8 @@ def _laws(q, K, N=None) -> np.ndarray:
     column parks at 0. Rows after N signals are row K of the N-th power of
     the move matrix, stacked _POWER_BLOCK matrices at a time.
     """
-    if hasattr(q, "column"):
-        q = [q.column(1), q.column(2)]
+    if not isinstance(q, np.ndarray):
+        q = [_check_kind(q, "p", (PVector, TransitionKernel)).column(t) for t in (1, 2)]
     cols = np.asarray(q, dtype=float)
     K = _check_int(K, "K", 1)
     if N is None:

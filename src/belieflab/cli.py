@@ -28,9 +28,9 @@ import numpy as np
 from . import oracle as mc
 from . import scenarios as sc
 from .beliefs import BeliefStrategy
-from .chain import kernel_from_p, stationary
+from .chain import stationary
 from .scenarios import load_model, model_from_config
-from .signals import censor_path, censored_transitions, conditional_dynamics
+from .signals import PVector, censor_path, censored_transitions, conditional_dynamics
 from .welfare import ProblemSpec, SWEEP_METRICS, _props_battery, sweep
 
 __all__ = ["run", "main"]
@@ -258,8 +258,8 @@ def _cmd_oracle_chain(args) -> int:
     """Monte Carlo law of the chain."""
     if args.p11 is None or args.p22 is None:
         raise ValueError("needs --p11 and --p22")
-    q = kernel_from_p(args.p11, args.p22)
-    est = mc.simulate_chain(q, args.theta, args.K, args.N, args.trials, args.seed)
+    p = PVector(args.p11, args.p22)
+    est = mc.simulate_chain(p, args.theta, args.K, args.N, args.trials, args.seed)
     return _print_oracle(args, est.probs, est.stderr)
 
 

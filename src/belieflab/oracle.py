@@ -57,11 +57,8 @@ class WelfareEstimate:
 
 
 @dataclass(frozen=True)
-class LadderEstimate:
-    probs: np.ndarray   # shape (3, 3K + 1), one row per underlying state
-    stderr: np.ndarray
-    trials: int
-    seed: int
+class LadderEstimate(ChainEstimate):
+    """A ChainEstimate with one row of shape (3K + 1,) per underlying state."""
 
 
 def _walk(table, dirs, pvals, start: int, trials: int, N: int, rng) -> np.ndarray:
@@ -83,6 +80,19 @@ def _walk(table, dirs, pvals, start: int, trials: int, N: int, rng) -> np.ndarra
     return counts
 
 
+def _occupancy(table, dirs, rows, start: int, trials: int, N: int, seed: int):
+    """Occupancy laws of ``trials`` walks and their binomial standard errors.
+
+    One generator seeded by ``seed`` runs one ``_walk`` per row of outcome
+    probabilities, in order. Walking the trials jointly through their
+    counts is distributionally identical to walking them one by one, and
+    runs a million trials over a thousand steps in milliseconds.
+    """
+    rng = np.random.default_rng(seed)
+    probs = np.array([_walk(table, dirs, row, start, trials, N, rng) for row in rows]) / trials
+    return probs, np.sqrt(probs * (1.0 - probs) / trials)
+
+
 def simulate_chain(
     q: TransitionKernel | PVector,
     theta: int,
@@ -93,27 +103,17 @@ def simulate_chain(
 ) -> ChainEstimate:
     """Empirical state distribution after N steps over independent walks.
 
-    The walks are simulated jointly through their occupancy counts: each
-    step splits the walkers in every state over the outcomes (up, down,
-    stay) with one multinomial draw. That is distributionally identical to
-    tracking the trials one by one and keeps a million trials over a
-    thousand steps in milliseconds. As in ``finite_n_distribution``, N
-    counts raw signals under a kernel and processed signals under its
-    processed-signal chain ``conditional_dynamics(q)``.
+    As in ``finite_n_distribution``, N counts raw signals under a kernel and
+    processed signals under its processed-signal chain
+    ``conditional_dynamics(q)``.
     """
     trials = _check_int(trials, "trials", 1)
     K = _check_int(K, "K", 1)
     N = _check_int(N, "N", 0)
     seed = _check_int(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
-    up, down, stay = q.column(theta)
-    counts = _walk(
-        _birth_death_table(K), np.array([1, 2, 0]), np.array([up, down, stay]),
-        K, trials, N, rng,
-    )
-    probs = counts / trials
-    stderr = np.sqrt(probs * (1.0 - probs) / trials)
-    return ChainEstimate(probs=probs, stderr=stderr, trials=trials, seed=seed)
+    rows = np.array([q.column(theta)])  # one row of (up, down, stay)
+    probs, stderr = _occupancy(_birth_death_table(K), [1, 2, 0], rows, K, trials, N, seed)
+    return ChainEstimate(probs=probs[0], stderr=stderr[0], trials=trials, seed=seed)
 
 
 def _down_bound(up_at: float) -> float:
@@ -196,8 +196,7 @@ def simulate_welfare(
     _check_rule(strategy)
     rng = np.random.default_rng(seed)
     n1 = int(rng.binomial(trials, spec.pi))
-    payoffs = np.empty(trials)
-    cursor = 0
+    payoffs = []
     for theta, n in ((1, n1), (2, trials - n1)):
         if n == 0:
             continue
@@ -205,21 +204,14 @@ def simulate_welfare(
         # as in _act_probabilities, an infinite shift acts 1 and a zero one
         # 0, also where the prior draw makes the posterior 0 * inf = NaN
         with np.errstate(over="ignore", invalid="ignore"):
+            rho_tilde = spec.prior.rho
             if spec.prior.sigma_log > 0.0:
-                rho_tilde = spec.prior.rho * np.exp(
-                    spec.prior.sigma_log * rng.standard_normal(n)
-                )
-            else:
-                rho_tilde = np.full(n, spec.prior.rho)
+                rho_tilde = rho_tilde * np.exp(spec.prior.sigma_log * rng.standard_normal(n))
             shift = np.float_power(strategy.d, s)
             post = rho_tilde * strategy.lam * shift
             act1 = (post >= spec.Gamma) | (strategy.lam * shift == math.inf)
-        if theta == 1:
-            pay = (1.0 - spec.gamma) * act1
-        else:
-            pay = spec.gamma * (~act1)
-        payoffs[cursor : cursor + n] = pay
-        cursor += n
+        payoffs.append((1.0 - spec.gamma) * act1 if theta == 1 else spec.gamma * (~act1))
+    payoffs = np.concatenate(payoffs)
     estimate = float(payoffs.mean())
     stderr = float(payoffs.std(ddof=1) / math.sqrt(trials))
     return WelfareEstimate(
@@ -246,12 +238,7 @@ def simulate_ladder(
     K = _check_int(K, "K", 1)
     N = _check_int(N, "N", 0)
     seed = _check_int(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
-    table, directions = _ladder_move_table(K), model.directions(beta)
-    counts = [
-        _walk(table, directions, model.probs[theta - 1], 0, trials, N, rng)
-        for theta in (1, 2, 3)
-    ]
-    probs = np.array(counts) / trials
-    stderr = np.sqrt(probs * (1.0 - probs) / trials)
+    probs, stderr = _occupancy(
+        _ladder_move_table(K), model.directions(beta), model.probs, 0, trials, N, seed
+    )
     return LadderEstimate(probs=probs, stderr=stderr, trials=trials, seed=seed)

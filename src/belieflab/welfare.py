@@ -158,6 +158,7 @@ def welfare_at_threshold(k: int, p: PVector, spec: ProblemSpec) -> float:
 
 def _act(spec: ProblemSpec, strategy) -> np.ndarray:
     """The act step of a rule, checked first, for the prior, stakes and K of ``spec``."""
+    _check_kind(spec, "spec", ProblemSpec)
     _check_rule(strategy)
     return _act_probabilities(spec.prior, strategy.d, strategy.lam, spec.Gamma, spec.K)
 
@@ -245,8 +246,8 @@ class DeltaFixed:
 
 def delta_fixed(p: PVector, spec: ProblemSpec, d: float) -> DeltaFixed:
     strategy = _power_rule(d, "delta_fixed")
-    phis = _laws(p, spec.K)
     act = _act(spec, strategy)
+    phis = _laws(p, spec.K)
     under, _ = baseline_welfare(spec)
     base = prior_exceed_prob(spec.prior, spec.Gamma)
     psi, j, decomposed = _decomposed_gains(spec.weights, phis, act, base)
@@ -545,7 +546,7 @@ def _props_battery(K: int) -> list[tuple[str, bool, str]]:
 
     # Exact Bayes parameters dominate every fixed rule under correct priors.
     worst = math.inf
-    witness = ""
+    witness = equality = ""  # an equality failure's witness wins over the min gap's
     ok = True
     skipped = 0
     for _ in range(30):
@@ -567,8 +568,8 @@ def _props_battery(K: int) -> list[tuple[str, bool, str]]:
             continue
         if abs(best - expected_welfare(p, spec, params).value) > 1e-12:
             ok = False
-            witness = f"equality failed at p=({p.p11:.3f},{p.p22:.3f})"
-    detail = f"min gap {worst:.3e} ({witness})"
+            equality = f"equality failed at p=({p.p11:.3f},{p.p22:.3f})"
+    detail = f"min gap {worst:.3e} ({equality or witness})"
     if skipped:
         detail += f" ({skipped} skipped: Bayes lam past the float range)"
     results.append(("bayes-rule-dominance", ok, detail))
@@ -786,12 +787,12 @@ def sweep(
     censoring, otherwise the dynamics are (p11, p22) directly. The outer
     loop runs over y, the inner over x, so rows come out row-major with x
     varying fastest. Inputs that hold for every cell (the problem, a fixed
-    beta, a beta without a model, a model without two-state censoring, N
-    for finite_n_ratio, a fixed d for the metrics that read it, and each
-    axis value or fixed value by the rule of its axis, which refuses a NaN p
-    or d) are checked once and raise ValueError; cells whose evaluation is
-    undefined (no dynamics, fully censored, degenerate, a d axis value
-    outside the metric's domain) carry value NaN.
+    beta, a beta or a model without the other, a model without two-state
+    censoring, N for finite_n_ratio, a fixed d for the metrics that read
+    it, and each axis value or fixed value by the rule of its axis, which
+    refuses a NaN p or d) are checked once and raise ValueError; cells
+    whose evaluation is undefined (no dynamics, fully censored, degenerate,
+    a d axis value outside the metric's domain) carry value NaN.
     """
     if metric not in SWEEP_METRICS:
         raise ValueError(
@@ -804,6 +805,8 @@ def sweep(
         raise ValueError("x and y axes must differ")
     if model is None and (beta is not None or "beta" in (x, y)):
         raise ValueError("a beta axis or a fixed beta needs a signal model")
+    if model is not None and beta is None and "beta" not in (x, y):
+        raise ValueError("a signal model needs a beta axis or a fixed beta")
     if metric == "finite_n_ratio":
         N = _check_int(N, "N", 0)
     if metric in ("delta_fixed", "censor_gain", "finite_n_ratio") and "d" not in (x, y):

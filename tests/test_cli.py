@@ -625,6 +625,8 @@ class TestErrors:
               "--N", "-1"], "N must be an integer >= 0"),
             (["sweep", "--metric", "delta_fixed", "--x", "p11", "--y", "p22",
               "--beta", "0.5"], "needs a signal model"),
+            (["sweep", "--metric", "delta_fixed", "--x", "p11", "--y", "p22",
+              "--model", "asymmetric_tilt"], "a signal model needs a beta axis or a fixed beta"),
             (["sweep", "--metric", "delta_fixed", "--x", "beta", "--y", "d",
               "--model", "autocorr", "--x-grid", "0:0.5:2", "--y-grid", "2:2:1"],
              "model must be a ContinuousSignalModel or a DiscreteSignalModel with 2 states, "
@@ -749,6 +751,23 @@ class TestPropsCheck:
         )
         assert lines[1] == "FAIL  fixed-power-gain-on-B: p22=0.980 gamma=0.980 d=10.0: -6.932e-03"
         assert lines[4] == "FAIL  regular-censoring-gain: p=(0.980,0.980) k=2: -9.980e-01"
+
+    def test_an_equality_failure_keeps_its_witness(self, capsys, monkeypatch):
+        # only the first draw's Bayes rule falls 1e-9 below its envelope; the
+        # later draws, whose gaps set the min gap, pass
+        expected, calls = welfare.expected_welfare, []
+
+        def below_once(p, spec, rule):
+            report = expected(p, spec, rule)
+            calls.append(p)
+            return dataclasses.replace(report, value=report.value - 1e-9 * (len(calls) == 1))
+
+        monkeypatch.setattr(welfare, "expected_welfare", below_once)
+        code, out = invoke(capsys, ["props-check"])
+        assert code == 1
+        assert out.splitlines()[0] == (
+            "FAIL  bayes-rule-dominance: min gap -5.551e-17 (equality failed at p=(0.238,0.324))"
+        )
 
     def test_censoring_check_stops_at_the_first_failing_draw(self, capsys, monkeypatch):
         # a wrong ddp at draw 300 fails the check there; of the two draws whose

@@ -395,6 +395,10 @@ _BAD_INPUTS = {
     "sweep-beta-axis-without-model": (
         lambda: _sweep(y="beta", y_values=[0.0, 0.5]), "needs a signal model"
     ),
+    "sweep-model-without-beta": (
+        lambda: _sweep("delta_fixed", model=tilt_model(1.0)),
+        "^a signal model needs a beta axis or a fixed beta$",
+    ),
     "sweep-negative-fixed-beta": (
         lambda: _sweep(beta=-0.5, model=tilt_model(1.0)),
         r"beta must be a real number in \[0, inf\), got -0\.5",
