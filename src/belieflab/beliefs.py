@@ -212,7 +212,7 @@ def bayes_params(p: PVector, K: int) -> BayesParams:
     degenerate instead of producing parameters.
     """
     K = _check_int(K, "K", 1)
-    if p.interior:
+    if _check_kind(p, "p", PVector).interior:
         d, lam = _bayes_params(p.p11, p.p22, K)
         if not math.isnan(d):
             return BayesParams(d=float(d), lam=float(lam), degenerate=False)

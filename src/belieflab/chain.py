@@ -57,7 +57,7 @@ def finite_n_distribution(
     the state alone; under its processed-signal chain
     ``conditional_dynamics(q)`` N counts processed signals only.
     """
-    return _laws(np.array(q.column(theta)), K, N)
+    return _laws(np.array(_check_kind(q, "q", (PVector, TransitionKernel)).column(theta)), K, N)
 
 
 def _birth_death_table(K: int) -> np.ndarray:

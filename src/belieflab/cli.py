@@ -65,17 +65,17 @@ def _emit_csv(out: str | None, header: list[str], rows: list[list]) -> None:
 
 
 def _resolve_model(args):
-    """Model from --model: a name in ``scenarios.MODELS`` (with --lam where
-    its defaults list a lam), a .json model file, or (from a config or the
-    command's default) a model document."""
+    """Model from --model: a name in ``scenarios.MODELS`` (with --lam, when
+    given, for a continuous family; a worked problem takes no lam), a .json
+    model file, or (from a config or the command's default) a model document."""
     doc = args.model
     if doc is None:
         raise ValueError("needs --model, on the command line or in --config")
     if isinstance(doc, str):
         if doc.endswith(".json"):
             return load_model(doc)
-        _, defaults = sc.MODELS.get(doc, (None, {}))
-        doc = {"family": doc, "params": {"lam": args.lam} if "lam" in defaults else {}}
+        given = args.lam is not None and doc not in sc.SCENARIOS
+        doc = {"family": doc, "params": {"lam": args.lam} if given else {}}
     return model_from_config(doc)
 
 
@@ -98,7 +98,7 @@ _FLAGS = {
     "name": {"choices": list(sc.SCENARIOS)},
     "--r": {"type": float, "required": True},
     "--model": {"help": "a name in scenarios.MODELS or a .json model file"},
-    "--lam": {"type": float, "default": 1.0, "help": "tilt parameter"},
+    "--lam": {"type": float, "help": "tilt parameter (default: the model's own)"},
     "--beta": {"type": float, "default": 0.0},
     "--grid": {"default": "0:1:11", "help": "beta grid lo:hi:n"},
     "--metric": {"required": True, "choices": sorted(SWEEP_METRICS)},

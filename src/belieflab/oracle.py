@@ -111,6 +111,7 @@ def simulate_chain(
     K = _check_int(K, "K", 1)
     N = _check_int(N, "N", 0)
     seed = _check_int(seed, "seed", 0)
+    _check_kind(q, "q", (PVector, TransitionKernel))
     rows = np.array([q.column(theta)])  # one row of (up, down, stay)
     probs, stderr = _occupancy(_birth_death_table(K), [1, 2, 0], rows, K, trials, N, seed)
     return ChainEstimate(probs=probs[0], stderr=stderr[0], trials=trials, seed=seed)

@@ -310,8 +310,8 @@ SCENARIOS = {
     "autocorr": (lambda **kw: autocorr_model(**kw)[0], {"draws": 6}),
 }
 
-# every name ``--model`` accepts: the continuous families, then the worked
-# problems; the CLI's --lam replaces a "lam" default where one is listed
+# every name ``--model`` accepts: the continuous families, which a given --lam
+# reaches, then the worked problems, which take no lam
 MODELS = {
     "tilt": (tilt_model, {"lam": 1.0}),
     "asymmetric_tilt": (asymmetric_tilt_model, {}),

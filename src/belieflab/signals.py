@@ -719,6 +719,7 @@ def censored_direction_matrix(
 
 def conditional_dynamics(q: TransitionKernel) -> PVector:
     """Collapse a kernel to the move probabilities conditional on processing."""
+    _check_kind(q, "q", (PVector, TransitionKernel))
     p11, p22 = _shares(np.array([q.column(1), q.column(2)], dtype=float)).tolist()
     for theta, share in ((1, p11), (2, p22)):
         if math.isnan(share):
@@ -751,7 +752,7 @@ def pool(
             "partition must map labels to groups of outcome labels or be an "
             f"iterable of such groups, got {partition!r}"
         ) from None
-    seen: list[int] = []
+    seen: set[int] = set()
     new_probs = np.zeros((model.theta_count, len(groups)))
     for j, (_, members) in enumerate(groups):
         if not members:
@@ -760,10 +761,10 @@ def pool(
             idx = model.outcome_index(m)
             if idx in seen:
                 raise ValueError(f"outcome {m!r} appears in two groups")
-            seen.append(idx)
+            seen.add(idx)
             new_probs[:, j] += model.probs[:, idx]
     if len(seen) != len(model.outcomes):
-        missing = set(range(len(model.outcomes))) - set(seen)
+        missing = set(range(len(model.outcomes))) - seen
         labels = [model.outcomes[i] for i in sorted(missing)]
         raise ValueError(f"partition does not cover outcomes {labels}")
     return DiscreteSignalModel(
@@ -793,14 +794,12 @@ def batch(model: DiscreteSignalModel, J: int) -> DiscreteSignalModel:
             f"{n}^{J} batched outcomes exceed the cap of {cap}; "
             "declare a sufficient statistic via batch_builder instead"
         )
-    labels = []
-    cols = []
-    for combo in itertools.product(range(n), repeat=J):
-        labels.append("|".join(model.outcomes[i] for i in combo))
-        cols.append(model.probs[:, list(combo)].prod(axis=1))
+    probs = model.probs
+    for _ in range(J - 1):  # the last outcome of a tuple varies fastest
+        probs = (probs[:, :, None] * model.probs[:, None, :]).reshape(model.theta_count, -1)
     return DiscreteSignalModel(
-        outcomes=tuple(labels),
-        probs=np.column_stack(cols),
+        outcomes=tuple(map("|".join, itertools.product(model.outcomes, repeat=J))),
+        probs=probs,
         theta_count=model.theta_count,
     )
 

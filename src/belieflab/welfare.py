@@ -297,7 +297,7 @@ def in_B(p: PVector, spec: ProblemSpec) -> bool:
     Gamma / (rho * lam); at Gamma = 0 or a lam that underflows or overflows
     it is 0 or inf, and no d clears it.
     """
-    if not p.interior:
+    if not _check_kind(p, "p", PVector).interior:
         raise ValueError("in_B needs interior dynamics")
     return bool(_in_B(p.p11, p.p22, spec.rho, spec.Gamma, spec.K))
 
@@ -314,6 +314,7 @@ def _in_B(p11, p22, rho, Gamma, K: int) -> np.ndarray:
 
 def regularity(p: PVector) -> str:
     """'regular' when the chain leans toward the truth under both states."""
+    _check_kind(p, "p", PVector)
     return "regular" if _regular(p.p11, p.p22) else "irregular"
 
 
@@ -324,6 +325,7 @@ def _regular(p11, p22):
 
 def censored_p(p: PVector, x: float) -> PVector:
     """First-order censoring map in p-space: both coordinates lose mass x."""
+    _check_kind(p, "p", PVector)
     return PVector(*_censor_map(p.p11, p.p22, _check_real(x, "x", -0.5, 0.5, "()")))
 
 
@@ -338,6 +340,7 @@ def _censor_map(p11, p22, x):
 
 def default_censor_step(p: PVector) -> float:
     """A censor step small enough to keep p strictly interior."""
+    _check_kind(p, "p", PVector)
     return float(_default_step(p.p11, p.p22))
 
 
@@ -350,17 +353,19 @@ def _default_step(p11, p22):
 def _lambda_bars(p11, p22, K: int) -> np.ndarray:
     """lambda_bar of ``_censor_response`` elementwise over arrays of p; NaN
     where p is not interior or the value is past the float range."""
-    lambda_bar = _censor_response(p11, p22, K)[2]
+    lambda_bar = _censor_response(p11, p22, K).lambda_bar
     # exp steps hundreds of ulp per ulp of its argument here: this is log value < _LOG_MAX
     return np.where(lambda_bar < np.exp(_LOG_MAX), lambda_bar, math.nan)
 
 
-def _censor_response(p11, p22, K: int):
-    """(d_p, lam, lambda_bar, dlam, dlambar), elementwise over interior p.
+def _censor_response(p11, p22, K: int) -> CensorSensitivity:
+    """Every field of ``CensorSensitivity``, elementwise over interior p.
 
+    Censoring moves p by 2p - 1, and d_p = d1 d2 with d = p / (1 - p) in
+    each coordinate, so dd = (2p - 1) / (1 - p)**2 and ddp = dd1 d2 + d1 dd2.
     lam = Z(r2) / Z(r1) and lambda_bar = lam d_p**K are taken in logs, over
-    the normalizers of ``beliefs._log_normalizer``. Censoring
-    moves p by 2p - 1, so dlog r1 = (2 p11 - 1) / (p11 (1 - p11)) and
+    the normalizers of ``beliefs._log_normalizer``, with
+    dlog r1 = (2 p11 - 1) / (p11 (1 - p11)) and
     dlog r2 = (1 - 2 p22) / (p22 (1 - p22)). The log derivative of Z(r) is
     the long-run mean m(r) of s, so dlog lam = m(r2) dlog r2 - m(r1) dlog r1,
     and lambda_bar adds K dlog d_p. Past the float range these are not
@@ -373,32 +378,28 @@ def _censor_response(p11, p22, K: int):
     log_z1, m1 = _log_normalizer(log_r1, K, with_mean=True)
     log_z2, m2 = _log_normalizer(log_r2, K, with_mean=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dp11, dp22 = 2.0 * p11 - 1.0, 2.0 * p22 - 1.0
+        dd1, dd2 = dp11 / np.square(1.0 - p11), dp22 / np.square(1.0 - p22)
+        ddp = dd1 * (p22 / (1.0 - p22)) + (p11 / (1.0 - p11)) * dd2
         dlog_r1 = (2.0 * p11 - 1.0) / (p11 * (1.0 - p11))
         dlog_r2 = (1.0 - 2.0 * p22) / (p22 * (1.0 - p22))
         dlog_lam = m2 * dlog_r2 - m1 * dlog_r1
         lam = np.exp(log_z2 - log_z1)
         lambda_bar = np.exp(log_z2 - log_z1 + K * (log_r1 - log_r2))
-        dlambar = lambda_bar * (dlog_lam + K * (dlog_r1 - dlog_r2))
-        return np.where(in1 & in2, r1 / r2, math.nan), lam, lambda_bar, lam * dlog_lam, dlambar
-
-
-def _censor_steps(p11, p22):
-    """(dp11, dp22, dd1, dd2, ddp) of ``CensorSensitivity``, elementwise.
-
-    Censoring moves p by 2p - 1, and d_p = d1 d2 with d = p / (1 - p) in
-    each coordinate, so dd = (2p - 1) / (1 - p)**2 and ddp = dd1 d2 + d1 dd2.
-    """
-    dp11, dp22 = 2.0 * p11 - 1.0, 2.0 * p22 - 1.0
-    dd1, dd2 = dp11 / np.square(1.0 - p11), dp22 / np.square(1.0 - p22)
-    return dp11, dp22, dd1, dd2, dd1 * (p22 / (1.0 - p22)) + (p11 / (1.0 - p11)) * dd2
+        return CensorSensitivity(
+            dp11=dp11, dp22=dp22, dd1=dd1, dd2=dd2, ddp=ddp, dlam=lam * dlog_lam,
+            dlambar=lambda_bar * (dlog_lam + K * (dlog_r1 - dlog_r2)), lam=lam,
+            lambda_bar=lambda_bar, d_p=np.where(in1 & in2, r1 / r2, math.nan),
+        )
 
 
 @dataclass(frozen=True)
 class CensorSensitivity:
     """First-order response of the dynamics to marginal censoring at beta=0.
 
-    All in closed form: dp11/dp22 and dd1/dd2/ddp by the chain rule, and
-    lam, lambda_bar, dlam and dlambar in logs from one ``_censor_response``.
+    All in closed form from ``_censor_response``, which holds arrays in these
+    fields: dp11/dp22 and dd1/dd2/ddp by the chain rule, and lam,
+    lambda_bar, dlam and dlambar in logs.
     """
 
     dp11: float
@@ -414,16 +415,13 @@ class CensorSensitivity:
 
 
 def censor_sensitivity(p: PVector, K: int) -> CensorSensitivity:
-    """One row of ``_censor_steps`` and ``_censor_response``; raises where a
-    field is not finite."""
-    if not p.interior:
+    """The float row of ``_censor_response``; raises where a field is not finite."""
+    if not _check_kind(p, "p", PVector).interior:
         raise ValueError("censor_sensitivity needs interior dynamics")
     K = _check_int(K, "K", 1)
-    dp11, dp22, dd1, dd2, ddp = map(float, _censor_steps(p.p11, p.p22))
-    d_p, lam, lambda_bar, dlam, dlambar = map(float, _censor_response(p.p11, p.p22, K))
-    if lambda_bar == math.inf:
+    sens = CensorSensitivity(*map(float, vars(_censor_response(p.p11, p.p22, K)).values()))
+    if sens.lambda_bar == math.inf:
         raise ValueError(f"lambda_bar overflows at K={K}")
-    sens = CensorSensitivity(dp11, dp22, dd1, dd2, ddp, dlam, dlambar, lam, lambda_bar, d_p)
     bad = [name for name, v in vars(sens).items() if not math.isfinite(v)]
     if bad:
         raise ValueError(f"{', '.join(bad)} not finite at p=({p.p11!r}, {p.p22!r}), K={K}")
@@ -440,6 +438,7 @@ def regular_censoring_gain(
     side, raising the action-1 tail under state 1 and lowering it under
     state 2.
     """
+    _check_kind(p, "p", PVector)
     k = _check_int(k, "k", 1 - spec.K, spec.K)
     if x is not None:
         x = _check_real(x, "x", 0, 0.5, "()")
@@ -506,8 +505,8 @@ def find_D_witness(K: int) -> DWitness | None:
     K = _check_int(K, "K", 2)  # the censoring-hurts region needs K >= 2
     grid = np.linspace(0.01, 0.99, 100)
     censor_step = 1e-3
-    d_p, _, _, _, dlambar = _censor_response(grid[:, None], grid, K)  # p11 down, p22 across
-    score = np.where((d_p > 1.0) & np.isfinite(dlambar), dlambar, math.inf)
+    resp = _censor_response(grid[:, None], grid, K)  # p11 down, p22 across
+    score = np.where((resp.d_p > 1.0) & np.isfinite(resp.dlambar), resp.dlambar, math.inf)
     i, j = divmod(int(np.argmin(score)), grid.size)  # argmin takes the first minimum
     if not score[i, j] < 0.0:
         return None
@@ -591,21 +590,20 @@ def _props_battery(K: int) -> list[tuple[str, bool, str]]:
 
     # Censoring-response: analytic derivatives match finite differences.
     p11, p22 = rng.uniform(0.05, 0.95, size=(1000, 2)).T
-    _, lam, lambda_bar, dlam, _ = _censor_response(p11, p22, K)
-    dp11, dp22, _, _, ddp = _censor_steps(p11, p22)
+    resp = _censor_response(p11, p22, K)
     h = 1e-6
     (hi11, hi22), (lo11, lo22) = _censor_map(p11, p22, h), _censor_map(p11, p22, -h)
     fd_d = (_bayes_params(hi11, hi22, K)[0] - _bayes_params(lo11, lo22, K)[0]) / (2 * h)
     rel = lambda a, b: abs(a - b) / np.maximum(np.maximum(abs(a), abs(b)), 1e-9)
     derivative = (
-        (rel((hi11 - lo11) / (2 * h), dp11) > 1e-4)
-        | (rel((hi22 - lo22) / (2 * h), dp22) > 1e-4)
-        | (rel(fd_d, ddp) > 1e-4)
+        (rel((hi11 - lo11) / (2 * h), resp.dp11) > 1e-4)
+        | (rel((hi22 - lo22) / (2 * h), resp.dp22) > 1e-4)
+        | (rel(fd_d, resp.ddp) > 1e-4)
     )
     with np.errstate(all="ignore"):  # past the float range, as in Python floats
-        balance = (abs(lam - 1.0) > 1e-6) & (dlam * (lam - 1.0) < 0)
+        balance = (abs(resp.lam - 1.0) > 1e-6) & (resp.dlam * (resp.lam - 1.0) < 0)
     # lambda_bar past the float range is skipped, as find_D_witness skips it
-    skip = ~np.isfinite(lambda_bar)
+    skip = ~np.isfinite(resp.lambda_bar)
     failures = np.flatnonzero(~skip & (derivative | balance))
     stop = failures[0] if failures.size else p11.size  # the first failure ends the check
     witness = "1000 draws"

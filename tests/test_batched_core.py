@@ -58,7 +58,6 @@ from belieflab.welfare import (
     _act,
     _axis_value,
     _censor_response,
-    _censor_steps,
     _censoring_gains,
     _combine,
     _fixed_power_gains,
@@ -537,7 +536,8 @@ def test_censor_sensitivity_is_one_row_of_the_arrays(K):
     fields = (
         "dp11", "dp22", "dd1", "dd2", "ddp", "d_p", "lam", "lambda_bar", "dlam", "dlambar"
     )
-    rows = np.stack([*_censor_steps(*p.T), *_censor_response(*p.T, K)], axis=-1)
+    response = _censor_response(*p.T, K)
+    rows = np.stack([getattr(response, f) for f in fields], axis=-1)
     raised = 0
     for (p11, p22), row in zip(p.tolist(), rows):
         try:

@@ -281,13 +281,19 @@ class TestModelResolution:
             (["transitions", "--model", "tilt", "--lam", "2.5"],
              {"family": "tilt", "params": {"lam": 2.5}}),
             (["transitions", "--model", "asymmetric_tilt", "--lam", "2.5"],
-             {"family": "asymmetric_tilt", "params": {}}),
+             {"family": "asymmetric_tilt", "params": {"lam": 2.5}}),
             (["transitions", "--model", "lunar"], {"family": "lunar", "params": {}}),
             (["scenario", "coin", "--params", '{"J": 3}'],
              {"family": "coin", "params": {"J": 3}}),
             (["scenario", "illusory"], {"family": "illusory", "params": {}}),
             (["oracle", "ladder", "--K", "1", "--N", "3", "--trials", "10"],
              {"family": "autocorr", "params": {"draws": 10}}),
+            # without --lam each continuous family keeps its own; a worked problem takes none
+            (["transitions", "--model", "tilt"], {"family": "tilt", "params": {}}),
+            (["transitions", "--model", "asymmetric_tilt"],
+             {"family": "asymmetric_tilt", "params": {}}),
+            (["transitions", "--model", "lunar", "--lam", "2.5"],
+             {"family": "lunar", "params": {}}),
         ],
         ids=lambda v: " ".join(v[:3]) if isinstance(v, list) else None,
     )
@@ -772,15 +778,17 @@ class TestPropsCheck:
     def test_censoring_check_stops_at_the_first_failing_draw(self, capsys, monkeypatch):
         # a wrong ddp at draw 300 fails the check there; of the two draws whose
         # lambda_bar overflows at K = 123 (226 and 445), only the first is counted
-        steps = welfare._censor_steps
+        response = welfare._censor_response
 
-        def wrong_at_300(p11, p22):
-            *head, ddp = steps(p11, p22)
-            ddp = ddp.copy()
+        def wrong_at_300(p11, p22, K):
+            resp = response(p11, p22, K)
+            if resp.ddp.shape != (1000,):  # the battery's draws, not find_D_witness
+                return resp
+            ddp = resp.ddp.copy()
             ddp[300] *= 2.0
-            return (*head, ddp)
+            return dataclasses.replace(resp, ddp=ddp)
 
-        monkeypatch.setattr(welfare, "_censor_steps", wrong_at_300)
+        monkeypatch.setattr(welfare, "_censor_response", wrong_at_300)
         code, out = invoke(capsys, ["props-check", "--K", "123"])
         assert code == 1
         line = next(l for l in out.splitlines() if "censoring-derivatives" in l)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -503,6 +504,50 @@ class TestBatch:
     def test_cap_suggests_sufficient_statistic(self, lunar):
         with pytest.raises(ValueError, match="sufficient statistic"):
             batch(lunar, 12)
+
+
+# ``pool`` and ``batch`` as they ran before: a list of the outcomes seen and
+# one product column per J-tuple, kept as the bit-for-bit reference.
+def _reference_pool(model, groups):
+    seen = []
+    probs = np.zeros((model.theta_count, len(groups)))
+    for j, members in enumerate(groups):
+        for m in members:
+            idx = model.outcome_index(m)
+            assert idx not in seen
+            seen.append(idx)
+            probs[:, j] += model.probs[:, idx]
+    assert len(seen) == len(model.outcomes)
+    return probs
+
+
+def _reference_batch(model, J):
+    labels, cols = [], []
+    for combo in itertools.product(range(len(model.outcomes)), repeat=J):
+        labels.append("|".join(model.outcomes[i] for i in combo))
+        cols.append(model.probs[:, list(combo)].prod(axis=1))
+    return tuple(labels), np.column_stack(cols)
+
+
+@pytest.mark.parametrize("J", range(1, 13))
+def test_batch_and_pool_match_their_loops_bit_for_bit(J):
+    rng = np.random.default_rng(J)
+    for n in range(2, 7):
+        if n**J > 4096:
+            break
+        for theta_count in (2, 3):
+            model = random_discrete(rng, n, theta_count)
+            batched = batch(model, J)
+            labels, probs = _reference_batch(model, J)
+            assert batched.outcomes == labels
+            np.testing.assert_array_equal(batched.probs.view(np.uint64), probs.view(np.uint64))
+            # 1 to all groups of the tuples, each in shuffled order
+            cuts = rng.choice(np.arange(1, len(labels)), rng.integers(len(labels)), replace=False)
+            groups = np.split(rng.permutation(len(labels)), np.sort(cuts))
+            groups = [[labels[i] for i in group] for group in groups]
+            want = _reference_pool(batched, groups)
+            got = pool(batched, groups).probs
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestCensorPath:
