@@ -153,7 +153,8 @@ def decision_threshold(strategy, rho_tilde: float, Gamma: float, K: int) -> int:
 
 def prior_exceed_prob(prior: PriorModel, t: float) -> float:
     """Pr(rho_tilde >= t) for the lognormal prior, exact via erfc."""
-    return float(_exceed_probs(prior, _check_real(t, "t", 0, math.inf, "[]")))
+    t = _check_real(t, "t", 0, math.inf, "[]")
+    return float(_exceed_probs(_check_kind(prior, "prior", PriorModel), t))
 
 
 def _exceed_probs(prior: PriorModel, t) -> np.ndarray:

@@ -27,6 +27,7 @@ from .signals import (
     _check_int,
     _check_kind,
 )
+from .welfare import ProblemSpec
 
 __all__ = [
     "ChainEstimate",
@@ -117,22 +118,6 @@ def simulate_chain(
     return ChainEstimate(probs=probs[0], stderr=stderr[0], trials=trials, seed=seed)
 
 
-def _down_bound(up_at: float) -> float:
-    """The largest float r < 1 whose ``1.0 / r`` is at least ``up_at`` >= 1.
-
-    ``fl(1 / r)`` never rises as r rises, so the floats in [0, 1) that pass
-    form a prefix. Its end lies within a few float steps of ``1 / up_at``:
-    step down until r passes, then up while the next float below 1 passes.
-    ``1.0 / r`` is inf for the smallest r, so the first walk stops above 0.
-    """
-    r = min(1.0 / up_at, math.nextafter(1.0, 0.0))
-    while 1.0 / r < up_at:
-        r = math.nextafter(r, 0.0)
-    while (up := math.nextafter(r, 1.0)) < 1.0 and 1.0 / up >= up_at:
-        r = up
-    return r
-
-
 def _final_states(
     model, theta: int, beta: float, K: int, N: int, n: int, rng
 ) -> np.ndarray:
@@ -141,11 +126,10 @@ def _final_states(
     Both read the birth-death move table: discrete models walk the agents
     jointly through their occupancy counts and return the states sorted;
     continuous models sample every signal and move each agent by its
-    likelihood ratio. A signal is evidence for state 1 (up) iff its ratio
-    is at least 1 + beta, and for state 2 (down) iff ``1.0 / ratio`` is,
-    which for ratios in [0, 1) means ratio <= ``_down_bound(1 + beta)``.
-    Both bounds come from beta alone, never from the censoring boundaries
-    or masses the oracle checks; other signals are censored (stay).
+    closed-form log-likelihood ratio: up iff it is at least log1p(beta), down
+    iff at most -log1p(beta) and below 0 (a tie at beta = 0 goes up, as in
+    ``classify``), else stay, as NaN does. Both bounds come from beta alone,
+    never from the censoring code the oracle checks.
     """
     if isinstance(model, DiscreteSignalModel):
         counts = _walk(
@@ -153,18 +137,16 @@ def _final_states(
             K, n, N, rng,
         )
         return np.repeat(np.arange(-K, K + 1), counts)
-    up_at = 1.0 + beta
-    # Compared as bit patterns, +0.0 and (0, bound] are down, while -0.0, a
-    # negative ratio and NaN (sign bit set, or a pattern above inf's) stay.
-    down_to = np.float64(_down_bound(up_at)).view(np.uint64)
+    up_at = math.log1p(beta)
+    down_at = -max(up_at, 5e-324)
     # flat, as one take beats [s, c]: the agent at 3s + 1 steps by c in
     # (-1 down, 0 stay, +1 up) to moves[3s + 1 + c] = 3 * next + 1
     moves = 3 * _birth_death_table(K)[:, [2, 0, 1]].ravel() + 1
     at = np.full(n, 3 * K + 1)
     for _ in range(N):
-        ratio = model.likelihood_ratio(model.sampler(rng, theta, n))
-        at += ratio >= up_at
-        at -= ratio.view(np.uint64) <= down_to
+        log_ratio = model.log_likelihood_ratio(model.sampler(rng, theta, n))
+        at += log_ratio >= up_at
+        at -= log_ratio <= down_at
         at = moves.take(at)
     return at // 3 - K
 
@@ -196,7 +178,7 @@ def simulate_welfare(
     _check_kind(model, "model", _SIGNAL_MODELS, 2)
     _check_rule(strategy)
     rng = np.random.default_rng(seed)
-    n1 = int(rng.binomial(trials, spec.pi))
+    n1 = int(rng.binomial(trials, _check_kind(spec, "spec", ProblemSpec).pi))
     payoffs = []
     for theta, n in ((1, n1), (2, trials - n1)):
         if n == 0:

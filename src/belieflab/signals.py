@@ -243,9 +243,9 @@ class ContinuousSignalModel:
     rounding dip below 0 becomes 0), and every state-1 t exceeds every
     state-2 t. So both densities are positive and finite on [0, 1], and the
     likelihood ratio L(x) = density1(x) / density2(x) strictly increases.
-    Construction binds ``density1``, ``density2`` and ``likelihood_ratio``,
-    elementwise over arrays, and ``sampler(rng, theta, size)``, an exact
-    inverse-CDF draw under state theta.
+    Construction binds ``density1``, ``density2``, ``likelihood_ratio`` and
+    its closed-form log ``log_likelihood_ratio``, elementwise over arrays, and
+    ``sampler(rng, theta, size)``, an exact inverse-CDF draw under state theta.
     """
 
     tilts: tuple
@@ -259,6 +259,7 @@ class ContinuousSignalModel:
         object.__setattr__(self, "density1", density1)
         object.__setattr__(self, "density2", density2)
         object.__setattr__(self, "likelihood_ratio", lambda x: density1(x) / density2(x))
+        object.__setattr__(self, "log_likelihood_ratio", _log_ratio(tilts))
         object.__setattr__(
             self, "sampler", lambda rng, theta, size: _pick(theta, draw1, draw2)(rng, size)
         )
@@ -401,6 +402,27 @@ def _mixture(components: tuple) -> tuple[Callable, Callable]:
         return np.where(rng.random(size) < w_second, draw_second(u), draw_first(u))
 
     return (lambda x: first(x) + second(x)), draw
+
+
+def _log_ratio(tilts: tuple) -> Callable:
+    """log density1(x) - log density2(x), elementwise over arrays, in closed form.
+
+    A weighted ``_tilt`` density f is f(1/2) * exp(t * (x - 1/2)). So log L is
+    c + (t1 - t2) * (x - 1/2) over each state's component largest at 1/2 (c is 0
+    up to rounding for a symmetric tilt), and the other, if f'(1/2) > 0, adds in state 1
+    and takes away in 2 log1p(exp(log(f'/f)(1/2) + (t' - t)(x - 1/2))), which cannot overflow.
+    """
+    heads = [sorted([(_tilt(t, w)[0](0.5), t) for t, w in state], reverse=True) for state in tilts]
+    (f1, t1), (f2, t2) = (head[0] for head in heads)
+    c, slope = math.log(f1 / f2), t1 - t2
+    others = [(sign, math.log(g / f), s - t) for sign, ((f, t), *rest) in zip((1.0, -1.0), heads)
+              for g, s in rest if g > 0]
+
+    def log_ratio(x):
+        h = np.asarray(x, dtype=float) - 0.5
+        return sum((sign * np.log1p(np.exp(k + m * h)) for sign, k, m in others), c + slope * h)
+
+    return log_ratio
 
 
 def tilt_model(lam: float) -> ContinuousSignalModel:

@@ -139,7 +139,7 @@ class WelfareReport:
 
 def baseline_welfare(spec: ProblemSpec) -> tuple[float, float]:
     """Welfare of ignoring all signals: (noisy-prior value, correct-prior value)."""
-    w1, w2 = spec.weights
+    w1, w2 = _check_kind(spec, "spec", ProblemSpec).weights
     return float(_baselines(spec.prior, spec.Gamma, w1, w2)), max(w1, w2)
 
 
@@ -151,7 +151,7 @@ def _baselines(prior: PriorModel, Gamma, w1, w2) -> np.ndarray:
 
 def welfare_at_threshold(k: int, p: PVector, spec: ProblemSpec) -> float:
     """Welfare of the rule 'act 1 iff the mental state is at least k' (k <= K + 1)."""
-    k = _check_int(k, "k", -spec.K, spec.K + 1)
+    k = _check_int(k, "k", -_check_kind(spec, "spec", ProblemSpec).K, spec.K + 1)
     act = (np.arange(-spec.K, spec.K + 1) >= k).astype(float)
     return float(_combine(spec.weights, _laws(p, spec.K), act))
 
@@ -223,7 +223,7 @@ def bayes_welfare(p: PVector, spec: ProblemSpec) -> float:
     expected_welfare instead (it is no longer the optimum then, and the gain
     over the baseline can go negative).
     """
-    if spec.has_correct_priors:
+    if _check_kind(spec, "spec", ProblemSpec).has_correct_priors:
         return float(_envelope(spec.weights, _laws(p, spec.K)))
     return expected_welfare(p, spec, bayes_params(p, spec.K)).value
 
@@ -299,7 +299,7 @@ def in_B(p: PVector, spec: ProblemSpec) -> bool:
     """
     if not _check_kind(p, "p", PVector).interior:
         raise ValueError("in_B needs interior dynamics")
-    return bool(_in_B(p.p11, p.p22, spec.rho, spec.Gamma, spec.K))
+    return bool(_in_B(p.p11, p.p22, _check_kind(spec, "spec", ProblemSpec).rho, spec.Gamma, spec.K))
 
 
 def _in_B(p11, p22, rho, Gamma, K: int) -> np.ndarray:
@@ -439,7 +439,7 @@ def regular_censoring_gain(
     state 2.
     """
     _check_kind(p, "p", PVector)
-    k = _check_int(k, "k", 1 - spec.K, spec.K)
+    k = _check_int(k, "k", 1 - _check_kind(spec, "spec", ProblemSpec).K, spec.K)
     if x is not None:
         x = _check_real(x, "x", 0, 0.5, "()")
     return float(_censoring_gains(p.p11, p.p22, spec, x)[k + spec.K - 1])

@@ -1,4 +1,5 @@
-"""Exact values of the decision layer and the balances, in 50-digit mpmath.
+"""Exact values of the decision layer, the balances and the continuous models'
+log-likelihood ratios, in 50-digit mpmath.
 
 The float paths are bounded against these values, not against an older
 float path. The tests import this module by name: pytest puts ``tests/`` on
@@ -32,6 +33,22 @@ def balances(p11, p22, K, x):
     r1, r2 = q11 / (1 - q11), (1 - q22) / q22
     lam = sum(r2**s for s in range(-K, K + 1)) / sum(r1**s for s in range(-K, K + 1))
     return lam, lam * (r1 / r2) ** K
+
+
+def log_likelihood_ratio(tilts, x):
+    """log density1(x) - log density2(x) of a ``ContinuousSignalModel``'s
+    ``tilts`` at the float x, each density the weighted sum of its unit tilts
+    t * exp(t * x) / expm1(t), to 50 digits."""
+    with mpmath.workdps(_DPS):
+        x = mpmath.mpf(x)
+
+        def density(state):
+            return sum(
+                mpmath.mpf(w) * t * mpmath.exp(t * x) / mpmath.expm1(t)
+                for t, w in ((mpmath.mpf(t), w) for t, w in state)
+            )
+
+        return mpmath.log(density(tilts[0]) / density(tilts[1]))
 
 
 def act_probability(prior, d, lam, Gamma, s):

@@ -171,6 +171,12 @@ _BAD_INPUTS = {
     "welfare-one-trial": (
         lambda: _welfare(lunar_model(), trials=1), "trials must be an integer >= 2"
     ),
+    "welfare-none-spec": (
+        lambda: simulate_welfare(
+            lunar_model(), None, BeliefStrategy(2.0), 0.0, N=5, trials=20, seed=0
+        ),
+        "^spec must be a ProblemSpec, got NoneType$",
+    ),
     "finite-n-fractional-N": (
         lambda: finite_n_distribution(kernel_from_p(0.7, 0.6), 1, 2, N=2.5),
         "N must be an integer",

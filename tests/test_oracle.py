@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from belieflab import (
 )
 from belieflab import ContinuousSignalModel
 from belieflab.chain import _birth_death_table, _ladder_index, _ladder_move_table
-from belieflab.oracle import _down_bound, _final_states, _walk
+from belieflab.oracle import _final_states, _walk
 from belieflab.welfare import ProblemSpec
 
 
@@ -53,39 +55,29 @@ def _reference_walk(table, dirs, pvals, start, trials, N, rng):
     return counts
 
 
-def _bisected_down_bound(up_at):
-    """``oracle._down_bound`` as it bisected over float bit patterns: the
-    floats in [0, 1) whose reciprocal passes form a prefix, and non-negative
-    floats order as their bit patterns do."""
-
-    def value(bits):
-        return float(np.uint64(bits).view(np.float64))
-
-    lo, hi = 0, int(np.float64(1.0).view(np.uint64))  # lo passes; hi fails or is 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if 1.0 / value(mid) >= up_at:
-            lo = mid
-        else:
-            hi = mid
-    return value(lo)
+def _reference_log_codes(log_ratio, beta):
+    """Direction codes (0 stay, 1 up, 2 down) of log-likelihood ratios by the
+    reciprocal rule in logs: a signal favors state 1 iff its log ratio is at
+    least 0, and its strength is the log ratio's size."""
+    for1 = log_ratio >= 0.0
+    return np.where(np.abs(log_ratio) >= math.log1p(beta), np.where(for1, 1, 2), 0)
 
 
-class _GivenRatios(ContinuousSignalModel):
+class _GivenLogRatios(ContinuousSignalModel):
     """A tilt whose sampler hands out fixed signals that are their own
-    likelihood ratios, so one oracle step from state 0 reads off each
+    log-likelihood ratios, so one oracle step from state 0 reads off each
     signal's direction."""
 
-    def __init__(self, ratios):
+    def __init__(self, log_ratios):
         super().__init__((((1.0, 1.0),), ((-1.0, 1.0),)))
-        object.__setattr__(self, "likelihood_ratio", lambda x: x)
-        object.__setattr__(self, "sampler", lambda rng, theta, size: ratios.copy())
+        object.__setattr__(self, "log_likelihood_ratio", lambda x: x)
+        object.__setattr__(self, "sampler", lambda rng, theta, size: log_ratios.copy())
 
 
-def _oracle_steps(ratios, beta):
-    model = _GivenRatios(ratios)
+def _oracle_steps(log_ratios, beta):
+    model = _GivenLogRatios(log_ratios)
     rng = np.random.default_rng(0)
-    return _final_states(model, 1, beta, 1, 1, ratios.size, rng)
+    return _final_states(model, 1, beta, 1, 1, log_ratios.size, rng)
 
 
 class TestSimulateChain:
@@ -269,48 +261,46 @@ class TestSimulateWelfare:
 
 
 class TestOracleKernels:
-    """The two bounds and the bincount scatter against the code they replaced."""
+    """The two log-ratio bounds against the reciprocal rule in logs, and the
+    bincount scatter against the code it replaced."""
 
-    def test_down_bound_at_beta_zero_is_the_float_below_one(self):
-        assert _down_bound(1.0) == 1.0 - 2.0**-53
-
-    def test_down_bound_matches_bisection_over_bit_patterns(self):
-        rng = np.random.default_rng(23)
-        up_ats = [1.0, 1.0 + 2.0**-52, 2.0**1022, 2.0**1023, np.finfo(float).max]
-        up_ats += list(1.0 + rng.random(2_000))
-        up_ats += list(1.0 + np.exp(rng.uniform(-40.0, 709.0, 2_000)))
-        for up_at in up_ats:
-            assert _down_bound(float(up_at)) == _bisected_down_bound(float(up_at))
-
-    @pytest.mark.parametrize("beta", [0.0, 1e-9, 0.2, 0.5, 3.0, 1e300])
+    @pytest.mark.parametrize("beta", [0.0, 5e-324, 1e-9, 0.2, 0.5, 3.0, 1e300])
     def test_bounds_classify_as_the_reciprocal(self, beta):
-        up_at, down_at = 1.0 + beta, _down_bound(1.0 + beta)
+        bound = math.log1p(beta)
         edges = [
-            np.nextafter(v, toward) for v in (up_at, down_at, 1.0)
+            np.nextafter(v, toward) for v in (bound, -bound, 0.0)
             for toward in (-np.inf, np.inf)
-        ] + [up_at, down_at, 1.0, np.nextafter(np.nextafter(down_at, 2.0), 2.0)]
+        ] + [bound, -bound, 0.0, -0.0]
         rng = np.random.default_rng(17)
-        ratios = np.concatenate([
-            np.exp(rng.normal(0.0, 2.0, 20_000)),
-            np.exp(rng.uniform(-745.0, 709.0, 20_000)),
-            up_at * np.exp(rng.normal(0.0, 1e-15, 2_000)),
-            down_at * np.exp(rng.normal(0.0, 1e-15, 2_000)),
+        log_ratios = np.concatenate([
+            rng.normal(0.0, 2.0, 20_000),
+            rng.uniform(-745.0, 709.0, 20_000),
+            bound * (1.0 + rng.normal(0.0, 1e-15, 2_000)),
+            -bound * (1.0 + rng.normal(0.0, 1e-15, 2_000)),
             edges,
-            [0.0, 5e-324, np.inf, np.nan, 2.0**1023, 1.0 / up_at],
+            [5e-324, -5e-324, np.inf, -np.inf, np.nan, 1.7e308, -1.7e308],
         ])
-        steps = _oracle_steps(ratios, beta)
-        expected = np.array([0, 1, -1])[_reference_codes(ratios, beta)]
+        steps = _oracle_steps(log_ratios, beta)
+        expected = np.array([0, 1, -1])[_reference_log_codes(log_ratios, beta)]
         np.testing.assert_array_equal(steps, expected)
-        assert steps[np.flatnonzero(ratios == down_at)[0]] == -1
-        assert steps[np.flatnonzero(ratios == np.nextafter(down_at, 2.0))[0]] != -1
+        if beta == 0.0:  # the tie 0.0 or -0.0 goes up, as in classify
+            edge = _oracle_steps(np.array([0.0, -0.0, 5e-324, -5e-324]), beta)
+            assert edge.tolist() == [1, 1, 1, -1]
+        else:  # a signal on a bound moves, and the next one inside stays
+            assert _oracle_steps(np.array([bound, -bound]), beta).tolist() == [1, -1]
+            inside = _oracle_steps(np.nextafter([bound, -bound], 0.0), beta)
+            assert inside.tolist() == [0, 0]
 
-    @pytest.mark.parametrize("beta", [0.0, 0.5])
-    def test_a_ratio_with_its_sign_bit_set_stays(self, beta):
-        # a density that breaks positivity between the construction grid's
-        # points: -0.0, negative ratios and NaN stay, as they always did
-        ratios = np.array([-0.0, -5e-324, -0.5, -1.0, -2.0, -np.inf, np.nan, -np.nan])
-        np.testing.assert_array_equal(_reference_codes(ratios, beta), 0)
-        np.testing.assert_array_equal(_oracle_steps(ratios, beta), 0)
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1e300])
+    def test_a_nan_log_ratio_stays(self, beta):
+        # NaN of either sign, quiet or signalling, fails both comparisons
+        nans = np.array(
+            [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF],
+            dtype=np.uint64,
+        ).view(np.float64)
+        assert np.isnan(nans).all()
+        np.testing.assert_array_equal(_reference_log_codes(nans, beta), 0)
+        np.testing.assert_array_equal(_oracle_steps(nans, beta), 0)
 
     @pytest.mark.parametrize("K", [1, 2, 3])
     @pytest.mark.parametrize("dirs", [[1, 2, 0], [0, 1, 1], [2, 2, 1, 0]])

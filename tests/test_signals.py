@@ -767,6 +767,43 @@ class TestOneExponentialTilt:
         )
 
 
+_LOG_RATIO_MODELS = {
+    **{f"tilt-{lam}": (lambda lam=lam: tilt_model(lam)) for lam in (0.1, 1.0, 10.0, 300.0)},
+    "asymmetric": asymmetric_tilt_model,
+    "asymmetric-2-30-0.2": lambda: asymmetric_tilt_model(2.0, 30.0, 0.2),
+    "two-in-both": lambda: ContinuousSignalModel(
+        (((3.0, 0.3), (0.5, 0.7)), ((-1.0, 0.6), (-4.0, 0.4)))
+    ),
+    "zero-weight": lambda: ContinuousSignalModel(
+        (((3.0, 0.0), (0.5, 1.0)), ((-1.0, 1.0), (-4.0, 0.0)))
+    ),
+    "far-tilts": lambda: ContinuousSignalModel(
+        (((_T_MAX, 0.5), (-700.0, 0.5)), ((-_T_MAX, 1.0),))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOG_RATIO_MODELS))
+def test_log_likelihood_ratio_is_within_2e_15_of_its_exact_value(name):
+    # the closed form against 50-digit values at uniform signals, signals
+    # near 1/2 (the root of a symmetric tilt) and the ends of [0, 1]
+    from exact_reference import log_likelihood_ratio
+
+    model = _LOG_RATIO_MODELS[name]()
+    rng = np.random.default_rng(41)
+    x = np.concatenate([
+        rng.random(200),
+        0.5 + rng.normal(0.0, 1e-3, 40),
+        0.5 + rng.normal(0.0, 1e-12, 20),
+        [0.0, 1.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 5e-324],
+    ])
+    got = model.log_likelihood_ratio(x)
+    assert got.shape == x.shape
+    for xi, value in zip(x.tolist(), got.tolist()):
+        exact = log_likelihood_ratio(model.tilts, xi)
+        assert abs(value - exact) <= 2e-15 * (1.0 + abs(exact)), xi
+
+
 @pytest.mark.parametrize(
     "call",
     [
