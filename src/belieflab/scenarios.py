@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -366,5 +367,5 @@ def model_from_config(doc: Mapping) -> ContinuousSignalModel | DiscreteSignalMod
 
 
 def load_model(path: str) -> ContinuousSignalModel | DiscreteSignalModel:
-    with open(path, encoding="utf-8") as fh:
+    with open(_check_kind(path, "path", (str, os.PathLike)), encoding="utf-8") as fh:
         return model_from_config(json.load(fh))

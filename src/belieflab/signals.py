@@ -17,7 +17,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,10 +40,12 @@ __all__ = [
     "censor_path",
 ]
 
-_BOUNDARY_TOL = 1e-12  # bisection width for censoring boundaries
 _QUAD_TOL = 1e-9       # absolute tolerance for numeric integration
 _QUAD_DEPTH = 48       # the quadrature accepts every piece at this depth
-_BLOCK = 1024          # points one bisection or quadrature block evaluates, about
+_BLOCK = 1024          # points one quadrature block evaluates, about
+_NEWTON_TOL = 1e-15    # a mixture's boundary is found once every step is below this
+_NEWTON_STEPS = 100    # at most this many steps, should rounding keep them above it
+_TABLE = np.linspace(0.0, 1.0, 257)  # where a mixture tabulates its log ratio
 _NEG_TOL = 1e-15       # a probability may dip this far below 0 by rounding
 _SUM_TOL = 1e-12       # a law may miss a total of 1 by this much
 
@@ -112,12 +114,12 @@ def _check_kind(value, name: str, kinds, states: int | None = None):
     if isinstance(value, kinds) and states in (None, count):
         return value
     names = [kind.__name__ for kind in (kinds if isinstance(kinds, tuple) else (kinds,))]
-    want = " or a ".join(names)
+    want = " or ".join(f"{'an' if kind[0] in 'AEIOU' else 'a'} {kind}" for kind in names)
     got = type(value).__name__
     if states is not None:
         want += f" with {states} states"
         got += f" with {count} states" if isinstance(value, kinds) else ""
-    raise ValueError(f"{name} must be a {want}, got {got}")
+    raise ValueError(f"{name} must be {want}, got {got}")
 
 
 def _pick(theta: int, first, second):
@@ -242,9 +244,9 @@ class ContinuousSignalModel:
     nonzero with expm1(|t|) finite, each state's weights form a law (a
     rounding dip below 0 becomes 0), and every state-1 t exceeds every
     state-2 t. So both densities are positive and finite on [0, 1], and the
-    likelihood ratio L(x) = density1(x) / density2(x) strictly increases.
-    Construction binds ``density1``, ``density2``, ``likelihood_ratio`` and
-    its closed-form log ``log_likelihood_ratio``, elementwise over arrays, and
+    likelihood ratio L, density1 over density2, strictly increases. Construction
+    binds ``density1``, ``density2``, the closed-form ``log_likelihood_ratio`` and its
+    inverse on [0, 1] ``log_likelihood_ratio_inverse``, elementwise over arrays, and
     ``sampler(rng, theta, size)``, an exact inverse-CDF draw under state theta.
     """
 
@@ -258,8 +260,9 @@ class ContinuousSignalModel:
         object.__setattr__(self, "tilts", tilts)
         object.__setattr__(self, "density1", density1)
         object.__setattr__(self, "density2", density2)
-        object.__setattr__(self, "likelihood_ratio", lambda x: density1(x) / density2(x))
-        object.__setattr__(self, "log_likelihood_ratio", _log_ratio(tilts))
+        log_ratio, inverse = _log_ratio(tilts)
+        object.__setattr__(self, "log_likelihood_ratio", log_ratio)
+        object.__setattr__(self, "log_likelihood_ratio_inverse", inverse)
         object.__setattr__(
             self, "sampler", lambda rng, theta, size: _pick(theta, draw1, draw2)(rng, size)
         )
@@ -404,15 +407,22 @@ def _mixture(components: tuple) -> tuple[Callable, Callable]:
     return (lambda x: first(x) + second(x)), draw
 
 
-def _log_ratio(tilts: tuple) -> Callable:
-    """log density1(x) - log density2(x), elementwise over arrays, in closed form.
+def _log_ratio(tilts: tuple) -> tuple[Callable, Callable]:
+    """log L(x) = log density1(x) - log density2(x) in closed form, and its inverse on [0, 1],
+    both elementwise over arrays.
 
-    A weighted ``_tilt`` density f is f(1/2) * exp(t * (x - 1/2)). So log L is
-    c + (t1 - t2) * (x - 1/2) over each state's component largest at 1/2 (c is 0
-    up to rounding for a symmetric tilt), and the other, if f'(1/2) > 0, adds in state 1
-    and takes away in 2 log1p(exp(log(f'/f)(1/2) + (t' - t)(x - 1/2))), which cannot overflow.
+    A weighted ``_tilt`` density f is f(1/2) * exp(t * (x - 1/2)), and f(1/2) = w * (t/2) /
+    sinh(t/2) is even in t. So log L is c + (t1 - t2) * (x - 1/2) over each state's component
+    largest at 1/2 (c is 0 for a symmetric tilt), and the other, if f'(1/2) > 0, adds in
+    state 1 and takes away in 2 log1p(exp(log(f'/f)(1/2) + (t' - t)(x - 1/2))), which cannot
+    overflow. The inverse takes g to the x where log L(x) = g, to 0 where log L(0) >= g and
+    to 1 where log L(1) <= g. With one component per state it solves the line; a mixture
+    takes Newton steps from the table of log L on _TABLE, a step that leaves the bracket the
+    signs of log L - g have drawn going to its midpoint, until each row has taken a step
+    below _NEWTON_TOL.
     """
-    heads = [sorted([(_tilt(t, w)[0](0.5), t) for t, w in state], reverse=True) for state in tilts]
+    at_half = lambda t, w: w * (t / 2 / math.sinh(t / 2) if t / 2 else 1.0)  # 5e-324 / 2 is 0
+    heads = [sorted([(at_half(t, w), t) for t, w in state], reverse=True) for state in tilts]
     (f1, t1), (f2, t2) = (head[0] for head in heads)
     c, slope = math.log(f1 / f2), t1 - t2
     others = [(sign, math.log(g / f), s - t) for sign, ((f, t), *rest) in zip((1.0, -1.0), heads)
@@ -422,7 +432,27 @@ def _log_ratio(tilts: tuple) -> Callable:
         h = np.asarray(x, dtype=float) - 0.5
         return sum((sign * np.log1p(np.exp(k + m * h)) for sign, k, m in others), c + slope * h)
 
-    return log_ratio
+    def inverse(g):
+        g = np.asarray(g, dtype=float)
+        if not others:
+            return np.clip(0.5 + (g - c) / slope, 0.0, 1.0)
+        table = log_ratio(_TABLE)  # the cell holding g; at an end that holds it, lo = hi
+        i = np.searchsorted(table, g)
+        lo, hi = _TABLE[np.clip([i - 1, i], 0, len(_TABLE) - 1)]
+        x, done = np.interp(g, table, _TABLE), np.zeros(g.shape, dtype=bool)
+        for _ in range(_NEWTON_STEPS):  # a row that is done stays, so no row reads another
+            miss = log_ratio(x) - g
+            lo, hi = np.where(miss < 0.0, x, lo), np.where(miss > 0.0, x, hi)
+            e = [np.exp(k + m * (x - 0.5)) for _, k, m in others]
+            rate = sum((sign * m * e / (1.0 + e) for (sign, _, m), e in zip(others, e)), slope)
+            new = np.where(done, x, x - miss / rate)
+            new = np.where((lo <= new) & (new <= hi), new, 0.5 * (lo + hi))
+            done, x = done | (np.abs(new - x) < _NEWTON_TOL), new
+            if done.all():
+                break
+        return x
+
+    return log_ratio, inverse
 
 
 def tilt_model(lam: float) -> ContinuousSignalModel:
@@ -476,12 +506,8 @@ def classify(
     any beta > 0 anyway).
     """
     if isinstance(_check_kind(model, "model", _SIGNAL_MODELS), ContinuousSignalModel):
-        x = _check_real(x, "x", 0, 1, "[]")
-        f1 = float(model.density1(x))
-        f2 = float(model.density2(x))
-        if f1 >= f2:
-            return Evidence(1, f1 / f2)
-        return Evidence(2, f2 / f1)
+        g = float(model.log_likelihood_ratio(_check_real(x, "x", 0, 1, "[]")))
+        return Evidence(1 if g >= 0.0 else 2, math.exp(abs(g)))
 
     idx = model.outcome_index(x)
     if model._direction[idx] == 0:
@@ -587,49 +613,7 @@ def _ancestors(k: int) -> np.ndarray:
     return 2**j - 1 + (i >> (k - j))
 
 
-_BISECT_STEPS = math.ceil(-math.log2(_BOUNDARY_TOL))  # halvings of [0, 1] to it
 _SIGNAL_MODELS = (ContinuousSignalModel, DiscreteSignalModel)  # the kinds classify takes
-
-
-def _ratio_boundaries(model: ContinuousSignalModel, targets: np.ndarray) -> np.ndarray:
-    """Solve L(x) = target for each target by bisection, clipped to [0, 1].
-
-    The bracket [a, b] starts at [0, 1] and halves _BISECT_STEPS times,
-    keeping [m, b] when L(m) < target and [a, m] otherwise. Every midpoint
-    is a dyadic rational, so a block of k halvings takes L at all 2**k - 1
-    midpoints it might visit in one call, then walks them as the halvings
-    would: on a row that is True, then False, the walk lands at the count
-    of Trues.
-    """
-    ratio = model.likelihood_ratio
-    at_zero, at_one = ratio(np.array([0.0, 1.0])).tolist()
-    x = np.where(at_zero >= targets, 0.0, 1.0)
-    inside = (at_zero < targets) & (at_one > targets)
-    goal = targets[inside][:, None]
-    a, width, steps = np.zeros(len(goal)), 1.0, _BISECT_STEPS
-    while steps and len(goal):
-        k = min(steps, max((_BLOCK // len(goal) + 1).bit_length() - 1, 1))
-        width /= 2**k
-        below = ratio(a[:, None] + width * np.arange(1, 2**k)) < goal
-        if (below[:, :-1] >= below[:, 1:]).all():
-            a = a + width * below.sum(axis=1)
-        else:
-            a = a + width * _walk(below)
-        steps -= k
-    x[inside] = a + 0.5 * width
-    return x
-
-
-def _walk(below: np.ndarray) -> np.ndarray:
-    """Per row, where halving [0, 2**k] k times ends: at j, it keeps the
-    upper half when ``below[:, j - 1]``, else the lower half."""
-    rows = np.arange(len(below))
-    lo, hi = np.zeros(len(below), int), np.full(len(below), below.shape[1] + 1)
-    while (hi - lo > 1).any():
-        m = (lo + hi) // 2
-        go = below[rows, m - 1]
-        lo, hi = np.where(go, m, lo), np.where(go, hi, m)
-    return lo
 
 
 def _direction_mass(model: DiscreteSignalModel, beta: float) -> np.ndarray:
@@ -650,18 +634,18 @@ def _censored_masses(
     """Entry [b, i - 1, theta - 1]: Pr(a signal survives censoring at
     betas[b] and points to state i | theta), for a two-state model.
 
-    The one home of censoring over a grid of betas. For a continuous model
-    the censored band [x_lo, x_hi] of every beta comes from one bisection
-    over all 2B targets, and the surviving pieces [x_hi, 1] and [0, x_lo]
-    under both states from one quadrature over all 4B intervals.
+    The one home of censoring over a grid of betas. For a continuous model the
+    2B ends of the censored bands [x_lo, x_hi], where |log L| < log1p(beta), come from
+    one call of the log ratio's inverse, and the surviving pieces [x_hi, 1] and
+    [0, x_lo] under both states from one quadrature over all 4B intervals.
     """
     _check_kind(model, "model", _SIGNAL_MODELS, 2)
     betas = np.array([_check_beta(beta) for beta in betas], dtype=float)
     if not len(betas):
         return np.zeros((0, 2, 2))
     if isinstance(model, ContinuousSignalModel):
-        targets = np.concatenate([1.0 / (1.0 + betas), 1.0 + betas])
-        x_lo, x_hi = np.split(_ratio_boundaries(model, targets), 2)
+        edge = np.log1p(betas)
+        x_lo, x_hi = np.split(model.log_likelihood_ratio_inverse(np.concatenate([-edge, edge])), 2)
         # row i - 1: the pieces whose signals survive and point to state i
         lo = np.stack([x_hi, np.zeros_like(x_hi)])
         hi = np.stack([np.ones_like(x_lo), x_lo])
@@ -710,13 +694,11 @@ def censored_transitions(
 ) -> TransitionKernel:
     """Move probabilities after dropping signals of strength below 1 + beta.
 
-    For continuous models the censored band [x_lo, x_hi] is located by
-    bisection on the monotone likelihood ratio to a width of 1e-12 (so the
-    integrand kinks are never crossed) and each surviving region is
-    integrated by adaptive Simpson to an absolute tolerance of 1e-9. The
-    bisection and the quadrature are batched over a grid of betas, and this
-    is the grid of one beta. A beta so large that everything is censored
-    yields a legal degenerate kernel with stay probability 1.
+    For continuous models the censored band [x_lo, x_hi], where |log L| < log1p(beta),
+    ends where the closed-form log ratio's inverse puts it, to about 1e-15, and each
+    surviving region is integrated by adaptive Simpson to an absolute tolerance of 1e-9,
+    batched over a grid of betas (here, of one beta). A beta so large that everything
+    is censored yields a legal degenerate kernel with stay probability 1.
     """
     cols = _columns(_censored_masses(model, [beta]))[0].tolist()  # [theta - 1][move]
     return TransitionKernel(*zip(*cols))
@@ -854,7 +836,7 @@ def censor_path(
     beta_grid: Sequence[float],
 ) -> list[CensorPoint]:
     """Trace (p11, p22) as the censoring threshold sweeps over beta_grid."""
-    betas = [_check_beta(b) for b in beta_grid]
+    betas = [_check_beta(b) for b in _check_kind(beta_grid, "beta_grid", Iterable)]
     if any(b2 < b1 for b1, b2 in zip(betas, betas[1:])):
         raise ValueError("beta grid must be sorted ascending")
     shares = _shares(_columns(_censored_masses(model, betas))).tolist()

@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from collections import namedtuple
-from typing import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -667,12 +667,12 @@ def grid_argmax(
     total = sum(w for _, _, w in probs)
     if not total > 0.0:
         raise ValueError("problems must carry weights positive in total")
-    for name, grid in (("beta_grid", beta_grid), ("d_grid", d_grid)):
-        if len(grid) == 0:
+    # act depends on (problem, d) only, the laws on (problem, beta) only; a rule checks each d
+    ds = [BeliefStrategy(d=d, lam=lam).d for d in _check_kind(d_grid, "d_grid", Iterable)]
+    betas = [_check_beta(beta) for beta in _check_kind(beta_grid, "beta_grid", Iterable)]
+    for name, grid in (("beta_grid", betas), ("d_grid", ds)):
+        if not grid:
             raise ValueError(f"{name} is empty: no (beta, d) to choose from")
-    # act depends on (problem, d) only, the laws on (problem, beta) only
-    ds = [BeliefStrategy(d=d, lam=lam).d for d in d_grid]  # checks each rule
-    betas = [_check_beta(beta) for beta in beta_grid]
     values = np.zeros((len(betas), len(ds)))
     for model, spec, w in probs:  # one (B, D) table per problem, added in problem order
         acts = _act_probabilities(spec.prior, ds, lam, spec.Gamma, spec.K)  # (D, 2K+1)
@@ -813,8 +813,8 @@ def sweep(
     for axis, v in (("p11", p11), ("p22", p22), ("beta", beta)):  # None: not fixed
         base[axis] = None if v is None else _axis_value(axis, v)
     spec = ProblemSpec.noisy_priors(pi, gamma, base["K"], sigma_log, rho)
-    xs = [_axis_value(x, v) for v in x_values]
-    ys = [_axis_value(y, v) for v in y_values]
+    xs = [_axis_value(x, v) for v in _check_kind(x_values, "x_values", Iterable)]
+    ys = [_axis_value(y, v) for v in _check_kind(y_values, "y_values", Iterable)]
     if not xs or not ys:
         return []
 

@@ -1,5 +1,5 @@
-"""Exact values of the decision layer, the balances and the continuous models'
-log-likelihood ratios, in 50-digit mpmath.
+"""Exact values of the decision layer, the balances, and the continuous models'
+log-likelihood ratios and censoring boundaries, in 50-digit mpmath.
 
 The float paths are bounded against these values, not against an older
 float path. The tests import this module by name: pytest puts ``tests/`` on
@@ -35,20 +35,37 @@ def balances(p11, p22, K, x):
     return lam, lam * (r1 / r2) ** K
 
 
+def _log_ratio(tilts):
+    """x -> log density1(x) - log density2(x) of a ``ContinuousSignalModel``'s
+    ``tilts``, each density the weighted sum of its unit tilts
+    t * exp(t * x) / expm1(t), in the working precision."""
+    states = [
+        [(mpmath.mpf(t), mpmath.mpf(w) * t / mpmath.expm1(t)) for t, w in state]
+        for state in tilts
+    ]
+    return lambda x: mpmath.log(
+        sum(a * mpmath.exp(t * x) for t, a in states[0])
+        / sum(a * mpmath.exp(t * x) for t, a in states[1])
+    )
+
+
 def log_likelihood_ratio(tilts, x):
-    """log density1(x) - log density2(x) of a ``ContinuousSignalModel``'s
-    ``tilts`` at the float x, each density the weighted sum of its unit tilts
-    t * exp(t * x) / expm1(t), to 50 digits."""
+    """log L(x) of ``tilts`` at x, to 50 digits."""
     with mpmath.workdps(_DPS):
-        x = mpmath.mpf(x)
+        return _log_ratio(tilts)(mpmath.mpf(x))
 
-        def density(state):
-            return sum(
-                mpmath.mpf(w) * t * mpmath.exp(t * x) / mpmath.expm1(t)
-                for t, w in ((mpmath.mpf(t), w) for t, w in state)
-            )
 
-        return mpmath.log(density(tilts[0]) / density(tilts[1]))
+def ratio_boundary(tilts, g):
+    """The x in [0, 1] with log L(x) = g for the float g, to 50 digits: 0
+    when log L(0) >= g and 1 when log L(1) <= g (log L increases)."""
+    with mpmath.workdps(_DPS):
+        log_ratio = _log_ratio(tilts)
+        miss = lambda x: log_ratio(x) - g
+        if miss(0) >= 0:
+            return mpmath.mpf(0)
+        if miss(1) <= 0:
+            return mpmath.mpf(1)
+        return mpmath.findroot(miss, (mpmath.mpf(0), mpmath.mpf(1)), solver="anderson")
 
 
 def act_probability(prior, d, lam, Gamma, s):

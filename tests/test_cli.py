@@ -886,12 +886,12 @@ def _golden_cases() -> dict[str, list[str]]:
 
 
 _GOLDEN_DIGESTS = {
-    "transitions-tilt": "90e69dd9bee0a872c78338b7a54ac75f9d6dc9a8d947bd44274059e1fd26e231",
-    "censor-path-tilt": "a9941bdac6965807ff6ab44b331a97437e9666d183ad4688629e704d875164cb",
-    "transitions-asymmetric_tilt": "4cc6cb6b3989e62bcbe49a0c6a546c10765ff8298884ceb5f0806ea0a73fdd0a",
-    "censor-path-asymmetric_tilt": "38ffac032267d5704d1bd128cd46e6d6c468c67b83de6c048111a2ab985d9c76",
-    "censor-path-asymmetric_tilt-21": "634814e1a4c0ddf3aa46b52392d1d43a763dbc342048649747377166eb8a3fea",
-    "censor-path-tilt-lam2.7": "29b0651470f3ed842288576f72f9446fa44caded144333b4bdfb00a75c821846",
+    "transitions-tilt": "ebe1d33433d7edb1dd032555302aa08262abd52e23b7f6b90a0ea35a3feac29b",
+    "censor-path-tilt": "8a3acc4cb4ef31404581e466d7ee702a614d4598603543629ba3a2e3e0304a7a",
+    "transitions-asymmetric_tilt": "4268f3f19f86f7f482e3ceae168f736b75fa62055af17375821621a83f12d557",
+    "censor-path-asymmetric_tilt": "639a14f6562f3ec7e7dafeeffda81421343d409140abfb631989346072f66ac8",
+    "censor-path-asymmetric_tilt-21": "200e34e8a5cb6d915505c5cfdb337e3ac920aedf9b597679bbc6a3d30c65015b",
+    "censor-path-tilt-lam2.7": "085e510e3278d76ac1a8e5d3f386bf556bd35833771702dc2d41f6945a19d9e3",
     "transitions-lunar": "391b48c5010295bafbac17f696a4ffce1589fd71278034ccb44e57c565062a55",
     "censor-path-lunar": "c269e143b994e6e9be8d0bfdc9a71a7e37a5ba8d07768c8e1f117d72bce7d683",
     "transitions-illusory": "ed87aa8ec0e1f565917bfd9fab36c59d4b784e4378ad143d7806ffa51080484d",
@@ -914,8 +914,8 @@ _GOLDEN_DIGESTS = {
     "sweep-lambda_bar": "57bed01436cc6005a82f55212a48bbce428f278e5ea66b90898b04bdf8e864cd",
     "sweep-in_B": "9a6dc7815400c623eb2ba58057d6e3ebf811e9dab963c2f77e5b7dd80c59c6b2",
     "sweep-regularity": "72f4b69fb6eabec5a049bc52f8eb68b6613e4ebf618e59ae4baa4791027e4fa3",
-    "sweep-beta-tilt": "6b698dc51caaba7514aab3e09e44354c31cffd2dd5bb08e6536cecfa1d09014a",
-    "sweep-beta-asymmetric_tilt": "69754ec772730464c2d5cc25f682298b17870521727b1e8639b7a3800ce02408",
+    "sweep-beta-tilt": "8c6b3ec102f0ca0dd0aa5ab66badf602965910abdfc822f0a8651a23ce36c8c4",
+    "sweep-beta-asymmetric_tilt": "c127b933035f9efb7d7319826c017fb18e03c10315b8cd99efa7e7624fc4d259",
     "oracle-welfare-tilt": "b50fc5d3c97df51ac6c027b08b551acb3a012d51fc1f35b0cd5cf5edf43b7dc8",
     "oracle-welfare-asymmetric_tilt": "1ae32ab5d5d38c3e693f02fc8ec9d923b1d2c0ddbd0ccd43abdf01baf269493b",
     "oracle-welfare-lunar": "9ba91df964da85969c87b8a2bfa47b9d35c7275983e33b83c437fadd3f0805bd",

@@ -19,6 +19,7 @@ from belieflab import (
     batch,
     bayes_params,
     bayes_welfare,
+    censor_path,
     censored_direction_matrix,
     censor_sensitivity,
     censored_p,
@@ -35,6 +36,7 @@ from belieflab import (
     in_B,
     kernel_from_p,
     ladder_transition,
+    load_model,
     lunar_model,
     lunar_strength_rows,
     model_from_config,
@@ -268,6 +270,35 @@ _BAD_INPUTS = {
     "argmax-empty-d-grid": (
         lambda: _argmax(1.0, d_grid=[]),
         "d_grid is empty",
+    ),
+    # a grid, an axis's values or a path that is not one
+    "argmax-none-beta-grid": (
+        lambda: _argmax(1.0, beta_grid=None),
+        "^beta_grid must be an Iterable, got NoneType$",
+    ),
+    "argmax-none-d-grid": (
+        lambda: _argmax(1.0, d_grid=None),
+        "^d_grid must be an Iterable, got NoneType$",
+    ),
+    "censor-path-none-grid": (
+        lambda: censor_path(tilt_model(1.0), None),
+        "^beta_grid must be an Iterable, got NoneType$",
+    ),
+    "sweep-none-x-values": (
+        lambda: _sweep(x_values=None),
+        "^x_values must be an Iterable, got NoneType$",
+    ),
+    "sweep-number-y-values": (
+        lambda: _sweep(y_values=3),
+        "^y_values must be an Iterable, got int$",
+    ),
+    "load-model-none-path": (
+        lambda: load_model(None),
+        "^path must be a str or a PathLike, got NoneType$",
+    ),
+    "load-model-tuple-path": (
+        lambda: load_model((0.7,)),
+        "^path must be a str or a PathLike, got tuple$",
     ),
     "prior-exceed-nan-threshold": (
         lambda: prior_exceed_prob(PriorModel(1.0, 0.5), math.nan),

@@ -12,7 +12,7 @@ _ORDER = ("signals", "scenarios", "chain", "beliefs", "welfare", "oracle", "cli"
 # none of it, so an agreement is never that code agreeing with itself
 _CHECKED_BY_THE_ORACLE = {
     "_censored_masses",
-    "_ratio_boundaries",
+    "log_likelihood_ratio_inverse",
     "censored_transitions",
     "censor_path",
     "_laws",

@@ -207,7 +207,8 @@ class TestSimulateWelfare:
         def clip_walk(theta, N, n, rng):  # the walk before the move table
             s = np.zeros(n, dtype=np.int64)
             for _ in range(N):
-                ratio = model.likelihood_ratio(model.sampler(rng, theta, n))
+                x = model.sampler(rng, theta, n)
+                ratio = model.density1(x) / model.density2(x)
                 step = np.array([0, 1, -1])[_reference_codes(ratio, beta)]
                 s = np.clip(s + step, -K, K)
             return s

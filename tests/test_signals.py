@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,7 +80,7 @@ class TestClassify:
     def test_strength_is_max_of_ratio_and_inverse(self, tilt1):
         for x in (0.1, 0.35, 0.62, 0.97):
             ev = classify(tilt1, x)
-            ratio = float(tilt1.likelihood_ratio(x))
+            ratio = float(tilt1.density1(x)) / float(tilt1.density2(x))
             assert ev.strength == pytest.approx(max(ratio, 1.0 / ratio), rel=1e-12)
             assert ev.direction == (1 if ratio >= 1 else 2)
 
@@ -287,7 +289,7 @@ class TestCensoredTransitions:
         model = asymmetric_tilt_model()
         beta = 0.3
         q = censored_transitions(model, beta)
-        ratio = model.likelihood_ratio
+        ratio = lambda x: model.density1(x) / model.density2(x)
         lo = _bisect(lambda x: float(ratio(x)), 1.0 / (1.0 + beta))
         hi = _bisect(lambda x: float(ratio(x)), 1.0 + beta)
         for theta, (up_got, down_got) in enumerate(zip(q.up, q.down), start=1):
@@ -820,9 +822,10 @@ def test_every_two_state_pick_names_the_bad_theta(call):
         call()
 
 
-# The scalar quadrature and bisection that censoring ran one beta and one
-# density call at a time, before the grid-batched home: kept as the
-# bit-for-bit reference, as ``_reference_tilt`` is kept for the families.
+# The scalar quadrature that censoring ran one beta and one density call at
+# a time, before the grid-batched home: kept as the bit-for-bit reference,
+# as ``_reference_tilt`` is kept for the families. The scalar bisection
+# finds the boundaries of the ``jump`` pair, which has no closed-form ratio.
 def _adaptive_simpson(f, a, b, tol):
     if b <= a:
         return 0.0
@@ -864,31 +867,33 @@ def _ratio_boundary(model, target):
     return 0.5 * (a + b)
 
 
-def _reference_masses(model, beta):
-    """Entry [i - 1, theta - 1] as ``_censored_masses`` gives it for one beta,
-    and the two boundaries (x_lo, x_hi)."""
-    x_lo = _ratio_boundary(model, 1.0 / (1.0 + beta))
-    x_hi = _ratio_boundary(model, 1.0 + beta)
+def _reference_masses(model, x_lo, x_hi):
+    """Entry [i - 1, theta - 1] as ``_censored_masses`` gives it for one beta
+    whose censored band is [x_lo, x_hi]."""
     mass = np.zeros((2, 2))
     for t in range(2):
         f = lambda x, t=t: float(model.density(t + 1)(x))
         mass[0, t] = _adaptive_simpson(f, x_hi, 1.0, 1e-9) if x_hi < 1.0 else 0.0
         mass[1, t] = _adaptive_simpson(f, 0.0, x_lo, 1e-9) if x_lo > 0.0 else 0.0
-    return mass, (x_lo, x_hi)
+    return mass
+
+
+def _boundaries(model, beta):
+    """(x_lo, x_hi), the ends of the censored band of a tilt model at beta."""
+    edge = math.log1p(beta)
+    return tuple(model.log_likelihood_ratio_inverse(np.array([-edge, edge])).tolist())
 
 
 def _jump_model():
     """A pair whose state-1 density jumps at 0.6, which no tilt mixture does:
     the quadrature refines the piece holding the jump to its depth limit.
-    It carries only what the bisection, the quadrature and the scalar
-    references read."""
+    It carries only what the quadrature and the scalar references read."""
     density1 = lambda x: (0.5 + x + 0.5 * (np.asarray(x) >= 0.6)) / 1.2
     density2 = lambda x: np.ones_like(np.asarray(x, dtype=float))
     return SimpleNamespace(
         density1=density1,
         density2=density2,
         density=lambda theta: (density1, density2)[theta - 1],
-        likelihood_ratio=lambda x: density1(x) / density2(x),
     )
 
 
@@ -917,31 +922,31 @@ class TestBatchedCensoring:
         got = _censored_masses(model, _BETAS)
         assert got.shape == (len(_BETAS), 2, 2)
         for beta, mass in zip(_BETAS, got):
-            np.testing.assert_array_equal(mass, _reference_masses(model, beta)[0])
+            want = _reference_masses(model, *_boundaries(model, beta))
+            np.testing.assert_array_equal(mass, want)
         # each beta alone is the same row of its own grid
         assert censored_transitions(model, 0.35).up == tuple(got[2, 0])
 
     def test_jump_masses_match_the_scalar_reference_bit_for_bit(self):
-        # no model holds the jump: its boundaries and its pieces, the up
-        # piece [x_hi, 1] and the down piece [0, x_lo] of every beta under
-        # both states, go to the bisection and the quadrature directly
-        from belieflab.signals import _ratio_boundaries, _simpson
+        # no model holds the jump: the scalar bisection finds its boundaries,
+        # and its pieces, the up piece [x_hi, 1] and the down piece [0, x_lo]
+        # of every beta under both states, go to the quadrature directly
+        from belieflab.signals import _simpson
 
-        jump, betas = _jump_model(), np.array(_BETAS)
-        bounds = _ratio_boundaries(jump, np.concatenate([1.0 / (1.0 + betas), 1.0 + betas]))
-        x_lo, x_hi = np.split(bounds, 2)
+        jump = _jump_model()
+        x_lo = np.array([_ratio_boundary(jump, 1.0 / (1.0 + beta)) for beta in _BETAS])
+        x_hi = np.array([_ratio_boundary(jump, 1.0 + beta) for beta in _BETAS])
         a = np.concatenate([x_hi, np.zeros_like(x_lo)])
         b = np.concatenate([np.ones_like(x_hi), x_lo])
         got = _simpson(jump.density1, jump.density2, np.tile(a, 2), np.tile(b, 2), len(a))
         got = got.reshape(2, 2, -1)  # [theta - 1, i - 1, beta]
-        for k, beta in enumerate(_BETAS):
-            mass, want_bounds = _reference_masses(jump, beta)
-            assert (x_lo[k], x_hi[k]) == want_bounds
+        for k in range(len(_BETAS)):
+            mass = _reference_masses(jump, x_lo[k], x_hi[k])
             np.testing.assert_array_equal(got[:, :, k].T, mass)
 
     def test_the_grid_reaches_every_kind_of_boundary(self):
         bounds = [
-            _reference_masses(_MODELS[name](), beta)[1]
+            _boundaries(_MODELS[name](), beta)
             for name in ("tilt-0.3", "asymmetric-0.1-14.0-0.44")
             for beta in _BETAS
         ]
@@ -974,26 +979,68 @@ class TestBatchedCensoring:
         ]
         np.testing.assert_array_equal(got, want)
 
-    def test_boundaries_walk_a_ratio_that_is_not_monotone_as_the_scalar_loop(self):
-        # a ratio that rises and falls: a block's probes are not all True,
-        # then all False, so the walk itself decides where the bracket goes
-        from belieflab.signals import _ratio_boundaries
-
-        density1 = lambda x: 1.0 + x + 0.4 * np.sin(40.0 * np.asarray(x))
-        density2 = lambda x: np.ones_like(np.asarray(x, dtype=float))
-        wavy = SimpleNamespace(
-            density1=density1,
-            density2=density2,
-            likelihood_ratio=lambda x: density1(x) / density2(x),
-        )
-        targets = np.array([0.9, 1.3, 1.05, 1.7, 2.2, 0.5, 3.0])
-        got = _ratio_boundaries(wavy, targets)
-        want = [_ratio_boundary(wavy, t) for t in targets.tolist()]
-        np.testing.assert_array_equal(got, want)
-
     def test_an_empty_grid_has_no_masses(self, tilt1, lunar):
         from belieflab.signals import _censored_masses
 
         for model in (tilt1, lunar):
             assert _censored_masses(model, []).shape == (0, 2, 2)
         assert censor_path(tilt1, []) == []
+
+
+# every beta of the benchmark's censoring catalog: the transitions betas,
+# the censor-path and sweep grids 0:1:11, 0:2:21 and 0:1:6 as the CLI
+# spaces them, and the grid_argmax grids
+_CATALOG_BETAS = sorted({
+    0.0, 0.2, 0.5, 1.0, 0.25, 0.75,
+    *np.linspace(0.0, 1.0, 11).tolist(),
+    *np.linspace(0.0, 2.0, 21).tolist(),
+    *np.linspace(0.0, 1.0, 6).tolist(),
+    *(round(0.1 * i, 1) for i in range(11)),
+})
+_BOUNDARY_MODELS = {
+    **{f"tilt-{lam}": (lambda lam=lam: tilt_model(lam))
+       for lam in (1e-6, 0.3, 1.0, 2.7, 20.0, 300.0)},
+    **{name: make for name, make in _MODELS.items() if name.startswith("asymmetric")},
+    "asymmetric-2.0-30.0-0.2": _LOG_RATIO_MODELS["asymmetric-2-30-0.2"],
+    "two-in-both": _LOG_RATIO_MODELS["two-in-both"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDARY_MODELS))
+def test_censoring_boundaries_are_within_1e_15_of_their_exact_values(name):
+    # the inverse of log L at -log1p(beta) and log1p(beta), clipped to [0, 1],
+    # against the 50-digit roots
+    from exact_reference import ratio_boundary
+
+    model = _BOUNDARY_MODELS[name]()
+    edge = np.log1p(sorted({*_BETAS, *_CATALOG_BETAS}))
+    g = np.concatenate([-edge, edge])
+    got = model.log_likelihood_ratio_inverse(g)
+    assert got.shape == g.shape
+    for gi, xi in zip(g.tolist(), got.tolist()):
+        assert abs(xi - ratio_boundary(model.tilts, gi)) <= 1e-15, gi
+
+
+@pytest.mark.parametrize("lam", [1e-300, 1e-12, 1e-9, 1e-6, 1e-3, 0.3, 1.0])
+def test_a_weak_tilt_splits_its_signals_at_one_half(lam):
+    # at beta = 0 nothing is censored, and the signals above 1/2 point up:
+    # Pr(x >= 1/2 | theta = 1) is expit(lam / 2) = 1/2 + lam/8 - ...
+    model = tilt_model(lam)
+    exact = 0.5 + math.tanh(lam / 4) / 2
+    assert abs(censored_transitions(model, 0.0).up[0] - exact) <= 1e-15
+    if lam == 1e-300:  # the ratio is 1 in floats, its log is not 0
+        assert classify(model, 0.25).direction == 2
+        assert classify(model, 0.75).direction == 1
+
+
+def test_signals_states_the_likelihood_ratio_once():
+    # censoring and classify read the closed-form log ratio: no quotient of
+    # the two densities, and no binding of the ratio itself
+    from belieflab import signals
+
+    strays = [
+        number
+        for number, line in enumerate(Path(signals.__file__).read_text().splitlines(), 1)
+        if re.search(r"density1\([^)]*\)\)?\s*/\s*[\w.(]*density2\(|\blikelihood_ratio\b", line)
+    ]
+    assert strays == []
