@@ -9,7 +9,6 @@ stakes ratio Gamma = gamma / (1 - gamma).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -118,10 +116,11 @@ def _check_rule(strategy):
     return strategy
 
 
-def posterior(strategy, rho_tilde: float, s: int) -> float:
-    """Posterior odds of state 1 in mental state s; inf when d**s overflows."""
+def posterior(strategy, rho_tilde: float, s: float) -> float:
+    """Posterior odds of state 1 in mental state s (any real); inf when d**s overflows."""
     _check_rule(strategy)
     rho_tilde = _check_real(rho_tilde, "rho_tilde", 0, math.inf, "()")
+    s = _check_real(s, "s", -math.inf, math.inf, "[]")
     try:
         return rho_tilde * strategy.lam * strategy.d**s
     except OverflowError:
@@ -222,20 +221,16 @@ def bayes_params(p: PVector, K: int) -> BayesParams:
 
 def _bayes_params(p11, p22, K: int):
     """(d, lam) of ``bayes_params`` elementwise over arrays of p; NaN where p
-    is not interior or its odds are not finite."""
+    is not interior or its odds are not finite. lam is the quotient of the
+    direct sums Z(r2) / Z(r1), or of ``_normalizer``'s where a sum overflows."""
     inner, r = _drift_odds(p11, p22)
-    lam = np.empty(inner.shape)
-    # below this bound no power r**s and neither sum can overflow
-    bound = K * np.abs(np.log(r)).max(axis=-1) + math.log(2 * K + 1)
-    small = bound < _LOG_MAX
-    s = np.arange(-K, K + 1, dtype=float)
-    z = (r[small][..., None] ** s).sum(axis=-1)
-    lam[small] = z[..., 1] / z[..., 0]
-    if not small.all():
-        log_z = _log_normalizer(np.log(r[~small]), K)
-        log_lam = log_z[..., 1] - log_z[..., 0]
-        big = log_lam < _LOG_MAX
-        lam[~small] = np.where(big, np.exp(np.where(big, log_lam, 0.0)), math.inf)
+    with np.errstate(all="ignore"):  # a power past the float range is inf, as is rho on an edge
+        z = (r[..., None] ** np.arange(-K, K + 1.0)).sum(axis=-1)
+        lam = z[..., 1] / z[..., 0]
+        finite = (z < math.inf).all(axis=-1)  # r = 1 where p is not interior
+        if not finite.all():
+            (rho1, z1, _), (rho2, z2, _) = _normalizer(p11, K), _normalizer(p22, K)
+            lam = np.where(finite, lam, ((rho2 / rho1) ** K)[..., 0] * (z2 / z1))
     return (
         np.where(inner, r[..., 0] / r[..., 1], math.nan),
         np.where(inner, lam, math.nan),
@@ -256,17 +251,16 @@ def _drift_odds(p11, p22):
     return inner, r
 
 
-def _log_normalizer(log_r, K: int, with_mean: bool = False):
-    """log sum_s r**s over s = -K..K, elementwise over an array of log r.
-
-    Each weight is taken relative to the largest, so none overflows;
-    ``with_mean`` adds the mean of s under the weights, the sum's log
-    derivative.
-    """
-    log_r = np.asarray(log_r, dtype=float)[..., None]
+def _normalizer(p, K: int):
+    """(rho, z, m) elementwise over an array of p in (0, 1): Z(r) = sum_s r**s
+    over s = -K..K is rho**K z for r = p / (1 - p) and for 1 / r, with rho =
+    max(p, 1 - p) / min(p, 1 - p) the odds of the likelier move. z sums the
+    weights rho**(s - K) <= 1, so it is in [1, 2K + 1]; m is the mean of s
+    under them. rho keeps a trailing axis, so its powers round alike for one
+    p and for many."""
+    p = np.asarray(p, dtype=float)[..., None]
+    rho = np.maximum(p, 1.0 - p) / np.minimum(p, 1.0 - p)
     s = np.arange(-K, K + 1)
-    top = np.copysign(K, log_r)  # the state of the largest weight
-    w = np.exp(log_r * (s - top))
+    w = rho ** (s - K)
     z = w.sum(axis=-1)
-    log_z = (top * log_r)[..., 0] + np.log(z)
-    return (log_z, np.vecdot(w, s) / z) if with_mean else log_z
+    return rho, z, np.vecdot(w, s) / z

@@ -23,7 +23,6 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .beliefs import (
-    _LOG_MAX,
     BeliefStrategy,
     PriorModel,
     Stakes,
@@ -32,7 +31,7 @@ from .beliefs import (
     _check_rule,
     _drift_odds,
     _exceed_probs,
-    _log_normalizer,
+    _normalizer,
     _objective_odds,
     bayes_params,
     prior_exceed_prob,
@@ -354,8 +353,7 @@ def _lambda_bars(p11, p22, K: int) -> np.ndarray:
     """lambda_bar of ``_censor_response`` elementwise over arrays of p; NaN
     where p is not interior or the value is past the float range."""
     lambda_bar = _censor_response(p11, p22, K).lambda_bar
-    # exp steps hundreds of ulp per ulp of its argument here: this is log value < _LOG_MAX
-    return np.where(lambda_bar < np.exp(_LOG_MAX), lambda_bar, math.nan)
+    return np.where(lambda_bar < math.inf, lambda_bar, math.nan)
 
 
 def _censor_response(p11, p22, K: int) -> CensorSensitivity:
@@ -363,33 +361,31 @@ def _censor_response(p11, p22, K: int) -> CensorSensitivity:
 
     Censoring moves p by 2p - 1, and d_p = d1 d2 with d = p / (1 - p) in
     each coordinate, so dd = (2p - 1) / (1 - p)**2 and ddp = dd1 d2 + d1 dd2.
-    lam = Z(r2) / Z(r1) and lambda_bar = lam d_p**K are taken in logs, over
-    the normalizers of ``beliefs._log_normalizer``, with
-    dlog r1 = (2 p11 - 1) / (p11 (1 - p11)) and
-    dlog r2 = (1 - 2 p22) / (p22 (1 - p22)). The log derivative of Z(r) is
-    the long-run mean m(r) of s, so dlog lam = m(r2) dlog r2 - m(r1) dlog r1,
-    and lambda_bar adds K dlog d_p. Past the float range these are not
-    finite; where ``beliefs._drift_odds`` finds no finite odds they are NaN.
+    With Z(r) = rho**K z of ``beliefs._normalizer``, lam = Z(r2) / Z(r1) is
+    (rho2 / rho1)**K z2 / z1 and lambda_bar = lam d_p**K is
+    (rho2 d_p / rho1)**K z2 / z1. Censoring moves log rho by |dlog r|, where
+    dlog r1 = (2 p11 - 1) / (p11 (1 - p11)), dlog r2 = (1 - 2 p22) / (p22 (1 - p22)),
+    and the log derivative of Z(rho) is the mean m of s: dlog lam =
+    m2 |dlog r2| - m1 |dlog r1|, and lambda_bar adds K dlog d_p. Past the
+    float range these are not finite, and NaN where p has no finite odds.
     """
     # each normalizer on its coordinate's own shape: an n x n grid of p takes 2n, not 2n**2
     (in1, r1), (in2, r2) = _drift_odds(p11, 0.5), _drift_odds(0.5, p22)
-    r1, r2 = r1[..., 0], r2[..., 1]
-    log_r1, log_r2 = np.where(in1, np.log(r1), math.nan), np.where(in2, np.log(r2), math.nan)
-    log_z1, m1 = _log_normalizer(log_r1, K, with_mean=True)
-    log_z2, m2 = _log_normalizer(log_r2, K, with_mean=True)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rho1, z1, m1 = _normalizer(np.where(in1, p11, math.nan), K)
+        rho2, z2, m2 = _normalizer(np.where(in2, p22, math.nan), K)
         dp11, dp22 = 2.0 * p11 - 1.0, 2.0 * p22 - 1.0
         dd1, dd2 = dp11 / np.square(1.0 - p11), dp22 / np.square(1.0 - p22)
         ddp = dd1 * (p22 / (1.0 - p22)) + (p11 / (1.0 - p11)) * dd2
-        dlog_r1 = (2.0 * p11 - 1.0) / (p11 * (1.0 - p11))
-        dlog_r2 = (1.0 - 2.0 * p22) / (p22 * (1.0 - p22))
-        dlog_lam = m2 * dlog_r2 - m1 * dlog_r1
-        lam = np.exp(log_z2 - log_z1)
-        lambda_bar = np.exp(log_z2 - log_z1 + K * (log_r1 - log_r2))
+        dlog_r1, dlog_r2 = dp11 / (p11 * (1.0 - p11)), -dp22 / (p22 * (1.0 - p22))
+        dlog_lam = m2 * np.abs(dlog_r2) - m1 * np.abs(dlog_r1)
+        d_p = np.where(in1 & in2, r1[..., 0] / r2[..., 1], math.nan)
+        lam = ((rho2 / rho1) ** K)[..., 0] * (z2 / z1)
+        lambda_bar = ((rho2 * d_p[..., None] / rho1) ** K)[..., 0] * (z2 / z1)
         return CensorSensitivity(
             dp11=dp11, dp22=dp22, dd1=dd1, dd2=dd2, ddp=ddp, dlam=lam * dlog_lam,
             dlambar=lambda_bar * (dlog_lam + K * (dlog_r1 - dlog_r2)), lam=lam,
-            lambda_bar=lambda_bar, d_p=np.where(in1 & in2, r1 / r2, math.nan),
+            lambda_bar=lambda_bar, d_p=d_p,
         )
 
 
@@ -399,7 +395,7 @@ class CensorSensitivity:
 
     All in closed form from ``_censor_response``, which holds arrays in these
     fields: dp11/dp22 and dd1/dd2/ddp by the chain rule, and lam,
-    lambda_bar, dlam and dlambar in logs.
+    lambda_bar, dlam and dlambar over one normalizer per coordinate.
     """
 
     dp11: float
@@ -663,7 +659,15 @@ def grid_argmax(
     grid reporting, not an optimizer; ties resolve to the first cell in
     row-major (beta outer, d inner) order.
     """
-    probs = [(m, s, _check_real(w, "weight", 0, math.inf, "[)")) for m, s, w in problems]
+    probs = []
+    for item in _check_kind(problems, "problems", Iterable):
+        try:
+            model, spec, w = item
+        except (TypeError, ValueError):  # not three values to unpack
+            msg = f"problems must be (model, spec, weight) triples, got {item!r}"
+            raise ValueError(msg) from None
+        spec = _check_kind(spec, "spec", ProblemSpec)
+        probs.append((model, spec, _check_real(w, "weight", 0, math.inf, "[)")))
     total = sum(w for _, _, w in probs)
     if not total > 0.0:
         raise ValueError("problems must carry weights positive in total")

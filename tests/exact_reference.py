@@ -1,11 +1,13 @@
-"""Exact values of the decision layer, the balances, and the continuous models'
-log-likelihood ratios and censoring boundaries, in 50-digit mpmath.
+"""Exact values of the decision layer, the balances and their censoring
+response, and the continuous models' log-likelihood ratios and censoring
+boundaries, in 50-digit mpmath.
 
 The float paths are bounded against these values, not against an older
 float path. The tests import this module by name: pytest puts ``tests/`` on
 ``sys.path``.
 """
 
+import functools
 import math
 
 import mpmath
@@ -27,12 +29,29 @@ _SCREEN = 1e-6
 _FAR = 9.0
 
 
+def _normalizer(r, K):
+    """sum_s r**s over s = -K..K, one product per term."""
+    total, term = 0, r**-K
+    for _ in range(2 * K + 1):
+        total, term = total + term, term * r
+    return total
+
+
 def balances(p11, p22, K, x):
     """lam and lambda_bar after the censoring step x, in mpmath arithmetic."""
     q11, q22 = ((p - x) / (1 - 2 * x) for p in (p11, p22))
     r1, r2 = q11 / (1 - q11), (1 - q22) / q22
-    lam = sum(r2**s for s in range(-K, K + 1)) / sum(r1**s for s in range(-K, K + 1))
+    lam = _normalizer(r2, K) / _normalizer(r1, K)
     return lam, lam * (r1 / r2) ** K
+
+
+def censor_response(p11, p22, K):
+    """lam, lambda_bar, dlam and dlambar at the floats p11 and p22, to 50
+    digits: the balances and their derivatives along the censoring step at
+    x = 0, by ``mpmath.diff``."""
+    with mpmath.workdps(_DPS):
+        along = functools.cache(lambda x: balances(mpmath.mpf(p11), mpmath.mpf(p22), K, x))
+        return (*along(0), *(mpmath.diff(lambda x: along(x)[j], 0) for j in (0, 1)))
 
 
 def _log_ratio(tilts):

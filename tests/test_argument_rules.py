@@ -235,6 +235,9 @@ _REAL_ARGUMENTS = {
     "posterior-rho_tilde": (
         lambda v: posterior(BeliefStrategy(2.0), v, 1), (0, _INF, "()"), (0.01, 100)
     ),
+    "posterior-s": (
+        lambda v: posterior(BeliefStrategy(2.0), 1.0, v), (-_INF, _INF, "[]"), (-3, 3)
+    ),
     "decision_threshold-rho_tilde": (
         lambda v: decision_threshold(BeliefStrategy(2.0), v, 1.5, 2), (0, _INF, "()"), (0.01, 100)
     ),
@@ -477,14 +480,8 @@ _OBJECT_ARGUMENTS = {
 _NONE_DEFAULTS = {("lunar_strength_rows", "model"), ("sweep", "model")}
 
 # the pairs where a tuple, a str or None still raises something other than a
-# ValueError naming the argument. The list only shrinks: a pair that stops
-# escaping fails the test below until it is removed here.
-_KNOWN_ESCAPES = {
-    # a problem is a (model, spec, weight) triple to unpack, not one class to check
-    ("grid_argmax", "problems"),
-    # s is the exponent of d**s, which takes any real, so no count rule fits it
-    ("posterior", "s"),
-}
+# ValueError naming the argument: none is left, and the set stays empty
+_KNOWN_ESCAPES = set()
 
 
 def _refuses(call, name, value) -> bool:

@@ -1,5 +1,8 @@
+import ast
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,12 @@ class TestPosterior:
 
     def test_a_power_past_the_float_range_is_inf(self):
         assert posterior(BeliefStrategy(1e200), 1.0, 2) == math.inf
+
+    def test_an_exponent_past_the_float_range_takes_the_limit(self):
+        # s reads as +-inf, so d**s is inf or 0 as d and the sign of s say
+        assert posterior(BeliefStrategy(2.0), 1.0, 10**400) == math.inf
+        assert posterior(BeliefStrategy(2.0), 1.0, -(10**400)) == 0.0
+        assert posterior(BeliefStrategy(2.0), 1.0, -math.inf) == 0.0
 
     def test_power_one_ignores_the_state(self):
         strat = BeliefStrategy(1.0, lam=0.7)
@@ -246,6 +255,32 @@ class TestBayesParams:
             assert params.lam * params.d**s == pytest.approx(
                 phi1[i] / phi2[i], rel=1e-10
             )
+
+    def test_the_balance_is_taken_in_powers(self):
+        # lam and lambda_bar come from sums of powers: the functions that state
+        # them call no log or exp, and no log-sum normalizer or its bound is left
+        from belieflab import beliefs, welfare
+
+        strays = [
+            path.name
+            for path in sorted(Path(beliefs.__file__).parent.glob("*.py"))
+            if re.search(r"\b(?:_log_normalizer|_LOG_MAX)\b", path.read_text())
+        ]
+        assert strays == []
+        homes = {
+            beliefs: ("_bayes_params", "_normalizer"),
+            welfare: ("_censor_response", "_lambda_bars"),
+        }
+        for module, names in homes.items():
+            text = Path(module.__file__).read_text()
+            functions = {
+                node.name: node for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.FunctionDef)
+            }
+            for name in names:
+                body = ast.get_source_segment(text, functions[name])
+                calls = re.findall(r"\b(?:log|exp)(?:1p|m1|2|10|addexp)?\s*\(", body)
+                assert calls == [], name
 
 
 class TestTypes:

@@ -911,7 +911,7 @@ _GOLDEN_DIGESTS = {
     "sweep-delta_fixed": "4e1a86053a1642b573f142f212737e9f114acf559b2aa61efdc1995e88feb41f",
     "sweep-censor_gain": "9f56eeb84bedcd1612c74068298245454a5276c8c9a98fba2a06596d210b9c6d",
     "sweep-finite_n_ratio": "1fa9d7f4e94d8889815319672ff6d6e6752ed5d6dd76ce32d6430eeb5c783aa9",
-    "sweep-lambda_bar": "57bed01436cc6005a82f55212a48bbce428f278e5ea66b90898b04bdf8e864cd",
+    "sweep-lambda_bar": "8c4deb4a9c60eeb304a2ddb68856b442b3f81b6f3367b0bce2a6bfd1370e9d97",
     "sweep-in_B": "9a6dc7815400c623eb2ba58057d6e3ebf811e9dab963c2f77e5b7dd80c59c6b2",
     "sweep-regularity": "72f4b69fb6eabec5a049bc52f8eb68b6613e4ebf618e59ae4baa4791027e4fa3",
     "sweep-beta-tilt": "8c6b3ec102f0ca0dd0aa5ab66badf602965910abdfc822f0a8651a23ce36c8c4",

@@ -41,6 +41,7 @@ from belieflab import (
     lunar_strength_rows,
     model_from_config,
     pool,
+    posterior,
     prior_exceed_prob,
     regular_censoring_gain,
     simulate_chain,
@@ -279,6 +280,35 @@ _BAD_INPUTS = {
     "argmax-none-d-grid": (
         lambda: _argmax(1.0, d_grid=None),
         "^d_grid must be an Iterable, got NoneType$",
+    ),
+    "argmax-none-problems": (
+        lambda: grid_argmax(None, [0.0], [2.0]),
+        "^problems must be an Iterable, got NoneType$",
+    ),
+    "argmax-none-spec": (
+        lambda: grid_argmax([(tilt_model(1.0), None, 1.0)], [0.0], [2.0]),
+        "^spec must be a ProblemSpec, got NoneType$",
+    ),
+    "argmax-pair-problem": (
+        lambda: grid_argmax([(tilt_model(1.0), _SPEC)], [0.0], [2.0]),
+        r"^problems must be \(model, spec, weight\) triples, got \(",
+    ),
+    # s is the exponent of d**s: any real, infinities included, but no NaN
+    "posterior-tuple-s": (
+        lambda: posterior(BeliefStrategy(2.0), 1.0, (1,)),
+        r"^s must be a real number in \[-inf, inf\], got \(1,\)$",
+    ),
+    "posterior-str-s": (
+        lambda: posterior(BeliefStrategy(2.0), 1.0, "x"),
+        r"^s must be a real number in \[-inf, inf\], got 'x'$",
+    ),
+    "posterior-none-s": (
+        lambda: posterior(BeliefStrategy(2.0), 1.0, None),
+        r"^s must be a real number in \[-inf, inf\], got None$",
+    ),
+    "posterior-nan-s": (
+        lambda: posterior(BeliefStrategy(2.0), 1.0, math.nan),
+        r"^s must be a real number in \[-inf, inf\], got nan$",
     ),
     "censor-path-none-grid": (
         lambda: censor_path(tilt_model(1.0), None),

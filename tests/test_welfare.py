@@ -1,4 +1,3 @@
-import functools
 import math
 import sys
 
@@ -30,8 +29,8 @@ from belieflab import (
     threshold_mass,
     welfare_at_threshold,
 )
-from belieflab.welfare import ProblemSpec, _lambda_bars
-from exact_reference import balances
+from belieflab.welfare import ProblemSpec, _censor_response, _lambda_bars
+from exact_reference import balances, censor_response
 
 
 def spec_correct(pi=0.5, gamma=0.5, K=2):
@@ -354,11 +353,32 @@ class TestCensorSensitivity:
                 K = int(rng.choice([1, 2, 3, 5, 10]))
                 p11, p22 = (float(v) for v in rng.uniform(0.01, 0.99, size=2))
                 sens = censor_sensitivity(PVector(p11, p22), K)
-                along = functools.cache(lambda x: balances(p11, p22, K, x))
-                for j, got in enumerate((sens.dlam, sens.dlambar)):
-                    exact = mpmath.diff(lambda x: along(x)[j], 0)
-                    worst = max(worst, float(abs(got - exact) / abs(exact)))
+                exact = censor_response(p11, p22, K)[2:]
+                for got, value in zip((sens.dlam, sens.dlambar), exact):
+                    worst = max(worst, float(abs(got - value) / abs(value)))
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("K", [1, 2, 6, 20, 217])
+    def test_balances_are_within_6e_16_k_plus_2_of_their_exact_values(self, K):
+        # lam and lambda_bar of the censoring response and the Bayes lam, on
+        # 250 uniform p; a value past the float range is at least the largest
+        # float, and one below the normal range is at most the least normal
+        bound = 6e-16 * (K + 2)
+        p11, p22 = np.random.default_rng(34).uniform(0.0, 1.0, size=(2, 250))
+        resp = _censor_response(p11, p22, K)
+        with mpmath.workdps(50):
+            for i, p in enumerate(map(PVector, p11.tolist(), p22.tolist())):
+                lam, lambda_bar = balances(mpmath.mpf(p.p11), mpmath.mpf(p.p22), K, 0)
+                pairs = (resp.lam[i], lam), (resp.lambda_bar[i], lambda_bar), (
+                    bayes_params(p, K).lam, lam
+                )
+                for got, exact in pairs:
+                    if exact > sys.float_info.max:
+                        assert got >= sys.float_info.max, p
+                    elif exact < sys.float_info.min:
+                        assert got <= sys.float_info.min, p
+                    else:
+                        assert abs(got - exact) <= bound * exact, p
 
     @pytest.mark.parametrize("K", [2, 5, 20, 60, 150, 250])
     def test_lambda_bar_matches_the_exact_value(self, K):
